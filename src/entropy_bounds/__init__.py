@@ -6,7 +6,6 @@ oracles to validate them.
 """
 
 from .symbolic import (
-    BiPoly,
     DEFAULT_CONTEXT,
     DomainError,
     Interval,
@@ -15,17 +14,13 @@ from .symbolic import (
     NonIntegrableTailError,
     PrecisionContext,
     PrecisionError,
-    UniPoly,
     as_fraction,
     eval_at,
     integrate_tail,
     integrate_to_one,
-    parse_rational,
     rational_str,
 )
 from .moments import (
-    BinomialMoment,
-    PoissonMoment,
     binomial_central_moment,
     moment_oracle_binomial,
     moment_oracle_poisson,
@@ -66,9 +61,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
     "BinomialCoeffSet",
-    "BinomialMoment",
     "BoundReport",
     "DEFAULT_CONTEXT",
     "DomainError",
@@ -77,11 +70,9 @@ __all__ = [
     "LogLaurent",
     "NonIntegrableTailError",
     "PoissonCoeffSet",
-    "PoissonMoment",
     "PrecisionContext",
     "PrecisionError",
     "TruncationReceipt",
-    "UniPoly",
     "as_fraction",
     "best_interval",
     "binomial_central_moment",
@@ -103,7 +94,6 @@ __all__ = [
     "integrate_to_one",
     "moment_oracle_binomial",
     "moment_oracle_poisson",
-    "parse_rational",
     "poisson_central_moment",
     "poisson_coeffs",
     "poisson_entropy_oracle",

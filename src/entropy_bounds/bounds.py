@@ -226,9 +226,9 @@ def expected_log_poisson_bounds(
         power = s_m
         for k in range(2, 2 * m + 2):
             power *= s_m
-            acc += (-1) ** k * poisson_central_moment(k).poly(s_m) / (k * (k - 1) * power)
+            acc += (-1) ** k * poisson_central_moment(k)(s_m) / (k * (k - 1) * power)
         power *= s_m
-        gap = poisson_central_moment(2 * m + 2).poly(s_m) / ((2 * m + 1) * power)
+        gap = poisson_central_moment(2 * m + 2)(s_m) / ((2 * m + 1) * power)
         lower = mpmath.log(s_m) + acc
         return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
 
@@ -250,9 +250,9 @@ def expected_log_binomial_bounds(
         power = ns
         for k in range(2, 2 * m + 2):
             power *= ns
-            acc += (-1) ** k * binomial_central_moment(k).poly(n, s_m) / (k * (k - 1) * power)
+            acc += (-1) ** k * binomial_central_moment(k)(n, s_m) / (k * (k - 1) * power)
         power *= ns
-        gap = binomial_central_moment(2 * m + 2).poly(n, s_m) / ((2 * m + 1) * power)
+        gap = binomial_central_moment(2 * m + 2)(n, s_m) / ((2 * m + 1) * power)
         lower = mpmath.log(ns) + acc
         return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
 

@@ -33,7 +33,6 @@ from .symbolic import (
     LaurentPoly,
     LogLaurent,
     PrecisionContext,
-    parse_rational,
     rational_str,
     to_mpf,
 )
@@ -149,8 +148,8 @@ def _loglaurent_json(f: LogLaurent) -> dict:
 
 
 def _loglaurent_from_json(obj: dict) -> LogLaurent:
-    terms = LaurentPoly((int(e), parse_rational(c)) for e, c in obj["terms"].items())
-    return LogLaurent(terms, parse_rational(obj["log"]))
+    terms = LaurentPoly((int(e), Fraction(c)) for e, c in obj["terms"].items())
+    return LogLaurent(terms, Fraction(obj["log"]))
 
 
 def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionContext) -> dict:
@@ -186,8 +185,8 @@ def coeffs_from_json(obj: dict) -> PoissonCoeffSet | BinomialCoeffSet | dict:
     if kind == "poisson":
         return PoissonCoeffSet(
             m=obj["m"],
-            b={int(k): parse_rational(v) for k, v in obj["b"].items()},
-            a={int(k): parse_rational(v) for k, v in obj["a"].items()},
+            b={int(k): Fraction(v) for k, v in obj["b"].items()},
+            a={int(k): Fraction(v) for k, v in obj["a"].items()},
         )
     if kind == "binomial":
         return BinomialCoeffSet(

@@ -25,7 +25,6 @@ from .symbolic import (
     LogLaurent,
     PrecisionContext,
     PrecisionError,
-    UniPoly,
     integrate_tail,
     integrate_to_one,
 )
@@ -84,16 +83,10 @@ def poisson_coeffs(m: int) -> PoissonCoeffSet:
     integrand = LaurentPoly()
     for j in range(3, 2 * m + 2):
         scale = Fraction((-1) ** (j - 1), j * (j - 1))
-        integrand = integrand + LaurentPoly.from_poly(
-            poisson_central_moment(j).poly, shift=-j, scale=scale
-        )
+        integrand = integrand + scale * poisson_central_moment(j).shifted(-j)
     b = {-e: c for e, c in integrate_tail(integrand).terms()}
 
-    gap_integrand = LaurentPoly.from_poly(
-        poisson_central_moment(2 * m + 2).poly,
-        shift=-(2 * m + 2),
-        scale=Fraction(1, 2 * m + 1),
-    )
+    gap_integrand = Fraction(1, 2 * m + 1) * poisson_central_moment(2 * m + 2).shifted(-(2 * m + 2))
     a = {-e: c for e, c in integrate_tail(gap_integrand).terms()}
     return PoissonCoeffSet(m=m, b=b, a=a)
 
@@ -102,28 +95,20 @@ def _collect_by_inverse_n_power(orders: list[int], scale_of) -> dict[int, LogLau
     """Shared assembly step for the binomial coefficient functions.
 
     Builds n * sum_j scale(j) * mu_j(n, s) / (ns)^j as a Laurent polynomial
-    in s for each power of 1/n, integrates each piece over [q, 1], and
-    returns {k: coefficient of n^-k}.
+    in (n, s), splits it into a Laurent polynomial in s for each power of
+    1/n, integrates each piece over [q, 1], and returns
+    {k: coefficient of n^-k}.
     """
-    by_n_power: dict[int, dict[int, Fraction]] = {}
+    total = LaurentPoly()
     for j in orders:
-        scale = scale_of(j)
-        mu = binomial_central_moment(j).poly
-        for i, poly_in_n in enumerate(mu.coeffs):
-            for d, coef in enumerate(poly_in_n.coeffs):
-                if coef == 0:
-                    continue
-                n_exp = 1 - j + d
-                s_exp = i - j
-                bucket = by_n_power.setdefault(n_exp, {})
-                bucket[s_exp] = bucket.get(s_exp, Fraction(0)) + scale * coef
+        total = total + scale_of(j) * binomial_central_moment(j).shifted((1 - j, -j))
+    by_n_power: dict[int, dict[int, Fraction]] = {}
+    for (n_exp, s_exp), coef in total.terms():
+        by_n_power.setdefault(n_exp, {})[s_exp] = coef
     out: dict[int, LogLaurent] = {}
     for n_exp, terms in by_n_power.items():
-        piece = LaurentPoly(terms)
-        if piece.is_zero:
-            continue
         assert n_exp < 0, f"unexpected nonnegative power of n: {n_exp}"
-        out[-n_exp] = integrate_to_one(piece)
+        out[-n_exp] = integrate_to_one(LaurentPoly(terms))
     return out
 
 
@@ -195,16 +180,14 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
 
 
 @lru_cache(maxsize=None)
-def _power_sum_poly(e: int) -> UniPoly:
+def _power_sum_poly(e: int) -> LaurentPoly:
     """p^e + q^e as a polynomial in u = pq, using p + q = 1.
 
     Newton's identity: s_0 = 2, s_1 = 1, s_e = s_{e-1} - u s_{e-2}.
     """
     if e == 0:
-        return UniPoly((2,))
-    if e == 1:
-        return UniPoly((1,))
-    prev, cur = UniPoly((2,)), UniPoly((1,))
+        return LaurentPoly({0: 2})
+    prev, cur = LaurentPoly({0: 2}), LaurentPoly({0: 1})
     for _ in range(e - 1):
         prev, cur = cur, cur - prev.shifted(1)
     return cur
@@ -219,7 +202,7 @@ def _symmetrize_pq(f: LogLaurent) -> LogLaurent:
     """
     acc = LaurentPoly()
     for e, c in f.laurent.terms():
-        acc = acc + LaurentPoly.from_poly(_power_sum_poly(abs(e)), shift=min(e, 0), scale=c)
+        acc = acc + c * _power_sum_poly(abs(e)).shifted(min(e, 0))
     return LogLaurent(acc, f.log_coeff)
 
 

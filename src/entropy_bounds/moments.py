@@ -4,14 +4,15 @@ The Poisson moments mu_k(s) = E[(N_s - s)^k] follow the classical recursion
 in the mean; for k >= 2 they are polynomials in s of degree floor(k/2).  The
 binomial moments mu_k(n, s) = E[(B_{n,s} - ns)^k] use the derivative
 recursion in the success probability and are exact polynomials in both n
-and s.  Each comes with a brute-force oracle: a certified Poisson series,
-and an exact rational finite sum for the binomial.
+and s.  Both moment functions return the polynomial itself, a
+:class:`LaurentPoly` in s or in (n, s).  Each comes with a brute-force
+oracle: a certified Poisson series, and an exact rational finite sum for the
+binomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -21,58 +22,45 @@ from mpmath import mpf
 from . import oracle
 from .symbolic import (
     DEFAULT_CONTEXT,
-    BiPoly,
     DomainError,
+    LaurentPoly,
     PrecisionContext,
-    UniPoly,
     as_fraction,
     to_mpf,
 )
 
 
-@dataclass(frozen=True)
-class PoissonMoment:
-    k: int
-    poly: UniPoly  # in the mean s
-
-
-@dataclass(frozen=True)
-class BinomialMoment:
-    k: int
-    poly: BiPoly  # in (n, s)
-
-
 @lru_cache(maxsize=None)
-def poisson_central_moment(k: int) -> PoissonMoment:
+def poisson_central_moment(k: int) -> LaurentPoly:
     """mu_k(s) via mu_k = s * sum_{j<=k-2} C(k-1, j) mu_j, memoized."""
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
     if k == 0:
-        return PoissonMoment(0, UniPoly.one())
+        return LaurentPoly({0: 1})
     if k == 1:
-        return PoissonMoment(1, UniPoly.zero())
-    acc = UniPoly.zero()
+        return LaurentPoly()
+    acc = LaurentPoly()
     for j in range(k - 1):
-        acc = acc + math.comb(k - 1, j) * poisson_central_moment(j).poly
+        acc = acc + math.comb(k - 1, j) * poisson_central_moment(j)
     poly = acc.shifted(1)
-    assert poly.degree == k // 2, f"degree of mu_{k} should be {k // 2}"
-    return PoissonMoment(k, poly)
+    assert max(e for e, _ in poly.terms()) == k // 2, f"degree of mu_{k} should be {k // 2}"
+    return poly
 
 
 @lru_cache(maxsize=None)
-def binomial_central_moment(k: int) -> BinomialMoment:
+def binomial_central_moment(k: int) -> LaurentPoly:
     """mu_k(n, s) via mu_k = s(1-s) * [n (k-1) mu_{k-2} + d mu_{k-1} / ds]."""
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
     if k == 0:
-        return BinomialMoment(0, BiPoly.constant(1))
+        return LaurentPoly({(0, 0): 1})
     if k == 1:
-        return BinomialMoment(1, BiPoly.zero())
-    prev2 = binomial_central_moment(k - 2).poly
-    prev1 = binomial_central_moment(k - 1).poly
-    s_times_q = BiPoly.from_s_poly(UniPoly((0, 1, -1)))  # s(1-s)
-    inner = (k - 1) * prev2.times_n() + prev1.derivative_s()
-    return BinomialMoment(k, s_times_q * inner)
+        return LaurentPoly()
+    prev2 = binomial_central_moment(k - 2)
+    prev1 = binomial_central_moment(k - 1)
+    s_times_q = LaurentPoly({(0, 1): 1, (0, 2): -1})  # s(1-s)
+    inner = (k - 1) * prev2.shifted((1, 0)) + prev1.derivative(1)
+    return s_times_q * inner
 
 
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

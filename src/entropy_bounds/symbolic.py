@@ -1,8 +1,9 @@
 """Exact arithmetic kernel.
 
-All coefficient derivations run on `fractions.Fraction` end to end: univariate
-polynomials, Laurent polynomials (negative exponents allowed), polynomials in
-two variables, and Laurent-plus-logarithm expressions.  Nothing here ever
+All coefficient derivations run on `fractions.Fraction` end to end, with two
+expression types: :class:`LaurentPoly`, one sparse polynomial type in one or
+several variables with negative exponents allowed, and :class:`LogLaurent`, a
+one-variable Laurent polynomial plus a logarithm term.  Nothing here ever
 rounds; numeric evaluation is a separate step done with mpmath at a precision
 chosen through :class:`PrecisionContext`.
 
@@ -14,15 +15,15 @@ expansion coefficients live here as well: :func:`integrate_tail` for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
 
 Scalar = Union[int, Fraction]
+Exponent = Union[int, tuple[int, ...]]
 
 # extra mantissa bits used while evaluating, before rounding to ctx.bits
 _GUARD_BITS = 64
@@ -53,10 +54,6 @@ def rational_str(x: Scalar) -> str:
     """Canonical 'num/den' form, denominator always present: 1/6, -1/12, 3/1."""
     x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,9 @@ DEFAULT_CONTEXT = PrecisionContext()
 def to_mpf(x) -> mpf:
     """Convert int/float/str/Fraction/mpf to mpf at the ambient precision."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
+        value = mpf(x.numerator)
+        # dividing by 1 would change no bit, so integers skip the division
+        return value if x.denominator == 1 else value / x.denominator
     return mpf(x)
 
 
@@ -119,296 +118,136 @@ class Interval:
         return self.lower <= x <= self.upper
 
 
-class UniPoly:
-    """Polynomial in one indeterminate with Fraction coefficients.
+def _exponent(e: Exponent) -> tuple[int, ...]:
+    """Canonical exponent key: an int names a one-variable exponent."""
+    return tuple(int(x) for x in e) if isinstance(e, tuple) else (int(e),)
 
-    Coefficients are indexed by power; trailing zeros are trimmed so equality
-    is structural.  The zero polynomial has degree -1.
-    """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        return UniPoly(c * as_fraction(other) for c in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "UniPoly":
-        """Multiply by x**k (k >= 0)."""
-        if k < 0:
-            raise ValueError("use LaurentPoly for negative shifts")
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def __call__(self, x):
-        """Horner evaluation; exact when x is int/Fraction, mpf otherwise."""
-        if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = mpf(0)
-        x = to_mpf(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + to_mpf(c)
-        return acc
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "UniPoly(0)"
-        parts = [f"{rational_str(c)}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "UniPoly(" + " + ".join(parts) + ")"
+def _canonical(d: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero terms in ascending exponent order, all in the same variables."""
+    if len({len(e) for e in d}) > 1:
+        raise ValueError("terms mix different numbers of variables")
+    return {e: c for e, c in sorted(d.items()) if c}
 
 
 class LaurentPoly:
-    """Finite sum of c_e * x**e with integer exponents of either sign.
+    """Finite sum of c * x_0**e_0 * ... * x_(k-1)**e_(k-1) with Fraction
+    coefficients and integer exponents of either sign.
 
-    Zero coefficients are never stored, so structural equality is canonical.
+    An exponent is an int for a polynomial in one variable and a tuple of
+    ints for several, e.g. (n, s) for the binomial moments; the number of
+    variables follows from the exponents given.  Zero coefficients are never
+    stored, so structural equality is canonical.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()) -> None:
+    def __init__(
+        self, terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = ()
+    ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, Fraction] = {}
+        d: dict[tuple[int, ...], Fraction] = {}
         for e, c in items:
-            c = as_fraction(c)
-            if c != 0:
-                d[int(e)] = d.get(int(e), Fraction(0)) + c
-                if d[int(e)] == 0:
-                    del d[int(e)]
-        object.__setattr__(self, "_terms", d)
+            e = _exponent(e)
+            d[e] = d.get(e, 0) + as_fraction(c)
+        object.__setattr__(self, "_terms", _canonical(d))
+
+    @classmethod
+    def _of(cls, d: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+        """Build from exponent tuples and Fractions without re-coercing them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", _canonical(d))
+        return poly
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def from_poly(cls, poly: UniPoly, shift: int = 0, scale: Scalar = 1) -> "LaurentPoly":
-        """scale * x**shift * poly(x)."""
-        scale = as_fraction(scale)
-        return cls((i + shift, c * scale) for i, c in enumerate(poly.coeffs))
+    def terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
+        """Terms sorted by ascending exponent: an int exponent for one
+        variable, a tuple for several."""
+        return tuple((e[0] if len(e) == 1 else e, c) for e, c in self._terms.items())
 
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """Terms sorted by ascending exponent."""
-        return tuple(sorted(self._terms.items()))
-
-    def coeff(self, e: int) -> Fraction:
-        return self._terms.get(e, Fraction(0))
+    def coeff(self, e: Exponent) -> Fraction:
+        return self._terms.get(_exponent(e), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def min_exp(self) -> int:
-        return min(self._terms)
-
-    @property
-    def max_exp(self) -> int:
-        return max(self._terms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self.terms())
+        return hash(tuple(self._terms.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(list(self._terms.items()) + list(other._terms.items()))
+        d = dict(self._terms)
+        for e, c in other._terms.items():
+            d[e] = d.get(e, 0) + c
+        return LaurentPoly._of(d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly((e, -c) for e, c in self._terms.items())
+        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            out: list[tuple[int, Fraction]] = []
+            d: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
-                    out.append((e1 + e2, c1 * c2))
-            return LaurentPoly(out)
+                    e = tuple(a + b for a, b in zip(e1, e2, strict=True))
+                    d[e] = d.get(e, 0) + c1 * c2
+            return LaurentPoly._of(d)
         s = as_fraction(other)
-        return LaurentPoly((e, c * s) for e, c in self._terms.items())
+        return LaurentPoly._of({e: c * s for e, c in self._terms.items()})
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        return LaurentPoly((e + k, c) for e, c in self._terms.items())
+    def shifted(self, k: Exponent) -> "LaurentPoly":
+        """Multiply by the monomial with exponent ``k``."""
+        return self * LaurentPoly({k: 1})
 
-    def __call__(self, x):
-        if isinstance(x, (int, Fraction)):
-            if x == 0 and not self.is_zero and self.min_exp < 0:
-                raise ZeroDivisionError("Laurent polynomial with negative powers at 0")
-            return sum((c * Fraction(x) ** e for e, c in self.terms()), Fraction(0))
-        x = to_mpf(x)
-        return sum((to_mpf(c) * x**e for e, c in self.terms()), mpf(0))
+    def derivative(self, var: int) -> "LaurentPoly":
+        """Partial derivative in variable number ``var`` (0 for one variable)."""
+        return LaurentPoly._of(
+            {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var] for e, c in self._terms.items()}
+        )
+
+    def __call__(self, *point):
+        """Value at ``point``, one coordinate per variable: exact when every
+        coordinate is an int or Fraction, an mpf at the ambient precision
+        otherwise.
+
+        Terms that share the exponent of the last variable are summed first,
+        and each sum is multiplied by that power once; every other power is
+        computed once per call.  For one variable this is the
+        ascending-exponent sum of c * x**e.
+        """
+        if self._terms and len(point) != len(next(iter(self._terms))):
+            raise TypeError(f"expected one coordinate per variable, got {len(point)}")
+        num = Fraction if all(isinstance(x, (int, Fraction)) for x in point) else to_mpf
+        xs = [num(x) for x in point]
+        powers: dict[tuple[int, int], object] = {}
+        sums: dict[int, object] = {}
+        for e, c in self._terms.items():
+            t = num(c)
+            for i in range(len(e) - 1):
+                if (i, e[i]) not in powers:
+                    powers[i, e[i]] = xs[i] ** e[i]
+                t *= powers[i, e[i]]
+            sums[e[-1]] = sums[e[-1]] + t if e[-1] in sums else t
+        total = num(0)
+        for e, inner in sums.items():
+            total += inner * xs[-1] ** e
+        return total
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "LaurentPoly(0)"
         parts = [f"{rational_str(c)}*x^{e}" for e, c in self.terms()]
         return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-class BiPoly:
-    """Polynomial in s whose coefficients are UniPoly in n.
-
-    ``coeffs[i]`` is the polynomial-in-n multiplying s**i.  Used for the
-    binomial central moments, which are exact polynomials in both variables.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[UniPoly] = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "BiPoly":
-        return cls((UniPoly((c,)),))
-
-    @classmethod
-    def from_s_poly(cls, poly: UniPoly) -> "BiPoly":
-        """Lift a polynomial in s alone (n-free coefficients)."""
-        return cls(UniPoly((c,)) for c in poly.coeffs)
-
-    @property
-    def degree_s(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> UniPoly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else UniPoly()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BiPoly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            if self.is_zero or other.is_zero:
-                return BiPoly()
-            out = [UniPoly()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return BiPoly(out)
-        return BiPoly(c * other for c in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def times_n(self) -> "BiPoly":
-        """Multiply by the monomial n."""
-        return BiPoly(c.shifted(1) for c in self.coeffs)
-
-    def derivative_s(self) -> "BiPoly":
-        return BiPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def substitute_n(self, n: Scalar) -> UniPoly:
-        """Fix n, leaving a polynomial in s."""
-        return UniPoly(c(as_fraction(n)) for c in self.coeffs)
-
-    def __call__(self, n, s):
-        """Evaluate at (n, s); exact for int/Fraction arguments."""
-        if isinstance(n, (int, Fraction)) and isinstance(s, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * s + c(n)
-            return acc
-        n, s = to_mpf(n), to_mpf(s)
-        acc = mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c(n)
-        return acc
-
-    def __repr__(self) -> str:
-        return f"BiPoly({list(self.coeffs)!r})"
 
 
 @dataclass(frozen=True)
@@ -490,12 +329,9 @@ def integrate_to_one(f: LaurentPoly) -> LogLaurent:
 def eval_at(expr, point, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Evaluate any kernel expression at a numeric point, rounded to ctx.bits.
 
-    Accepts UniPoly, LaurentPoly, LogLaurent, or a bare Fraction/int; the
-    point may be int, float, str, Fraction, or mpf.
+    Accepts a one-variable LaurentPoly or a LogLaurent; the point may be int,
+    float, str, Fraction, or mpf.
     """
     with ctx.working():
-        if isinstance(expr, (int, Fraction)):
-            value = to_mpf(expr)
-        else:
-            value = expr(to_mpf(point))
+        value = expr(to_mpf(point))
     return ctx.round(value)

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -16,6 +20,8 @@ from entropy_bounds import (
     relative_entropy_oracle,
 )
 from golden_data import FIGURE_GAPS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -259,3 +265,34 @@ class TestDeterminismAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bounds", "nonsense"])
         assert exc.value.code == 2
+
+
+# stdout captured once from a known-good build; each command reaches a
+# different polynomial path (Poisson/binomial coefficient export, LogLaurent
+# evaluation, the Stirling constants, order selection, oracle comparison)
+GOLDEN_COMMANDS = {
+    "coeffs_binomial_m3": ["coeffs", "binomial", "--m", "3"],
+    "coeffs_poisson_m4": ["coeffs", "poisson", "--m", "4"],
+    "bounds_relative_entropy": [
+        "bounds", "relative-entropy", "--n", "100", "--points", "0.05,0.5,0.95", "--m", "3",
+    ],
+    "bounds_binomial_entropy_stirling": [
+        "bounds", "binomial-entropy", "--n", "50", "--points", "0.2,0.8", "--method", "stirling-m1",
+    ],
+    "bounds_binomial_entropy_auto": [
+        "bounds", "binomial-entropy", "--n", "200", "--points", "0.3", "--m", "auto",
+    ],
+    "verify_relative_entropy": ["verify", "relative-entropy", "--n", "30", "--bits", "128"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_is_byte_identical_to_fixture(name):
+    env = {k: v for k, v in os.environ.items() if k != "ENTROPY_BOUNDS_BITS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "entropy_bounds.cli", *GOLDEN_COMMANDS[name]],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "fixtures" / "cli" / f"{name}.out").read_bytes()

@@ -81,13 +81,13 @@ class TestPoissonCoefficients:
 
         def expansion_integrand(s):
             return sum(
-                (-1) ** (j - 1) * poisson_central_moment(j).poly(s) / (j * (j - 1) * s**j)
+                (-1) ** (j - 1) * poisson_central_moment(j)(s) / (j * (j - 1) * s**j)
                 for j in range(3, 2 * m + 2)
             )
 
         def gap_integrand(s):
             k = 2 * m + 2
-            return poisson_central_moment(k).poly(s) / ((k - 1) * s**k)
+            return poisson_central_moment(k)(s) / ((k - 1) * s**k)
 
         cs = poisson_coeffs(m)
         with mp.workprec(192):

@@ -6,11 +6,10 @@ import pytest
 from mpmath import mp, mpf
 
 from entropy_bounds import (
-    BiPoly,
     DEFAULT_CONTEXT,
     DomainError,
+    LaurentPoly,
     PrecisionContext,
-    UniPoly,
     binomial_central_moment,
     moment_oracle_binomial,
     moment_oracle_poisson,
@@ -27,22 +26,22 @@ def as_mpf(x: F) -> mpf:
 
 class TestPoissonMoments:
     def test_first_values(self):
-        assert poisson_central_moment(0).poly == UniPoly((1,))
-        assert poisson_central_moment(1).poly == UniPoly()
-        assert poisson_central_moment(2).poly == UniPoly((0, 1))
-        assert poisson_central_moment(3).poly == UniPoly((0, 1))
-        assert poisson_central_moment(4).poly == UniPoly((0, 1, 3))
-        assert poisson_central_moment(5).poly == UniPoly((0, 1, 10))
+        assert poisson_central_moment(0) == LaurentPoly({0: 1})
+        assert poisson_central_moment(1) == LaurentPoly()
+        assert poisson_central_moment(2) == LaurentPoly({1: 1})
+        assert poisson_central_moment(3) == LaurentPoly({1: 1})
+        assert poisson_central_moment(4) == LaurentPoly({1: 1, 2: 3})
+        assert poisson_central_moment(5) == LaurentPoly({1: 1, 2: 10})
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_degree(self, k):
-        assert poisson_central_moment(k).poly.degree == k // 2
+        assert max(e for e, _ in poisson_central_moment(k).terms()) == k // 2
 
     @pytest.mark.parametrize("k", range(13))
     @pytest.mark.parametrize("s", S_SAMPLES)
     def test_matches_series_oracle(self, k, s):
         value = moment_oracle_poisson(k, s)
-        exact = poisson_central_moment(k).poly(s)
+        exact = poisson_central_moment(k)(s)
         with mp.workprec(300):
             diff = abs(value - as_mpf(exact))
             assert diff <= mpf("1e-25") * max(1, abs(as_mpf(exact)))
@@ -59,24 +58,24 @@ class TestPoissonMoments:
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
     @pytest.mark.parametrize("s", [F(1, 10), F(1), F(50)])
     def test_even_moments_nonnegative(self, k, s):
-        assert poisson_central_moment(k).poly(s) >= 0
+        assert poisson_central_moment(k)(s) >= 0
 
 
 class TestBinomialMoments:
     def test_first_values(self):
-        n_s_q = BiPoly.from_s_poly(UniPoly((0, 1, -1))).times_n()  # n s (1-s)
-        assert binomial_central_moment(0).poly == BiPoly.constant(1)
-        assert binomial_central_moment(1).poly == BiPoly.zero()
-        assert binomial_central_moment(2).poly == n_s_q
-        assert binomial_central_moment(3).poly == BiPoly.from_s_poly(UniPoly((1, -2))) * n_s_q
-        expected_mu4 = 3 * (n_s_q * n_s_q) + BiPoly.from_s_poly(UniPoly((1, -6, 6))) * n_s_q
-        assert binomial_central_moment(4).poly == expected_mu4
+        n_s_q = LaurentPoly({(1, 1): 1, (1, 2): -1})  # n s (1-s)
+        assert binomial_central_moment(0) == LaurentPoly({(0, 0): 1})
+        assert binomial_central_moment(1) == LaurentPoly()
+        assert binomial_central_moment(2) == n_s_q
+        assert binomial_central_moment(3) == LaurentPoly({(0, 0): 1, (0, 1): -2}) * n_s_q
+        expected_mu4 = 3 * (n_s_q * n_s_q) + LaurentPoly({(0, 0): 1, (0, 1): -6, (0, 2): 6}) * n_s_q
+        assert binomial_central_moment(4) == expected_mu4
 
     @pytest.mark.parametrize("k", range(13))
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 20])
     def test_exact_equality_with_finite_sum(self, k, n):
         for s in (F(1, 3), F(1, 2), F(7, 10)):
-            assert binomial_central_moment(k).poly(n, s) == moment_oracle_binomial(k, n, s)
+            assert binomial_central_moment(k)(n, s) == moment_oracle_binomial(k, n, s)
 
     def test_oracle_simple_values(self):
         assert moment_oracle_binomial(0, 7, F(1, 4)) == 1
@@ -84,23 +83,21 @@ class TestBinomialMoments:
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_bernoulli_specialization(self, k):
-        # at n = 1 the moment must be s(1-s)((1-s)^(k-1) - (-s)^(k-1))
-        one_minus_s = UniPoly((1, -1))
-        minus_s = UniPoly((0, -1))
-        u_pow, v_pow = UniPoly.one(), UniPoly.one()
-        for _ in range(k - 1):
-            u_pow = u_pow * one_minus_s
-            v_pow = v_pow * minus_s
-        expected = UniPoly((0, 1, -1)) * (u_pow - v_pow)
-        assert binomial_central_moment(k).poly.substitute_n(1) == expected
+        # at n = 1 the moment must be s(1-s)((1-s)^(k-1) - (-s)^(k-1)); both
+        # sides have degree <= k + 1 in s, so agreeing at k + 2 distinct
+        # points makes them the same polynomial
+        for j in range(1, k + 3):
+            s = F(j, k + 3)
+            expected = s * (1 - s) * ((1 - s) ** (k - 1) - (-s) ** (k - 1))
+            assert binomial_central_moment(k)(1, s) == expected
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_poisson_degeneration(self, k):
         # binomial(n, lam/n) moments approach Poisson(lam) moments at rate ~ 1/n
         lam = F(5, 2)
-        target = poisson_central_moment(k).poly(lam)
+        target = poisson_central_moment(k)(lam)
         errors = [
-            abs(binomial_central_moment(k).poly(n, lam / n) - target)
+            abs(binomial_central_moment(k)(n, lam / n) - target)
             for n in (10**3, 10**4, 10**5)
         ]
         assert errors[0] > errors[1] > errors[2]
@@ -112,7 +109,7 @@ class TestBinomialMoments:
     )
     def test_even_moments_nonnegative(self, n, s):
         for k in (2, 4, 6, 8, 10, 12):
-            assert binomial_central_moment(k).poly(n, s) >= 0
+            assert binomial_central_moment(k)(n, s) >= 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Kernel tests: exact arithmetic, the two integration rules, evaluation."""
 
 from fractions import Fraction as F
+from math import prod
 
 import mpmath
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from entropy_bounds import (
-    BiPoly,
     DEFAULT_CONTEXT,
     DomainError,
     Interval,
@@ -17,11 +17,9 @@ from entropy_bounds import (
     LogLaurent,
     NonIntegrableTailError,
     PrecisionContext,
-    UniPoly,
     eval_at,
     integrate_tail,
     integrate_to_one,
-    parse_rational,
     rational_str,
 )
 
@@ -38,43 +36,22 @@ class TestRationals:
 
     @given(rationals)
     def test_roundtrip(self, x):
-        assert parse_rational(rational_str(x)) == x
+        assert F(rational_str(x)) == x
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rational_str(0.5)
 
 
-class TestUniPoly:
-    def test_zero_degree(self):
-        assert UniPoly().degree == -1
-        assert UniPoly((0, 0)).degree == -1
+nonzero_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=50).filter(bool)
+two_variable_terms = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(-3, 4)), rationals, max_size=5
+)
 
-    def test_trim_and_equality(self):
-        assert UniPoly((1, 2, 0)) == UniPoly((1, 2))
 
-    def test_eval_exact(self):
-        # 3s^2 + s at s = 1
-        assert UniPoly((0, 1, 3))(1) == 4
-        assert UniPoly((0, 1, 3))(F(1, 2)) == F(5, 4)
-
-    def test_eval_mpf_matches_exact(self):
-        p = UniPoly((F(1, 3), -2, F(7, 5)))
-        with mp.workprec(128):
-            approx = p(mpf(3) / 4)
-            exact = p(F(3, 4))
-            assert abs(approx - mpf(exact.numerator) / exact.denominator) < mpf(2) ** -120
-
-    def test_arithmetic(self):
-        p, q = UniPoly((1, 1)), UniPoly((0, 2))
-        assert p * q == UniPoly((0, 2, 2))
-        assert p + q == UniPoly((1, 3))
-        assert (p - p).is_zero
-        assert 3 * p == UniPoly((3, 3))
-
-    def test_derivative_and_shift(self):
-        assert UniPoly((5, 0, 3)).derivative() == UniPoly((0, 6))
-        assert UniPoly((1, 2)).shifted(2) == UniPoly((0, 0, 1, 2))
+def direct_eval(terms, point):
+    """sum c * prod(x_i ** e_i), straight from a {exponent tuple: c} dict."""
+    return sum((F(c) * prod(x**e for x, e in zip(point, exps)) for exps, c in terms.items()), F(0))
 
 
 class TestLaurentPoly:
@@ -82,17 +59,114 @@ class TestLaurentPoly:
         f = LaurentPoly({-2: F(1), 3: F(0)})
         assert f.terms() == ((-2, F(1)),)
 
-    def test_from_poly(self):
-        f = LaurentPoly.from_poly(UniPoly((0, 1, 3)), shift=-4, scale=F(1, 3))
-        assert f == LaurentPoly({-3: F(1, 3), -2: 1})
+    def test_zero_polynomial(self):
+        assert LaurentPoly().is_zero and LaurentPoly().terms() == ()
+        assert LaurentPoly({0: 0, 1: 0}).is_zero
+        assert LaurentPoly({(0, 0): 0}) == LaurentPoly()
+        assert LaurentPoly()(F(1, 2)) == 0
+
+    def test_equality_is_structural(self):
+        f = LaurentPoly({0: 1, 1: 2, 2: 0})
+        g = LaurentPoly([(1, 2), (0, 1), (3, 5), (3, -5)])
+        assert f == g and hash(f) == hash(g)
+        assert f.terms() == ((0, F(1)), (1, F(2)))
+        assert f.coeff(1) == 2 and f.coeff(7) == 0
+
+    def test_eval_exact_nonnegative_exponents(self):
+        # 3s^2 + s at s = 1 and s = 1/2
+        assert LaurentPoly({1: 1, 2: 3})(1) == 4
+        assert LaurentPoly({1: 1, 2: 3})(F(1, 2)) == F(5, 4)
 
     def test_eval_exact(self):
         f = LaurentPoly({-1: 1})
         assert f(F(1, 2)) == 2
+        with pytest.raises(ZeroDivisionError):
+            f(0)
+
+    @pytest.mark.parametrize(
+        "terms,point,tol_bits",
+        [
+            ({0: F(1, 3), 1: -2, 2: F(7, 5)}, (F(3, 4),), 120),
+            ({-3: F(2, 9), 0: 1, 4: F(-5, 3)}, (F(3, 4),), 120),
+            # 1 + 2n + 3 n^2 s
+            ({(0, 0): 1, (1, 0): 2, (2, 1): 3}, (3, F(2, 7)), 115),
+        ],
+        ids=["one-variable", "negative-exponents", "two-variable"],
+    )
+    def test_eval_mpf_matches_exact(self, terms, point, tol_bits):
+        p = LaurentPoly(terms)
+        with mp.workprec(128):
+            exact = p(*point)
+            approx = p(*(mpf(x.numerator) / x.denominator for x in map(F, point)))
+            assert abs(approx - mpf(exact.numerator) / exact.denominator) < mpf(2) ** -tol_bits
+
+    def test_arithmetic(self):
+        p, q = LaurentPoly({0: 1, 1: 1}), LaurentPoly({1: 2})
+        assert p * q == LaurentPoly({1: 2, 2: 2})
+        assert p + q == LaurentPoly({0: 1, 1: 3})
+        assert p - q == LaurentPoly({0: 1, 1: -1})
+        assert (p - p).is_zero
+        assert 3 * p == LaurentPoly({0: 3, 1: 3}) == p * 3
+        assert -p == LaurentPoly({0: -1, 1: -1})
 
     def test_mul(self):
         f = LaurentPoly({-1: 2, 1: 1})
         assert f * f == LaurentPoly({-2: 4, 0: 4, 2: 1})
+
+    def test_derivative_and_shift(self):
+        assert LaurentPoly({0: 5, 2: 3}).derivative(0) == LaurentPoly({1: 6})
+        assert LaurentPoly({-2: 1, 0: 7}).derivative(0) == LaurentPoly({-3: -2})
+        assert LaurentPoly({0: 1, 1: 2}).shifted(2) == LaurentPoly({2: 1, 3: 2})
+        assert LaurentPoly({0: 1, 1: 2}).shifted(-3) == LaurentPoly({-3: 1, -2: 2})
+
+    def test_scale_and_shift(self):
+        # (1/3) x^-4 (x + 3x^2), the form of a moment over a power of its mean
+        f = F(1, 3) * LaurentPoly({1: 1, 2: 3}).shifted(-4)
+        assert f == LaurentPoly({-3: F(1, 3), -2: 1})
+
+    def test_two_variable_construction_and_eval(self):
+        # n * s * (1 - s)
+        poly = LaurentPoly({(1, 1): 1, (1, 2): -1})
+        assert poly(4, F(1, 2)) == 1
+        assert poly.terms() == (((1, 1), F(1)), ((1, 2), F(-1)))
+        assert poly.coeff((1, 2)) == -1
+
+    def test_two_variable_shift_and_derivative(self):
+        s = LaurentPoly({(0, 1): 1})
+        n_s = s.shifted((1, 0))
+        assert n_s == LaurentPoly({(1, 1): 1})
+        assert (n_s * n_s)(3, F(1, 2)) == F(9, 4)
+        assert n_s.derivative(1)(7, F(1, 3)) == 7
+        assert n_s.derivative(0) == s
+        f = LaurentPoly({(-1, 2): 4, (3, -2): F(1, 2), (0, 5): 1})
+        assert f.shifted((2, -1)) == LaurentPoly({(1, 1): 4, (5, -3): F(1, 2), (2, 4): 1})
+        assert f.derivative(0) == LaurentPoly({(-2, 2): -4, (2, -2): F(3, 2)})
+        assert f.derivative(1) == LaurentPoly({(-1, 1): 8, (3, -3): -1, (0, 4): 5})
+
+    def test_variable_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            LaurentPoly({0: 1, (1, 1): 1})
+        with pytest.raises(ValueError):
+            LaurentPoly({0: 1}) + LaurentPoly({(1, 1): 1})
+        with pytest.raises(ValueError):
+            LaurentPoly({1: 1}) * LaurentPoly({(1, 1): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly({(1, 1): 1})(2)
+
+    @given(two_variable_terms, two_variable_terms, nonzero_rationals, nonzero_rationals)
+    def test_two_variable_algebra_matches_evaluation(self, f_terms, g_terms, n, s):
+        f, g = LaurentPoly(f_terms), LaurentPoly(g_terms)
+        point = (n, s)
+        assert f(*point) == direct_eval(f_terms, point)
+        assert (f + g)(*point) == f(*point) + g(*point)
+        assert (f - g)(*point) == f(*point) - g(*point)
+        assert (f * g)(*point) == f(*point) * g(*point)
+        for var in (0, 1):
+            by_hand = {
+                tuple(e - (i == var) for i, e in enumerate(exps)): c * exps[var]
+                for exps, c in f_terms.items()
+            }
+            assert f.derivative(var)(*point) == direct_eval(by_hand, point)
 
 
 class TestTailIntegration:
@@ -193,31 +267,6 @@ class TestLogLaurent:
         f = LogLaurent(LaurentPoly({-1: 1}), F(2))
         assert f - f == LogLaurent(LaurentPoly())
         assert (F(1, 2) * f).log_coeff == 1
-
-
-class TestBiPoly:
-    def test_construction_and_eval(self):
-        # n * s * (1 - s)
-        poly = BiPoly((UniPoly(), UniPoly((0, 1)), UniPoly((0, -1))))
-        assert poly(4, F(1, 2)) == 1
-        assert poly.degree_s == 2
-
-    def test_mul_and_derivative(self):
-        s = BiPoly.from_s_poly(UniPoly((0, 1)))
-        n_s = s.times_n()
-        assert (n_s * n_s)(3, F(1, 2)) == F(9, 4)
-        assert n_s.derivative_s()(7, F(1, 3)) == 7
-
-    def test_substitute_n(self):
-        poly = BiPoly.from_s_poly(UniPoly((0, 1))).times_n()
-        assert poly.substitute_n(5) == UniPoly((0, 5))
-
-    def test_mpf_eval_matches_exact(self):
-        poly = BiPoly((UniPoly((1, 2)), UniPoly((0, 0, 3))))
-        with mp.workprec(128):
-            exact = poly(3, F(2, 7))
-            approx = poly(3, mpf(2) / 7)
-            assert abs(approx - mpf(exact.numerator) / exact.denominator) < mpf(2) ** -115
 
 
 class TestContextAndInterval:

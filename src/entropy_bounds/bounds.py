@@ -131,7 +131,13 @@ def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Exact D(n, p) = n(p + q log q) + sum_{k=2}^n C(n,k) c~(k) p^k."""
+    """Exact D(n, p) = n(p + q log q) + sum_{k=2}^n C(n,k) c~(k) p^k.
+
+    The result is not correctly rounded: each c~(n, k) is rounded to
+    ``ctx.bits`` before the sum, which cancels about log2 n bits.  Against
+    the oracle at p = 3/10 the error is about 140 ulps at n = 300 and 640
+    ulps at n = 1000, at 64 bits.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     with ctx.working():

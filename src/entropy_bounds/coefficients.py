@@ -2,9 +2,10 @@
 
 Nothing in this module is hard-coded: the large-argument coefficients come
 from integrating central-moment polynomials term by term, and the
-small-argument coefficients are alternating sums of logarithms evaluated
-under a precision-stability protocol.  Published tables exist only in the
-test suite, as golden data.
+small-argument coefficients are forward differences of logarithms, taken in
+exact fixed-point integer arithmetic at a precision fixed in advance by an
+error bound (see :func:`_log_differences`).  Published tables exist only in
+the test suite, as golden data.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_log, round_nearest, to_fixed
 
 from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
@@ -24,7 +25,6 @@ from .symbolic import (
     LaurentPoly,
     LogLaurent,
     PrecisionContext,
-    PrecisionError,
     integrate_tail,
     integrate_to_one,
 )
@@ -128,55 +128,88 @@ def binomial_coeffs(m: int) -> BinomialCoeffSet:
     return BinomialCoeffSet(m=m, b_tilde=b_tilde, a_tilde=a_tilde)
 
 
-def _stable_log_combination(terms: tuple[tuple[int, int], ...], ctx: PrecisionContext) -> mpf:
-    """Sum of coef * log(arg) for integer pairs, with cancellation control.
+def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
+    """Leading forward differences Delta^r log(a_j) at j = 0, r = 1..K-1,
+    for a run a_0..a_{K-1} of consecutive positive integers, ascending or
+    descending, each rounded once to ``bits``.
 
-    Alternating binomial sums of logs lose roughly one bit per order, so the
-    sum is evaluated at 4x and 8x the context precision; both results rounded
-    to ctx.bits must agree bit for bit.  On disagreement the precision
-    doubles, twice, before giving up.
+    The logs are fixed-point integers at P fractional bits, differenced by
+    exact integer subtraction.  Each argument is split into atoms: the primes
+    below K, each shared by several arguments and so taken once, and what is
+    left, whose prime factors are all >= K, so no two arguments share it.  A
+    priori error bound, with M the largest argument and 2^g > log2 M: an
+    atom's log is taken at P + 8 + g bits, so its error is below one unit of
+    2^-P, and truncating it to a fixed-point integer adds less than one more.
+    An entry sums at most log2 M atoms, so it is within 2^(g+1) units, and
+    Delta^r, a sum of C(r, j) entries, within 2^(r+1+g) units.  By the mean
+    value theorem |Delta^r log| = (r-1)!/xi^r >= (r-1)!/M^r, so the relative
+    error is at most 2^(r+1+g-P) M^r / (r-1)!.  Taking
+
+        P = bits + 64 + g + max_r ceil(r + 1 + r log2 M - log2 (r-1)!) + 4
+
+    keeps every difference within 2^-(bits+64) of its true value, relative,
+    before the one rounding to ``bits``.
     """
-
-    def at(prec_bits: int) -> mpf:
-        with mp.workprec(prec_bits):
-            total = mpf(0)
-            for coef, arg in terms:
-                total += coef * mpmath.log(arg)
-            return total
-
-    for lo, hi in ((4, 8), (8, 16), (16, 32)):
-        v1 = ctx.round(at(lo * ctx.bits))
-        v2 = ctx.round(at(hi * ctx.bits))
-        if v1 == v2:
-            return v1
-    raise PrecisionError(
-        f"alternating log sum did not stabilize at {32 * ctx.bits} bits"
+    count = len(args)
+    low, top = min(args[0], args[-1]), max(args[0], args[-1])
+    g = top.bit_length().bit_length()
+    prec = bits + 68 + g + max(
+        math.ceil(r + 1 + r * math.log2(top) - math.lgamma(r) / math.log(2))
+        for r in range(1, count)
     )
+
+    def fixed_log(a: int) -> int:
+        return to_fixed(mpf_log(from_int(a), prec + 8 + g), prec)
+
+    logs = dict.fromkeys(args, 0)
+    rest = {a: a for a in args}
+    composite = bytearray(count)
+    for p in range(2, count):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(range(p * p, count, p))
+        log_p = fixed_log(p)
+        for a in range(-(-low // p) * p, top + 1, p):
+            while rest[a] % p == 0:
+                rest[a] //= p
+                logs[a] += log_p
+    row = [logs[a] + (fixed_log(rest[a]) if rest[a] > 1 else 0) for a in args]
+    out = []
+    while len(row) > 1:
+        row = [b - a for a, b in zip(row, row[1:])]
+        out.append(mp.make_mpf(from_man_exp(row[0], -prec, bits, round_nearest)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Small-argument coefficient c(k) = sum_j (-1)^(k-1-j) C(k-1, j) log(j+1).
+    """Small-argument coefficient c(k) = sum_j (-1)^(k-1-j) C(k-1, j) log(j+1),
+    the (k-1)-th forward difference of log(j + 1) at j = 0.
 
     Its sign is (-1)^k.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    terms = tuple(
-        ((-1) ** (k - 1 - j) * math.comb(k - 1, j), j + 1) for j in range(k)
-    )
-    return _stable_log_combination(terms, ctx)
+    return _log_differences(range(1, k + 1), ctx.bits)[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
+def _c_tilde_table(n: int, depth: int, ctx: PrecisionContext) -> tuple[mpf, ...]:
+    """c~(n, k) for k = 2..depth, from one table of log n, ..., log(n - depth + 1)."""
+    return _log_differences(range(n, n - depth, -1), ctx.bits)
+
+
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Binomial analogue: sum_j (-1)^(k-1-j) C(k-1, j) log(n - j), 2 <= k <= n."""
+    """Binomial analogue: sum_j (-1)^(k-1-j) C(k-1, j) log(n - j), 2 <= k <= n,
+    the (k-1)-th forward difference of log(n - j) at j = 0."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    terms = tuple(
-        ((-1) ** (k - 1 - j) * math.comb(k - 1, j), n - j) for j in range(k)
-    )
-    return _stable_log_combination(terms, ctx)
+    # a table of depth d serves every k <= d.  Depths run 64, 128, ... while
+    # at most n/2, then n: a lone small k costs O(k^2), not O(n^2), and the
+    # k = 2..n loop of the exact D(n, p) builds a few tables whose entries,
+    # but for the last, add up to at most a third of the last one's
+    depth = max(64, 1 << (k - 1).bit_length())
+    return _c_tilde_table(n, depth if 2 * depth <= n else n, ctx)[k - 2]
 
 
 @lru_cache(maxsize=None)

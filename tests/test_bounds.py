@@ -1,7 +1,12 @@
 """Interval evaluation of every sandwich bound: anchors, containment,
 gap formulas, limits, and domain handling."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,6 +15,7 @@ from mpmath import mp, mpf
 from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
+    PrecisionContext,
     best_interval,
     binomial_entropy_oracle,
     entropy_binomial_bounds,
@@ -29,6 +35,8 @@ from entropy_bounds import (
     stirling_m1_constants,
 )
 from golden_data import FIGURE_GAPS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def frac_mpf(x: F) -> mpf:
@@ -139,6 +147,32 @@ class TestRelativeEntropyExact:
         v = relative_entropy_exact(12, p)
         o = relative_entropy_oracle(12, p)
         assert abs(v - o) <= mpf("1e-25") * max(1, abs(o))
+
+    def test_bit_identical_to_fixture(self):
+        # (mantissa, exponent) of every value, captured once from a known-good
+        # build: n in 1..40, 75, 120, 160; five p; 64, 128 and 256 bits
+        cases = json.loads((ROOT / "tests" / "fixtures" / "relative_entropy_exact.json").read_text())
+        assert len(cases["cases"]) == 645
+        for case in cases["cases"]:
+            got = relative_entropy_exact(case["n"], F(case["p"]), PrecisionContext(case["bits"]))
+            assert got.man_exp == (case["man"], case["exp"]), case
+
+    def test_cold_n300_is_fast(self):
+        # one fresh interpreter, so no coefficient cache is warm
+        code = (
+            "import time\n"
+            "from fractions import Fraction\n"
+            "from entropy_bounds import PrecisionContext, relative_entropy_exact\n"
+            "t = time.perf_counter()\n"
+            "relative_entropy_exact(300, Fraction(3, 10), PrecisionContext(256))\n"
+            "print(time.perf_counter() - t)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.5
 
 
 class TestRelativeEntropyBounds:

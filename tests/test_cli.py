@@ -268,8 +268,8 @@ class TestDeterminismAndEnvironment:
 
 
 # stdout captured once from a known-good build; each command reaches a
-# different polynomial path (Poisson/binomial coefficient export, LogLaurent
-# evaluation, the Stirling constants, order selection, oracle comparison)
+# different path (Poisson/binomial coefficient export, LogLaurent evaluation,
+# the Stirling constants, order selection, oracle comparison, the c(k) table)
 GOLDEN_COMMANDS = {
     "coeffs_binomial_m3": ["coeffs", "binomial", "--m", "3"],
     "coeffs_poisson_m4": ["coeffs", "poisson", "--m", "4"],
@@ -283,6 +283,10 @@ GOLDEN_COMMANDS = {
         "bounds", "binomial-entropy", "--n", "200", "--points", "0.3", "--m", "auto",
     ],
     "verify_relative_entropy": ["verify", "relative-entropy", "--n", "30", "--bits", "128"],
+    "coeffs_small_lambda_k12": ["coeffs", "small-lambda", "--kmax", "12", "--bits", "64"],
+    "bounds_poisson_entropy_small_lambda": [
+        "bounds", "poisson-entropy", "--method", "small-lambda", "--points", "0.1,0.5,1", "--m", "3",
+    ],
 }
 
 

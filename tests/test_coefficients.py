@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from entropy_bounds import (
@@ -204,6 +206,62 @@ class TestSmallArgumentCoefficients:
             c_coeff(1)
         with pytest.raises(ValueError):
             c_tilde_coeff(4, 5)
+
+
+def direct_log_difference(args, bits, logs=None):
+    """sum_j (-1)^(k-1-j) C(k-1, j) log(args[j]), the direct alternating sum
+    over k = len(args) arguments, evaluated at bits + k + ceil(k log2 M) + 64
+    bits (M the largest argument) and rounded to ``bits``.
+
+    ``logs[a]``, when given, is log a at no less than that precision.
+    """
+    k = len(args)
+    with mp.workprec(bits + k + math.ceil(k * math.log2(max(args))) + 64):
+        total = mpf(0)
+        for j, a in enumerate(args):
+            log_a = logs[a] if logs else mpmath.log(a)
+            total += (-1) ** (k - 1 - j) * math.comb(k - 1, j) * log_a
+    return PrecisionContext(bits).round(total)
+
+
+def logs_up_to(top, bits):
+    """log a for a = 1..top, precise enough for every direct sum over them."""
+    with mp.workprec(bits + top + math.ceil(top * math.log2(top)) + 64):
+        return [None] + [mpmath.log(a) for a in range(1, top + 1)]
+
+
+class TestSmallArgumentReference:
+    """Every c and c~ equals the direct alternating sum, rounded once."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("n", [2, 17, 160, 300])
+    def test_every_c_tilde(self, n, bits):
+        logs = logs_up_to(n, bits)
+        ctx = PrecisionContext(bits)
+        for k in range(2, n + 1):
+            want = direct_log_difference(range(n, n - k, -1), bits, logs)
+            assert c_tilde_coeff(n, k, ctx) == want, (n, k, bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_c_up_to_60(self, bits):
+        logs = logs_up_to(60, bits)
+        ctx = PrecisionContext(bits)
+        for k in range(2, 61):
+            assert c_coeff(k, ctx) == direct_log_difference(range(1, k + 1), bits, logs), (k, bits)
+
+    @pytest.mark.parametrize("k", [2, 3, 40, 64, 65])
+    def test_c_tilde_at_huge_n(self, k):
+        # no table over n..1 could be built here: k <= 64 must use only
+        # n..n-63, and k = 65 only n..n-127
+        n = 10**12 + 39
+        assert c_tilde_coeff(n, k, PrecisionContext(64)) == direct_log_difference(range(n, n - k, -1), 64)
+
+    @given(st.integers(2, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           st.integers(64, 320))
+    def test_c_tilde_property(self, n_k, bits):
+        n, k = n_k
+        want = direct_log_difference(range(n, n - k, -1), bits)
+        assert c_tilde_coeff(n, k, PrecisionContext(bits)) == want
 
 
 class TestStirlingConstants:

@@ -134,46 +134,26 @@ def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
     descending, each rounded once to ``bits``.
 
     The logs are fixed-point integers at P fractional bits, differenced by
-    exact integer subtraction.  Each argument is split into atoms: the primes
-    below K, each shared by several arguments and so taken once, and what is
-    left, whose prime factors are all >= K, so no two arguments share it.  A
-    priori error bound, with M the largest argument and 2^g > log2 M: an
-    atom's log is taken at P + 8 + g bits, so its error is below one unit of
-    2^-P, and truncating it to a fixed-point integer adds less than one more.
-    An entry sums at most log2 M atoms, so it is within 2^(g+1) units, and
-    Delta^r, a sum of C(r, j) entries, within 2^(r+1+g) units.  By the mean
-    value theorem |Delta^r log| = (r-1)!/xi^r >= (r-1)!/M^r, so the relative
-    error is at most 2^(r+1+g-P) M^r / (r-1)!.  Taking
+    exact integer subtraction.  A priori error bound, with M the largest
+    argument and 2^g > log2 M >= |log a|: each log is taken at P + 8 + g
+    bits, so its error is below one unit of 2^-P, and truncating it to a
+    fixed-point integer adds less than one more.  Each entry is thus within
+    2 units, and Delta^r, a sum of C(r, j) entries, within 2^(r+1) units.  By
+    the mean value theorem |Delta^r log| = (r-1)!/xi^r >= (r-1)!/M^r, so the
+    relative error is at most 2^(r+1-P) M^r / (r-1)!.  Taking
 
-        P = bits + 64 + g + max_r ceil(r + 1 + r log2 M - log2 (r-1)!) + 4
+        P = bits + 64 + max_r ceil(r + 1 + r log2 M - log2 (r-1)!) + 4
 
     keeps every difference within 2^-(bits+64) of its true value, relative,
     before the one rounding to ``bits``.
     """
-    count = len(args)
-    low, top = min(args[0], args[-1]), max(args[0], args[-1])
+    top = max(args[0], args[-1])
     g = top.bit_length().bit_length()
-    prec = bits + 68 + g + max(
+    prec = bits + 68 + max(
         math.ceil(r + 1 + r * math.log2(top) - math.lgamma(r) / math.log(2))
-        for r in range(1, count)
+        for r in range(1, len(args))
     )
-
-    def fixed_log(a: int) -> int:
-        return to_fixed(mpf_log(from_int(a), prec + 8 + g), prec)
-
-    logs = dict.fromkeys(args, 0)
-    rest = {a: a for a in args}
-    composite = bytearray(count)
-    for p in range(2, count):
-        if composite[p]:
-            continue
-        composite[p * p::p] = b"\x01" * len(range(p * p, count, p))
-        log_p = fixed_log(p)
-        for a in range(-(-low // p) * p, top + 1, p):
-            while rest[a] % p == 0:
-                rest[a] //= p
-                logs[a] += log_p
-    row = [logs[a] + (fixed_log(rest[a]) if rest[a] > 1 else 0) for a in args]
+    row = [to_fixed(mpf_log(from_int(a), prec + 8 + g), prec) for a in args]
     out = []
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]

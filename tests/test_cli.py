@@ -287,6 +287,26 @@ GOLDEN_COMMANDS = {
     "bounds_poisson_entropy_small_lambda": [
         "bounds", "poisson-entropy", "--method", "small-lambda", "--points", "0.1,0.5,1", "--m", "3",
     ],
+    # the rows below pin the domain-error rows and the orderless methods
+    "bounds_poisson_entropy_cover_thomas": [
+        "bounds", "poisson-entropy", "--points=-1,0,10", "--method", "cover-thomas", "--bits", "64",
+    ],
+    "bounds_binomial_entropy_stirling_error": [
+        "bounds", "binomial-entropy", "--n", "10", "--points", "0,0.5", "--method", "stirling-m1",
+        "--m", "3", "--bits", "64",
+    ],
+    "bounds_relative_entropy_auto_json": [
+        "bounds", "relative-entropy", "--n", "10", "--points", "0,0.5", "--m", "auto",
+        "--bits", "64", "--format", "json",
+    ],
+    "verify_binomial_entropy_stirling": [
+        "verify", "binomial-entropy", "--n", "12", "--points", "0.3,0.7", "--method", "stirling-m1",
+        "--bits", "64",
+    ],
+    "verify_poisson_entropy_small_lambda": [
+        "verify", "poisson-entropy", "--method", "small-lambda", "--points", "0.1,0.5",
+        "--m-list", "1,2,3", "--bits", "64",
+    ],
 }
 
 

@@ -6,7 +6,9 @@ bounds against the brute-force oracles, and ``figure`` emits gap/bound
 columns for external plotting.
 
 Exit codes: 0 success, 1 verification failure (a sandwich missed its
-oracle, which the theorems rule out for a correct build), 2 usage error.
+oracle, which the theorems rule out for a correct build), 2 usage error:
+bad flags, a method the target does not offer, every ``bounds`` point
+outside the domain, or any ``verify`` point outside it.
 Identical invocations produce byte-identical output; the environment
 variable ``ENTROPY_BOUNDS_BITS`` overrides the default 256-bit precision.
 """
@@ -22,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -36,10 +38,6 @@ from .symbolic import (
     rational_str,
     to_mpf,
 )
-
-_DEFAULT_POISSON_POINTS = "0.1,0.5,1,2,5,10,20,50,100"
-_DEFAULT_P_POINTS = "0.05,0.2,0.5,0.8,0.95"
-
 
 class UsageError(ValueError):
     """Bad command-line input; mapped to exit code 2."""
@@ -213,35 +211,29 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-# --- bounds ---------------------------------------------------------------
+# --- bounds and verify ------------------------------------------------------
 
-
-def _poisson_report(lam, method: str, m, ctx: PrecisionContext):
-    if method == "small-lambda":
-        fn = bounds.entropy_poisson_small
-    elif method == "large-lambda":
-        fn = bounds.entropy_poisson_large
-    else:
-        raise UsageError(f"unknown poisson method {method!r}")
-    if m == "auto":
-        return bounds.best_interval(fn, lam, ctx=ctx)
-    return fn(lam, m, ctx)
-
-
-def _binomial_report(n: int, p, method: str, m, ctx: PrecisionContext):
-    if method == "stirling-m1":
-        return bounds.entropy_binomial_stirling_m1(n, p, ctx)
-    if method != "corollary":
-        raise UsageError(f"unknown binomial method {method!r}")
-    if m == "auto":
-        return bounds.best_interval(bounds.entropy_binomial_bounds, n, p, ctx=ctx)
-    return bounds.entropy_binomial_bounds(n, p, m, ctx)
-
-
-def _relative_report(n: int, p, m, ctx: PrecisionContext):
-    if m == "auto":
-        return bounds.best_interval(bounds.relative_entropy_bounds, n, p, ctx=ctx)
-    return bounds.relative_entropy_bounds(n, p, m, ctx)
+# target -> (point columns, default points, oracle, {method: (bound, takes an
+# order m)}).  The last column is the grid, the others are flags; the first
+# method is the default, and relative-entropy has one bound and no --method.
+# Oracles and bounds are looked up in their modules at each call, never held.
+_TARGETS = {
+    "poisson-entropy": (("lambda",), "0.1,0.5,1,2,5,10,20,50,100",
+                        lambda lam, ctx: oracle.poisson_entropy_oracle(lam, ctx)[0], {
+        "large-lambda": ("entropy_poisson_large", True),
+        "small-lambda": ("entropy_poisson_small", True),
+        "cover-thomas": ("entropy_poisson_ct", False),
+    }),
+    "binomial-entropy": (("n", "p"), "0.05,0.2,0.5,0.8,0.95",
+                         lambda n, p, ctx: oracle.binomial_entropy_oracle(n, p, ctx), {
+        "corollary": ("entropy_binomial_bounds", True),
+        "stirling-m1": ("entropy_binomial_stirling_m1", False),
+    }),
+    "relative-entropy": (("n", "p"), "0.05,0.2,0.5,0.8,0.95",
+                         lambda n, p, ctx: oracle.relative_entropy_oracle(n, p, ctx), {
+        None: ("relative_entropy_bounds", True),
+    }),
+}
 
 
 def _parse_order(spec: str):
@@ -256,61 +248,60 @@ def _parse_order(spec: str):
     return m
 
 
-def _require_n(args) -> int:
-    if args.n is None:
-        raise UsageError(f"--n is required for target {args.target}")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    return args.n
+def _target(args, bits: int):
+    """(column names, [(point, its printed columns)], oracle, method,
+    (bound name, takes an order m)) for the target and method on the command line."""
+    columns, default, oracle_fn, methods = _TARGETS[args.target]
+    method = args.method if args.method is not None else next(iter(methods))
+    if method not in methods:
+        offered = ", ".join(filter(None, methods)) or "none"
+        raise UsageError(f"{args.target} has no method {method!r} (methods: {offered})")
+    fixed = []
+    for name in columns[:-1]:
+        value = getattr(args, name)
+        if value is None:
+            raise UsageError(f"--{name} is required for target {args.target}")
+        if value < 1:
+            raise UsageError(f"--{name} must be >= 1, got {value}")
+        fixed.append(value)
+    points = [((*fixed, x), [str(v) for v in fixed] + [_fmt(to_mpf(x), bits)])
+              for x in _grid_points(args, default)]
+    return columns, points, oracle_fn, method, methods[method]
+
+
+def _evaluate(bound, point, m, ctx: PrecisionContext):
+    name, takes_order = bound
+    fn = getattr(bounds, name)
+    if not takes_order:
+        return fn(*point, ctx)
+    if m == "auto":
+        return bounds.best_interval(fn, *point, ctx=ctx)
+    return fn(*point, m, ctx)
 
 
 def _cmd_bounds(args) -> int:
     ctx = _context(args)
     m = _parse_order(args.m)
     bits = ctx.bits
+    columns, points, _, method, bound = _target(args, bits)
+    header = [*columns, "m", "method", "lower", "upper", "midpoint", "gap", "error"]
     rows: list[list[str]] = []
     failures = 0
-
-    if args.target == "poisson-entropy":
-        header = ["lambda", "m", "method", "lower", "upper", "midpoint", "gap", "error"]
-        points = _grid_points(args, _DEFAULT_POISSON_POINTS)
-        for lam in points:
-            lam_str = _fmt(to_mpf(lam), bits)
-            if args.method == "cover-thomas":
-                try:
-                    upper = bounds.entropy_poisson_ct(lam, ctx)
-                    rows.append([lam_str, "", args.method, "", _fmt(upper, bits), "", "", ""])
-                except DomainError as exc:
-                    failures += 1
-                    rows.append([lam_str, "", args.method, "", "", "", "", str(exc)])
-                continue
-            try:
-                rep = _poisson_report(lam, args.method, m, ctx)
-                rows.append(
-                    [lam_str, str(rep.m), rep.method, _fmt(rep.lower, bits), _fmt(rep.upper, bits),
-                     _fmt(rep.midpoint, bits), _fmt(rep.gap, bits), ""]
-                )
-            except DomainError as exc:
-                failures += 1
-                rows.append([lam_str, str(m), args.method, "", "", "", "", str(exc)])
-    else:
-        n = _require_n(args)
-        header = ["n", "p", "m", "method", "lower", "upper", "midpoint", "gap", "error"]
-        points = _grid_points(args, _DEFAULT_P_POINTS)
-        for p in points:
-            p_str = _fmt(to_mpf(p), bits)
-            try:
-                if args.target == "relative-entropy":
-                    rep = _relative_report(n, p, m, ctx)
-                else:
-                    rep = _binomial_report(n, p, args.method, m, ctx)
-                rows.append(
-                    [str(n), p_str, str(rep.m), rep.method, _fmt(rep.lower, bits),
-                     _fmt(rep.upper, bits), _fmt(rep.midpoint, bits), _fmt(rep.gap, bits), ""]
-                )
-            except DomainError as exc:
-                failures += 1
-                rows.append([str(n), p_str, str(m), args.method or "", "", "", "", "", str(exc)])
+    for point, cols in points:
+        try:
+            rep = _evaluate(bound, point, m, ctx)
+        except DomainError as exc:
+            failures += 1
+            # error rows keep their pinned form: cover-thomas leaves m blank, the rest echo --m
+            order = "" if method == "cover-thomas" else str(m)
+            rows.append(cols + [order, method or "", "", "", "", "", str(exc)])
+            continue
+        if isinstance(rep, bounds.BoundReport):
+            rows.append(cols + [str(rep.m), rep.method, _fmt(rep.lower, bits),
+                                _fmt(rep.upper, bits), _fmt(rep.midpoint, bits),
+                                _fmt(rep.gap, bits), ""])
+        else:  # a one-sided upper bound
+            rows.append(cols + ["", method, "", _fmt(rep, bits), "", "", ""])
 
     if failures == len(rows):
         raise UsageError("every grid point failed with a domain error")
@@ -322,54 +313,26 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# --- verify ---------------------------------------------------------------
-
-
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     bits = ctx.bits
     m_list = _parse_m_list(args.m_list)
+    columns, points, oracle_fn, method, bound = _target(args, bits)
+    header = [*columns, "m", "method", "oracle", "lower", "upper", "contained", "margin"]
     rows: list[list[str]] = []
     violations = 0
-
-    def record(point_cols: list[str], m: int, method: str, oracle_value, report) -> None:
-        nonlocal violations
-        contained = report.interval.contains(oracle_value)
-        if not contained:
-            violations += 1
-        margin = min(oracle_value - report.lower, report.upper - oracle_value)
-        rows.append(
-            point_cols
-            + [str(m), method, _fmt(oracle_value, bits), _fmt(report.lower, bits),
-               _fmt(report.upper, bits), str(contained).lower(), _fmt(margin, bits)]
-        )
-
-    if args.target == "poisson-entropy":
-        header = ["lambda", "m", "method", "oracle", "lower", "upper", "contained", "margin"]
-        for lam in _grid_points(args, _DEFAULT_POISSON_POINTS):
-            value, _ = oracle.poisson_entropy_oracle(lam, ctx)
-            for m in m_list:
-                rep = _poisson_report(lam, args.method, m, ctx)
-                record([_fmt(to_mpf(lam), bits)], m, rep.method, value, rep)
-    else:
-        n = _require_n(args)
-        header = ["n", "p", "m", "method", "oracle", "lower", "upper", "contained", "margin"]
-        for p in _grid_points(args, _DEFAULT_P_POINTS):
-            point = [str(n), _fmt(to_mpf(p), bits)]
-            if args.target == "relative-entropy":
-                value = oracle.relative_entropy_oracle(n, p, ctx)
-                for m in m_list:
-                    record(point, m, "relative-entropy", value, _relative_report(n, p, m, ctx))
-            else:
-                value = oracle.binomial_entropy_oracle(n, p, ctx)
-                if args.method == "stirling-m1":
-                    rep = bounds.entropy_binomial_stirling_m1(n, p, ctx)
-                    record(point, 1, rep.method, value, rep)
-                else:
-                    for m in m_list:
-                        record(point, m, "binomial-corollary", value,
-                               bounds.entropy_binomial_bounds(n, p, m, ctx))
-
+    for point, cols in points:
+        value = oracle_fn(*point, ctx)
+        for m in m_list if bound[1] else [None]:  # an orderless bound gives one row
+            rep = _evaluate(bound, point, m, ctx)
+            if not isinstance(rep, bounds.BoundReport):
+                raise UsageError(f"{method} is a one-sided bound; verify needs an interval")
+            contained = rep.interval.contains(value)
+            if not contained:
+                violations += 1
+            margin = min(value - rep.lower, rep.upper - value)
+            rows.append(cols + [str(rep.m), rep.method, _fmt(value, bits), _fmt(rep.lower, bits),
+                                _fmt(rep.upper, bits), str(contained).lower(), _fmt(margin, bits)])
     _emit(_csv_text(header, rows), args.out)
     return 1 if violations else 0
 
@@ -438,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("bounds", help="evaluate sandwich bounds over a grid")
-    p.add_argument("target", choices=["poisson-entropy", "binomial-entropy", "relative-entropy"])
+    p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--method", default=None,
                    help="poisson-entropy: small-lambda|large-lambda|cover-thomas; "
                         "binomial-entropy: corollary|stirling-m1")
@@ -450,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("verify", help="cross-check bounds against brute-force oracles")
-    p.add_argument("target", choices=["poisson-entropy", "binomial-entropy", "relative-entropy"])
+    p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--method", default=None, help="as for the bounds command")
     p.add_argument("--m-list", default="1,2,3,4,5", help="comma-separated orders")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
@@ -468,20 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_method(args) -> None:
-    if getattr(args, "method", "missing") is None:
-        if args.target == "poisson-entropy":
-            args.method = "large-lambda"
-        elif args.target == "binomial-entropy":
-            args.method = "corollary"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _normalize_method(args)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"entropy-bounds: error: {exc}", file=sys.stderr)
         return 2
 

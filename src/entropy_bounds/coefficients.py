@@ -161,6 +161,24 @@ def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
     return tuple(out)
 
 
+# c's tables get a cache of their own, so that a run of exact D(n, p) cannot
+# evict them
+_c_tables = lru_cache(maxsize=8)(_log_differences)
+_c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
+
+
+def _depth(k: int, top: float) -> int:
+    """Depth of the table that serves index k when arguments run ``top`` deep.
+
+    Depths run 64, 128, ... while at most top/2, then top: a lone small k
+    costs O(k^2), not O(top^2), and a loop over k = 2..top builds a few
+    tables whose entries, but for the last, add up to at most a third of the
+    last one's.
+    """
+    depth = max(64, 1 << (k - 1).bit_length())
+    return depth if 2 * depth <= top else top
+
+
 @lru_cache(maxsize=None)
 def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Small-argument coefficient c(k) = sum_j (-1)^(k-1-j) C(k-1, j) log(j+1),
@@ -170,13 +188,7 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _log_differences(range(1, k + 1), ctx.bits)[-1]
-
-
-@lru_cache(maxsize=8)
-def _c_tilde_table(n: int, depth: int, ctx: PrecisionContext) -> tuple[mpf, ...]:
-    """c~(n, k) for k = 2..depth, from one table of log n, ..., log(n - depth + 1)."""
-    return _log_differences(range(n, n - depth, -1), ctx.bits)
+    return _c_tables(range(1, _depth(k, math.inf) + 1), ctx.bits)[k - 2]
 
 
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -184,12 +196,7 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     the (k-1)-th forward difference of log(n - j) at j = 0."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    # a table of depth d serves every k <= d.  Depths run 64, 128, ... while
-    # at most n/2, then n: a lone small k costs O(k^2), not O(n^2), and the
-    # k = 2..n loop of the exact D(n, p) builds a few tables whose entries,
-    # but for the last, add up to at most a third of the last one's
-    depth = max(64, 1 << (k - 1).bit_length())
-    return _c_tilde_table(n, depth if 2 * depth <= n else n, ctx)[k - 2]
+    return _c_tilde_tables(range(n, n - _depth(k, n), -1), ctx.bits)[k - 2]
 
 
 @lru_cache(maxsize=None)

@@ -217,8 +217,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         log_n = mpmath.log(n)
         if p_m == 1:
             # mass concentrated at k = n
-            log_fact_n = mpmath.log(mpf(math.factorial(n)))
-            return ctx.round(n - n * log_n + log_fact_n)
+            return ctx.round(n - n * log_n + mpmath.loggamma(n + 1))
         q_m = 1 - p_m
         total = n * (p_m + q_m * mpmath.log(q_m)) - n * p_m * log_n
         _, log_fact = _log_table(n, mp.prec)

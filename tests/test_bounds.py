@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -223,6 +224,13 @@ class TestBinomialEntropyBounds:
             diffs.append(max(abs(rep.lower - t2.lower), abs(rep.upper - t2.upper)))
         assert diffs[1] < diffs[0]
         assert diffs[1] < mpf("2e-3")
+
+
+    def test_large_n_is_fast(self):
+        # log n! comes from loggamma, not from the exact integer n!
+        t = time.perf_counter()
+        entropy_binomial_bounds(10**5, F(3, 10), 2)
+        assert time.perf_counter() - t < 0.1
 
 
 class TestStirlingOrderOne:

@@ -198,6 +198,43 @@ class TestVerifyCommand:
         assert rows_of(out)[0]["contained"] == "false"
 
 
+class TestUsageErrors:
+    """Input the command cannot run exits 2 with a one-line message on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "poisson-entropy", "--points", "0"],
+        ["verify", "relative-entropy", "--n", "12", "--points", "1"],
+    ])
+    def test_verify_point_outside_domain(self, argv):
+        env = {k: v for k, v in os.environ.items() if k != "ENTROPY_BOUNDS_BITS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "entropy_bounds.cli", *argv, "--bits", "64"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("entropy-bounds: error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "poisson-entropy", "--points", "1", "--method", "bogus"],
+        ["bounds", "binomial-entropy", "--n", "12", "--points", "0.3", "--method", "bogus"],
+        ["bounds", "binomial-entropy", "--n", "12", "--points", "0.3", "--method", "small-lambda"],
+        ["bounds", "relative-entropy", "--n", "12", "--points", "0.3", "--method", "bogus"],
+        ["verify", "poisson-entropy", "--points", "1", "--method", "bogus"],
+        ["verify", "poisson-entropy", "--points", "3", "--method", "cover-thomas"],
+        ["verify", "binomial-entropy", "--n", "12", "--points", "0.3", "--method", "bogus"],
+        ["verify", "relative-entropy", "--n", "12", "--points", "0.3", "--method", "bogus"],
+    ])
+    def test_method_not_offered(self, capsys, argv):
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
+        assert argv[-1] in captured.err
+
+
 class TestFigureCommand:
     def test_gap_endpoints_match_quoted_values(self, capsys):
         code, out = run(

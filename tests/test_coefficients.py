@@ -2,7 +2,11 @@
 independent quadrature/finite-difference oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -33,6 +37,8 @@ from golden_data import (
     TABLE_B,
     loglaurent,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPoissonCoefficients:
@@ -248,6 +254,33 @@ class TestSmallArgumentReference:
         ctx = PrecisionContext(bits)
         for k in range(2, 61):
             assert c_coeff(k, ctx) == direct_log_difference(range(1, k + 1), bits, logs), (k, bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_c_past_the_first_table(self, bits):
+        # k = 65..128 come from the depth-128 table, k = 129 and 130 from the depth-256 one
+        logs = logs_up_to(130, bits)
+        ctx = PrecisionContext(bits)
+        for k in range(61, 131):
+            assert c_coeff(k, ctx) == direct_log_difference(range(1, k + 1), bits, logs), (k, bits)
+
+    def test_c_sweep_is_fast(self):
+        # one fresh interpreter, so no table is warm: c(2..200) reads three
+        # tables (depths 64, 128, 256), not one table per k
+        code = (
+            "import time\n"
+            "from entropy_bounds import PrecisionContext, c_coeff\n"
+            "ctx = PrecisionContext(256)\n"
+            "t = time.perf_counter()\n"
+            "for k in range(2, 201):\n"
+            "    c_coeff(k, ctx)\n"
+            "print(time.perf_counter() - t)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.1
 
     @pytest.mark.parametrize("k", [2, 3, 40, 64, 65])
     def test_c_tilde_at_huge_n(self, k):

@@ -216,7 +216,8 @@ def _cmd_coeffs(args) -> int:
 # target -> (point columns, default points, oracle, {method: (bound, takes an
 # order m)}).  The last column is the grid, the others are flags; the first
 # method is the default, and relative-entropy has one bound and no --method.
-# Oracles and bounds are looked up in their modules at each call, never held.
+# Oracles and bounds are looked up in their modules at each call, never held,
+# so that a wrapper put on the module (as perfbench's tracer does) is what runs.
 _TARGETS = {
     "poisson-entropy": (("lambda",), "0.1,0.5,1,2,5,10,20,50,100",
                         lambda lam, ctx: oracle.poisson_entropy_oracle(lam, ctx)[0], {

@@ -2,9 +2,10 @@
 
 Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic, and evaluation is plain round-to-nearest floating point at the
-context precision (no directed rounding).  Expansions in 1/lambda and 1/n
-are evaluated by Horner's scheme for stability at large arguments.
+analytic, and evaluation is plain round-to-nearest floating point in
+``ctx.mp``, at the context precision plus guard bits (no directed rounding).
+Expansions in 1/lambda and 1/n are evaluated by Horner's scheme for
+stability at large arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import mpmath
 from mpmath import mpf
 
 from . import coefficients
@@ -56,21 +56,23 @@ class BoundReport:
 
 
 def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundReport:
-    interval = Interval(ctx.round(lower), ctx.round(upper))
+    lower, upper = ctx.round(lower), ctx.round(upper)
+    M = ctx.mp
     return BoundReport(
-        interval=interval,
-        midpoint=ctx.round(interval.midpoint),
-        gap=ctx.round(interval.width),
+        interval=Interval(lower, upper),
+        midpoint=ctx.round(M.fadd(lower, upper) / 2),
+        gap=ctx.round(M.fsub(upper, lower)),
         m=m,
         method=method,
     )
 
 
 def _horner_inverse(values: Mapping[int, object], y: mpf, k_max: int) -> mpf:
-    """sum_{k=1}^{k_max} values[k] * y^k, missing keys treated as zero."""
-    acc = mpf(0)
+    """sum_{k=1}^{k_max} values[k] * y^k in y's context, missing keys as zero."""
+    M = y.context
+    acc = M.zero
     for k in range(k_max, 0, -1):
-        acc = (acc + to_mpf(values.get(k, 0))) * y
+        acc = (acc + to_mpf(values.get(k, 0), M)) * y
     return acc
 
 
@@ -86,22 +88,22 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     the sum at 2m.  The two differ by O(lam^(2m+1)).
     """
     _check_order(m)
-    with ctx.working():
-        lam_m = to_mpf(lam)
-        if lam_m < 0:
-            raise DomainError(f"lam must be >= 0, got {lam_m}")
-        if lam_m == 0:
-            return _report(mpf(0), mpf(0), m, METHOD_SMALL_LAMBDA, ctx)
-        base = lam_m - lam_m * mpmath.log(lam_m)
-        acc = mpf(0)
-        upper_sum = mpf(0)
-        power = lam_m
-        for k in range(2, 2 * m + 2):
-            power *= lam_m
-            acc += coefficients.c_coeff(k, ctx) * power / math.factorial(k)
-            if k == 2 * m:
-                upper_sum = acc
-        return _report(base + acc, base + upper_sum, m, METHOD_SMALL_LAMBDA, ctx)
+    M = ctx.mp
+    lam_m = to_mpf(lam, M)
+    if lam_m < 0:
+        raise DomainError(f"lam must be >= 0, got {lam_m}")
+    if lam_m == 0:
+        return _report(M.zero, M.zero, m, METHOD_SMALL_LAMBDA, ctx)
+    base = lam_m - lam_m * M.log(lam_m)
+    acc = M.zero
+    upper_sum = M.zero
+    power = lam_m
+    for k in range(2, 2 * m + 2):
+        power *= lam_m
+        acc += M.mpf(coefficients.c_coeff(k, ctx)) * power / math.factorial(k)
+        if k == 2 * m:
+            upper_sum = acc
+    return _report(base + acc, base + upper_sum, m, METHOD_SMALL_LAMBDA, ctx)
 
 
 def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -109,25 +111,24 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     u = log(2 pi lam)/2 + 1/2 + sum_k b(m,k)/lam^k."""
     _check_order(m)
     cs = coefficients.poisson_coeffs(m)
-    with ctx.working():
-        lam_m = to_mpf(lam)
-        if lam_m <= 0:
-            raise DomainError(f"lam must be > 0, got {lam_m}")
-        y = 1 / lam_m
-        beta = _horner_inverse(cs.b, y, 2 * m - 1)
-        gap = _horner_inverse(cs.a, y, 2 * m)
-        upper = mpmath.log(2 * mpmath.pi * lam_m) / 2 + mpf(1) / 2 + beta
-        return _report(upper - gap, upper, m, METHOD_LARGE_LAMBDA, ctx)
+    M = ctx.mp
+    lam_m = to_mpf(lam, M)
+    if lam_m <= 0:
+        raise DomainError(f"lam must be > 0, got {lam_m}")
+    y = 1 / lam_m
+    beta = _horner_inverse(cs.b, y, 2 * m - 1)
+    gap = _horner_inverse(cs.a, y, 2 * m)
+    upper = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2 + beta
+    return _report(upper - gap, upper, m, METHOD_LARGE_LAMBDA, ctx)
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Classical upper bound H(lam) <= log(2 pi e (lam + 1/12)) / 2."""
-    with ctx.working():
-        lam_m = to_mpf(lam)
-        if lam_m < 0:
-            raise DomainError(f"lam must be >= 0, got {lam_m}")
-        value = mpmath.log(2 * mpmath.pi * mpmath.e * (lam_m + mpf(1) / 12)) / 2
-    return ctx.round(value)
+    M = ctx.mp
+    lam_m = to_mpf(lam, M)
+    if lam_m < 0:
+        raise DomainError(f"lam must be >= 0, got {lam_m}")
+    return ctx.round(M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2)
 
 
 def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -140,18 +141,18 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    with ctx.working():
-        p_m = to_mpf(p)
-        if not 0 <= p_m <= 1:
-            raise DomainError(f"p must be in [0,1], got {p_m}")
-        if p_m == 0:
-            return mpf(0)
-        q_m = 1 - p_m
-        total = n * (p_m + (q_m * mpmath.log(q_m) if q_m > 0 else mpf(0)))
-        power = p_m
-        for k in range(2, n + 1):
-            power *= p_m
-            total += math.comb(n, k) * coefficients.c_tilde_coeff(n, k, ctx) * power
+    M = ctx.mp
+    p_m = to_mpf(p, M)
+    if not 0 <= p_m <= 1:
+        raise DomainError(f"p must be in [0,1], got {p_m}")
+    if p_m == 0:
+        return mpf(0)
+    q_m = 1 - p_m
+    total = n * (p_m + (q_m * M.log(q_m) if q_m > 0 else M.zero))
+    power = p_m
+    for k in range(2, n + 1):
+        power *= p_m
+        total += math.comb(n, k) * M.mpf(coefficients.c_tilde_coeff(n, k, ctx)) * power
     return ctx.round(total)
 
 
@@ -164,16 +165,16 @@ def relative_entropy_bounds(
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     cs = coefficients.binomial_coeffs(m)
-    with ctx.working():
-        p_m = to_mpf(p)
-        if not 0 < p_m < 1:
-            raise DomainError(f"p must be in (0,1), got {p_m}")
-        q_m = 1 - p_m
-        y = mpf(1) / n
-        beta = _horner_inverse({k: f(q_m) for k, f in cs.b_tilde.items()}, y, 2 * m - 1)
-        gap = _horner_inverse({k: f(q_m) for k, f in cs.a_tilde.items()}, y, 2 * m)
-        lower = -(p_m + mpmath.log(q_m)) / 2 + beta
-        return _report(lower, lower + gap, m, METHOD_RELATIVE_ENTROPY, ctx)
+    M = ctx.mp
+    p_m = to_mpf(p, M)
+    if not 0 < p_m < 1:
+        raise DomainError(f"p must be in (0,1), got {p_m}")
+    q_m = 1 - p_m
+    y = M.mpf(1) / n
+    beta = _horner_inverse({k: f(q_m) for k, f in cs.b_tilde.items()}, y, 2 * m - 1)
+    gap = _horner_inverse({k: f(q_m) for k, f in cs.a_tilde.items()}, y, 2 * m)
+    lower = -(p_m + M.log(q_m)) / 2 + beta
+    return _report(lower, lower + gap, m, METHOD_RELATIVE_ENTROPY, ctx)
 
 
 def entropy_binomial_bounds(
@@ -186,17 +187,17 @@ def entropy_binomial_bounds(
     _check_order(m)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    with ctx.working():
-        p_m = to_mpf(p)
-        if not 0 < p_m < 1:
-            raise DomainError(f"p must be in (0,1), got {p_m}")
-        q_m = 1 - p_m
-        base = mpmath.loggamma(n + 1) - n * mpmath.log(n) + n
-        d_p = relative_entropy_bounds(n, p_m, m, ctx)
-        d_q = relative_entropy_bounds(n, q_m, m, ctx)
-        lower = base - d_p.upper - d_q.upper
-        upper = base - d_p.lower - d_q.lower
-        return _report(lower, upper, m, METHOD_BINOMIAL_COROLLARY, ctx)
+    M = ctx.mp
+    p_m = to_mpf(p, M)
+    if not 0 < p_m < 1:
+        raise DomainError(f"p must be in (0,1), got {p_m}")
+    q_m = 1 - p_m
+    base = M.loggamma(n + 1) - n * M.log(n) + n
+    d_p = relative_entropy_bounds(n, p_m, m, ctx)
+    d_q = relative_entropy_bounds(n, q_m, m, ctx)
+    lower = base - d_p.upper - d_q.upper
+    upper = base - d_p.lower - d_q.lower
+    return _report(lower, upper, m, METHOD_BINOMIAL_COROLLARY, ctx)
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -205,17 +206,17 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     c1, c2, c3, c4 = coefficients.stirling_m1_constants()
-    with ctx.working():
-        p_m = to_mpf(p)
-        if not 0 < p_m < 1:
-            raise DomainError(f"p must be in (0,1), got {p_m}")
-        q_m = 1 - p_m
-        u = p_m * q_m
-        y = mpf(1) / n
-        base = mpmath.log(2 * mpmath.pi * n * u) / 2 + mpf(1) / 2
-        lower = base + _horner_inverse({1: c1(u), 2: c2(u), 3: c3(u)}, y, 3)
-        upper = base + c4(u) * y
-        return _report(lower, upper, 1, METHOD_BINOMIAL_STIRLING, ctx)
+    M = ctx.mp
+    p_m = to_mpf(p, M)
+    if not 0 < p_m < 1:
+        raise DomainError(f"p must be in (0,1), got {p_m}")
+    q_m = 1 - p_m
+    u = p_m * q_m
+    y = M.mpf(1) / n
+    base = M.log(2 * M.pi * n * u) / 2 + M.mpf(1) / 2
+    lower = base + _horner_inverse({1: c1(u), 2: c2(u), 3: c3(u)}, y, 3)
+    upper = base + c4(u) * y
+    return _report(lower, upper, 1, METHOD_BINOMIAL_STIRLING, ctx)
 
 
 def expected_log_poisson_bounds(
@@ -225,19 +226,19 @@ def expected_log_poisson_bounds(
     lower = log s + sum_{k=2}^{2m+1} (-1)^k mu_k(s) / (k (k-1) s^k),
     gap = mu_{2m+2}(s) / ((2m+1) s^(2m+2))."""
     _check_order(m)
-    with ctx.working():
-        s_m = to_mpf(s)
-        if s_m <= 0:
-            raise DomainError(f"s must be > 0, got {s_m}")
-        acc = mpf(0)
-        power = s_m
-        for k in range(2, 2 * m + 2):
-            power *= s_m
-            acc += (-1) ** k * poisson_central_moment(k)(s_m) / (k * (k - 1) * power)
+    M = ctx.mp
+    s_m = to_mpf(s, M)
+    if s_m <= 0:
+        raise DomainError(f"s must be > 0, got {s_m}")
+    acc = M.zero
+    power = s_m
+    for k in range(2, 2 * m + 2):
         power *= s_m
-        gap = poisson_central_moment(2 * m + 2)(s_m) / ((2 * m + 1) * power)
-        lower = mpmath.log(s_m) + acc
-        return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
+        acc += (-1) ** k * poisson_central_moment(k)(s_m) / (k * (k - 1) * power)
+    power *= s_m
+    gap = poisson_central_moment(2 * m + 2)(s_m) / ((2 * m + 1) * power)
+    lower = M.log(s_m) + acc
+    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
 
 
 def expected_log_binomial_bounds(
@@ -248,20 +249,20 @@ def expected_log_binomial_bounds(
     _check_order(m)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    with ctx.working():
-        s_m = to_mpf(s)
-        if not 0 < s_m < 1:
-            raise DomainError(f"s must be in (0,1), got {s_m}")
-        ns = n * s_m
-        acc = mpf(0)
-        power = ns
-        for k in range(2, 2 * m + 2):
-            power *= ns
-            acc += (-1) ** k * binomial_central_moment(k)(n, s_m) / (k * (k - 1) * power)
+    M = ctx.mp
+    s_m = to_mpf(s, M)
+    if not 0 < s_m < 1:
+        raise DomainError(f"s must be in (0,1), got {s_m}")
+    ns = n * s_m
+    acc = M.zero
+    power = ns
+    for k in range(2, 2 * m + 2):
         power *= ns
-        gap = binomial_central_moment(2 * m + 2)(n, s_m) / ((2 * m + 1) * power)
-        lower = mpmath.log(ns) + acc
-        return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
+        acc += (-1) ** k * binomial_central_moment(k)(n, s_m) / (k * (k - 1) * power)
+    power *= ns
+    gap = binomial_central_moment(2 * m + 2)(n, s_m) / ((2 * m + 1) * power)
+    lower = M.log(ns) + acc
+    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
 
 
 def best_interval(

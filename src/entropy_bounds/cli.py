@@ -249,7 +249,7 @@ def _parse_order(spec: str):
     return m
 
 
-def _target(args, bits: int):
+def _target(args, ctx: PrecisionContext):
     """(column names, [(point, its printed columns)], oracle, method,
     (bound name, takes an order m)) for the target and method on the command line."""
     columns, default, oracle_fn, methods = _TARGETS[args.target]
@@ -265,7 +265,7 @@ def _target(args, bits: int):
         if value < 1:
             raise UsageError(f"--{name} must be >= 1, got {value}")
         fixed.append(value)
-    points = [((*fixed, x), [str(v) for v in fixed] + [_fmt(to_mpf(x), bits)])
+    points = [((*fixed, x), [str(v) for v in fixed] + [_fmt(to_mpf(x, ctx.mp), ctx.bits)])
               for x in _grid_points(args, default)]
     return columns, points, oracle_fn, method, methods[method]
 
@@ -284,7 +284,7 @@ def _cmd_bounds(args) -> int:
     ctx = _context(args)
     m = _parse_order(args.m)
     bits = ctx.bits
-    columns, points, _, method, bound = _target(args, bits)
+    columns, points, _, method, bound = _target(args, ctx)
     header = [*columns, "m", "method", "lower", "upper", "midpoint", "gap", "error"]
     rows: list[list[str]] = []
     failures = 0
@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
     ctx = _context(args)
     bits = ctx.bits
     m_list = _parse_m_list(args.m_list)
-    columns, points, oracle_fn, method, bound = _target(args, bits)
+    columns, points, oracle_fn, method, bound = _target(args, ctx)
     header = [*columns, "m", "method", "oracle", "lower", "upper", "contained", "margin"]
     rows: list[list[str]] = []
     violations = 0
@@ -331,7 +331,7 @@ def _cmd_verify(args) -> int:
             contained = rep.interval.contains(value)
             if not contained:
                 violations += 1
-            margin = min(value - rep.lower, rep.upper - value)
+            margin = ctx.round(min(ctx.mp.fsub(value, rep.lower), ctx.mp.fsub(rep.upper, value)))
             rows.append(cols + [str(rep.m), rep.method, _fmt(value, bits), _fmt(rep.lower, bits),
                                 _fmt(rep.upper, bits), str(contained).lower(), _fmt(margin, bits)])
     _emit(_csv_text(header, rows), args.out)
@@ -358,7 +358,7 @@ def _cmd_figure(args) -> int:
 
     rows = []
     for lam in points:
-        row = [_fmt(to_mpf(lam), bits)]
+        row = [_fmt(to_mpf(lam, ctx.mp), bits)]
         for m in m_list:
             rep = bounds.entropy_poisson_large(lam, m, ctx)
             if args.fig == "gaps":
@@ -403,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate sandwich bounds over a grid")
     p.add_argument("target", choices=list(_TARGETS))
-    p.add_argument("--method", default=None,
-                   help="poisson-entropy: small-lambda|large-lambda|cover-thomas; "
-                        "binomial-entropy: corollary|stirling-m1")
+    p.add_argument("--method", default=None, help="; ".join(
+        f"{target}: {'|'.join(methods)}" for target, (*_, methods) in _TARGETS.items()
+        if None not in methods))
     p.add_argument("--m", default="2", help="expansion order, or 'auto' for the narrowest of 1..6")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import count
 
 from mpmath import mpf
 
@@ -68,18 +68,10 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     moment polynomials."""
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
-    with ctx.working():
-        s_m = to_mpf(s)
-        if s_m <= 0:
-            raise DomainError(f"s must be > 0, got {s_m}")
-
-        def centered_powers() -> Iterator[mpf]:
-            j = 0
-            while True:
-                yield (j - s_m) ** k
-                j += 1
-
-        value, _ = oracle.poisson_expectation(s_m, centered_powers, ctx)
+    s_m = to_mpf(s, ctx.mp)
+    if s_m <= 0:
+        raise DomainError(f"s must be > 0, got {s_m}")
+    value, _ = oracle.poisson_expectation(s_m, lambda: ((j - s_m) ** k for j in count()), ctx)
     return value
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pos, round_nearest
 
 Scalar = Union[int, Fraction]
 Exponent = Union[int, tuple[int, ...]]
@@ -56,12 +58,22 @@ def rational_str(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+@lru_cache(maxsize=32)
+def _mp_context(prec: int) -> mpmath.MPContext:
+    """A private mpmath context at ``prec`` bits, made on first use.  No code
+    changes its precision, so every caller at ``prec`` can share it."""
+    M = mpmath.MPContext()
+    M.prec = prec
+    return M
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working mantissa precision (bits) and the truncation target for series.
 
     ``target_rel_err`` is the certified relative error the oracles must reach
-    before they report a value.
+    before they report a value.  Evaluation runs in the private mpmath
+    context :attr:`mp`; no global precision is read or set.
     """
 
     bits: int = 256
@@ -73,26 +85,31 @@ class PrecisionContext:
         if not 0 < self.target_rel_err < 1:
             raise ValueError(f"target_rel_err must be in (0,1), got {self.target_rel_err}")
 
-    def working(self):
-        """mpmath context for internal evaluation (guard bits included)."""
-        return mp.workprec(self.bits + _GUARD_BITS)
+    @property
+    def mp(self) -> mpmath.MPContext:
+        """The private mpmath context at ``bits`` + guard bits."""
+        return _mp_context(self.bits + _GUARD_BITS)
 
     def round(self, x: mpf) -> mpf:
-        """Round a value to exactly ``bits`` mantissa bits."""
-        with mp.workprec(self.bits):
-            return +x
+        """Round to nearest at exactly ``bits`` bits, as a default-context mpf."""
+        return mp.make_mpf(mpf_pos(x._mpf_, self.bits, round_nearest))
 
 
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-def to_mpf(x) -> mpf:
-    """Convert int/float/str/Fraction/mpf to mpf at the ambient precision."""
+def to_mpf(x, M: mpmath.MPContext) -> mpf:
+    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision."""
     if isinstance(x, Fraction):
-        value = mpf(x.numerator)
+        value = M.mpf(x.numerator)
         # dividing by 1 would change no bit, so integers skip the division
         return value if x.denominator == 1 else value / x.denominator
-    return mpf(x)
+    return M.mpf(x)
+
+
+def _context_of(*xs) -> mpmath.MPContext:
+    """The mpmath context of the first mpf among ``xs``, else the default one."""
+    return next((x.context for x in xs if hasattr(x, "context")), mp)
 
 
 @dataclass(frozen=True)
@@ -217,8 +234,8 @@ class LaurentPoly:
 
     def __call__(self, *point):
         """Value at ``point``, one coordinate per variable: exact when every
-        coordinate is an int or Fraction, an mpf at the ambient precision
-        otherwise.
+        coordinate is an int or Fraction, else an mpf in the mpmath context
+        of the first mpf coordinate (``mpmath.mp`` if none), at its precision.
 
         Terms that share the exponent of the last variable are summed first,
         and each sum is multiplied by that power once; every other power is
@@ -227,7 +244,8 @@ class LaurentPoly:
         """
         if self._terms and len(point) != len(next(iter(self._terms))):
             raise TypeError(f"expected one coordinate per variable, got {len(point)}")
-        num = Fraction if all(isinstance(x, (int, Fraction)) for x in point) else to_mpf
+        exact = all(isinstance(x, (int, Fraction)) for x in point)
+        num = Fraction if exact else partial(to_mpf, M=_context_of(*point))
         xs = [num(x) for x in point]
         powers: dict[tuple[int, int], object] = {}
         sums: dict[int, object] = {}
@@ -285,12 +303,12 @@ class LogLaurent:
     __rmul__ = __mul__
 
     def __call__(self, q):
-        q = to_mpf(q)
+        q = to_mpf(q, _context_of(q))
         if not 0 < q <= 1:
             raise DomainError(f"LogLaurent defined on (0,1], got q={q}")
         value = self.laurent(q)
         if self.log_coeff != 0:
-            value += to_mpf(self.log_coeff) * mpmath.log(q)
+            value += to_mpf(self.log_coeff, q.context) * q.context.log(q)
         return value
 
     def __repr__(self) -> str:
@@ -332,6 +350,4 @@ def eval_at(expr, point, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Accepts a one-variable LaurentPoly or a LogLaurent; the point may be int,
     float, str, Fraction, or mpf.
     """
-    with ctx.working():
-        value = expr(to_mpf(point))
-    return ctx.round(value)
+    return ctx.round(expr(to_mpf(point, ctx.mp)))

@@ -136,7 +136,7 @@ def test_criterion_05_sandwich_soundness():
 
     for n in N_GRID:
         for p in P_GRID:
-            with CTX.working():
+            with mp.workprec(CTX.bits + 64):
                 q = 1 - mpf(p)
             d_value = relative_entropy_oracle(n, p, CTX)
             h_value = binomial_entropy_oracle(n, p, CTX)
@@ -182,7 +182,7 @@ def test_criterion_07_small_numbers_rate_law():
 def test_criterion_08_limit_degeneration():
     target = entropy_poisson_large(5, 1, CTX)
     n = 10**5
-    with CTX.working():
+    with mp.workprec(CTX.bits + 64):
         p = mpf(5) / n
     rep = entropy_binomial_stirling_m1(n, p, CTX)
     with mp.workprec(320):

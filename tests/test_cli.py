@@ -234,6 +234,18 @@ class TestUsageErrors:
         assert captured.err.startswith("entropy-bounds: error:")
         assert argv[-1] in captured.err
 
+    def test_bounds_help_names_every_method(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, so no name is split at a hyphen
+        with pytest.raises(SystemExit):
+            cli.main(["bounds", "--help"])
+        text = capsys.readouterr().out
+        for target, (*_, methods) in cli._TARGETS.items():
+            named = [m for m in methods if m is not None]
+            for method in named:
+                assert method in text, (target, method)
+            if named:  # the default method comes first
+                assert f"{target}: {named[0]}" in text
+
 
 class TestFigureCommand:
     def test_gap_endpoints_match_quoted_values(self, capsys):

@@ -126,7 +126,7 @@ class TestSizeBiasIdentity:
     @pytest.mark.parametrize("lam", [F(1, 2), F(2), F(10)])
     def test_identity(self, lam):
         ctx = PrecisionContext(bits=256)
-        with ctx.working():
+        with mp.workprec(ctx.bits + 64):
             import mpmath
 
             def shifted():

@@ -100,7 +100,8 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     power = lam_m
     for k in range(2, 2 * m + 2):
         power *= lam_m
-        acc += M.mpf(coefficients.c_coeff(k, ctx)) * power / math.factorial(k)
+        # c(k) has ctx.bits bits, so it enters M exactly
+        acc += M.make_mpf(coefficients.c_coeff(k, ctx)._mpf_) * power / math.factorial(k)
         if k == 2 * m:
             upper_sum = acc
     return _report(base + acc, base + upper_sum, m, METHOD_SMALL_LAMBDA, ctx)
@@ -152,7 +153,8 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     power = p_m
     for k in range(2, n + 1):
         power *= p_m
-        total += math.comb(n, k) * M.mpf(coefficients.c_tilde_coeff(n, k, ctx)) * power
+        # c~(n, k) has ctx.bits bits, so it enters M exactly
+        total += math.comb(n, k) * M.make_mpf(coefficients.c_tilde_coeff(n, k, ctx)._mpf_) * power
     return ctx.round(total)
 
 

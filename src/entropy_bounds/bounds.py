@@ -5,7 +5,9 @@ the corresponding theorem to contain the target quantity; the guarantees are
 analytic, and evaluation is plain round-to-nearest floating point in
 ``ctx.mp``, at the context precision plus guard bits (no directed rounding).
 Expansions in 1/lambda and 1/n are evaluated by Horner's scheme for
-stability at large arguments.
+stability at large arguments; the expected-log sandwiches are the Laurent
+polynomials of :func:`coefficients.expected_log_series`, evaluated term by
+term.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Callable, Mapping
 from mpmath import mpf
 
 from . import coefficients
-from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
     DEFAULT_CONTEXT,
     DomainError,
@@ -232,15 +233,9 @@ def expected_log_poisson_bounds(
     s_m = to_mpf(s, M)
     if s_m <= 0:
         raise DomainError(f"s must be > 0, got {s_m}")
-    acc = M.zero
-    power = s_m
-    for k in range(2, 2 * m + 2):
-        power *= s_m
-        acc += (-1) ** k * poisson_central_moment(k)(s_m) / (k * (k - 1) * power)
-    power *= s_m
-    gap = poisson_central_moment(2 * m + 2)(s_m) / ((2 * m + 1) * power)
-    lower = M.log(s_m) + acc
-    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
+    series, gap = coefficients.expected_log_series("poisson", m)
+    lower = M.log(s_m) + series(s_m)
+    return _report(lower, lower + gap(s_m), m, METHOD_EXPECTED_LOG_POISSON, ctx)
 
 
 def expected_log_binomial_bounds(
@@ -255,16 +250,9 @@ def expected_log_binomial_bounds(
     s_m = to_mpf(s, M)
     if not 0 < s_m < 1:
         raise DomainError(f"s must be in (0,1), got {s_m}")
-    ns = n * s_m
-    acc = M.zero
-    power = ns
-    for k in range(2, 2 * m + 2):
-        power *= ns
-        acc += (-1) ** k * binomial_central_moment(k)(n, s_m) / (k * (k - 1) * power)
-    power *= ns
-    gap = binomial_central_moment(2 * m + 2)(n, s_m) / ((2 * m + 1) * power)
-    lower = M.log(ns) + acc
-    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
+    series, gap = coefficients.expected_log_series("binomial", m)
+    lower = M.log(n * s_m) + series(n, s_m)
+    return _report(lower, lower + gap(n, s_m), m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
 
 
 def best_interval(

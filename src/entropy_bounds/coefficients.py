@@ -1,11 +1,13 @@
 """Derivation of every expansion coefficient from first principles.
 
-Nothing in this module is hard-coded: the large-argument coefficients come
-from integrating central-moment polynomials term by term, and the
-small-argument coefficients are forward differences of logarithms, taken in
-exact fixed-point integer arithmetic at a precision fixed in advance by an
-error bound (see :func:`_log_differences`).  Published tables exist only in
-the test suite, as golden data.
+Nothing in this module is hard-coded.  The large-argument coefficients are
+term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
+from central-moment polynomials (:func:`expected_log_series`); the bounds on
+E[log(X + 1)] evaluate the same sandwich.  The small-argument coefficients
+are forward differences of logarithms, taken in exact fixed-point integer
+arithmetic at a precision fixed in advance by an error bound (see
+:func:`_log_differences`).  Published tables exist only in the test suite, as
+golden data.
 """
 
 from __future__ import annotations
@@ -70,62 +72,68 @@ class BinomialCoeffSet:
             raise ValueError(f"a~ indices must cover {self.m}..{2 * self.m}")
 
 
-@lru_cache(maxsize=None)
-def poisson_coeffs(m: int) -> PoissonCoeffSet:
-    """Derive a(m, k) and b(m, k) by tail integration of moment polynomials.
+# law -> (central moment mu_j, exponent of mean^-j): the Poisson mean is s,
+# the binomial mean is ns
+_LAWS = {
+    "poisson": (poisson_central_moment, lambda j: -j),
+    "binomial": (binomial_central_moment, lambda j: (-j, -j)),
+}
 
-    The expansion integrand is sum_{j=3}^{2m+1} (-1)^(j-1) mu_j(s) /
-    (j (j-1) s^j), a Laurent polynomial with powers s^-2 .. s^-2m; the gap
-    integrand is mu_{2m+2}(s) / ((2m+1) s^(2m+2)).
+
+@lru_cache(maxsize=None)
+def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The order-m sandwich log mean + [lower, lower + gap] for E[log(X + 1)],
+    as the Laurent polynomials (lower, gap):
+
+        lower = sum_{j=2}^{2m+1} (-1)^j mu_j / (j (j-1) mean^j),
+        gap = mu_{2m+2} / ((2m+1) mean^(2m+2)).
+
+    ``"poisson"``: X = N_s with mean s, polynomials in s.  ``"binomial"``:
+    X = B_{n-1,s}, with mu_j and the mean ns those of B_{n,s}, in (n, s).
     """
     if m < 1:
         raise ValueError(f"order m must be >= 1, got {m}")
-    integrand = LaurentPoly()
-    for j in range(3, 2 * m + 2):
-        scale = Fraction((-1) ** (j - 1), j * (j - 1))
-        integrand = integrand + scale * poisson_central_moment(j).shifted(-j)
-    b = {-e: c for e, c in integrate_tail(integrand).terms()}
-
-    gap_integrand = Fraction(1, 2 * m + 1) * poisson_central_moment(2 * m + 2).shifted(-(2 * m + 2))
-    a = {-e: c for e, c in integrate_tail(gap_integrand).terms()}
-    return PoissonCoeffSet(m=m, b=b, a=a)
+    moment, inverse_mean_power = _LAWS[law]
+    lower = LaurentPoly()
+    for j in range(2, 2 * m + 2):
+        lower = lower + Fraction((-1) ** j, j * (j - 1)) * moment(j).shifted(inverse_mean_power(j))
+    gap = Fraction(1, 2 * m + 1) * moment(2 * m + 2).shifted(inverse_mean_power(2 * m + 2))
+    return lower, gap
 
 
-def _collect_by_inverse_n_power(orders: list[int], scale_of) -> dict[int, LogLaurent]:
-    """Shared assembly step for the binomial coefficient functions.
+@lru_cache(maxsize=None)
+def poisson_coeffs(m: int) -> PoissonCoeffSet:
+    """Derive a(m, k) and b(m, k) by tail integration of the expected-log
+    sandwich, through H'(lam) = E[log(N_lam + 1)] - log lam.
 
-    Builds n * sum_j scale(j) * mu_j(n, s) / (ns)^j as a Laurent polynomial
-    in (n, s), splits it into a Laurent polynomial in s for each power of
-    1/n, integrates each piece over [q, 1], and returns
-    {k: coefficient of n^-k}.
+    The lower series starts with 1/(2s), which integrates to the
+    log(2 pi lam)/2 + 1/2 part of the expansion; -b integrates the rest, and
+    a integrates the gap.
     """
-    total = LaurentPoly()
-    for j in orders:
-        total = total + scale_of(j) * binomial_central_moment(j).shifted((1 - j, -j))
-    by_n_power: dict[int, dict[int, Fraction]] = {}
-    for (n_exp, s_exp), coef in total.terms():
-        by_n_power.setdefault(n_exp, {})[s_exp] = coef
-    out: dict[int, LogLaurent] = {}
-    for n_exp, terms in by_n_power.items():
-        assert n_exp < 0, f"unexpected nonnegative power of n: {n_exp}"
-        out[-n_exp] = integrate_to_one(LaurentPoly(terms))
-    return out
+    lower, gap = expected_log_series("poisson", m)
+    b, a = (integrate_tail(f).terms() for f in (LaurentPoly({-1: Fraction(1, 2)}) - lower, gap))
+    return PoissonCoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
+
+
+def _integrate_pieces(f: LaurentPoly) -> dict[int, LogLaurent]:
+    """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1."""
+    pieces: dict[int, dict[int, Fraction]] = {}
+    for (n_exp, s_exp), c in f.terms():
+        pieces.setdefault(-n_exp - 1, {})[s_exp] = c
+    return {k: integrate_to_one(LaurentPoly(t)) for k, t in pieces.items() if k >= 1}
 
 
 @lru_cache(maxsize=None)
 def binomial_coeffs(m: int) -> BinomialCoeffSet:
-    """Derive a~(m, k; p) and b~(m, k; p) as LogLaurent functions of q."""
-    if m < 1:
-        raise ValueError(f"order m must be >= 1, got {m}")
-    b_tilde = _collect_by_inverse_n_power(
-        list(range(3, 2 * m + 2)),
-        lambda j: Fraction((-1) ** j, j * (j - 1)),
-    )
-    a_tilde = _collect_by_inverse_n_power(
-        [2 * m + 2],
-        lambda j: Fraction(1, 2 * m + 1),
-    )
-    return BinomialCoeffSet(m=m, b_tilde=b_tilde, a_tilde=a_tilde)
+    """Derive a~(m, k; p) and b~(m, k; p) as LogLaurent functions of q, through
+    D(n, p) = n integral_q^1 E[log((B_{n-1,s} + 1) / (ns))] ds.
+
+    The coefficient of n^-k is the integral of the n^-(k+1) piece of the
+    expected-log sandwich.  The n^-1 piece, (1 - s)/(2ns), integrates to the
+    leading term -(p + log q)/2.
+    """
+    lower, gap = expected_log_series("binomial", m)
+    return BinomialCoeffSet(m=m, b_tilde=_integrate_pieces(lower), a_tilde=_integrate_pieces(gap))
 
 
 def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
@@ -162,20 +170,21 @@ def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
 
 
 # c's tables get a cache of their own, so that a run of exact D(n, p) cannot
-# evict them
+# evict them.  Their ladder starts at depth 16, as the small-lambda bound asks
+# for a few low c(k); exact D(n, p) asks for every c~(n, k), so its starts at 64.
 _c_tables = lru_cache(maxsize=8)(_log_differences)
 _c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
 
 
-def _depth(k: int, top: float) -> int:
+def _depth(k: int, top: float, first: int) -> int:
     """Depth of the table that serves index k when arguments run ``top`` deep.
 
-    Depths run 64, 128, ... while at most top/2, then top: a lone small k
-    costs O(k^2), not O(top^2), and a loop over k = 2..top builds a few
-    tables whose entries, but for the last, add up to at most a third of the
-    last one's.
+    Depths run ``first``, 2 ``first``, ... while at most top/2, then top: a
+    lone small k costs O(k^2), not O(top^2), and a loop over k = 2..top
+    builds a few tables whose entries, but for the last, add up to at most a
+    third of the last one's.
     """
-    depth = max(64, 1 << (k - 1).bit_length())
+    depth = max(first, 1 << (k - 1).bit_length())
     return depth if 2 * depth <= top else top
 
 
@@ -188,7 +197,7 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _c_tables(range(1, _depth(k, math.inf) + 1), ctx.bits)[k - 2]
+    return _c_tables(range(1, _depth(k, math.inf, 16) + 1), ctx.bits)[k - 2]
 
 
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -196,7 +205,7 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     the (k-1)-th forward difference of log(n - j) at j = 0."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return _c_tilde_tables(range(n, n - _depth(k, n), -1), ctx.bits)[k - 2]
+    return _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)[k - 2]
 
 
 @lru_cache(maxsize=None)

@@ -123,14 +123,6 @@ class Interval:
         if not self.lower <= self.upper:
             raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
 
-    @property
-    def width(self) -> mpf:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> mpf:
-        return (self.lower + self.upper) / 2
-
     def contains(self, x) -> bool:
         return self.lower <= x <= self.upper
 

@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 
 from entropy_bounds import (
     DEFAULT_CONTEXT,
+    PrecisionContext,
     binomial_central_moment,
     binomial_coeffs,
     binomial_entropy_oracle,
@@ -23,7 +24,9 @@ from entropy_bounds import (
     entropy_poisson_large,
     entropy_poisson_small,
     expected_log_binomial,
+    expected_log_binomial_bounds,
     expected_log_poisson,
+    expected_log_poisson_bounds,
     moment_oracle_binomial,
     moment_oracle_poisson,
     poisson_central_moment,
@@ -36,6 +39,7 @@ from entropy_bounds import (
 from golden_data import BINOMIAL_A, BINOMIAL_B, FIGURE_GAPS, TABLE_A, TABLE_B
 
 CTX = DEFAULT_CONTEXT
+ORACLE_CTX = PrecisionContext(bits=CTX.bits + 64)
 N_GRID = (5, 10, 30, 100, 300)
 P_GRID = (0.05, 0.2, 0.5, 0.8, 0.95)
 
@@ -123,9 +127,11 @@ def test_criterion_05_sandwich_soundness():
 
     for lam in (0.1, 0.5, 1, 2, 5, 10, 20, 50, 100):
         value = poisson_entropy(lam)
+        log_value = expected_log_poisson(lam, ORACLE_CTX)
         for m in range(1, 6):
             assert entropy_poisson_large(lam, m, CTX).interval.contains(value), (lam, m)
-            checks += 1
+            assert expected_log_poisson_bounds(lam, m, CTX).interval.contains(log_value), (lam, m)
+            checks += 2
 
     for tenth in range(1, 11):
         lam = F(tenth, 10)
@@ -140,10 +146,15 @@ def test_criterion_05_sandwich_soundness():
                 q = 1 - mpf(p)
             d_value = relative_entropy_oracle(n, p, CTX)
             h_value = binomial_entropy_oracle(n, p, CTX)
+            # the oracle gives E[log((B + 1)/(ns))], the bound E[log(B + 1)]
+            M = ORACLE_CTX.mp
+            log_value = M.fadd(expected_log_binomial(n, p, ORACLE_CTX), M.log(n * M.mpf(p)))
             for m in range(1, 6):
                 assert relative_entropy_bounds(n, p, m, CTX).interval.contains(d_value), (n, p, m)
                 assert entropy_binomial_bounds(n, p, m, CTX).interval.contains(h_value), (n, p, m)
-                checks += 2
+                rep = expected_log_binomial_bounds(n, p, m, CTX)
+                assert rep.interval.contains(log_value), (n, p, m)
+                checks += 3
             assert entropy_binomial_stirling_m1(n, p, CTX).interval.contains(h_value), (n, p)
             checks += 1
 

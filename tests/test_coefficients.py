@@ -1,6 +1,7 @@
 """Coefficient derivation against published tables, closed forms, and
 independent quadrature/finite-difference oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from entropy_bounds import (
     poisson_coeffs,
     stirling_m1_constants,
 )
+from entropy_bounds.cli import coeffs_to_json
 from golden_data import (
     BINOMIAL_A,
     BINOMIAL_B,
@@ -161,6 +163,17 @@ class TestBinomialCoefficients:
                 errors.append(abs(c4(p * (1 - p)) / n - target))
             assert errors[0] > errors[1] > errors[2]
             assert errors[2] < mpf("1e-3")
+
+
+COEFF_SETS = json.loads((ROOT / "tests" / "fixtures" / "coeff_sets.json").read_text())
+
+
+@pytest.mark.parametrize("kind", ["poisson", "binomial"])
+@pytest.mark.parametrize("m", range(1, 11))
+def test_coefficient_set_matches_fixture(kind, m):
+    """Orders 1..10, beyond the published tables, exactly as
+    `coeffs --kind KIND --m M` exports them."""
+    assert coeffs_to_json(kind, m, None, DEFAULT_CONTEXT) == COEFF_SETS[kind][str(m)]
 
 
 class TestSmallArgumentCoefficients:

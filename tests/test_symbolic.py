@@ -275,7 +275,6 @@ class TestContextAndInterval:
             Interval(mpf(1), mpf(0))
         box = Interval(mpf(0), mpf(1))
         assert box.contains(mpf("0.5")) and not box.contains(2)
-        assert box.width == 1
 
     def test_context_validation(self):
         with pytest.raises(ValueError):

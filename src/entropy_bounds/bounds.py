@@ -36,6 +36,9 @@ METHOD_BINOMIAL_STIRLING = "binomial-stirling"
 METHOD_EXPECTED_LOG_POISSON = "expected-log-poisson"
 METHOD_EXPECTED_LOG_BINOMIAL = "expected-log-binomial"
 
+# the orders best_interval, and so the CLI's --m auto, chooses among
+AUTO_ORDERS = range(1, 7)
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -258,13 +261,11 @@ def expected_log_binomial_bounds(
 def best_interval(
     bound_fn: Callable[..., BoundReport],
     *args,
-    m_max: int = 6,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> BoundReport:
-    """Evaluate orders 1..m_max and return the narrowest interval.
+    """Evaluate the orders of AUTO_ORDERS (1..6) and return the narrowest interval.
 
     The intervals need not be nested in m, so minimal width is the honest
     aggregate.
     """
-    reports = [bound_fn(*args, m=m, ctx=ctx) for m in range(1, m_max + 1)]
-    return min(reports, key=lambda r: r.gap)
+    return min((bound_fn(*args, m=m, ctx=ctx) for m in AUTO_ORDERS), key=lambda r: r.gap)

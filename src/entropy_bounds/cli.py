@@ -29,10 +29,9 @@ from typing import Sequence
 import mpmath
 
 from . import bounds, coefficients, oracle
-from .coefficients import BinomialCoeffSet, PoissonCoeffSet
 from .symbolic import (
+    DEFAULT_CONTEXT,
     DomainError,
-    LaurentPoly,
     LogLaurent,
     PrecisionContext,
     rational_str,
@@ -55,7 +54,7 @@ def _fmt(x, bits: int) -> str:
 def _default_bits() -> int:
     raw = os.environ.get("ENTROPY_BOUNDS_BITS")
     if raw is None:
-        return 256
+        return DEFAULT_CONTEXT.bits
     try:
         return int(raw)
     except ValueError as exc:
@@ -65,7 +64,7 @@ def _default_bits() -> int:
 def _context(args) -> PrecisionContext:
     bits = args.bits if args.bits is not None else _default_bits()
     try:
-        return PrecisionContext(bits=bits, target_rel_err=args.rel_err)
+        return PrecisionContext(bits=bits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -145,11 +144,6 @@ def _loglaurent_json(f: LogLaurent) -> dict:
     }
 
 
-def _loglaurent_from_json(obj: dict) -> LogLaurent:
-    terms = LaurentPoly((int(e), Fraction(c)) for e, c in obj["terms"].items())
-    return LogLaurent(terms, Fraction(obj["log"]))
-
-
 def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionContext) -> dict:
     if kind == "poisson":
         cs = coefficients.poisson_coeffs(m)
@@ -175,26 +169,6 @@ def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionCon
             "c": {str(k): _fmt(coefficients.c_coeff(k, ctx), ctx.bits) for k in range(2, kmax + 1)},
         }
     raise UsageError(f"unknown coefficient kind {kind!r}")
-
-
-def coeffs_from_json(obj: dict) -> PoissonCoeffSet | BinomialCoeffSet | dict:
-    """Re-parse an exported coefficient table to its structured form."""
-    kind = obj["kind"]
-    if kind == "poisson":
-        return PoissonCoeffSet(
-            m=obj["m"],
-            b={int(k): Fraction(v) for k, v in obj["b"].items()},
-            a={int(k): Fraction(v) for k, v in obj["a"].items()},
-        )
-    if kind == "binomial":
-        return BinomialCoeffSet(
-            m=obj["m"],
-            b_tilde={int(k): _loglaurent_from_json(v) for k, v in obj["b"].items()},
-            a_tilde={int(k): _loglaurent_from_json(v) for k, v in obj["a"].items()},
-        )
-    if kind == "small-lambda":
-        return {int(k): v for k, v in obj["c"].items()}
-    raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
 def _cmd_coeffs(args) -> int:
@@ -376,8 +350,6 @@ def _cmd_figure(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bits", type=int, default=None,
                         help="working precision in bits (default 256 or $ENTROPY_BOUNDS_BITS)")
-    parser.add_argument("--rel-err", type=float, default=1e-30,
-                        help="certified series truncation target (default 1e-30)")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 

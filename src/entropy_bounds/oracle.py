@@ -32,11 +32,12 @@ from .symbolic import (
 
 @dataclass(frozen=True)
 class TruncationReceipt:
-    """Evidence that a truncated series met the requested accuracy.
+    """Evidence that a truncated series met the working precision.
 
     ``rel_err_bound`` is the tail bound divided by the accumulated mass of
     absolute terms (equal to the plain relative error whenever the series
-    has nonnegative terms, which is the case for all entropy series here).
+    has nonnegative terms, which is the case for all entropy series here);
+    :func:`poisson_expectation` reports only once it is at most 2^-``bits``.
     """
 
     terms_used: int
@@ -58,7 +59,10 @@ def poisson_expectation(
     (true for every weight used in this package: powers of j - lam,
     log j!, log(j + 1), and products thereof).  Whole terms then shrink at
     least geometrically beyond the truncation point, so a single ratio check
-    <= 1/2 certifies tail <= 2 * |first neglected term|.
+    <= 1/2 certifies tail <= 2 * |first neglected term|.  A truncation is
+    accepted only when that tail is at most 2^-``ctx.bits`` times the summed
+    absolute terms, a target formed exactly in ``ctx.mp`` so that no
+    precision underflows it.
     """
     M = ctx.mp
     lam_m = to_mpf(lam, M)
@@ -71,7 +75,7 @@ def poisson_expectation(
     lam_f = float(lam_m)
     # initial truncation point: mean + 12 sqrt(mean * bits) + bits
     trunc = math.ceil(lam_f + 12.0 * math.sqrt(lam_f * ctx.bits)) + ctx.bits
-    target = to_mpf(ctx.target_rel_err, M)
+    target = M.ldexp(1, -ctx.bits)
     half = M.mpf(1) / 2
 
     for _ in range(6):
@@ -104,7 +108,7 @@ def poisson_expectation(
         trunc *= 2
 
     raise PrecisionError(
-        f"could not certify tail <= {ctx.target_rel_err} for lam={lam_m} at {ctx.bits} bits"
+        f"could not certify tail <= 2^-{ctx.bits} of the mass for lam={lam_m}"
     )
 
 

@@ -69,21 +69,21 @@ def _mp_context(prec: int) -> mpmath.MPContext:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working mantissa precision (bits) and the truncation target for series.
+    """Working mantissa precision in bits, the one precision setting.
 
-    ``target_rel_err`` is the certified relative error the oracles must reach
-    before they report a value.  Evaluation runs in the private mpmath
-    context :attr:`mp`; no global precision is read or set.
+    Results are rounded to ``bits``, and an oracle reports a truncated series
+    only once its tail is certified at most 2^-``bits`` of its absolute mass.
+    Evaluation runs in the private mpmath context :attr:`mp`; no global
+    precision is read or set.
     """
 
     bits: int = 256
-    target_rel_err: float = 1e-30
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bits, int):
+            raise TypeError(f"bits must be an integer, got {self.bits!r}")
         if self.bits < 64:
             raise ValueError(f"bits must be >= 64, got {self.bits}")
-        if not 0 < self.target_rel_err < 1:
-            raise ValueError(f"target_rel_err must be in (0,1), got {self.target_rel_err}")
 
     @property
     def mp(self) -> mpmath.MPContext:

@@ -54,14 +54,20 @@ class TestCoeffsCommand:
 
     def test_poisson_roundtrip(self, capsys):
         _, out = run(capsys, ["coeffs", "poisson", "--m", "3"])
-        parsed = cli.coeffs_from_json(json.loads(out))
-        assert isinstance(parsed, PoissonCoeffSet)
-        assert parsed == poisson_coeffs(3)
+        payload, cs = json.loads(out), poisson_coeffs(3)
+        assert payload["m"] == cs.m
+        for key, coeffs in (("a", cs.a), ("b", cs.b)):
+            assert {int(k): F(v) for k, v in payload[key].items()} == coeffs
 
     def test_binomial_roundtrip(self, capsys):
         _, out = run(capsys, ["coeffs", "binomial", "--m", "2"])
-        parsed = cli.coeffs_from_json(json.loads(out))
-        assert parsed == binomial_coeffs(2)
+        payload, cs = json.loads(out), binomial_coeffs(2)
+        assert payload["m"] == cs.m
+        for key, functions in (("a", cs.a_tilde), ("b", cs.b_tilde)):
+            parsed = {int(k): ({int(e): F(c) for e, c in f["terms"].items()}, F(f["log"]))
+                      for k, f in payload[key].items()}
+            assert parsed == {k: (dict(f.laurent.terms()), f.log_coeff)
+                              for k, f in functions.items()}
 
     def test_missing_order_is_usage_error(self, capsys):
         code, _ = run(capsys, ["coeffs", "poisson"])

@@ -215,7 +215,7 @@ class TestSmallArgumentCoefficients:
 
     def test_c_tilde_stable_under_precision_doubling(self):
         ctx = DEFAULT_CONTEXT
-        doubled = PrecisionContext(bits=2 * ctx.bits, target_rel_err=ctx.target_rel_err)
+        doubled = PrecisionContext(bits=2 * ctx.bits)
         v1 = c_tilde_coeff(10, 5, ctx)
         v2 = c_tilde_coeff(10, 5, doubled)
         assert ctx.round(v1) == ctx.round(v2)

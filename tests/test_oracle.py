@@ -3,6 +3,7 @@ identities, and precision-escalation stability."""
 
 import math
 from fractions import Fraction as F
+from itertools import count
 
 import mpmath
 import pytest
@@ -22,7 +23,8 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds.oracle import _binomial_log_pmf
+from entropy_bounds.oracle import _binomial_log_pmf, poisson_expectation
+from entropy_bounds.symbolic import to_mpf
 
 GRID = [(n, p) for n in (5, 10, 30, 100) for p in (0.05, 0.2, 0.5, 0.8, 0.95)]
 
@@ -34,10 +36,20 @@ class TestPoissonEntropyOracle:
         assert receipt.tail_bound == 0
 
     def test_receipt_certifies_target(self):
-        for lam in (0.1, 1, 100):
-            _, receipt = poisson_entropy_oracle(lam)
-            assert receipt.rel_err_bound <= DEFAULT_CONTEXT.target_rel_err
-            assert receipt.terms_used > 0
+        # every receipt certifies its tail to 2^-bits, far past any float's range at 2000 bits
+        for bits in (64, 256, 1000, 2000):
+            ctx = PrecisionContext(bits=bits)
+            M = ctx.mp
+            for lam in (F(1, 1000), F(1, 10), 1, 100, 1000):
+                s = to_mpf(lam, M)
+                receipts = [
+                    poisson_entropy_oracle(lam, ctx)[1],
+                    poisson_expectation(s, lambda: map(M.log, count(1)), ctx)[1],
+                    poisson_expectation(s, lambda: ((j - s) ** 6 for j in count()), ctx)[1],
+                ]
+                for receipt in receipts:
+                    assert 0 <= receipt.rel_err_bound <= M.ldexp(1, -bits)
+                    assert receipt.terms_used > 0
 
     def test_contained_in_small_mean_interval(self):
         value, _ = poisson_entropy_oracle(1)

@@ -279,8 +279,10 @@ class TestContextAndInterval:
     def test_context_validation(self):
         with pytest.raises(ValueError):
             PrecisionContext(bits=32)
-        with pytest.raises(ValueError):
-            PrecisionContext(target_rel_err=2.0)
+        with pytest.raises(TypeError, match="bits"):
+            PrecisionContext(bits=100.5)
+        with pytest.raises(TypeError, match="bits"):
+            PrecisionContext(bits="128")
 
     def test_round_to_bits(self):
         ctx = PrecisionContext(bits=64)
@@ -292,4 +294,3 @@ class TestContextAndInterval:
 
     def test_default_context(self):
         assert DEFAULT_CONTEXT.bits == 256
-        assert DEFAULT_CONTEXT.target_rel_err == 1e-30

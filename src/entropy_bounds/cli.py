@@ -174,8 +174,8 @@ def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionCon
 def _cmd_coeffs(args) -> int:
     ctx = _context(args)
     if args.kind in ("poisson", "binomial"):
-        if args.m is None:
-            raise UsageError(f"--m is required for kind {args.kind}")
+        if args.m is None or args.m < 1:
+            raise UsageError(f"--m >= 1 is required for kind {args.kind}")
         payload = coeffs_to_json(args.kind, args.m, None, ctx)
     else:
         if args.kmax is None or args.kmax < 2:

@@ -12,7 +12,6 @@ Infinite (Poisson) series are truncated with a certified tail bound; finite
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
@@ -37,7 +36,7 @@ class TruncationReceipt:
     ``rel_err_bound`` is the tail bound divided by the accumulated mass of
     absolute terms (equal to the plain relative error whenever the series
     has nonnegative terms, which is the case for all entropy series here);
-    :func:`poisson_expectation` reports only once it is at most 2^-``bits``.
+    :func:`poisson_expectation` reports only once it is at most 2^-(``bits`` + 65).
     """
 
     terms_used: int
@@ -57,12 +56,17 @@ def poisson_expectation(
     working precision ``ctx.bits`` + 64 (compute it in ``ctx.mp``).
     Requirement: |w_{j+1} / w_j| is non-increasing once j exceeds the mean
     (true for every weight used in this package: powers of j - lam,
-    log j!, log(j + 1), and products thereof).  Whole terms then shrink at
-    least geometrically beyond the truncation point, so a single ratio check
-    <= 1/2 certifies tail <= 2 * |first neglected term|.  A truncation is
-    accepted only when that tail is at most 2^-``ctx.bits`` times the summed
-    absolute terms, a target formed exactly in ``ctx.mp`` so that no
-    precision underflows it.
+    log j!, log(j + 1), and products thereof).  The term ratios
+    t_{j+1} / t_j then never rise past the mean either, so once the two
+    terms after t_J lie past the mean and their ratio r is below 1,
+    everything after t_J sums to at most |t_{J+1}| / (1 - r); two zero
+    terms certify a zero tail.  The series is summed in one pass and stops
+    at the first such J whose tail is at most 2^-(``ctx.bits`` + 65) times
+    the summed absolute terms: half an ulp of the working sum, formed
+    exactly in ``ctx.mp`` so that no precision underflows it.  A rise in
+    |w_{j+1} / w_j| past the mean breaks the requirement and raises
+    :class:`PrecisionError`; without one, term ratios fall at least as fast
+    as lam / (j + 1), so the sum always stops.
     """
     M = ctx.mp
     lam_m = to_mpf(lam, M)
@@ -72,44 +76,35 @@ def poisson_expectation(
         w0 = to_mpf(next(iter(weights())), M)
         return ctx.round(w0), TruncationReceipt(1, mpf(0), mpf(0))
 
-    lam_f = float(lam_m)
-    # initial truncation point: mean + 12 sqrt(mean * bits) + bits
-    trunc = math.ceil(lam_f + 12.0 * math.sqrt(lam_f * ctx.bits)) + ctx.bits
-    target = M.ldexp(1, -ctx.bits)
-    half = M.mpf(1) / 2
-
-    for _ in range(6):
-        total = M.zero
-        abs_total = M.zero
-        pmf = M.exp(-lam_m)
-        neglected: list[mpf] = []
-        it = weights()
-        for j in range(trunc + 3):
-            term = pmf * to_mpf(next(it), M)
-            if j <= trunc:
-                total += term
-                abs_total += abs(term)
-            else:
-                neglected.append(abs(term))
-            pmf *= lam_m / (j + 1)
-
-        tail = None
-        if neglected[0] == 0 and neglected[1] == 0:
-            tail = M.zero
-        elif neglected[0] > 0 and neglected[1] / neglected[0] <= half:
-            tail = 2 * neglected[0]
-        if tail is not None:
+    target = M.ldexp(1, -(ctx.bits + 65))
+    total = abs_total = M.zero
+    pmf = M.exp(-lam_m)
+    # w_{j-2}, w_{j-1} and t_{j-1}; t_{j-1} is summed once t_j shows it cannot be left out
+    w_back = w_prev = t_prev = M.zero
+    for j, w in enumerate(weights()):
+        w = to_mpf(w, M)
+        t = pmf * w
+        pmf *= lam_m / (j + 1)
+        # |w_j / w_{j-1}| > |w_{j-1} / w_{j-2}|, where a zero w_{j-2} gives no ratio to exceed
+        if j > lam_m + 2 and abs(w * w_back) > w_prev**2:
+            raise PrecisionError(
+                f"|w_(j+1) / w_j| rises past the mean at j = {j - 1} for lam={lam_m}, "
+                f"so no tail <= 2^-{ctx.bits} of the mass can be certified"
+            )
+        # t_{j-1} and t_j are the first two terms left out if the sum stops here
+        a, b = abs(t_prev), abs(t)
+        if j > lam_m + 1 and (b < a or a == b == 0):
+            tail = a * a / (a - b) if b < a else M.zero
             scale = abs_total if abs_total > 0 else M.one
             if tail <= target * scale:
                 # the tail bound is reported unrounded, at the working precision
                 tail_bound = mp.make_mpf(tail._mpf_)
-                receipt = TruncationReceipt(trunc + 1, tail_bound, ctx.round(tail / scale))
+                receipt = TruncationReceipt(j - 1, tail_bound, ctx.round(tail / scale))
                 return ctx.round(total), receipt
-        trunc *= 2
-
-    raise PrecisionError(
-        f"could not certify tail <= 2^-{ctx.bits} of the mass for lam={lam_m}"
-    )
+        total += t_prev
+        abs_total += a
+        w_back, w_prev, t_prev = w_prev, w, t
+    raise PrecisionError(f"the weights ended before a tail <= 2^-{ctx.bits} was certified")
 
 
 def poisson_entropy_oracle(

@@ -240,6 +240,17 @@ class TestUsageErrors:
         assert captured.err.startswith("entropy-bounds: error:")
         assert argv[-1] in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "poisson", "--m", "0"],
+        ["coeffs", "binomial", "--m", "-2"],
+    ])
+    def test_coeffs_order_below_one(self, capsys, argv):
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
+        assert "--m" in captured.err
+
     def test_bounds_help_names_every_method(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, so no name is split at a hyphen
         with pytest.raises(SystemExit):

@@ -1,9 +1,12 @@
 """Brute-force oracle self-tests: closed-form anchors, distribution
 identities, and precision-escalation stability."""
 
+import json
 import math
+import time
 from fractions import Fraction as F
 from itertools import count
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,18 +16,22 @@ from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
+    PrecisionError,
     binomial_entropy_oracle,
     entropy_poisson_large,
     entropy_poisson_small,
     expected_log_binomial,
     expected_log_poisson,
     expected_log_poisson_bounds,
+    moment_oracle_poisson,
     poisson_entropy_oracle,
     relative_entropy_exact,
     relative_entropy_oracle,
 )
 from entropy_bounds.oracle import _binomial_log_pmf, poisson_expectation
 from entropy_bounds.symbolic import to_mpf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GRID = [(n, p) for n in (5, 10, 30, 100) for p in (0.05, 0.2, 0.5, 0.8, 0.95)]
 
@@ -50,6 +57,34 @@ class TestPoissonEntropyOracle:
                 for receipt in receipts:
                     assert 0 <= receipt.rel_err_bound <= M.ldexp(1, -bits)
                     assert receipt.terms_used > 0
+
+    def test_bit_identical_to_fixture(self):
+        # (mantissa, exponent) of every value, captured once from a known-good
+        # build: eleven lam from 1e-6 to 3000 at 64, 128, 256 and 320 bits
+        oracles = {
+            "poisson_entropy_oracle": lambda lam, ctx: poisson_entropy_oracle(lam, ctx)[0],
+            "expected_log_poisson": expected_log_poisson,
+            "moment_oracle_poisson_3": lambda lam, ctx: moment_oracle_poisson(3, lam, ctx),
+            "moment_oracle_poisson_6": lambda lam, ctx: moment_oracle_poisson(6, lam, ctx),
+        }
+        cases = json.loads((ROOT / "tests" / "fixtures" / "poisson_oracles.json").read_text())
+        assert len(cases["cases"]) == 176
+        for case in cases["cases"]:
+            got = oracles[case["oracle"]](F(case["lam"]), PrecisionContext(case["bits"]))
+            assert got.man_exp == (case["man"], case["exp"]), case
+
+    def test_stops_at_first_certified_tail(self):
+        # the first certified tail comes after 1,733 terms, about 23 sqrt(lam) past the mean
+        _, receipt = poisson_entropy_oracle(1000, PrecisionContext(bits=256))
+        assert receipt.terms_used < 2000
+
+    def test_rising_weight_ratio_raises(self):
+        # |w_(j+1) / w_j| = 2^(2j + 1) rises without bound, so no tail is certified
+        ctx = PrecisionContext(bits=64)
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            poisson_expectation(10, lambda: (2 ** (j * j) for j in count()), ctx)
+        assert time.perf_counter() - start < 1
 
     def test_contained_in_small_mean_interval(self):
         value, _ = poisson_entropy_oracle(1)

@@ -20,12 +20,7 @@ from .symbolic import (
     integrate_to_one,
     rational_str,
 )
-from .moments import (
-    binomial_central_moment,
-    moment_oracle_binomial,
-    moment_oracle_poisson,
-    poisson_central_moment,
-)
+from .moments import binomial_central_moment, poisson_central_moment
 from .coefficients import (
     BinomialCoeffSet,
     PoissonCoeffSet,
@@ -53,6 +48,8 @@ from .oracle import (
     binomial_entropy_oracle,
     expected_log_binomial,
     expected_log_poisson,
+    moment_oracle_binomial,
+    moment_oracle_poisson,
     poisson_entropy_oracle,
     poisson_expectation,
     relative_entropy_oracle,

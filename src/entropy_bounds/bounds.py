@@ -24,6 +24,7 @@ from .symbolic import (
     DomainError,
     Interval,
     PrecisionContext,
+    _check_n,
     to_mpf,
 )
 
@@ -144,8 +145,7 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     the oracle at p = 3/10 the error is about 140 ulps at n = 300 and 640
     ulps at n = 1000, at 64 bits.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     M = ctx.mp
     p_m = to_mpf(p, M)
     if not 0 <= p_m <= 1:
@@ -168,8 +168,7 @@ def relative_entropy_bounds(
     """Large-n sandwich: D(n, p) in [l, l + r~] with
     l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
     _check_order(m)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     cs = coefficients.binomial_coeffs(m)
     M = ctx.mp
     p_m = to_mpf(p, M)
@@ -191,8 +190,7 @@ def entropy_binomial_bounds(
     by their order-m intervals.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
     _check_order(m)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     M = ctx.mp
     p_m = to_mpf(p, M)
     if not 0 < p_m < 1:
@@ -209,8 +207,7 @@ def entropy_binomial_bounds(
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
     """Order-1 binomial entropy sandwich in closed form:
     log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n]."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     c1, c2, c3, c4 = coefficients.stirling_m1_constants()
     M = ctx.mp
     p_m = to_mpf(p, M)
@@ -247,8 +244,7 @@ def expected_log_binomial_bounds(
     """Sandwich for E[log(B_{n-1,s} + 1)], same shape with mu_k(n, s) and
     powers of ns.  Subtract log(ns) to bound the ratio form."""
     _check_order(m)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     M = ctx.mp
     s_m = to_mpf(s, M)
     if not 0 < s_m < 1:

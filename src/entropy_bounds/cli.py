@@ -297,11 +297,12 @@ def _cmd_verify(args) -> int:
     rows: list[list[str]] = []
     violations = 0
     for point, cols in points:
+        # the bounds come first, so a one-sided method is refused before any oracle runs
+        reps = [_evaluate(bound, point, m, ctx) for m in (m_list if bound[1] else [None])]
+        if not all(isinstance(rep, bounds.BoundReport) for rep in reps):
+            raise UsageError(f"{method} is a one-sided bound; verify needs an interval")
         value = oracle_fn(*point, ctx)
-        for m in m_list if bound[1] else [None]:  # an orderless bound gives one row
-            rep = _evaluate(bound, point, m, ctx)
-            if not isinstance(rep, bounds.BoundReport):
-                raise UsageError(f"{method} is a one-sided bound; verify needs an interval")
+        for rep in reps:  # an orderless bound gives one row
             contained = rep.interval.contains(value)
             if not contained:
                 violations += 1

@@ -2,17 +2,20 @@
 
 Everything the certified bounds target is recomputed here by direct
 summation at high precision: Shannon entropy of the Poisson and binomial
-laws, their relative entropy, and the expected-log quantities the proofs
-run through.  None of these routines touch the expansion machinery, so a
-bound and its oracle can only agree when both are right.
-
-Infinite (Poisson) series are truncated with a certified tail bound; finite
-(binomial) sums are evaluated exactly term by term at working precision.
+laws, their relative entropy, the expected-log quantities the proofs run
+through, and the central moments of both laws.  This module imports only
+:mod:`symbolic`, and nothing on the bounds path (moments, coefficients,
+bounds) imports it, so a bound and its oracle can only agree when both are
+right.  Infinite (Poisson) series are truncated with a certified tail bound;
+the binomial sums run through :func:`_binomial_expectation` at working
+precision, apart from the exact rational central moments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from typing import Callable, Iterator
@@ -24,7 +27,9 @@ from .symbolic import (
     DomainError,
     PrecisionContext,
     PrecisionError,
+    _check_n,
     _mp_context,
+    as_fraction,
     to_mpf,
 )
 
@@ -142,6 +147,18 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return value
 
 
+def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """E[(N_s - s)^k] by certified series truncation, independent of the
+    moment polynomials."""
+    if k < 0:
+        raise ValueError(f"moment order must be >= 0, got {k}")
+    s_m = to_mpf(s, ctx.mp)
+    if s_m <= 0:
+        raise DomainError(f"s must be > 0, got {s_m}")
+    value, _ = poisson_expectation(s_m, lambda: ((j - s_m) ** k for j in count()), ctx)
+    return value
+
+
 @lru_cache(maxsize=8)
 def _log_table(n: int, prec: int) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
     """(log i for i = 0..n, log i! for i = 0..n) at ``prec`` mantissa bits.
@@ -155,22 +172,20 @@ def _log_table(n: int, prec: int) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
     return logs, tuple(accumulate(logs))
 
 
-def _binomial_log_pmf(n: int, p: mpf) -> list[mpf]:
-    """log of the binomial(n, p) mass function at k = 0..n, for p in (0, 1),
-    at the precision of ``p``'s mpmath context."""
+def _binomial_expectation(n: int, p: mpf, weight: Callable[[int, mpf], mpf], total: mpf) -> mpf:
+    """``total`` + sum_k P(B_{n,p} = k) weight(k, log P(k)), for p in (0, 1).
+
+    The terms are added to ``total`` in ascending k = 0..n at the precision
+    of ``p``'s mpmath context, so a caller keeps its summation order by
+    passing its first term as ``total``."""
     M = p.context
     log_p = M.log(p)
     log_q = M.log(1 - p)
     _, log_fact = _log_table(n, M.prec)
-    return [
-        log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_q
-        for k in range(n + 1)
-    ]
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    for k in range(n + 1):
+        lp = log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_q
+        total += M.exp(lp) * weight(k, lp)
+    return total
 
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -182,17 +197,14 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         raise DomainError(f"p must be in [0,1], got {p_m}")
     if p_m == 0 or p_m == 1:
         return mpf(0)
-    total = M.zero
-    for lp in _binomial_log_pmf(n, p_m):
-        total -= M.exp(lp) * lp
-    return ctx.round(total)
+    return ctx.round(_binomial_expectation(n, p_m, lambda _, lp: -lp, M.zero))
 
 
 def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """D(B_{n,p} || Poisson(np)) by direct summation.
 
-    Uses n(p + q log q) - np log n + sum_k P(k) log(n! / (n-k)!), the n-th
-    falling-factorial logs accumulated incrementally.
+    Uses n(p + q log q) - np log n + sum_k P(k) log(n! / (n-k)!), the
+    falling-factorial logs read from the log-factorial table.
     """
     _check_n(n)
     M = ctx.mp
@@ -206,11 +218,9 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         # mass concentrated at k = n
         return ctx.round(n - n * log_n + M.loggamma(n + 1))
     q_m = 1 - p_m
-    total = n * (p_m + q_m * M.log(q_m)) - n * p_m * log_n
+    base = n * (p_m + q_m * M.log(q_m)) - n * p_m * log_n
     _, log_fact = _log_table(n, M.prec)
-    for k, lp in enumerate(_binomial_log_pmf(n, p_m)):
-        # log(n! / (n-k)!) of the falling factorial
-        total += M.exp(lp) * (log_fact[n] - log_fact[n - k])
+    total = _binomial_expectation(n, p_m, lambda k, _: log_fact[n] - log_fact[n - k], base)
     return ctx.round(total)
 
 
@@ -222,10 +232,22 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     if not 0 < s_m < 1:
         raise DomainError(f"s must be in (0,1), got {s_m}")
     log_ns = M.log(n * s_m)
-    if n == 1:
-        return ctx.round(-log_ns)  # B_0 is identically zero
     logs, _ = _log_table(n, M.prec)
-    total = M.zero
-    for k, lp in enumerate(_binomial_log_pmf(n - 1, s_m)):
-        total += M.exp(lp) * (logs[k + 1] - log_ns)
+    total = _binomial_expectation(n - 1, s_m, lambda k, _: logs[k + 1] - log_ns, M.zero)
     return ctx.round(total)
+
+
+def moment_oracle_binomial(k: int, n: int, s) -> Fraction:
+    """E[(B_{n,s} - ns)^k] as an exact rational finite sum."""
+    if k < 0:
+        raise ValueError(f"moment order must be >= 0, got {k}")
+    _check_n(n)
+    s = as_fraction(s)
+    if not 0 < s < 1:
+        raise DomainError(f"s must be in (0,1), got {s}")
+    q = 1 - s
+    mean = n * s
+    return sum(
+        (math.comb(n, j) * s**j * q ** (n - j) * (j - mean) ** k for j in range(n + 1)),
+        Fraction(0),
+    )

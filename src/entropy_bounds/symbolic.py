@@ -35,6 +35,12 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of the expression."""
 
 
+def _check_n(n: int) -> None:
+    """Raise :class:`DomainError` unless ``n`` is a positive int."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+
+
 class NonIntegrableTailError(ValueError):
     """Tail integral diverges: an exponent >= -1 is present."""
 

@@ -240,6 +240,17 @@ class TestUsageErrors:
         assert captured.err.startswith("entropy-bounds: error:")
         assert argv[-1] in captured.err
 
+    def test_one_sided_method_refused_before_oracle(self, capsys, monkeypatch):
+        def oracle_must_not_run(*args):
+            raise AssertionError("the oracle ran before the method was refused")
+
+        monkeypatch.setattr(cli.oracle, "poisson_entropy_oracle", oracle_must_not_run)
+        argv = ["verify", "poisson-entropy", "--method", "cover-thomas", "--points", "3"]
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
+
     @pytest.mark.parametrize("argv", [
         ["coeffs", "poisson", "--m", "0"],
         ["coeffs", "binomial", "--m", "-2"],

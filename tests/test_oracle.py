@@ -1,6 +1,8 @@
 """Brute-force oracle self-tests: closed-form anchors, distribution
-identities, and precision-escalation stability."""
+identities, precision-escalation stability, and the oracles' independence
+from the bounds path."""
 
+import ast
 import json
 import math
 import time
@@ -28,7 +30,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds.oracle import _binomial_log_pmf, poisson_expectation
+from entropy_bounds.oracle import _binomial_expectation, poisson_expectation
 from entropy_bounds.symbolic import to_mpf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +128,23 @@ class TestBinomialEntropyOracle:
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(lhs))
 
 
+class TestBinomialOraclesPinned:
+    def test_bit_identical_to_fixture(self):
+        # (mantissa, exponent) of every value, captured once from a known-good
+        # build: n from 1 to 400 and p from 0 to 1 at 64, 128, 256 and 320 bits,
+        # expected-log only for 0 < p < 1
+        oracles = {
+            "binomial_entropy_oracle": binomial_entropy_oracle,
+            "relative_entropy_oracle": relative_entropy_oracle,
+            "expected_log_binomial": expected_log_binomial,
+        }
+        cases = json.loads((ROOT / "tests" / "fixtures" / "binomial_oracles.json").read_text())
+        assert len(cases["cases"]) == 896
+        for case in cases["cases"]:
+            got = oracles[case["oracle"]](case["n"], F(case["p"]), PrecisionContext(case["bits"]))
+            assert got.man_exp == (case["man"], case["exp"]), case
+
+
 class TestRelativeEntropyOracle:
     def test_degenerate(self):
         assert relative_entropy_oracle(9, 0) == 0
@@ -176,14 +195,8 @@ class TestExpectedLogOracles:
         """np E[phi(B_{n-1,p} + 1)] = E[B_{n,p} phi(B_{n,p})], phi = log(1+.)."""
         with mp.workprec(320):
             pm = mpf(p)
-            lhs = n * pm * sum(
-                mpmath.exp(lp) * mpmath.log(k + 2)
-                for k, lp in enumerate(_binomial_log_pmf(n - 1, pm))
-            )
-            rhs = sum(
-                mpmath.exp(lp) * k * mpmath.log(k + 1)
-                for k, lp in enumerate(_binomial_log_pmf(n, pm))
-            )
+            lhs = n * pm * _binomial_expectation(n - 1, pm, lambda k, _: mpmath.log(k + 2), mpf(0))
+            rhs = _binomial_expectation(n, pm, lambda k, _: k * mpmath.log(k + 1), mpf(0))
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(rhs))
 
 
@@ -200,3 +213,37 @@ class TestPrecisionEscalation:
         e1 = expected_log_binomial(20, 0.5, DEFAULT_CONTEXT)
         e2 = expected_log_binomial(20, 0.5, PrecisionContext(bits=512))
         assert abs(e1 - e2) <= mpf("1e-30") * max(1, abs(e2))
+
+
+class TestIndependence:
+    """No module on the bounds path reaches the oracles, so a bound and its
+    oracle share no code."""
+
+    BOUNDS_PATH = ("symbolic", "moments", "coefficients", "bounds")
+
+    @staticmethod
+    def relative_imports():
+        imports = {}
+        for path in (ROOT / "src" / "entropy_bounds").glob("*.py"):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    if node.module is None:  # from . import a, b
+                        names.update(alias.name for alias in node.names)
+                    else:
+                        names.add(node.module.split(".")[0])
+            imports[path.stem] = names
+        return imports
+
+    def test_bounds_path_never_imports_oracle(self):
+        imports = self.relative_imports()
+        closure, todo = set(), list(self.BOUNDS_PATH)
+        while todo:
+            name = todo.pop()
+            if name not in closure:
+                closure.add(name)
+                todo.extend(imports[name])
+        assert "oracle" not in closure
+
+    def test_oracle_imports_only_symbolic(self):
+        assert self.relative_imports()["oracle"] == {"symbolic"}

@@ -21,10 +21,11 @@ from mpmath import mpf
 from . import coefficients
 from .symbolic import (
     DEFAULT_CONTEXT,
-    DomainError,
     Interval,
     PrecisionContext,
     _check_n,
+    _check_order,
+    _point,
     to_mpf,
 )
 
@@ -81,11 +82,6 @@ def _horner_inverse(values: Mapping[int, object], y: mpf, k_max: int) -> mpf:
     return acc
 
 
-def _check_order(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be a positive integer, got {m!r}")
-
-
 def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
     """Small-mean sandwich for H(lam), valid for every lam >= 0.
 
@@ -94,9 +90,7 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     """
     _check_order(m)
     M = ctx.mp
-    lam_m = to_mpf(lam, M)
-    if lam_m < 0:
-        raise DomainError(f"lam must be >= 0, got {lam_m}")
+    lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
         return _report(M.zero, M.zero, m, METHOD_SMALL_LAMBDA, ctx)
     base = lam_m - lam_m * M.log(lam_m)
@@ -118,9 +112,7 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     _check_order(m)
     cs = coefficients.poisson_coeffs(m)
     M = ctx.mp
-    lam_m = to_mpf(lam, M)
-    if lam_m <= 0:
-        raise DomainError(f"lam must be > 0, got {lam_m}")
+    lam_m = _point(lam, M, "lam", "> 0")
     y = 1 / lam_m
     beta = _horner_inverse(cs.b, y, 2 * m - 1)
     gap = _horner_inverse(cs.a, y, 2 * m)
@@ -131,9 +123,7 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Classical upper bound H(lam) <= log(2 pi e (lam + 1/12)) / 2."""
     M = ctx.mp
-    lam_m = to_mpf(lam, M)
-    if lam_m < 0:
-        raise DomainError(f"lam must be >= 0, got {lam_m}")
+    lam_m = _point(lam, M, "lam", ">= 0")
     return ctx.round(M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2)
 
 
@@ -147,9 +137,7 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     """
     _check_n(n)
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 <= p_m <= 1:
-        raise DomainError(f"p must be in [0,1], got {p_m}")
+    p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0:
         return mpf(0)
     q_m = 1 - p_m
@@ -171,9 +159,7 @@ def relative_entropy_bounds(
     _check_n(n)
     cs = coefficients.binomial_coeffs(m)
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 < p_m < 1:
-        raise DomainError(f"p must be in (0,1), got {p_m}")
+    p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     y = M.mpf(1) / n
     beta = _horner_inverse({k: f(q_m) for k, f in cs.b_tilde.items()}, y, 2 * m - 1)
@@ -192,9 +178,7 @@ def entropy_binomial_bounds(
     _check_order(m)
     _check_n(n)
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 < p_m < 1:
-        raise DomainError(f"p must be in (0,1), got {p_m}")
+    p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     base = M.loggamma(n + 1) - n * M.log(n) + n
     d_p = relative_entropy_bounds(n, p_m, m, ctx)
@@ -210,9 +194,7 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     _check_n(n)
     c1, c2, c3, c4 = coefficients.stirling_m1_constants()
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 < p_m < 1:
-        raise DomainError(f"p must be in (0,1), got {p_m}")
+    p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     u = p_m * q_m
     y = M.mpf(1) / n
@@ -230,9 +212,7 @@ def expected_log_poisson_bounds(
     gap = mu_{2m+2}(s) / ((2m+1) s^(2m+2))."""
     _check_order(m)
     M = ctx.mp
-    s_m = to_mpf(s, M)
-    if s_m <= 0:
-        raise DomainError(f"s must be > 0, got {s_m}")
+    s_m = _point(s, M, "s", "> 0")
     series, gap = coefficients.expected_log_series("poisson", m)
     lower = M.log(s_m) + series(s_m)
     return _report(lower, lower + gap(s_m), m, METHOD_EXPECTED_LOG_POISSON, ctx)
@@ -246,9 +226,7 @@ def expected_log_binomial_bounds(
     _check_order(m)
     _check_n(n)
     M = ctx.mp
-    s_m = to_mpf(s, M)
-    if not 0 < s_m < 1:
-        raise DomainError(f"s must be in (0,1), got {s_m}")
+    s_m = _point(s, M, "s", "in (0,1)")
     series, gap = coefficients.expected_log_series("binomial", m)
     lower = M.log(n * s_m) + series(n, s_m)
     return _report(lower, lower + gap(n, s_m), m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)

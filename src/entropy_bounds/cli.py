@@ -98,11 +98,11 @@ def _parse_grid(spec: str) -> list[Fraction]:
 
 
 def _grid_points(args, default: str | None = None) -> list[Fraction]:
-    if getattr(args, "grid", None) and getattr(args, "points", None):
+    if args.grid is not None and args.points is not None:
         raise UsageError("give either --grid or --points, not both")
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         return _parse_grid(args.grid)
-    if getattr(args, "points", None):
+    if args.points is not None:
         return _parse_points(args.points)
     if default is not None:
         return _parse_points(default)
@@ -321,8 +321,6 @@ def _cmd_figure(args) -> int:
     bits = ctx.bits
     m_list = _parse_m_list(args.m_list)
     points = _grid_points(args)
-    if any(lam <= 0 for lam in points):
-        raise UsageError("figure range requires lambda > 0")
 
     if args.fig == "gaps":
         header = ["lambda"] + [f"gap_m{m}" for m in m_list]

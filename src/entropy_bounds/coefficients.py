@@ -27,6 +27,7 @@ from .symbolic import (
     LaurentPoly,
     LogLaurent,
     PrecisionContext,
+    _check_order,
     integrate_tail,
     integrate_to_one,
 )
@@ -91,8 +92,7 @@ def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     ``"poisson"``: X = N_s with mean s, polynomials in s.  ``"binomial"``:
     X = B_{n-1,s}, with mu_j and the mean ns those of B_{n,s}, in (n, s).
     """
-    if m < 1:
-        raise ValueError(f"order m must be >= 1, got {m}")
+    _check_order(m)
     moment, inverse_mean_power = _LAWS[law]
     lower = LaurentPoly()
     for j in range(2, 2 * m + 2):

@@ -29,6 +29,7 @@ from .symbolic import (
     PrecisionError,
     _check_n,
     _mp_context,
+    _point,
     as_fraction,
     to_mpf,
 )
@@ -74,9 +75,7 @@ def poisson_expectation(
     as lam / (j + 1), so the sum always stops.
     """
     M = ctx.mp
-    lam_m = to_mpf(lam, M)
-    if lam_m < 0:
-        raise DomainError(f"Poisson mean must be >= 0, got {lam_m}")
+    lam_m = _point(lam, M, "Poisson mean", ">= 0")
     if lam_m == 0:
         w0 = to_mpf(next(iter(weights())), M)
         return ctx.round(w0), TruncationReceipt(1, mpf(0), mpf(0))
@@ -121,9 +120,7 @@ def poisson_entropy_oracle(
     are ever formed.
     """
     M = ctx.mp
-    lam_m = to_mpf(lam, M)
-    if lam_m < 0:
-        raise DomainError(f"lam must be >= 0, got {lam_m}")
+    lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
 
@@ -140,9 +137,7 @@ def poisson_entropy_oracle(
 def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """E[log(N_s + 1)] by certified series."""
     M = ctx.mp
-    s_m = to_mpf(s, M)
-    if s_m <= 0:
-        raise DomainError(f"s must be > 0, got {s_m}")
+    s_m = _point(s, M, "s", "> 0")
     value, _ = poisson_expectation(s_m, lambda: map(M.log, count(1)), ctx)
     return value
 
@@ -152,9 +147,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     moment polynomials."""
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
-    s_m = to_mpf(s, ctx.mp)
-    if s_m <= 0:
-        raise DomainError(f"s must be > 0, got {s_m}")
+    s_m = _point(s, ctx.mp, "s", "> 0")
     value, _ = poisson_expectation(s_m, lambda: ((j - s_m) ** k for j in count()), ctx)
     return value
 
@@ -192,9 +185,7 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     """H(B_{n,p}) = -sum_k P(k) log P(k), exact finite sum (0 log 0 = 0)."""
     _check_n(n)
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 <= p_m <= 1:
-        raise DomainError(f"p must be in [0,1], got {p_m}")
+    p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
         return mpf(0)
     return ctx.round(_binomial_expectation(n, p_m, lambda _, lp: -lp, M.zero))
@@ -208,9 +199,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     """
     _check_n(n)
     M = ctx.mp
-    p_m = to_mpf(p, M)
-    if not 0 <= p_m <= 1:
-        raise DomainError(f"p must be in [0,1], got {p_m}")
+    p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0:
         return mpf(0)
     log_n = M.log(n)
@@ -228,11 +217,10 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     """E[log((B_{n-1,s} + 1) / (n s))], exact finite sum over the pmf."""
     _check_n(n)
     M = ctx.mp
-    s_m = to_mpf(s, M)
-    if not 0 < s_m < 1:
-        raise DomainError(f"s must be in (0,1), got {s_m}")
+    s_m = _point(s, M, "s", "in (0,1)")
     log_ns = M.log(n * s_m)
-    logs, _ = _log_table(n, M.prec)
+    # log i for i = 0..n, from the table the sum over B_{n-1,s} reads
+    logs = _log_table(n - 1, M.prec)[0] + (M.log(n),)
     total = _binomial_expectation(n - 1, s_m, lambda k, _: logs[k + 1] - log_ns, M.zero)
     return ctx.round(total)
 

@@ -41,6 +41,31 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
+def _check_order(m: int) -> None:
+    """Raise ``ValueError`` unless the expansion order ``m`` is a positive int."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"order m must be a positive integer, got {m!r}")
+
+
+# the words a domain's message prints -> its test; NaN passes none of them
+_DOMAINS = {
+    ">= 0": lambda x: x >= 0,
+    "> 0": lambda x: x > 0,
+    "in [0,1]": lambda x: 0 <= x <= 1,
+    "in (0,1)": lambda x: 0 < x < 1,
+    "in (0,1]": lambda x: 0 < x <= 1,
+}
+
+
+def _point(x, M: mpmath.MPContext, name: str, domain: str) -> mpf:
+    """``x`` as an mpf of context ``M``, or :class:`DomainError` unless it
+    lies in ``domain``, a key of :data:`_DOMAINS`."""
+    x_m = to_mpf(x, M)
+    if not _DOMAINS[domain](x_m):
+        raise DomainError(f"{name} must be {domain}, got {x_m}")
+    return x_m
+
+
 class NonIntegrableTailError(ValueError):
     """Tail integral diverges: an exponent >= -1 is present."""
 
@@ -301,9 +326,7 @@ class LogLaurent:
     __rmul__ = __mul__
 
     def __call__(self, q):
-        q = to_mpf(q, _context_of(q))
-        if not 0 < q <= 1:
-            raise DomainError(f"LogLaurent defined on (0,1], got q={q}")
+        q = _point(q, _context_of(q), "q", "in (0,1]")
         value = self.laurent(q)
         if self.log_coeff != 0:
             value += to_mpf(self.log_coeff, q.context) * q.context.log(q)

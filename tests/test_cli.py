@@ -240,6 +240,18 @@ class TestUsageErrors:
         assert captured.err.startswith("entropy-bounds: error:")
         assert argv[-1] in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "poisson-entropy", "--points", "", "--m", "1"],
+        ["bounds", "poisson-entropy", "--grid", "", "--points", "1"],
+        ["verify", "poisson-entropy", "--grid", ""],
+        ["figure", "gaps", "--points", ""],
+    ])
+    def test_empty_grid_or_points_is_not_the_default(self, capsys, argv):
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
+
     def test_one_sided_method_refused_before_oracle(self, capsys, monkeypatch):
         def oracle_must_not_run(*args):
             raise AssertionError("the oracle ran before the method was refused")
@@ -311,6 +323,12 @@ class TestFigureCommand:
             with mp.workprec(256):
                 value = mpf(row["gap_m2"])
                 assert mpmath.nstr(value, digits) == row["gap_m2"]
+
+    def test_nonpositive_lambda_quotes_the_bound(self, capsys):
+        assert cli.main(["figure", "gaps", "--grid", "0:5:1", "--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "entropy-bounds: error: lam must be > 0, got 0.0\n"
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _ = run(capsys, ["figure", "gaps", "--grid", "0:5:1"])

@@ -5,9 +5,12 @@ byte at the points just past each domain edge."""
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mpf
 
 from entropy_bounds import (
     DomainError,
+    LaurentPoly,
+    LogLaurent,
     PrecisionContext,
     binomial_entropy_oracle,
     entropy_binomial_bounds,
@@ -81,3 +84,28 @@ def test_domain_message(routine, args, message):
     with pytest.raises(DomainError) as info:
         routine(*args, **kwargs)
     assert str(info.value) == message
+
+
+NAN = mpf("nan")
+
+
+@pytest.mark.parametrize("routine, args", [
+    (entropy_poisson_small, (NAN,)),
+    (entropy_poisson_large, (NAN,)),
+    (entropy_poisson_ct, (NAN,)),
+    (expected_log_poisson_bounds, (NAN,)),
+    (poisson_entropy_oracle, (NAN,)),
+    (expected_log_poisson, (NAN,)),
+    (moment_oracle_poisson, (2, NAN)),
+    (relative_entropy_oracle, (10, NAN)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_nan_lies_outside_every_domain(routine, args):
+    with pytest.raises(DomainError, match="got nan$"):
+        routine(*args, ctx=CTX)
+
+
+def test_log_laurent_names_its_domain():
+    f = LogLaurent(LaurentPoly({1: 1}), F(1))
+    with pytest.raises(DomainError) as info:
+        f(mpf(0))
+    assert str(info.value) == "q must be in (0,1], got 0.0"

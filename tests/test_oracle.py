@@ -30,7 +30,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds.oracle import _binomial_expectation, poisson_expectation
+from entropy_bounds.oracle import _binomial_expectation, _log_table, poisson_expectation
 from entropy_bounds.symbolic import to_mpf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,6 +189,11 @@ class TestExpectedLogOracles:
     def test_binomial_near_one(self):
         value = expected_log_binomial(50, 1 - 1e-6)
         assert mpmath.isfinite(value)
+
+    def test_binomial_builds_one_log_table(self):
+        _log_table.cache_clear()
+        expected_log_binomial(50, F(3, 10))
+        assert _log_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("n,p", [(8, 0.25), (20, 0.6)])
     def test_size_bias_identity(self, n, p):

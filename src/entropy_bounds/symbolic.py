@@ -58,7 +58,7 @@ _DOMAINS = {
 
 
 def _point(x, M: mpmath.MPContext, name: str, domain: str) -> mpf:
-    """``x`` as an mpf of context ``M``, or :class:`DomainError` unless it
+    """Convert ``x`` into context ``M``; raise :class:`DomainError` unless it
     lies in ``domain``, a key of :data:`_DOMAINS`."""
     x_m = to_mpf(x, M)
     if not _DOMAINS[domain](x_m):

@@ -13,6 +13,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import entropy_bounds
 from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
@@ -311,3 +312,28 @@ class TestBestInterval:
     def test_still_contains_oracle(self):
         value, _ = poisson_entropy_oracle(10)
         assert best_interval(entropy_poisson_large, 10).interval.contains(value)
+
+
+class TestBoundValuesPinned:
+    def test_bit_identical_to_fixture(self):
+        # the _mpf_ of lower and upper of all eight bound routines, captured
+        # once from a known-good build: orders 1..6 and best_interval ("auto")
+        # where the routine takes an order, lambda and s in {1/100, 7/2, 10,
+        # 10^4}, n in {10, 100, 2*10^4} by p in {1/100, 3/10, 1/2, 99/100}, at
+        # 64, 128 and 256 bits; entropy_poisson_ct is an upper bound only
+        cases = json.loads((ROOT / "tests" / "fixtures" / "bound_values.json").read_text())
+        assert len(cases["cases"]) == 1056
+        for case in cases["cases"]:
+            fn = getattr(entropy_bounds, case["routine"])
+            args = [F(a) if isinstance(a, str) else a for a in case["args"]]
+            ctx = PrecisionContext(case["bits"])
+            if case["m"] is None:
+                got = fn(*args, ctx=ctx)
+            elif case["m"] == "auto":
+                got = best_interval(fn, *args, ctx=ctx)
+            else:
+                got = fn(*args, m=case["m"], ctx=ctx)
+            if case["lower"] is None:
+                assert list(got._mpf_) == case["upper"], case
+            else:
+                assert [list(got.lower._mpf_), list(got.upper._mpf_)] == [case["lower"], case["upper"]], case

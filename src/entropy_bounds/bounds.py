@@ -4,17 +4,16 @@ Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
 analytic, and evaluation is plain round-to-nearest floating point in
 ``ctx.mp``, at the context precision plus guard bits (no directed rounding).
-Expansions in 1/lambda and 1/n are evaluated by Horner's scheme for
-stability at large arguments; the expected-log sandwiches are the Laurent
-polynomials of :func:`coefficients.expected_log_series`, evaluated term by
-term.
+Each coefficient set is converted into ``ctx.mp`` once per precision and
+evaluated as a unit (:func:`symbolic.compiled`); expansions in 1/lambda and
+1/n are then summed by Horner's scheme for stability at large arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from mpmath import mpf
 
@@ -26,7 +25,8 @@ from .symbolic import (
     _check_n,
     _check_order,
     _point,
-    to_mpf,
+    compiled,
+    evaluate,
 )
 
 METHOD_SMALL_LAMBDA = "small-lambda"
@@ -73,13 +73,21 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
     )
 
 
-def _horner_inverse(values: Mapping[int, object], y: mpf, k_max: int) -> mpf:
-    """sum_{k=1}^{k_max} values[k] * y^k in y's context, missing keys as zero."""
-    M = y.context
-    acc = M.zero
-    for k in range(k_max, 0, -1):
-        acc = (acc + to_mpf(values.get(k, 0), M)) * y
+def _horner_inverse(values, y: mpf, first: int = 1) -> mpf:
+    """sum_k values[k - first] * y^k, k = first, first + 1, ..., in y's context."""
+    acc = y.context.zero
+    for v in reversed(values):
+        acc = (acc + v) * y
+    for _ in range(first - 1):
+        acc *= y
     return acc
+
+
+def _series(derive, m: int) -> tuple:
+    """The Horner coefficients b(m, k), k = 1..2m-1, then a(m, k), k = m..2m, of
+    the set ``derive(m)`` (fields m, b, a); ``derive`` is part of the cache key."""
+    _, b, a = vars(derive(m)).values()
+    return (*map(b.get, range(1, 2 * m)), *map(a.get, range(m, 2 * m + 1)))
 
 
 def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -110,12 +118,12 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     """Large-mean sandwich: H(lam) in [u - r_m(lam), u] with
     u = log(2 pi lam)/2 + 1/2 + sum_k b(m,k)/lam^k."""
     _check_order(m)
-    cs = coefficients.poisson_coeffs(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", "> 0")
+    coeffs = compiled(M, M.prec, _series, coefficients.poisson_coeffs, m)
     y = 1 / lam_m
-    beta = _horner_inverse(cs.b, y, 2 * m - 1)
-    gap = _horner_inverse(cs.a, y, 2 * m)
+    beta = _horner_inverse(coeffs[:2 * m - 1], y)
+    gap = _horner_inverse(coeffs[2 * m - 1:], y, m)
     upper = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2 + beta
     return _report(upper - gap, upper, m, METHOD_LARGE_LAMBDA, ctx)
 
@@ -157,14 +165,16 @@ def relative_entropy_bounds(
     l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
     _check_order(m)
     _check_n(n)
-    cs = coefficients.binomial_coeffs(m)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
+    log_q = M.log(q_m)
+    form = compiled(M, M.prec, _series, coefficients.binomial_coeffs, m)
+    values = list(evaluate(form, M.zero, q_m, log=log_q))
     y = M.mpf(1) / n
-    beta = _horner_inverse({k: f(q_m) for k, f in cs.b_tilde.items()}, y, 2 * m - 1)
-    gap = _horner_inverse({k: f(q_m) for k, f in cs.a_tilde.items()}, y, 2 * m)
-    lower = -(p_m + M.log(q_m)) / 2 + beta
+    beta = _horner_inverse(values[:2 * m - 1], y)
+    gap = _horner_inverse(values[2 * m - 1:], y, m)
+    lower = -(p_m + log_q) / 2 + beta
     return _report(lower, lower + gap, m, METHOD_RELATIVE_ENTROPY, ctx)
 
 
@@ -192,15 +202,15 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     """Order-1 binomial entropy sandwich in closed form:
     log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n]."""
     _check_n(n)
-    c1, c2, c3, c4 = coefficients.stirling_m1_constants()
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     u = p_m * q_m
+    c1, c2, c3, c4 = evaluate(compiled(M, M.prec, coefficients.stirling_m1_constants), M.zero, u)
     y = M.mpf(1) / n
     base = M.log(2 * M.pi * n * u) / 2 + M.mpf(1) / 2
-    lower = base + _horner_inverse({1: c1(u), 2: c2(u), 3: c3(u)}, y, 3)
-    upper = base + c4(u) * y
+    lower = base + _horner_inverse((c1, c2, c3), y)
+    upper = base + c4 * y
     return _report(lower, upper, 1, METHOD_BINOMIAL_STIRLING, ctx)
 
 
@@ -213,9 +223,10 @@ def expected_log_poisson_bounds(
     _check_order(m)
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    series, gap = coefficients.expected_log_series("poisson", m)
-    lower = M.log(s_m) + series(s_m)
-    return _report(lower, lower + gap(s_m), m, METHOD_EXPECTED_LOG_POISSON, ctx)
+    form = compiled(M, M.prec, coefficients.expected_log_series, "poisson", m)
+    series, gap = evaluate(form, M.zero, s_m)
+    lower = M.log(s_m) + series
+    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
 
 
 def expected_log_binomial_bounds(
@@ -227,9 +238,10 @@ def expected_log_binomial_bounds(
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    series, gap = coefficients.expected_log_series("binomial", m)
-    lower = M.log(n * s_m) + series(n, s_m)
-    return _report(lower, lower + gap(n, s_m), m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
+    form = compiled(M, M.prec, coefficients.expected_log_series, "binomial", m)
+    series, gap = evaluate(form, M.zero, M.mpf(n), s_m)
+    lower = M.log(n * s_m) + series
+    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
 
 
 def best_interval(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 import mpmath
@@ -139,8 +139,8 @@ def to_mpf(x, M: mpmath.MPContext) -> mpf:
 
 
 def _context_of(*xs) -> mpmath.MPContext:
-    """The mpmath context of the first mpf among ``xs``, else the default one."""
-    return next((x.context for x in xs if hasattr(x, "context")), mp)
+    """The mpmath context of the first mpf among ``xs``, else DEFAULT_CONTEXT's."""
+    return next((x.context for x in xs if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
 
 
 @dataclass(frozen=True)
@@ -258,31 +258,20 @@ class LaurentPoly:
     def __call__(self, *point):
         """Value at ``point``, one coordinate per variable: exact when every
         coordinate is an int or Fraction, else an mpf in the mpmath context
-        of the first mpf coordinate (``mpmath.mp`` if none), at its precision.
+        of the first mpf coordinate (DEFAULT_CONTEXT's if none), at its precision.
 
-        Terms that share the exponent of the last variable are summed first,
-        and each sum is multiplied by that power once; every other power is
-        computed once per call.  For one variable this is the
-        ascending-exponent sum of c * x**e.
+        Terms sharing the last variable's exponent are summed first, and each
+        sum is multiplied by that power once; every other power is computed once
+        per call.  For one variable this is the ascending-exponent sum of c * x**e.
         """
         if self._terms and len(point) != len(next(iter(self._terms))):
             raise TypeError(f"expected one coordinate per variable, got {len(point)}")
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        num = Fraction if exact else partial(to_mpf, M=_context_of(*point))
-        xs = [num(x) for x in point]
-        powers: dict[tuple[int, int], object] = {}
-        sums: dict[int, object] = {}
-        for e, c in self._terms.items():
-            t = num(c)
-            for i in range(len(e) - 1):
-                if (i, e[i]) not in powers:
-                    powers[i, e[i]] = xs[i] ** e[i]
-                t *= powers[i, e[i]]
-            sums[e[-1]] = sums[e[-1]] + t if e[-1] in sums else t
-        total = num(0)
-        for e, inner in sums.items():
-            total += inner * xs[-1] ** e
-        return total
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            exact = [(self._terms, self._terms.values(), 0)]
+            return next(evaluate(exact, Fraction(0), *map(Fraction, point)))
+        M = _context_of(*point)
+        form = compiled(M, M.prec, tuple, (self,))  # the one-expression set (self,)
+        return next(evaluate(form, M.zero, *(to_mpf(x, M) for x in point)))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -326,14 +315,43 @@ class LogLaurent:
     __rmul__ = __mul__
 
     def __call__(self, q):
-        q = _point(q, _context_of(q), "q", "in (0,1]")
-        value = self.laurent(q)
-        if self.log_coeff != 0:
-            value += to_mpf(self.log_coeff, q.context) * q.context.log(q)
-        return value
+        M = _context_of(q)
+        form = compiled(M, M.prec, tuple, (self,))
+        return next(evaluate(form, M.zero, _point(q, M, "q", "in (0,1]")))
 
     def __repr__(self) -> str:
         return f"LogLaurent({self.laurent!r}, log_coeff={rational_str(self.log_coeff)})"
+
+
+@lru_cache(maxsize=128)  # the bounds' 25 sets of orders 1..6, at five precisions
+def compiled(M: mpmath.MPContext, prec: int, derive, *args) -> tuple:
+    """``derive(*args)``, exact scalars and expressions, converted into ``M`` once
+    per ``prec`` (``mpmath.mp``'s can change): an mpf per scalar, and per expression
+    its ascending exponent tuples, their mpf coefficients and its mpf log coefficient."""
+    def form(x):
+        if isinstance(x, (int, Fraction)):
+            return to_mpf(x, M)
+        poly, log = (x.laurent, x.log_coeff) if isinstance(x, LogLaurent) else (x, 0)
+        return poly._terms, tuple(to_mpf(c, M) for c in poly._terms.values()), to_mpf(log, M)
+    return tuple(map(form, derive(*args)))
+
+
+def evaluate(forms, zero, *point, log=None):
+    """Yield each (exponents, coefficients, log coefficient) form's value at ``point``, from
+    ``zero`` as in :meth:`LaurentPoly.__call__`; powers and the log (or ``log``) are taken once."""
+    last, powers = len(point) - 1, {}
+    for exponents, coeffs, log_coeff in forms:
+        sums, total = {}, zero
+        for e, c in zip(exponents, coeffs):
+            for i in range(last):
+                c *= powers.get((i, e[i])) or powers.setdefault((i, e[i]), point[i] ** e[i])
+            sums[e[last]] = sums[e[last]] + c if e[last] in sums else c
+        for e, c in sums.items():
+            total += c * (powers.get((last, e)) or powers.setdefault((last, e), point[last] ** e))
+        if log_coeff:
+            log = point[0].context.log(point[0]) if log is None else log
+            total += log_coeff * log
+        yield total
 
 
 def integrate_tail(f: LaurentPoly) -> LaurentPoly:

@@ -13,7 +13,9 @@ import pytest
 from mpmath import mp
 
 from entropy_bounds import (
+    DEFAULT_CONTEXT,
     BoundReport,
+    LaurentPoly,
     PrecisionContext,
     best_interval,
     binomial_coeffs,
@@ -38,7 +40,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds import coefficients, oracle
+from entropy_bounds import coefficients, oracle, symbolic
 
 CTX = PrecisionContext(bits=128)
 
@@ -143,3 +145,69 @@ def test_threads_at_different_precisions_do_not_interfere():
     assert not any(t.is_alive() for t in threads)
     for i, bits in enumerate(precisions):
         assert results[i] == expected[bits], f"thread {i} at {bits} bits"
+
+
+def test_polynomial_value_ignores_ambient_precision():
+    # with no mpf coordinate, evaluation runs in DEFAULT_CONTEXT, not mpmath.mp
+    log_laurent, poly = binomial_coeffs(1).b_tilde[1], LaurentPoly({(0, 1): F(1, 3), (-2, 2): -1})
+    want = [log_laurent(F(1, 3)), poly(7, 0.5)]
+    assert all(x.context is DEFAULT_CONTEXT.mp for x in want)
+    for ambient in (20, 200):
+        with mp.workprec(ambient):
+            got = [log_laurent(F(1, 3)), poly(7, 0.5)]
+        assert _bits(got) == _bits(want), ambient
+    assert poly(7, F(1, 2)) == F(1, 6) - F(1, 196)  # all-Fraction points stay exact
+
+
+def _mixed(bits: int) -> list:
+    ctx = PrecisionContext(bits=bits)
+    return [(relative_entropy_bounds(300, F(k, 23), k % 6 + 1, ctx),
+             expected_log_binomial_bounds(50, F(k, 23), k % 5 + 1, ctx),
+             entropy_poisson_large(F(k, 3), k % 6 + 1, ctx)) for k in range(1, 23)]
+
+
+def test_two_threads_share_the_compiled_forms():
+    orders = ((64, 256, 64, 256), (256, 64, 256, 64))
+    expected = {bits: _mixed(bits) for bits in (64, 256)}
+    symbolic.compiled.cache_clear()  # so that both threads compile the same sets
+    results: dict[int, list] = {}
+
+    def work(i: int) -> None:
+        results[i] = [_mixed(bits) for bits in orders[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, order in enumerate(orders):
+        assert results[i] == [expected[bits] for bits in order], f"thread {i}"
+
+
+def _every_set(bits: int) -> list:
+    """One bound from each of the 25 coefficient sets of orders 1..6."""
+    ctx = PrecisionContext(bits=bits)
+    reports = [entropy_binomial_stirling_m1(50, F(1, 5), ctx)]
+    for m in range(1, 7):
+        reports += [relative_entropy_bounds(300, F(3, 10), m, ctx),
+                    entropy_poisson_large(F(7, 2), m, ctx),
+                    expected_log_poisson_bounds(F(7, 2), m, ctx),
+                    expected_log_binomial_bounds(50, F(1, 5), m, ctx)]
+    return reports
+
+
+def test_compiled_cache_stays_bounded():
+    precisions = range(64, 64 + 40 * 8, 8)
+    warm = {bits: _every_set(bits) for bits in precisions}
+    info = symbolic.compiled.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize == info.maxsize  # 40 x 25 forms overfill it, and it holds at its bound
+    for bits in precisions:
+        symbolic.compiled.cache_clear()
+        assert _every_set(bits) == warm[bits], bits

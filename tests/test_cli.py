@@ -402,6 +402,12 @@ GOLDEN_COMMANDS = {
         "verify", "poisson-entropy", "--method", "small-lambda", "--points", "0.1,0.5",
         "--m-list", "1,2,3", "--bits", "64",
     ],
+    # figure: gap and bound columns, a fractional grid step and a points list
+    "figure_gaps_grid": ["figure", "gaps", "--grid", "10:20:1/2", "--m-list", "1,2,3"],
+    "figure_bounds_bits64": ["figure", "bounds", "--grid", "2:5:1", "--m-list", "1,2,3", "--bits", "64"],
+    "figure_gaps_points_bits128": [
+        "figure", "gaps", "--points", "3,7/2,100", "--m-list", "6", "--bits", "128",
+    ],
 }
 
 

@@ -31,7 +31,6 @@ from .symbolic import (
 
 METHOD_SMALL_LAMBDA = "small-lambda"
 METHOD_LARGE_LAMBDA = "large-lambda"
-METHOD_COVER_THOMAS = "cover-thomas"
 METHOD_RELATIVE_ENTROPY = "relative-entropy"
 METHOD_BINOMIAL_COROLLARY = "binomial-corollary"
 METHOD_BINOMIAL_STIRLING = "binomial-stirling"

@@ -2,15 +2,16 @@
 
 Subcommands: ``coeffs`` exports exact coefficient tables as JSON, ``bounds``
 evaluates sandwich bounds over parameter grids, ``verify`` cross-checks the
-bounds against the brute-force oracles, and ``figure`` emits gap/bound
-columns for external plotting.
+bounds against the brute-force oracles, and ``figure`` emits the gap or the
+ends of the poisson-entropy large-lambda sandwich, one column per order, for
+external plotting; it takes the points, and the default points, of the others.
 
 Exit codes: 0 success, 1 verification failure (a sandwich missed its
 oracle, which the theorems rule out for a correct build), 2 usage error:
 bad flags, a method the target does not offer, every ``bounds`` point
 outside the domain, or any ``verify`` point outside it.
-Identical invocations produce byte-identical output; the environment
-variable ``ENTROPY_BOUNDS_BITS`` overrides the default 256-bit precision.
+Identical invocations produce byte-identical output; ``--bits`` sets the
+precision, 256 by default.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,20 +51,9 @@ def _fmt(x, bits: int) -> str:
     return mpmath.nstr(x, _digits(bits))
 
 
-def _default_bits() -> int:
-    raw = os.environ.get("ENTROPY_BOUNDS_BITS")
-    if raw is None:
-        return DEFAULT_CONTEXT.bits
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"ENTROPY_BOUNDS_BITS must be an integer, got {raw!r}") from exc
-
-
 def _context(args) -> PrecisionContext:
-    bits = args.bits if args.bits is not None else _default_bits()
     try:
-        return PrecisionContext(bits=bits)
+        return PrecisionContext(bits=args.bits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -97,16 +86,14 @@ def _parse_grid(spec: str) -> list[Fraction]:
     return points
 
 
-def _grid_points(args, default: str | None = None) -> list[Fraction]:
+def _grid_points(args, default: str) -> list[Fraction]:
     if args.grid is not None and args.points is not None:
         raise UsageError("give either --grid or --points, not both")
     if args.grid is not None:
         return _parse_grid(args.grid)
     if args.points is not None:
         return _parse_points(args.points)
-    if default is not None:
-        return _parse_points(default)
-    raise UsageError("a --grid or --points argument is required")
+    return _parse_points(default)
 
 
 def _parse_m_list(spec: str) -> list[int]:
@@ -137,30 +124,25 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # --- coeffs ---------------------------------------------------------------
 
 
-def _loglaurent_json(f: LogLaurent) -> dict:
-    return {
-        "terms": {str(e): rational_str(c) for e, c in f.laurent.terms()},
-        "log": rational_str(f.log_coeff),
-    }
+def _exact_json(value):
+    """An exact coefficient as 'num/den', a LogLaurent as its terms and log coefficient."""
+    if isinstance(value, LogLaurent):
+        return {"terms": {str(e): rational_str(c) for e, c in value.laurent.terms()},
+                "log": rational_str(value.log_coeff)}
+    return rational_str(value)
 
 
 def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionContext) -> dict:
-    if kind == "poisson":
-        cs = coefficients.poisson_coeffs(m)
-        return {
-            "kind": kind,
-            "m": m,
-            "a": {str(k): rational_str(v) for k, v in sorted(cs.a.items())},
-            "b": {str(k): rational_str(v) for k, v in sorted(cs.b.items())},
-        }
-    if kind == "binomial":
-        cs = coefficients.binomial_coeffs(m)
-        return {
-            "kind": kind,
-            "m": m,
-            "a": {str(k): _loglaurent_json(v) for k, v in sorted(cs.a_tilde.items())},
-            "b": {str(k): _loglaurent_json(v) for k, v in sorted(cs.b_tilde.items())},
-        }
+    if kind in ("poisson", "binomial"):
+        if kind == "poisson":
+            cs = coefficients.poisson_coeffs(m)
+            sets = {"a": cs.a, "b": cs.b}
+        else:
+            cs = coefficients.binomial_coeffs(m)
+            sets = {"a": cs.a_tilde, "b": cs.b_tilde}
+        return {"kind": kind, "m": m, **{
+            key: {str(k): _exact_json(v) for k, v in sorted(values.items())}
+            for key, values in sets.items()}}
     if kind == "small-lambda":
         return {
             "kind": kind,
@@ -176,11 +158,9 @@ def _cmd_coeffs(args) -> int:
     if args.kind in ("poisson", "binomial"):
         if args.m is None or args.m < 1:
             raise UsageError(f"--m >= 1 is required for kind {args.kind}")
-        payload = coeffs_to_json(args.kind, args.m, None, ctx)
-    else:
-        if args.kmax is None or args.kmax < 2:
-            raise UsageError("--kmax >= 2 is required for kind small-lambda")
-        payload = coeffs_to_json(args.kind, None, args.kmax, ctx)
+    elif args.kmax is None or args.kmax < 2:
+        raise UsageError("--kmax >= 2 is required for kind small-lambda")
+    payload = coeffs_to_json(args.kind, args.m, args.kmax, ctx)
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -318,27 +298,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     ctx = _context(args)
-    bits = ctx.bits
     m_list = _parse_m_list(args.m_list)
-    points = _grid_points(args)
-
-    if args.fig == "gaps":
-        header = ["lambda"] + [f"gap_m{m}" for m in m_list]
-    else:
-        header = ["lambda"]
-        for m in m_list:
-            header += [f"lower_m{m}", f"upper_m{m}"]
-
+    columns, points, _, _, bound = _target(args, ctx)
+    ends = ("gap",) if args.fig == "gaps" else ("lower", "upper")
+    header = [*columns] + [f"{end}_m{m}" for m in m_list for end in ends]
     rows = []
-    for lam in points:
-        row = [_fmt(to_mpf(lam, ctx.mp), bits)]
-        for m in m_list:
-            rep = bounds.entropy_poisson_large(lam, m, ctx)
-            if args.fig == "gaps":
-                row.append(_fmt(rep.gap, bits))
-            else:
-                row += [_fmt(rep.lower, bits), _fmt(rep.upper, bits)]
-        rows.append(row)
+    for point, cols in points:
+        reps = [_evaluate(bound, point, m, ctx) for m in m_list]
+        rows.append(cols + [_fmt(getattr(rep, end), ctx.bits) for rep in reps for end in ends])
     _emit(_csv_text(header, rows), args.out)
     return 0
 
@@ -347,8 +314,8 @@ def _cmd_figure(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bits", type=int, default=None,
-                        help="working precision in bits (default 256 or $ENTROPY_BOUNDS_BITS)")
+    parser.add_argument("--bits", type=int, default=DEFAULT_CONTEXT.bits,
+                        help="working precision in bits (default %(default)s)")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -393,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("figure", help="CSV data for gap/bound plots over a lambda range")
+    p = sub.add_parser("figure", help="CSV columns of the large-lambda poisson-entropy sandwich")
     p.add_argument("fig", choices=["gaps", "bounds"])
     p.add_argument("--m-list", default="1,2,3", help="comma-separated orders")
     _add_grid(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_figure)
+    p.set_defaults(handler=_cmd_figure, target="poisson-entropy", method="large-lambda")
 
     return parser
 

@@ -270,7 +270,9 @@ class LaurentPoly:
             exact = [(self._terms, self._terms.values(), 0)]
             return next(evaluate(exact, Fraction(0), *map(Fraction, point)))
         M = _context_of(*point)
-        form = compiled(M, M.prec, tuple, (self,))  # the one-expression set (self,)
+        # the one-expression set (self,), built outside the cache so that one-off
+        # polynomials do not evict the bounds' coefficient sets from it
+        form = compiled.__wrapped__(M, M.prec, tuple, (self,))
         return next(evaluate(form, M.zero, *(to_mpf(x, M) for x in point)))
 
     def __repr__(self) -> str:
@@ -295,10 +297,6 @@ class LogLaurent:
     def constant(cls, c: Scalar) -> "LogLaurent":
         return cls(LaurentPoly(((0, c),)), Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.laurent.is_zero and self.log_coeff == 0
-
     def __add__(self, other: "LogLaurent") -> "LogLaurent":
         return LogLaurent(self.laurent + other.laurent, self.log_coeff + other.log_coeff)
 
@@ -316,7 +314,7 @@ class LogLaurent:
 
     def __call__(self, q):
         M = _context_of(q)
-        form = compiled(M, M.prec, tuple, (self,))
+        form = compiled.__wrapped__(M, M.prec, tuple, (self,))  # uncached, as in LaurentPoly
         return next(evaluate(form, M.zero, _point(q, M, "q", "in (0,1]")))
 
     def __repr__(self) -> str:

@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 
 import entropy_bounds.cli as cli
 from entropy_bounds import (
+    DEFAULT_CONTEXT,
     PoissonCoeffSet,
     binomial_coeffs,
     poisson_coeffs,
@@ -212,8 +213,7 @@ class TestUsageErrors:
         ["verify", "relative-entropy", "--n", "12", "--points", "1"],
     ])
     def test_verify_point_outside_domain(self, argv):
-        env = {k: v for k, v in os.environ.items() if k != "ENTROPY_BOUNDS_BITS"}
-        env["PYTHONPATH"] = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "entropy_bounds.cli", *argv, "--bits", "64"],
             capture_output=True, text=True, env=env, timeout=120,
@@ -330,6 +330,15 @@ class TestFigureCommand:
         assert captured.out == ""
         assert captured.err == "entropy-bounds: error: lam must be > 0, got 0.0\n"
 
+    def test_default_points_are_the_targets(self, capsys):
+        """No --grid or --points: the poisson-entropy points that `bounds` takes,
+        and the same large-lambda gaps."""
+        _, fig = run(capsys, ["figure", "gaps", "--m-list", "2", "--bits", "64"])
+        _, table = run(capsys, ["bounds", "poisson-entropy", "--m", "2", "--bits", "64"])
+        assert [(r["lambda"], r["gap_m2"]) for r in rows_of(fig)] == [
+            (r["lambda"], r["gap"]) for r in rows_of(table)]
+        assert len(rows_of(fig)) == 9
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _ = run(capsys, ["figure", "gaps", "--grid", "0:5:1"])
         assert code == 2
@@ -346,13 +355,10 @@ class TestDeterminismAndEnvironment:
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
-    def test_env_var_overrides_bits(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTROPY_BOUNDS_BITS", "128")
+    def test_bits_flag_is_the_only_precision_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENTROPY_BOUNDS_BITS", "128")  # a retired variable, now ignored
         _, out = run(capsys, ["coeffs", "small-lambda", "--kmax", "2"])
-        assert json.loads(out)["bits"] == 128
-
-    def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTROPY_BOUNDS_BITS", "128")
+        assert json.loads(out)["bits"] == DEFAULT_CONTEXT.bits
         _, out = run(capsys, ["coeffs", "small-lambda", "--kmax", "2", "--bits", "192"])
         assert json.loads(out)["bits"] == 192
 
@@ -404,7 +410,9 @@ GOLDEN_COMMANDS = {
     ],
     # figure: gap and bound columns, a fractional grid step and a points list
     "figure_gaps_grid": ["figure", "gaps", "--grid", "10:20:1/2", "--m-list", "1,2,3"],
-    "figure_bounds_bits64": ["figure", "bounds", "--grid", "2:5:1", "--m-list", "1,2,3", "--bits", "64"],
+    "figure_bounds_bits64": [
+        "figure", "bounds", "--grid", "2:5:1", "--m-list", "1,2,3", "--bits", "64",
+    ],
     "figure_gaps_points_bits128": [
         "figure", "gaps", "--points", "3,7/2,100", "--m-list", "6", "--bits", "128",
     ],
@@ -413,8 +421,7 @@ GOLDEN_COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_stdout_is_byte_identical_to_fixture(name):
-    env = {k: v for k, v in os.environ.items() if k != "ENTROPY_BOUNDS_BITS"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "entropy_bounds.cli", *GOLDEN_COMMANDS[name]],
         capture_output=True, env=env, timeout=120,

@@ -16,6 +16,7 @@ from entropy_bounds import (
     DEFAULT_CONTEXT,
     BoundReport,
     LaurentPoly,
+    LogLaurent,
     PrecisionContext,
     best_interval,
     binomial_coeffs,
@@ -211,3 +212,17 @@ def test_compiled_cache_stays_bounded():
     for bits in precisions:
         symbolic.compiled.cache_clear()
         assert _every_set(bits) == warm[bits], bits
+
+
+def test_one_off_polynomials_leave_the_compiled_forms_alone():
+    symbolic.compiled.cache_clear()
+    warm = _every_set(128)
+    before = symbolic.compiled.cache_info()
+    x = CTX.mp.mpf(3) / 10
+    for k in range(1, 101):  # 200 one-off expressions, none of them a bound's set
+        LaurentPoly({-1: k, 0: 1})(x)
+        LogLaurent(LaurentPoly({1: k}), F(1, k))(x)
+    after = symbolic.compiled.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert _every_set(128) == warm
+    assert symbolic.compiled.cache_info().misses == before.misses  # every set still warm

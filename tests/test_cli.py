@@ -335,9 +335,10 @@ class TestFigureCommand:
         and the same large-lambda gaps."""
         _, fig = run(capsys, ["figure", "gaps", "--m-list", "2", "--bits", "64"])
         _, table = run(capsys, ["bounds", "poisson-entropy", "--m", "2", "--bits", "64"])
-        assert [(r["lambda"], r["gap_m2"]) for r in rows_of(fig)] == [
+        rows = rows_of(fig)
+        assert len(rows) == 9
+        assert [(r["lambda"], r["gap_m2"]) for r in rows] == [
             (r["lambda"], r["gap"]) for r in rows_of(table)]
-        assert len(rows_of(fig)) == 9
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _ = run(capsys, ["figure", "gaps", "--grid", "0:5:1"])

@@ -22,8 +22,7 @@ from .symbolic import (
 )
 from .moments import binomial_central_moment, poisson_central_moment
 from .coefficients import (
-    BinomialCoeffSet,
-    PoissonCoeffSet,
+    CoeffSet,
     binomial_coeffs,
     c_coeff,
     c_tilde_coeff,
@@ -58,15 +57,14 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialCoeffSet",
     "BoundReport",
+    "CoeffSet",
     "DEFAULT_CONTEXT",
     "DomainError",
     "Interval",
     "LaurentPoly",
     "LogLaurent",
     "NonIntegrableTailError",
-    "PoissonCoeffSet",
     "PrecisionContext",
     "PrecisionError",
     "TruncationReceipt",

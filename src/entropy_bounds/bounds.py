@@ -29,13 +29,6 @@ from .symbolic import (
     evaluate,
 )
 
-METHOD_SMALL_LAMBDA = "small-lambda"
-METHOD_LARGE_LAMBDA = "large-lambda"
-METHOD_RELATIVE_ENTROPY = "relative-entropy"
-METHOD_BINOMIAL_COROLLARY = "binomial-corollary"
-METHOD_BINOMIAL_STIRLING = "binomial-stirling"
-METHOD_EXPECTED_LOG_POISSON = "expected-log-poisson"
-METHOD_EXPECTED_LOG_BINOMIAL = "expected-log-binomial"
 
 # the orders best_interval, and so the CLI's --m auto, chooses among
 AUTO_ORDERS = range(1, 7)
@@ -84,9 +77,9 @@ def _horner_inverse(values, y: mpf, first: int = 1) -> mpf:
 
 def _series(derive, m: int) -> tuple:
     """The Horner coefficients b(m, k), k = 1..2m-1, then a(m, k), k = m..2m, of
-    the set ``derive(m)`` (fields m, b, a); ``derive`` is part of the cache key."""
-    _, b, a = vars(derive(m)).values()
-    return (*map(b.get, range(1, 2 * m)), *map(a.get, range(m, 2 * m + 1)))
+    the set ``derive(m)``; ``derive`` is part of the cache key."""
+    cs = derive(m)
+    return (*map(cs.b.get, range(1, 2 * m)), *map(cs.a.get, range(m, 2 * m + 1)))
 
 
 def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -99,7 +92,7 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
-        return _report(M.zero, M.zero, m, METHOD_SMALL_LAMBDA, ctx)
+        return _report(M.zero, M.zero, m, "small-lambda", ctx)
     base = lam_m - lam_m * M.log(lam_m)
     acc = M.zero
     upper_sum = M.zero
@@ -110,7 +103,7 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
         acc += M.make_mpf(coefficients.c_coeff(k, ctx)._mpf_) * power / math.factorial(k)
         if k == 2 * m:
             upper_sum = acc
-    return _report(base + acc, base + upper_sum, m, METHOD_SMALL_LAMBDA, ctx)
+    return _report(base + acc, base + upper_sum, m, "small-lambda", ctx)
 
 
 def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -119,12 +112,12 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     _check_order(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", "> 0")
-    coeffs = compiled(M, M.prec, _series, coefficients.poisson_coeffs, m)
+    coeffs = compiled(M, _series, coefficients.poisson_coeffs, m)
     y = 1 / lam_m
     beta = _horner_inverse(coeffs[:2 * m - 1], y)
     gap = _horner_inverse(coeffs[2 * m - 1:], y, m)
     upper = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2 + beta
-    return _report(upper - gap, upper, m, METHOD_LARGE_LAMBDA, ctx)
+    return _report(upper - gap, upper, m, "large-lambda", ctx)
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -168,13 +161,13 @@ def relative_entropy_bounds(
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     log_q = M.log(q_m)
-    form = compiled(M, M.prec, _series, coefficients.binomial_coeffs, m)
+    form = compiled(M, _series, coefficients.binomial_coeffs, m)
     values = list(evaluate(form, M.zero, q_m, log=log_q))
     y = M.mpf(1) / n
     beta = _horner_inverse(values[:2 * m - 1], y)
     gap = _horner_inverse(values[2 * m - 1:], y, m)
     lower = -(p_m + log_q) / 2 + beta
-    return _report(lower, lower + gap, m, METHOD_RELATIVE_ENTROPY, ctx)
+    return _report(lower, lower + gap, m, "relative-entropy", ctx)
 
 
 def entropy_binomial_bounds(
@@ -194,7 +187,7 @@ def entropy_binomial_bounds(
     d_q = relative_entropy_bounds(n, q_m, m, ctx)
     lower = base - d_p.upper - d_q.upper
     upper = base - d_p.lower - d_q.lower
-    return _report(lower, upper, m, METHOD_BINOMIAL_COROLLARY, ctx)
+    return _report(lower, upper, m, "binomial-corollary", ctx)
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -205,12 +198,12 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     u = p_m * q_m
-    c1, c2, c3, c4 = evaluate(compiled(M, M.prec, coefficients.stirling_m1_constants), M.zero, u)
+    c1, c2, c3, c4 = evaluate(compiled(M, coefficients.stirling_m1_constants), M.zero, u)
     y = M.mpf(1) / n
     base = M.log(2 * M.pi * n * u) / 2 + M.mpf(1) / 2
     lower = base + _horner_inverse((c1, c2, c3), y)
     upper = base + c4 * y
-    return _report(lower, upper, 1, METHOD_BINOMIAL_STIRLING, ctx)
+    return _report(lower, upper, 1, "binomial-stirling", ctx)
 
 
 def expected_log_poisson_bounds(
@@ -222,10 +215,10 @@ def expected_log_poisson_bounds(
     _check_order(m)
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    form = compiled(M, M.prec, coefficients.expected_log_series, "poisson", m)
+    form = compiled(M, coefficients.expected_log_series, "poisson", m)
     series, gap = evaluate(form, M.zero, s_m)
     lower = M.log(s_m) + series
-    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_POISSON, ctx)
+    return _report(lower, lower + gap, m, "expected-log-poisson", ctx)
 
 
 def expected_log_binomial_bounds(
@@ -237,10 +230,10 @@ def expected_log_binomial_bounds(
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    form = compiled(M, M.prec, coefficients.expected_log_series, "binomial", m)
+    form = compiled(M, coefficients.expected_log_series, "binomial", m)
     series, gap = evaluate(form, M.zero, M.mpf(n), s_m)
     lower = M.log(n * s_m) + series
-    return _report(lower, lower + gap, m, METHOD_EXPECTED_LOG_BINOMIAL, ctx)
+    return _report(lower, lower + gap, m, "expected-log-binomial", ctx)
 
 
 def best_interval(

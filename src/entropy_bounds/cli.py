@@ -133,16 +133,13 @@ def _exact_json(value):
 
 
 def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionContext) -> dict:
-    if kind in ("poisson", "binomial"):
-        if kind == "poisson":
-            cs = coefficients.poisson_coeffs(m)
-            sets = {"a": cs.a, "b": cs.b}
-        else:
-            cs = coefficients.binomial_coeffs(m)
-            sets = {"a": cs.a_tilde, "b": cs.b_tilde}
+    # looked up at each call, as in _TARGETS below
+    derive = {"poisson": coefficients.poisson_coeffs, "binomial": coefficients.binomial_coeffs}
+    if kind in derive:
+        cs = derive[kind](m)
         return {"kind": kind, "m": m, **{
             key: {str(k): _exact_json(v) for k, v in sorted(values.items())}
-            for key, values in sets.items()}}
+            for key, values in (("a", cs.a), ("b", cs.b))}}
     if kind == "small-lambda":
         return {
             "kind": kind,
@@ -344,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default=None, help="; ".join(
         f"{target}: {'|'.join(methods)}" for target, (*_, methods) in _TARGETS.items()
         if None not in methods))
-    p.add_argument("--m", default="2", help="expansion order, or 'auto' for the narrowest of 1..6")
+    p.add_argument("--m", default="2", help="expansion order, or 'auto' for the narrowest of "
+                   f"{bounds.AUTO_ORDERS[0]}..{bounds.AUTO_ORDERS[-1]}")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_grid(p)

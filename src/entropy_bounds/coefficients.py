@@ -34,43 +34,30 @@ from .symbolic import (
 
 
 @dataclass(frozen=True)
-class PoissonCoeffSet:
-    """Large-argument Poisson coefficients of order m.
+class CoeffSet:
+    """Large-argument coefficients of order m of one law.
 
     ``b[k]`` (k = 1..2m-1) are the expansion terms, ``a[k]`` (k = m..2m) the
-    gap terms; all exact rationals.  The gap integrand is an even central
-    moment, so every a(m, k) is nonnegative.
+    gap terms: exact rationals for the Poisson law, LogLaurent functions of
+    q = 1 - p, defined on q in (0, 1], for the binomial.  A gap integrand is
+    an even central moment, so every rational a(m, k) is nonnegative.
     """
 
     m: int
-    b: Mapping[int, Fraction]
-    a: Mapping[int, Fraction]
+    b: Mapping[int, Fraction | LogLaurent]
+    a: Mapping[int, Fraction | LogLaurent]
 
     def __post_init__(self) -> None:
         if set(self.b) != set(range(1, 2 * self.m)):
             raise ValueError(f"b indices must cover 1..{2 * self.m - 1}, got {sorted(self.b)}")
         if set(self.a) != set(range(self.m, 2 * self.m + 1)):
             raise ValueError(f"a indices must cover {self.m}..{2 * self.m}, got {sorted(self.a)}")
-        if any(v < 0 for v in self.a.values()):
+        if any(isinstance(v, Fraction) and v < 0 for v in self.a.values()):
             raise ValueError("gap coefficients a(m, k) must be nonnegative")
 
-
-@dataclass(frozen=True)
-class BinomialCoeffSet:
-    """Large-n binomial coefficients of order m, as functions of q = 1 - p.
-
-    Each entry is a LogLaurent in q, defined on q in (0, 1].
-    """
-
-    m: int
-    b_tilde: Mapping[int, LogLaurent]
-    a_tilde: Mapping[int, LogLaurent]
-
-    def __post_init__(self) -> None:
-        if set(self.b_tilde) != set(range(1, 2 * self.m)):
-            raise ValueError(f"b~ indices must cover 1..{2 * self.m - 1}")
-        if set(self.a_tilde) != set(range(self.m, 2 * self.m + 1)):
-            raise ValueError(f"a~ indices must cover {self.m}..{2 * self.m}")
+    # the benchmark harness (perfbench) reads a binomial set's b~ and a~ by these names
+    b_tilde = property(lambda self: self.b)
+    a_tilde = property(lambda self: self.a)
 
 
 # law -> (central moment mu_j, exponent of mean^-j): the Poisson mean is s,
@@ -102,7 +89,7 @@ def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 @lru_cache(maxsize=None)
-def poisson_coeffs(m: int) -> PoissonCoeffSet:
+def poisson_coeffs(m: int) -> CoeffSet:
     """Derive a(m, k) and b(m, k) by tail integration of the expected-log
     sandwich, through H'(lam) = E[log(N_lam + 1)] - log lam.
 
@@ -112,7 +99,7 @@ def poisson_coeffs(m: int) -> PoissonCoeffSet:
     """
     lower, gap = expected_log_series("poisson", m)
     b, a = (integrate_tail(f).terms() for f in (LaurentPoly({-1: Fraction(1, 2)}) - lower, gap))
-    return PoissonCoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
+    return CoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
 
 
 def _integrate_pieces(f: LaurentPoly) -> dict[int, LogLaurent]:
@@ -124,7 +111,7 @@ def _integrate_pieces(f: LaurentPoly) -> dict[int, LogLaurent]:
 
 
 @lru_cache(maxsize=None)
-def binomial_coeffs(m: int) -> BinomialCoeffSet:
+def binomial_coeffs(m: int) -> CoeffSet:
     """Derive a~(m, k; p) and b~(m, k; p) as LogLaurent functions of q, through
     D(n, p) = n integral_q^1 E[log((B_{n-1,s} + 1) / (ns))] ds.
 
@@ -133,7 +120,7 @@ def binomial_coeffs(m: int) -> BinomialCoeffSet:
     leading term -(p + log q)/2.
     """
     lower, gap = expected_log_series("binomial", m)
-    return BinomialCoeffSet(m=m, b_tilde=_integrate_pieces(lower), a_tilde=_integrate_pieces(gap))
+    return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
 
 
 def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
@@ -245,9 +232,9 @@ def stirling_m1_constants() -> tuple[LogLaurent, LogLaurent, LogLaurent, LogLaur
     lower bound C1/n + C2/n^2 + C3/n^3, upper bound C4/n.
     """
     cs = binomial_coeffs(1)
-    sym_b = _symmetrize_pq(cs.b_tilde[1])
-    sym_a1 = _symmetrize_pq(cs.a_tilde[1])
-    sym_a2 = _symmetrize_pq(cs.a_tilde[2])
+    sym_b = _symmetrize_pq(cs.b[1])
+    sym_a1 = _symmetrize_pq(cs.a[1])
+    sym_a2 = _symmetrize_pq(cs.a[2])
     twelfth = LogLaurent.constant(Fraction(1, 12))
     c4 = twelfth - sym_b
     c1 = c4 - sym_a1

@@ -80,7 +80,7 @@ def poisson_expectation(
         w0 = to_mpf(next(iter(weights())), M)
         return ctx.round(w0), TruncationReceipt(1, mpf(0), mpf(0))
 
-    target = M.ldexp(1, -(ctx.bits + 65))
+    target = M.ldexp(1, -(M.prec + 1))
     total = abs_total = M.zero
     pmf = M.exp(-lam_m)
     # w_{j-2}, w_{j-1} and t_{j-1}; t_{j-1} is summed once t_j shows it cannot be left out

@@ -272,7 +272,7 @@ class LaurentPoly:
         M = _context_of(*point)
         # the one-expression set (self,), built outside the cache so that one-off
         # polynomials do not evict the bounds' coefficient sets from it
-        form = compiled.__wrapped__(M, M.prec, tuple, (self,))
+        form = compiled.__wrapped__(M, tuple, (self,))
         return next(evaluate(form, M.zero, *(to_mpf(x, M) for x in point)))
 
     def __repr__(self) -> str:
@@ -314,7 +314,7 @@ class LogLaurent:
 
     def __call__(self, q):
         M = _context_of(q)
-        form = compiled.__wrapped__(M, M.prec, tuple, (self,))  # uncached, as in LaurentPoly
+        form = compiled.__wrapped__(M, tuple, (self,))  # uncached, as in LaurentPoly
         return next(evaluate(form, M.zero, _point(q, M, "q", "in (0,1]")))
 
     def __repr__(self) -> str:
@@ -322,10 +322,10 @@ class LogLaurent:
 
 
 @lru_cache(maxsize=128)  # the bounds' 25 sets of orders 1..6, at five precisions
-def compiled(M: mpmath.MPContext, prec: int, derive, *args) -> tuple:
-    """``derive(*args)``, exact scalars and expressions, converted into ``M`` once
-    per ``prec`` (``mpmath.mp``'s can change): an mpf per scalar, and per expression
-    its ascending exponent tuples, their mpf coefficients and its mpf log coefficient."""
+def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
+    """``derive(*args)``, exact scalars and expressions, converted once into ``M``, whose
+    precision no code may change (as with :func:`_mp_context`): an mpf per scalar, and per
+    expression its ascending exponent tuples, their mpf coefficients and mpf log coefficient."""
     def form(x):
         if isinstance(x, (int, Fraction)):
             return to_mpf(x, M)

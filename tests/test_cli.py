@@ -14,8 +14,8 @@ from mpmath import mp, mpf
 
 import entropy_bounds.cli as cli
 from entropy_bounds import (
+    CoeffSet,
     DEFAULT_CONTEXT,
-    PoissonCoeffSet,
     binomial_coeffs,
     poisson_coeffs,
     relative_entropy_oracle,
@@ -190,7 +190,7 @@ class TestVerifyCommand:
         good = poisson_coeffs(1)
         # pull the expansion term down by more than the order-1 gap, so the
         # corrupted upper bound falls below the true entropy
-        corrupted = PoissonCoeffSet(
+        corrupted = CoeffSet(
             m=1, b={1: good.b[1] - F(5, 2)}, a=dict(good.a)
         )
 
@@ -273,6 +273,27 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("entropy-bounds: error:")
         assert "--m" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "poisson-entropy", "--points", "1", "--bits", "10"],
+        ["bounds", "poisson-entropy", "--points", "a,b"],
+        ["bounds", "poisson-entropy", "--grid", "a:b:c"],
+        ["verify", "poisson-entropy", "--points", "1", "--m-list", "x"],
+        ["verify", "poisson-entropy", "--points", "1", "--m-list", "0"],
+        ["bounds", "poisson-entropy", "--points", "1", "--m", "abc"],
+        ["bounds", "poisson-entropy", "--points", "1", "--m", "0"],
+        ["coeffs", "small-lambda"],
+        ["bounds", "binomial-entropy", "--n", "0", "--points", "0.5"],
+    ])
+    def test_bad_flag_value(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
+
+    def test_unknown_coefficient_kind(self):
+        with pytest.raises(cli.UsageError, match="bogus"):
+            cli.coeffs_to_json("bogus", 2, None, DEFAULT_CONTEXT)
 
     def test_bounds_help_names_every_method(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, so no name is split at a hyphen

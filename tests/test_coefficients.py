@@ -17,6 +17,7 @@ from mpmath import mp, mpf
 
 from entropy_bounds import (
     DEFAULT_CONTEXT,
+    CoeffSet,
     LaurentPoly,
     LogLaurent,
     PrecisionContext,
@@ -75,8 +76,8 @@ class TestPoissonCoefficients:
 
     def test_expansion_prefix_is_stable(self):
         # b(m, k) for k <= m-1 is independent of m: those terms are exact
-        for m in range(2, 7):
-            for m_higher in range(m + 1, 7):
+        for m in range(2, 11):
+            for m_higher in range(m + 1, 11):
                 for k in range(1, m):
                     assert poisson_coeffs(m).b[k] == poisson_coeffs(m_higher).b[k]
 
@@ -84,6 +85,11 @@ class TestPoissonCoefficients:
         cs = poisson_coeffs(3)
         assert cs.b[1] == F(-1, 12)
         assert cs.b[2] == F(-1, 24)
+        # the next two terms of the expansion of H(lam) (Knessl; Jacquet and
+        # Szpankowski; Flajolet)
+        cs = poisson_coeffs(5)
+        assert cs.b[3] == F(-19, 360)
+        assert cs.b[4] == F(-9, 80)
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_against_quadrature(self, m):
@@ -131,6 +137,13 @@ class TestBinomialCoefficients:
             assert set(cs.b_tilde) == set(range(1, 2 * m))
             assert set(cs.a_tilde) == set(range(m, 2 * m + 1))
 
+    def test_expansion_prefix_is_stable(self):
+        # as for the Poisson law, b~(m, k) for k <= m-1 is independent of m
+        for m in range(2, 11):
+            for m_higher in range(m + 1, 11):
+                for k in range(1, m):
+                    assert binomial_coeffs(m).b[k] == binomial_coeffs(m_higher).b[k]
+
     @pytest.mark.parametrize("q", [F(1, 10), F(1, 2), F(9, 10)])
     def test_numeric_agreement_with_published_forms(self, q):
         """Pipeline output evaluated at q agrees with the printed algebra."""
@@ -174,6 +187,16 @@ def test_coefficient_set_matches_fixture(kind, m):
     """Orders 1..10, beyond the published tables, exactly as
     `coeffs --kind KIND --m M` exports them."""
     assert coeffs_to_json(kind, m, None, DEFAULT_CONTEXT) == COEFF_SETS[kind][str(m)]
+
+
+@pytest.mark.parametrize("b, a, message", [
+    ({1: F(1), 2: F(1)}, {2: F(1), 3: F(1), 4: F(1)}, r"b indices must cover 1\.\.3"),
+    ({1: F(1), 2: F(1), 3: F(1)}, {1: F(1), 2: F(1), 3: F(1)}, r"a indices must cover 2\.\.4"),
+    ({1: F(1), 2: F(1), 3: F(1)}, {2: F(1), 3: F(-1, 7), 4: F(0)}, "must be nonnegative"),
+])
+def test_coefficient_set_rejects_a_malformed_set(b, a, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSet(m=2, b=b, a=a)
 
 
 class TestSmallArgumentCoefficients:

@@ -244,9 +244,8 @@ def _cmd_bounds(args) -> int:
             rep = _evaluate(bound, point, m, ctx)
         except DomainError as exc:
             failures += 1
-            # error rows keep their pinned form: cover-thomas leaves m blank, the rest echo --m
-            order = "" if method == "cover-thomas" else str(m)
-            rows.append(cols + [order, method or "", "", "", "", "", str(exc)])
+            # an orderless bound leaves m blank, the rest echo --m
+            rows.append(cols + [str(m) if bound[1] else "", method or "", "", "", "", "", str(exc)])
             continue
         if isinstance(rep, bounds.BoundReport):
             rows.append(cols + [str(rep.m), rep.method, _fmt(rep.lower, bits),

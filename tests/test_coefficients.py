@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from entropy_bounds import (
-    DEFAULT_CONTEXT,
     CoeffSet,
+    DEFAULT_CONTEXT,
     LaurentPoly,
     LogLaurent,
     PrecisionContext,

@@ -6,9 +6,16 @@ laws, their relative entropy, the expected-log quantities the proofs run
 through, and the central moments of both laws.  This module imports only
 :mod:`symbolic`, and nothing on the bounds path (moments, coefficients,
 bounds) imports it, so a bound and its oracle can only agree when both are
-right.  Infinite (Poisson) series are truncated with a certified tail bound;
-the binomial sums run through :func:`_binomial_expectation` at working
-precision, apart from the exact rational central moments.
+right.
+
+Both laws are summed by one fixed-point core, :func:`_outward`.  It seeds
+the term at the mode from a cached table of log i! and one exp, walks
+outward in both directions in Python integers by the exact ratio of
+successive pmf values, and stops each side at its own certified geometric
+tail or at the end of the support.  A Poisson sum thus costs about
+sqrt(lam * bits) terms, not lam, and a binomial one about
+sqrt(npq * bits), not n + 1.  The binomial central moments are exact
+rational sums.
 """
 
 from __future__ import annotations
@@ -17,10 +24,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
-from typing import Callable, Iterator
+from itertools import accumulate
+from operator import sub
+from typing import Callable, Iterator, NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_loggamma,
+    mpf_mul,
+    mpf_shift,
+    round_nearest,
+    round_up,
+    to_fixed,
+)
 
 from .symbolic import (
     DEFAULT_CONTEXT,
@@ -34,15 +56,43 @@ from .symbolic import (
     to_mpf,
 )
 
+# the pmf walk carries this many bits past the working precision
+_GUARD = 32
+# log-factorial entries carry this many fractional bits past the working precision
+_TABLE_BITS = 64
+# log i! is tabulated below this index and taken from loggamma at and above it
+_TABLE_CAP = 1 << 17
+
+_Dyadic = tuple[int, int]  # (man, exp): the exact value man * 2^exp
+
+
+def _fixed_mpf(v: int, frac: int, M) -> mpf:
+    """The exact mpf v 2^-frac of context ``M``, for an integer v >= 0."""
+    if not v:
+        return M.zero
+    zeros = (v & -v).bit_length() - 1
+    v >>= zeros
+    return M.make_mpf((0, v, zeros - frac, v.bit_length()))
+
+
+def _dyadic(x: mpf) -> _Dyadic:
+    """The finite mpf ``x`` as a :data:`_Dyadic`."""
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
 
 @dataclass(frozen=True)
 class TruncationReceipt:
     """Evidence that a truncated series met the working precision.
 
-    ``rel_err_bound`` is the tail bound divided by the accumulated mass of
-    absolute terms (equal to the plain relative error whenever the series
-    has nonnegative terms, which is the case for all entropy series here);
-    :func:`poisson_expectation` reports only once it is at most 2^-(``bits`` + 65).
+    ``terms_used`` counts the summed terms: the mode and both sides of it.
+    ``tail_bound`` bounds the left-out terms, the geometric tails of both
+    sides added (a side that reaches the end of the support leaves none).
+    ``rel_err_bound`` is the tail bound divided by the summed absolute terms
+    (equal to the plain relative error whenever the series has nonnegative
+    terms, which is the case for all entropy series here);
+    :func:`poisson_expectation` reports only once it is at most
+    2^-(``bits`` + 65).
     """
 
     terms_used: int
@@ -50,65 +100,274 @@ class TruncationReceipt:
     rel_err_bound: mpf
 
 
+@lru_cache(maxsize=128)
+def _log_factorials(size: int, prec: int) -> tuple[int, ...]:
+    """log i! for i = 0..size-1 in units of 2^-(``prec`` + 64), size a power of two.
+
+    Each rung of the ladder extends the one below it: a prime's log is one
+    ``mpf_log``, and a composite's is the exact sum of the logs of two
+    smaller factors.  A priori error bound: a prime's log is taken at
+    enough bits to be within one unit before it is truncated to an integer,
+    so within two after; then log i is within 2 log2 i units and log i!
+    within 2 i log2 i < 2^23 units below the cap, that is within
+    2^-(``prec`` + 41).
+    """
+    if size <= 2:
+        return (0, 0)
+    half = size // 2
+    below = _log_factorials(half, prec)
+    frac = prec + _TABLE_BITS
+    wp = frac + 8 + size.bit_length().bit_length()
+    # factor[i - half] divides i and lies in (1, i), or is 0 when i is prime
+    factor = [0] * half
+    for d in range(2, math.isqrt(size - 1) + 1):
+        first = -(-half // d) * d
+        factor[first - half :: d] = [d] * len(range(first, size, d))
+
+    log = [0, *map(sub, below[1:], below)]  # log[i] = log i, for 0 < i < half
+    logs = [
+        log[f] + log[i // f] if f else to_fixed(mpf_log(from_int(i), wp), frac)
+        for i, f in enumerate(factor, half)
+    ]
+    return below + tuple(accumulate(logs, initial=below[-1]))[1:]
+
+
+def _log_factorial(i: int, prec: int) -> int:
+    """log i! in units of 2^-(``prec`` + 64), within 2^-(``prec`` + 41).
+
+    Below the cap it is read from the table on the power-of-two ladder that
+    first holds i; at and above it, one loggamma, which keeps the memory of
+    a huge mean or n at O(1) per precision.
+    """
+    if i < _TABLE_CAP:
+        return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
+    frac = prec + _TABLE_BITS
+    return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+
+
+def _round64(bits: int) -> int:
+    """``bits`` rounded up to a multiple of 64, so that few contexts are made."""
+    return -(-bits // 64) * 64
+
+
+class _Law(NamedTuple):
+    """A law as :func:`_outward` walks it, from ``mode`` to 0 and to ``last``."""
+
+    mode: int
+    last: int | None  # the last index of the support; None for an infinite one
+    mean: Fraction
+    ratio: Callable[[int, int], tuple[int, int]]  # pmf(j + d) / pmf(j), d = +-1, exactly
+    pmf: mpf  # pmf(mode), within 2^-(prec + 36) at the working precision prec
+
+
+def _poisson_law(lam: mpf, prec: int) -> _Law:
+    """Poisson(lam) for lam > 0, at working precision ``prec``."""
+    _, man, exp, _ = lam._mpf_
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    mode = num // den
+    # log pmf(mode) = mode log lam - lam - log mode!, within 2^-(prec + 40)
+    H = _mp_context(_round64(prec + _GUARD + 8 + 2 * mode.bit_length()))
+    log_fact = H.make_mpf(from_man_exp(_log_factorial(mode, prec), -prec - _TABLE_BITS))
+    pmf = H.exp(mode * H.log(lam) - lam - log_fact)
+
+    def ratio(j: int, d: int) -> tuple[int, int]:
+        return (num, den * (j + 1)) if d > 0 else (den * j, num)
+
+    return _Law(mode, None, Fraction(num, den), ratio, pmf)
+
+
+def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
+    """Binomial(n, p) for 0 < p < 1, at working precision ``prec``."""
+    _, a, exp, _ = p._mpf_
+    E = -exp
+    b = (1 << E) - a  # p = a / 2^E and q = b / 2^E exactly
+    mode = (n + 1) * a >> E
+    H = _mp_context(_round64(prec + _GUARD + 8 + 2 * n.bit_length() + E.bit_length()))
+    log_choose = (
+        _log_factorial(n, prec) - _log_factorial(mode, prec) - _log_factorial(n - mode, prec)
+    )
+    q = H.make_mpf(from_man_exp(b, exp))
+    pmf = H.exp(
+        H.make_mpf(from_man_exp(log_choose, -prec - _TABLE_BITS))
+        + mode * H.log(p)
+        + (n - mode) * H.log(q)
+    )
+
+    def ratio(k: int, d: int) -> tuple[int, int]:
+        return ((n - k) * a, (k + 1) * b) if d > 0 else (k * b, (n - k + 1) * a)
+
+    return _Law(mode, n, Fraction(n * a, 1 << E), ratio, pmf)
+
+
+def _walk(mode: int, end: int | None, d: int, ratio, P: int) -> Iterator[tuple[int, int, int]]:
+    """(j, r, x) for j = mode + d, mode + 2d, ... up to ``end``, where
+    pmf(j) / pmf(mode) = r 2^x within a relative |j - mode| 2^-(P - 1).
+
+    Every step multiplies r by the exact ratio and floors it to at least P
+    bits, so each step costs at most 2^-(P - 1), relative; walking away from
+    the mode the ratio is at most 1, so r never grows past 2^P.
+    """
+    r, x, j = 1 << P, -P, mode
+    while j != end:
+        num, den = ratio(j, d)
+        q = r * num
+        k = P + den.bit_length() - q.bit_length()
+        if k > 0:
+            q <<= k
+            x -= k
+        r = q // den
+        j += d
+        yield j, r, x
+
+
+def _rises(w: _Dyadic, prev: _Dyadic, back: _Dyadic) -> bool:
+    """|w / prev| > |prev / back| for three successive weights, exactly; a
+    zero ``back`` gives no ratio to exceed."""
+    lhs, rhs = abs(w[0] * back[0]), prev[0] * prev[0]
+    s = w[1] + back[1] - 2 * prev[1]
+    return lhs << s > rhs if s >= 0 else lhs > rhs << -s
+
+
+def _tail(first: _Dyadic, second: _Dyadic, mass: int, unit: int, t: int):
+    """Bound on the terms from ``first`` on, as an mpf tuple, or None unless
+    it is at most 2^-t of ``mass`` (an integer in units of 2^``unit``).
+
+    With ratios that never rise, the terms from ``first`` on add up to at
+    most |first| / (1 - |second / first|); two zero terms give a zero tail,
+    and a zero ``first`` gives no ratio.
+    """
+    (pa, ea), (pb, eb) = first, second
+    if not pa:
+        return None if pb else fzero
+    a, s = abs(pa), eb - ea
+    b = abs(pb) << s if s >= 0 else -(-abs(pb) >> -s)  # |second| / 2^ea, rounded up
+    if b >= a:
+        return None
+    c, k = a - b, ea - unit + t
+    # the bound a^2 / c exceeds 2^(2 bl(a) - 2 - bl(c)) and 2^-k mass is below 2^(bl(mass) - k)
+    if 2 * a.bit_length() - 2 - c.bit_length() + k >= mass.bit_length():
+        return None
+    lhs, rhs = a * a, c * mass
+    if (lhs << k > rhs) if k >= 0 else (lhs > rhs << -k):
+        return None
+    return mpf_shift(mpf_div(from_int(lhs), from_int(c), 64, round_up), ea)
+
+
+def _at(term: _Dyadic, unit: int | None) -> int:
+    """``term`` in units of 2^``unit``, floored."""
+    prod, e = term
+    if not prod:
+        return 0
+    return prod << (e - unit) if e >= unit else prod >> (unit - e)
+
+
+def _outward(law: _Law, weight: Callable[[int], _Dyadic], prec: int):
+    """(sum, terms summed, tail bound, summed absolute terms) of
+    sum_j pmf(j) w_j, as mpf tuples at ``prec`` bits but for the count.
+
+    ``weight(j)`` gives w_j as a :data:`_Dyadic`.  Requirement: |w_(j+1) / w_j|
+    is non-increasing once j exceeds the mean, and |w_(j-1) / w_j| once j
+    is below it.  The pmf ratios fall on both sides of the mode, so the
+    term ratios then never rise beyond the mean either, and a side stops at
+    the first term J beyond the mean whose tail |t_J| / (1 - |t_(J+d) /
+    t_J|) is at most 2^-(``prec`` + 3) of the absolute terms summed so far;
+    both sides together leave out at most 2^-(``prec`` + 2) of them.  A rise
+    in the weight ratio beyond the mean raises :class:`PrecisionError`.
+
+    The terms are summed as integers in units of at most 2^-(``prec`` + 31)
+    times the first nonzero term, so a sum of tiny terms keeps its
+    precision.  A priori error bound, relative to the summed absolute
+    terms, for s terms: the pmf ratios carry at most s 2^-(prec + 31)
+    (:func:`_walk`), flooring each term to a unit at most s 2^-(prec + 31)
+    more, and the pmf at the mode less than 2^-(prec + 36); in all less
+    than 2^-(prec + 3) for any s below 2^27, and with both tails less than
+    2^-(prec + 1).  The weights are taken as given.
+    """
+    mode, last, mean, ratio, pmf = law
+    P = prec + _GUARD
+    t = prec + 3
+    w_mode = weight(mode)
+    unit = None
+    total = mass = 0
+    if w_mode[0]:
+        unit = w_mode[1] + abs(w_mode[0]).bit_length() - P
+        total = _at(w_mode, unit)
+        mass = abs(total)
+    terms = 1
+    tail = fzero
+    for d, end in ((-1, 0), (1, last)):
+        # j lies beyond the mean on this side when d * j >= edge
+        edge = 1 - math.ceil(mean) if d < 0 else math.floor(mean) + 1
+        back, prev, pending = (0, 0), w_mode, None
+        for j, r, x in _walk(mode, end, d, ratio, P):
+            w = weight(j)
+            term = (r * w[0], x + w[1])
+            if unit is None and term[0]:
+                unit = term[1] + abs(term[0]).bit_length() - P
+            if d * j - 2 >= edge and _rises(w, prev, back):
+                raise PrecisionError(
+                    f"the weight ratio rises beyond the mean {float(mean):.6g} at "
+                    f"j = {j - d}, so no tail can be certified"
+                )
+            if pending is not None:
+                # the pending term and this one are the first left out if the side stops here
+                bound = _tail(pending, term, mass, unit, t) if d * j - 1 >= edge else None
+                if bound is not None:
+                    tail = mpf_add(tail, bound, P, round_up)
+                    break
+                v = _at(pending, unit)
+                total, mass, terms = total + v, mass + abs(v), terms + 1
+            back, prev, pending = prev, w, term
+        else:
+            if pending is not None:
+                v = _at(pending, unit)
+                total, mass, terms = total + v, mass + abs(v), terms + 1
+    scale = pmf._mpf_
+    value = mpf_mul(from_man_exp(total, unit or 0), scale, prec, round_nearest)
+    mass = mpf_mul(from_man_exp(mass, unit or 0), scale, prec, round_up)
+    return value, terms, mpf_mul(tail, scale, prec, round_up), mass
+
+
 def poisson_expectation(
     lam,
-    weights: Callable[[], Iterator],
+    weight: Callable[[int], object],
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> tuple[mpf, TruncationReceipt]:
-    """Certified E[w(N_lam)] = sum_j e^(-lam) lam^j / j! * w_j.
+    """Certified E[w(N_lam)] = sum_j e^(-lam) lam^j / j! * w(j).
 
-    ``weights()`` must yield w_0, w_1, ... as ints, Fractions or mpfs; each
+    ``weight(j)`` gives w_j for any j >= 0 as an int, Fraction or mpf; each
     is converted into ``ctx.mp``, so an mpf weight should carry at least the
     working precision ``ctx.bits`` + 64 (compute it in ``ctx.mp``).
-    Requirement: |w_{j+1} / w_j| is non-increasing once j exceeds the mean
-    (true for every weight used in this package: powers of j - lam,
-    log j!, log(j + 1), and products thereof).  The term ratios
-    t_{j+1} / t_j then never rise past the mean either, so once the two
-    terms after t_J lie past the mean and their ratio r is below 1,
-    everything after t_J sums to at most |t_{J+1}| / (1 - r); two zero
-    terms certify a zero tail.  The series is summed in one pass and stops
-    at the first such J whose tail is at most 2^-(``ctx.bits`` + 65) times
-    the summed absolute terms: half an ulp of the working sum, formed
-    exactly in ``ctx.mp`` so that no precision underflows it.  A rise in
-    |w_{j+1} / w_j| past the mean breaks the requirement and raises
+    Requirement: |w_(j+1) / w_j| is non-increasing once j exceeds the mean,
+    and |w_(j-1) / w_j| once j is below it (true for every weight used in
+    this package: powers of j - lam, log j!, log(j + 1), and products
+    thereof).  The sum starts at the mode floor(lam), seeded by one exp,
+    and walks outward in fixed-point integers by the exact ratios
+    lam / (j + 1) and j / lam.  Each side stops at its first certified
+    geometric tail, at most 2^-(``ctx.bits`` + 67) of the summed absolute
+    terms, or at j = 0; the receipt's ``terms_used`` counts both sides and
+    the mode, and its tail bound adds both tails.  A rise in the weight
+    ratio beyond the mean breaks the requirement and raises
     :class:`PrecisionError`; without one, term ratios fall at least as fast
-    as lam / (j + 1), so the sum always stops.
+    as lam / (j + 1), so the sum always stops.  The fixed-point error is
+    bounded a priori in :func:`_outward`: with the tails it stays below
+    half an ulp of the working sum, 2^-(``ctx.bits`` + 65) of the absolute
+    terms, before the result is rounded once to ``ctx.bits``.
     """
     M = ctx.mp
     lam_m = _point(lam, M, "Poisson mean", ">= 0")
     if lam_m == 0:
-        w0 = to_mpf(next(iter(weights())), M)
+        w0 = to_mpf(weight(0), M)
         return ctx.round(w0), TruncationReceipt(1, mpf(0), mpf(0))
 
-    target = M.ldexp(1, -(M.prec + 1))
-    total = abs_total = M.zero
-    pmf = M.exp(-lam_m)
-    # w_{j-2}, w_{j-1} and t_{j-1}; t_{j-1} is summed once t_j shows it cannot be left out
-    w_back = w_prev = t_prev = M.zero
-    for j, w in enumerate(weights()):
-        w = to_mpf(w, M)
-        t = pmf * w
-        pmf *= lam_m / (j + 1)
-        # |w_j / w_{j-1}| > |w_{j-1} / w_{j-2}|, where a zero w_{j-2} gives no ratio to exceed
-        if j > lam_m + 2 and abs(w * w_back) > w_prev**2:
-            raise PrecisionError(
-                f"|w_(j+1) / w_j| rises past the mean at j = {j - 1} for lam={lam_m}, "
-                f"so no tail <= 2^-{ctx.bits} of the mass can be certified"
-            )
-        # t_{j-1} and t_j are the first two terms left out if the sum stops here
-        a, b = abs(t_prev), abs(t)
-        if j > lam_m + 1 and (b < a or a == b == 0):
-            tail = a * a / (a - b) if b < a else M.zero
-            scale = abs_total if abs_total > 0 else M.one
-            if tail <= target * scale:
-                # the tail bound is reported unrounded, at the working precision
-                tail_bound = mp.make_mpf(tail._mpf_)
-                receipt = TruncationReceipt(j - 1, tail_bound, ctx.round(tail / scale))
-                return ctx.round(total), receipt
-        total += t_prev
-        abs_total += a
-        w_back, w_prev, t_prev = w_prev, w, t
-    raise PrecisionError(f"the weights ended before a tail <= 2^-{ctx.bits} was certified")
+    def dyadic(j: int) -> _Dyadic:
+        w = weight(j)
+        return _dyadic(w if type(w) is M.mpf else to_mpf(w, M))
+
+    value, terms, tail, mass = _outward(_poisson_law(lam_m, M.prec), dyadic, M.prec)
+    rel = mpf_div(tail, mass, M.prec, round_up) if mass != fzero else fzero
+    receipt = TruncationReceipt(terms, mp.make_mpf(tail), ctx.round(M.make_mpf(rel)))
+    return ctx.round(M.make_mpf(value)), receipt
 
 
 def poisson_entropy_oracle(
@@ -116,16 +375,21 @@ def poisson_entropy_oracle(
 ) -> tuple[mpf, TruncationReceipt]:
     """H(lam) = lam - lam log lam + sum_j pmf(j) log j!, with H(0) = 0.
 
-    log j! is accumulated as a running sum of log j, so no large factorials
-    are ever formed.
+    log j! is read from the fixed-point log-factorial table, so no large
+    factorial is ever formed.  The series is about lam log lam while H is
+    about log(2 pi e lam) / 2, so the sum cancels; it is therefore asked
+    for at the working precision ``ctx.bits`` + 64, and H is formed there
+    and rounded once.
     """
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
 
+    wide = PrecisionContext(M.prec)
+    W, frac = wide.mp, wide.mp.prec + _TABLE_BITS
     series, receipt = poisson_expectation(
-        lam_m, lambda: accumulate(map(M.log, count(1)), initial=M.zero), ctx
+        lam_m, lambda j: _fixed_mpf(_log_factorial(j, W.prec), frac, W), wide
     )
     value = lam_m - lam_m * M.log(lam_m) + series
     # entropy is strictly positive for lam > 0, so this is a true rel err
@@ -135,10 +399,16 @@ def poisson_entropy_oracle(
 
 
 def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """E[log(N_s + 1)] by certified series."""
+    """E[log(N_s + 1)] by certified series, log(j + 1) read from the
+    log-factorial table."""
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    value, _ = poisson_expectation(s_m, lambda: map(M.log, count(1)), ctx)
+    frac = M.prec + _TABLE_BITS
+
+    def log_next(j: int) -> mpf:
+        return _fixed_mpf(_log_factorial(j + 1, M.prec) - _log_factorial(j, M.prec), frac, M)
+
+    value, _ = poisson_expectation(s_m, log_next, ctx)
     return value
 
 
@@ -148,47 +418,43 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
     s_m = _point(s, ctx.mp, "s", "> 0")
-    value, _ = poisson_expectation(s_m, lambda: ((j - s_m) ** k for j in count()), ctx)
+    value, _ = poisson_expectation(s_m, lambda j: (j - s_m) ** k, ctx)
     return value
 
 
-@lru_cache(maxsize=8)
-def _log_table(n: int, prec: int) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
-    """(log i for i = 0..n, log i! for i = 0..n) at ``prec`` mantissa bits.
+def _binomial_expectation(n: int, p: mpf, weight: Callable[[int], _Dyadic]) -> mpf:
+    """sum_k P(B_{n,p} = k) w_k for p in (0, 1), unrounded at the precision
+    of ``p``'s mpmath context.
 
-    One table serves every binomial oracle at the same (n, precision), which
-    keeps the finite sums at O(n) multiplications instead of O(n) big-integer
-    binomials.
+    ``weight(k)`` gives w_k as a :data:`_Dyadic`, under the requirement of
+    :func:`_outward`; each side stops at k = 0 or k = n if no tail is
+    certified before.
     """
-    M = _mp_context(prec)
-    logs = (M.zero, *map(M.log, range(1, n + 1)))
-    return logs, tuple(accumulate(logs))
-
-
-def _binomial_expectation(n: int, p: mpf, weight: Callable[[int, mpf], mpf], total: mpf) -> mpf:
-    """``total`` + sum_k P(B_{n,p} = k) weight(k, log P(k)), for p in (0, 1).
-
-    The terms are added to ``total`` in ascending k = 0..n at the precision
-    of ``p``'s mpmath context, so a caller keeps its summation order by
-    passing its first term as ``total``."""
     M = p.context
-    log_p = M.log(p)
-    log_q = M.log(1 - p)
-    _, log_fact = _log_table(n, M.prec)
-    for k in range(n + 1):
-        lp = log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_q
-        total += M.exp(lp) * weight(k, lp)
-    return total
+    value, _, _, _ = _outward(_binomial_law(n, p, M.prec), weight, M.prec)
+    return M.make_mpf(value)
 
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """H(B_{n,p}) = -sum_k P(k) log P(k), exact finite sum (0 log 0 = 0)."""
+    """H(B_{n,p}) = -sum_k P(k) log P(k) (0 log 0 = 0), summed as
+    n h(p) - E[log C(n, K)], h the binary entropy in nats.
+
+    log C(n, k) is positive and concave in k, so its ratios never rise.
+    """
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
         return mpf(0)
-    return ctx.round(_binomial_expectation(n, p_m, lambda _, lp: -lp, M.zero))
+    frac = M.prec + _TABLE_BITS
+    log_n = _log_factorial(n, M.prec)
+
+    def log_choose(k: int) -> _Dyadic:
+        return log_n - _log_factorial(k, M.prec) - _log_factorial(n - k, M.prec), -frac
+
+    q_m = M.fsub(1, p_m, exact=True)
+    series = _binomial_expectation(n, p_m, log_choose)
+    return ctx.round(-n * (p_m * M.log(p_m) + q_m * M.log(q_m)) - series)
 
 
 def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -208,21 +474,26 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         return ctx.round(n - n * log_n + M.loggamma(n + 1))
     q_m = 1 - p_m
     base = n * (p_m + q_m * M.log(q_m)) - n * p_m * log_n
-    _, log_fact = _log_table(n, M.prec)
-    total = _binomial_expectation(n, p_m, lambda k, _: log_fact[n] - log_fact[n - k], base)
-    return ctx.round(total)
+    frac = M.prec + _TABLE_BITS
+    log_fact_n = _log_factorial(n, M.prec)
+    series = _binomial_expectation(
+        n, p_m, lambda k: (log_fact_n - _log_factorial(n - k, M.prec), -frac)
+    )
+    return ctx.round(base + series)
 
 
 def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """E[log((B_{n-1,s} + 1) / (n s))], exact finite sum over the pmf."""
+    """E[log((B_{n-1,s} + 1) / (n s))], summed as E[log(B_{n-1,s} + 1)] - log(n s)."""
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    log_ns = M.log(n * s_m)
-    # log i for i = 0..n, from the table the sum over B_{n-1,s} reads
-    logs = _log_table(n - 1, M.prec)[0] + (M.log(n),)
-    total = _binomial_expectation(n - 1, s_m, lambda k, _: logs[k + 1] - log_ns, M.zero)
-    return ctx.round(total)
+    frac = M.prec + _TABLE_BITS
+
+    def log_next(k: int) -> _Dyadic:
+        return _log_factorial(k + 1, M.prec) - _log_factorial(k, M.prec), -frac
+
+    series = _binomial_expectation(n - 1, s_m, log_next)
+    return ctx.round(series - M.log(n * s_m))
 
 
 def moment_oracle_binomial(k: int, n: int, s) -> Fraction:

@@ -35,8 +35,8 @@ CTX = PrecisionContext(64)
 THIRD = "0.33333333333333333333333333333333333333"  # 1/3 at 64 + 64 guard bits
 
 
-def _weights():
-    return iter([1])
+def _weights(j):
+    return 1
 
 
 CASES = [

@@ -129,17 +129,11 @@ class TestSizeBiasIdentity:
         with mp.workprec(ctx.bits + 64):
             import mpmath
 
-            def shifted():
-                j = 0
-                while True:
-                    yield mpmath.log(j + 2)  # phi(j + 1) = log(j + 2)
-                    j += 1
+            def shifted(j):
+                return mpmath.log(j + 2)  # phi(j + 1) = log(j + 2)
 
-            def weighted():
-                j = 0
-                while True:
-                    yield j * mpmath.log(j + 1)
-                    j += 1
+            def weighted(j):
+                return j * mpmath.log(j + 1)
 
             lhs_series, _ = poisson_expectation(lam, shifted, ctx)
             rhs, _ = poisson_expectation(lam, weighted, ctx)

@@ -5,9 +5,11 @@ from the bounds path."""
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
-from itertools import count
 from pathlib import Path
 
 import mpmath
@@ -30,12 +32,28 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds.oracle import _binomial_expectation, _log_table, poisson_expectation
+from entropy_bounds.oracle import (
+    _TABLE_BITS,
+    _TABLE_CAP,
+    _binomial_expectation,
+    _dyadic,
+    _log_factorial,
+    _log_factorials,
+    poisson_expectation,
+)
 from entropy_bounds.symbolic import to_mpf
 
 ROOT = Path(__file__).resolve().parents[1]
 
 GRID = [(n, p) for n in (5, 10, 30, 100) for p in (0.05, 0.2, 0.5, 0.8, 0.95)]
+
+# the Poisson oracles pinned in tests/fixtures/poisson_oracles.json, by name
+POISSON_ORACLES = {
+    "poisson_entropy_oracle": lambda lam, ctx: poisson_entropy_oracle(lam, ctx)[0],
+    "expected_log_poisson": expected_log_poisson,
+    "moment_oracle_poisson_3": lambda lam, ctx: moment_oracle_poisson(3, lam, ctx),
+    "moment_oracle_poisson_6": lambda lam, ctx: moment_oracle_poisson(6, lam, ctx),
+}
 
 
 class TestPoissonEntropyOracle:
@@ -53,8 +71,8 @@ class TestPoissonEntropyOracle:
                 s = to_mpf(lam, M)
                 receipts = [
                     poisson_entropy_oracle(lam, ctx)[1],
-                    poisson_expectation(s, lambda: map(M.log, count(1)), ctx)[1],
-                    poisson_expectation(s, lambda: ((j - s) ** 6 for j in count()), ctx)[1],
+                    poisson_expectation(s, lambda j: M.log(j + 1), ctx)[1],
+                    poisson_expectation(s, lambda j: (j - s) ** 6, ctx)[1],
                 ]
                 for receipt in receipts:
                     assert 0 <= receipt.rel_err_bound <= M.ldexp(1, -bits)
@@ -63,17 +81,26 @@ class TestPoissonEntropyOracle:
     def test_bit_identical_to_fixture(self):
         # (mantissa, exponent) of every value, captured once from a known-good
         # build: eleven lam from 1e-6 to 3000 at 64, 128, 256 and 320 bits
-        oracles = {
-            "poisson_entropy_oracle": lambda lam, ctx: poisson_entropy_oracle(lam, ctx)[0],
-            "expected_log_poisson": expected_log_poisson,
-            "moment_oracle_poisson_3": lambda lam, ctx: moment_oracle_poisson(3, lam, ctx),
-            "moment_oracle_poisson_6": lambda lam, ctx: moment_oracle_poisson(6, lam, ctx),
-        }
         cases = json.loads((ROOT / "tests" / "fixtures" / "poisson_oracles.json").read_text())
         assert len(cases["cases"]) == 176
         for case in cases["cases"]:
-            got = oracles[case["oracle"]](F(case["lam"]), PrecisionContext(case["bits"]))
+            got = POISSON_ORACLES[case["oracle"]](F(case["lam"]), PrecisionContext(case["bits"]))
             assert got.man_exp == (case["man"], case["exp"]), case
+
+    def test_pinned_values_are_correctly_rounded(self):
+        # each pinned value is the same oracle at bits + 256, rounded to bits;
+        # H(lam) cancels about log2(lam log lam / H) bits, which the series
+        # must not lose to an early rounding
+        cases = json.loads((ROOT / "tests" / "fixtures" / "poisson_oracles.json").read_text())
+        for case in cases["cases"]:
+            ctx, wide = PrecisionContext(case["bits"]), PrecisionContext(case["bits"] + 256)
+            value = POISSON_ORACLES[case["oracle"]](F(case["lam"]), wide)
+            assert ctx.round(value).man_exp == (case["man"], case["exp"]), case
+
+    def test_terms_follow_sqrt_lam(self):
+        # both tails of a mean of 1e5 lie within a few thousand terms of the mode
+        _, receipt = poisson_entropy_oracle(10**5, PrecisionContext(bits=256))
+        assert receipt.terms_used < 20_000
 
     def test_stops_at_first_certified_tail(self):
         # the first certified tail comes after 1,733 terms, about 23 sqrt(lam) past the mean
@@ -85,7 +112,16 @@ class TestPoissonEntropyOracle:
         ctx = PrecisionContext(bits=64)
         start = time.perf_counter()
         with pytest.raises(PrecisionError):
-            poisson_expectation(10, lambda: (2 ** (j * j) for j in count()), ctx)
+            poisson_expectation(10, lambda j: 2 ** (j * j), ctx)
+        assert time.perf_counter() - start < 1
+
+    def test_rising_weight_ratio_below_the_mean_raises(self):
+        # |w_(j-1) / w_j| = 2^(2001 - 2j) rises as j falls below 1000, while the
+        # constant weight past the mean is harmless
+        ctx = PrecisionContext(bits=64)
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            poisson_expectation(1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, ctx)
         assert time.perf_counter() - start < 1
 
     def test_contained_in_small_mean_interval(self):
@@ -126,6 +162,26 @@ class TestBinomialEntropyOracle:
             base = mpmath.log(mpf(math.factorial(n))) - n * mpmath.log(n) + n
             rhs = base - relative_entropy_oracle(n, p) - relative_entropy_oracle(n, q)
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(lhs))
+
+
+    def test_large_n_is_fast(self):
+        # one fresh interpreter, so no log-factorial table is warm: the sum
+        # covers the few thousand terms around the mode, not all n + 1
+        code = (
+            "import time\n"
+            "from fractions import Fraction\n"
+            "from entropy_bounds import PrecisionContext, binomial_entropy_oracle\n"
+            "ctx = PrecisionContext(256)\n"
+            "t = time.perf_counter()\n"
+            "binomial_entropy_oracle(10**4, Fraction(3, 10), ctx)\n"
+            "print(time.perf_counter() - t)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.25
 
 
 class TestBinomialOraclesPinned:
@@ -176,6 +232,17 @@ class TestExpectedLogOracles:
         value = expected_log_poisson(5)
         assert expected_log_poisson_bounds(5, m=3).interval.contains(value)
 
+    @pytest.mark.parametrize("s, bits", [(F(1, 2**400), 64), (F(1, 10**100), 256)])
+    def test_poisson_tiny_mean(self, s, bits):
+        # the term at j = 0 is zero, so the sum is about s log 2, far below
+        # any fixed unit of the mode's pmf
+        value = expected_log_poisson(s, PrecisionContext(bits))
+        with mp.workprec(bits + 600):
+            sm = mpf(s.numerator) / s.denominator
+            want = sum(mpmath.exp(-sm) * sm**j / mpmath.factorial(j) * mpmath.log(j + 1)
+                       for j in range(12))
+            assert abs(value - want) <= abs(want) * mpf(2) ** -bits
+
     def test_poisson_reproducible_across_precisions(self):
         v128 = expected_log_poisson(1, PrecisionContext(bits=128))
         v256 = expected_log_poisson(1, PrecisionContext(bits=256))
@@ -191,17 +258,27 @@ class TestExpectedLogOracles:
         assert mpmath.isfinite(value)
 
     def test_binomial_builds_one_log_table(self):
-        _log_table.cache_clear()
+        _log_factorials.cache_clear()
         expected_log_binomial(50, F(3, 10))
-        assert _log_table.cache_info().misses == 1
+        # the rungs of sizes 2, 4, ..., 64 that hold log 50!, each built once
+        assert _log_factorials.cache_info().misses == 6
+
+    def test_log_factorial_across_the_table_cap(self):
+        # the last tabulated log i! and the first ones taken from loggamma
+        # agree with loggamma at twice the precision, within 2^-(prec + 40)
+        prec = 128
+        for i in (_TABLE_CAP - 1, _TABLE_CAP, _TABLE_CAP + 1):
+            with mp.workprec(2 * prec + 64):
+                want = mpmath.loggamma(i + 1) * mpf(2) ** (prec + _TABLE_BITS)
+                assert abs(_log_factorial(i, prec) - want) < 2 ** 24, i
 
     @pytest.mark.parametrize("n,p", [(8, 0.25), (20, 0.6)])
     def test_size_bias_identity(self, n, p):
         """np E[phi(B_{n-1,p} + 1)] = E[B_{n,p} phi(B_{n,p})], phi = log(1+.)."""
         with mp.workprec(320):
             pm = mpf(p)
-            lhs = n * pm * _binomial_expectation(n - 1, pm, lambda k, _: mpmath.log(k + 2), mpf(0))
-            rhs = _binomial_expectation(n, pm, lambda k, _: k * mpmath.log(k + 1), mpf(0))
+            lhs = n * pm * _binomial_expectation(n - 1, pm, lambda k: _dyadic(mpmath.log(k + 2)))
+            rhs = _binomial_expectation(n, pm, lambda k: _dyadic(k * mpmath.log(k + 1)))
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(rhs))
 
 

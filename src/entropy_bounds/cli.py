@@ -201,8 +201,8 @@ def _parse_order(spec: str):
 
 
 def _target(args, ctx: PrecisionContext):
-    """(column names, [(point, its printed columns)], oracle, method,
-    (bound name, takes an order m)) for the target and method on the command line."""
+    """(column names, [(point, its printed columns)], oracle, method name, (bound name, takes
+    an order m)) for the command line; a target with one bound is its own method name."""
     columns, default, oracle_fn, methods = _TARGETS[args.target]
     method = args.method if args.method is not None else next(iter(methods))
     if method not in methods:
@@ -218,7 +218,7 @@ def _target(args, ctx: PrecisionContext):
         fixed.append(value)
     points = [((*fixed, x), [str(v) for v in fixed] + [_fmt(to_mpf(x, ctx.mp), ctx.bits)])
               for x in _grid_points(args, default)]
-    return columns, points, oracle_fn, method, methods[method]
+    return columns, points, oracle_fn, method or args.target, methods[method]
 
 
 def _evaluate(bound, point, m, ctx: PrecisionContext):
@@ -245,10 +245,10 @@ def _cmd_bounds(args) -> int:
         except DomainError as exc:
             failures += 1
             # an orderless bound leaves m blank, the rest echo --m
-            rows.append(cols + [str(m) if bound[1] else "", method or "", "", "", "", "", str(exc)])
+            rows.append(cols + [str(m) if bound[1] else "", method, "", "", "", "", str(exc)])
             continue
         if isinstance(rep, bounds.BoundReport):
-            rows.append(cols + [str(rep.m), rep.method, _fmt(rep.lower, bits),
+            rows.append(cols + [str(rep.m), method, _fmt(rep.lower, bits),
                                 _fmt(rep.upper, bits), _fmt(rep.midpoint, bits),
                                 _fmt(rep.gap, bits), ""])
         else:  # a one-sided upper bound
@@ -283,7 +283,7 @@ def _cmd_verify(args) -> int:
             if not contained:
                 violations += 1
             margin = ctx.round(min(ctx.mp.fsub(value, rep.lower), ctx.mp.fsub(rep.upper, value)))
-            rows.append(cols + [str(rep.m), rep.method, _fmt(value, bits), _fmt(rep.lower, bits),
+            rows.append(cols + [str(rep.m), method, _fmt(value, bits), _fmt(rep.lower, bits),
                                 _fmt(rep.upper, bits), str(contained).lower(), _fmt(margin, bits)])
     _emit(_csv_text(header, rows), args.out)
     return 1 if violations else 0

@@ -8,13 +8,16 @@ through, and the central moments of both laws.  This module imports only
 bounds) imports it, so a bound and its oracle can only agree when both are
 right.
 
-Both laws are summed by one fixed-point core, :func:`_outward`.  It seeds
-the term at the mode from a cached table of log i! and one exp, walks
-outward in both directions in Python integers by the exact ratio of
-successive pmf values, and stops each side at its own certified geometric
-tail or at the end of the support.  A Poisson sum thus costs about
-sqrt(lam * bits) terms, not lam, and a binomial one about
-sqrt(npq * bits), not n + 1.  The binomial central moments are exact
+Both laws are summed by one fixed-point core, :func:`_outward`, which
+takes the caller's mpmath context and returns its mpfs.  It seeds the term
+at the mode from a cached table of log i! and one exp, walks outward in
+both directions in Python integers by the exact ratio of successive pmf
+values, and stops each side at its own certified geometric tail or at the
+end of the support.  A Poisson sum thus costs about sqrt(lam * bits)
+terms, not lam, and a binomial one about sqrt(npq * bits), not n + 1.  The
+binomial oracles hand it exact (mantissa, exponent) weights; the Poisson
+ones reach it through :func:`poisson_expectation`, which converts the
+weights its caller supplies.  The binomial central moments are exact
 rational sums.
 """
 
@@ -64,15 +67,6 @@ _TABLE_BITS = 64
 _TABLE_CAP = 1 << 17
 
 _Dyadic = tuple[int, int]  # (man, exp): the exact value man * 2^exp
-
-
-def _fixed_mpf(v: int, frac: int, M) -> mpf:
-    """The exact mpf v 2^-frac of context ``M``, for an integer v >= 0."""
-    if not v:
-        return M.zero
-    zeros = (v & -v).bit_length() - 1
-    v >>= zeros
-    return M.make_mpf((0, v, zeros - frac, v.bit_length()))
 
 
 def _dyadic(x: mpf) -> _Dyadic:
@@ -143,6 +137,12 @@ def _log_factorial(i: int, prec: int) -> int:
         return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
     frac = prec + _TABLE_BITS
     return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+
+
+def _log_next(prec: int) -> Callable[[int], _Dyadic]:
+    """The weight j -> log(j + 1), read from the log-factorial table at ``prec``."""
+    exp = -prec - _TABLE_BITS
+    return lambda j: (_log_factorial(j + 1, prec) - _log_factorial(j, prec), exp)
 
 
 def _round64(bits: int) -> int:
@@ -261,18 +261,20 @@ def _at(term: _Dyadic, unit: int | None) -> int:
     return prod << (e - unit) if e >= unit else prod >> (unit - e)
 
 
-def _outward(law: _Law, weight: Callable[[int], _Dyadic], prec: int):
+def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, mpf, mpf]:
     """(sum, terms summed, tail bound, summed absolute terms) of
-    sum_j pmf(j) w_j, as mpf tuples at ``prec`` bits but for the count.
+    sum_j pmf(j) w_j, as mpfs of the mpmath context ``M`` but for the count:
+    the sum rounded to nearest and the bounds up, at ``prec`` = ``M.prec``.
 
-    ``weight(j)`` gives w_j as a :data:`_Dyadic`.  Requirement: |w_(j+1) / w_j|
-    is non-increasing once j exceeds the mean, and |w_(j-1) / w_j| once j
-    is below it.  The pmf ratios fall on both sides of the mode, so the
-    term ratios then never rise beyond the mean either, and a side stops at
-    the first term J beyond the mean whose tail |t_J| / (1 - |t_(J+d) /
-    t_J|) is at most 2^-(``prec`` + 3) of the absolute terms summed so far;
-    both sides together leave out at most 2^-(``prec`` + 2) of them.  A rise
-    in the weight ratio beyond the mean raises :class:`PrecisionError`.
+    ``weight(j)`` gives w_j exactly, as a :data:`_Dyadic`.  Requirement:
+    |w_(j+1) / w_j| is non-increasing once j exceeds the mean, and
+    |w_(j-1) / w_j| once j is below it.  The pmf ratios fall on both sides
+    of the mode, so the term ratios then never rise beyond the mean either,
+    and a side stops at the first term J beyond the mean whose tail |t_J| /
+    (1 - |t_(J+d) / t_J|) is at most 2^-(``prec`` + 3) of the absolute
+    terms summed so far, or at the end of the support; both sides together
+    leave out at most 2^-(``prec`` + 2) of them.  A rise in the weight
+    ratio beyond the mean raises :class:`PrecisionError`.
 
     The terms are summed as integers in units of at most 2^-(``prec`` + 31)
     times the first nonzero term, so a sum of tiny terms keeps its
@@ -284,8 +286,8 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], prec: int):
     2^-(prec + 1).  The weights are taken as given.
     """
     mode, last, mean, ratio, pmf = law
-    P = prec + _GUARD
-    t = prec + 3
+    prec = M.prec
+    P, t = prec + _GUARD, prec + 3
     w_mode = weight(mode)
     unit = None
     total = mass = 0
@@ -325,7 +327,8 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], prec: int):
     scale = pmf._mpf_
     value = mpf_mul(from_man_exp(total, unit or 0), scale, prec, round_nearest)
     mass = mpf_mul(from_man_exp(mass, unit or 0), scale, prec, round_up)
-    return value, terms, mpf_mul(tail, scale, prec, round_up), mass
+    tail = mpf_mul(tail, scale, prec, round_up)
+    return M.make_mpf(value), terms, M.make_mpf(tail), M.make_mpf(mass)
 
 
 def poisson_expectation(
@@ -364,10 +367,10 @@ def poisson_expectation(
         w = weight(j)
         return _dyadic(w if type(w) is M.mpf else to_mpf(w, M))
 
-    value, terms, tail, mass = _outward(_poisson_law(lam_m, M.prec), dyadic, M.prec)
-    rel = mpf_div(tail, mass, M.prec, round_up) if mass != fzero else fzero
-    receipt = TruncationReceipt(terms, mp.make_mpf(tail), ctx.round(M.make_mpf(rel)))
-    return ctx.round(M.make_mpf(value)), receipt
+    value, terms, tail, mass = _outward(_poisson_law(lam_m, M.prec), dyadic, M)
+    rel = M.fdiv(tail, mass, rounding=round_up) if mass else M.zero
+    receipt = TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
+    return ctx.round(value), receipt
 
 
 def poisson_entropy_oracle(
@@ -387,9 +390,9 @@ def poisson_entropy_oracle(
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
 
     wide = PrecisionContext(M.prec)
-    W, frac = wide.mp, wide.mp.prec + _TABLE_BITS
+    W, exp = wide.mp, -wide.mp.prec - _TABLE_BITS
     series, receipt = poisson_expectation(
-        lam_m, lambda j: _fixed_mpf(_log_factorial(j, W.prec), frac, W), wide
+        lam_m, lambda j: W.make_mpf(from_man_exp(_log_factorial(j, W.prec), exp)), wide
     )
     value = lam_m - lam_m * M.log(lam_m) + series
     # entropy is strictly positive for lam > 0, so this is a true rel err
@@ -403,12 +406,8 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     log-factorial table."""
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    frac = M.prec + _TABLE_BITS
-
-    def log_next(j: int) -> mpf:
-        return _fixed_mpf(_log_factorial(j + 1, M.prec) - _log_factorial(j, M.prec), frac, M)
-
-    value, _ = poisson_expectation(s_m, log_next, ctx)
+    log_next = _log_next(M.prec)
+    value, _ = poisson_expectation(s_m, lambda j: M.make_mpf(from_man_exp(*log_next(j))), ctx)
     return value
 
 
@@ -422,19 +421,6 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     return value
 
 
-def _binomial_expectation(n: int, p: mpf, weight: Callable[[int], _Dyadic]) -> mpf:
-    """sum_k P(B_{n,p} = k) w_k for p in (0, 1), unrounded at the precision
-    of ``p``'s mpmath context.
-
-    ``weight(k)`` gives w_k as a :data:`_Dyadic`, under the requirement of
-    :func:`_outward`; each side stops at k = 0 or k = n if no tail is
-    certified before.
-    """
-    M = p.context
-    value, _, _, _ = _outward(_binomial_law(n, p, M.prec), weight, M.prec)
-    return M.make_mpf(value)
-
-
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """H(B_{n,p}) = -sum_k P(k) log P(k) (0 log 0 = 0), summed as
     n h(p) - E[log C(n, K)], h the binary entropy in nats.
@@ -446,14 +432,13 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
         return mpf(0)
-    frac = M.prec + _TABLE_BITS
-    log_n = _log_factorial(n, M.prec)
+    log_n, exp = _log_factorial(n, M.prec), -M.prec - _TABLE_BITS
 
     def log_choose(k: int) -> _Dyadic:
-        return log_n - _log_factorial(k, M.prec) - _log_factorial(n - k, M.prec), -frac
+        return log_n - _log_factorial(k, M.prec) - _log_factorial(n - k, M.prec), exp
 
     q_m = M.fsub(1, p_m, exact=True)
-    series = _binomial_expectation(n, p_m, log_choose)
+    series = _outward(_binomial_law(n, p_m, M.prec), log_choose, M)[0]
     return ctx.round(-n * (p_m * M.log(p_m) + q_m * M.log(q_m)) - series)
 
 
@@ -474,11 +459,9 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         return ctx.round(n - n * log_n + M.loggamma(n + 1))
     q_m = 1 - p_m
     base = n * (p_m + q_m * M.log(q_m)) - n * p_m * log_n
-    frac = M.prec + _TABLE_BITS
-    log_fact_n = _log_factorial(n, M.prec)
-    series = _binomial_expectation(
-        n, p_m, lambda k: (log_fact_n - _log_factorial(n - k, M.prec), -frac)
-    )
+    log_fact_n, exp = _log_factorial(n, M.prec), -M.prec - _TABLE_BITS
+    law = _binomial_law(n, p_m, M.prec)
+    series = _outward(law, lambda k: (log_fact_n - _log_factorial(n - k, M.prec), exp), M)[0]
     return ctx.round(base + series)
 
 
@@ -487,12 +470,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    frac = M.prec + _TABLE_BITS
-
-    def log_next(k: int) -> _Dyadic:
-        return _log_factorial(k + 1, M.prec) - _log_factorial(k, M.prec), -frac
-
-    series = _binomial_expectation(n - 1, s_m, log_next)
+    series = _outward(_binomial_law(n - 1, s_m, M.prec), _log_next(M.prec), M)[0]
     return ctx.round(series - M.log(n * s_m))
 
 

@@ -270,10 +270,8 @@ class LaurentPoly:
             exact = [(self._terms, self._terms.values(), 0)]
             return next(evaluate(exact, Fraction(0), *map(Fraction, point)))
         M = _context_of(*point)
-        # the one-expression set (self,), built outside the cache so that one-off
-        # polynomials do not evict the bounds' coefficient sets from it
-        form = compiled.__wrapped__(M, tuple, (self,))
-        return next(evaluate(form, M.zero, *(to_mpf(x, M) for x in point)))
+        # uncached, so that one-off polynomials do not evict the bounds' compiled sets
+        return next(evaluate((_form(self, M),), M.zero, *(to_mpf(x, M) for x in point)))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -314,11 +312,19 @@ class LogLaurent:
 
     def __call__(self, q):
         M = _context_of(q)
-        form = compiled.__wrapped__(M, tuple, (self,))  # uncached, as in LaurentPoly
+        form = (_form(self, M),)  # uncached, as in LaurentPoly
         return next(evaluate(form, M.zero, _point(q, M, "q", "in (0,1]")))
 
     def __repr__(self) -> str:
         return f"LogLaurent({self.laurent!r}, log_coeff={rational_str(self.log_coeff)})"
+
+
+def _form(x, M: mpmath.MPContext):
+    """The exact scalar or expression ``x`` converted into ``M``, as :func:`compiled` does."""
+    if isinstance(x, (int, Fraction)):
+        return to_mpf(x, M)
+    poly, log = (x.laurent, x.log_coeff) if isinstance(x, LogLaurent) else (x, 0)
+    return poly._terms, tuple(to_mpf(c, M) for c in poly._terms.values()), to_mpf(log, M)
 
 
 @lru_cache(maxsize=128)  # the bounds' 25 sets of orders 1..6, at five precisions
@@ -326,12 +332,7 @@ def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
     """``derive(*args)``, exact scalars and expressions, converted once into ``M``, whose
     precision no code may change (as with :func:`_mp_context`): an mpf per scalar, and per
     expression its ascending exponent tuples, their mpf coefficients and mpf log coefficient."""
-    def form(x):
-        if isinstance(x, (int, Fraction)):
-            return to_mpf(x, M)
-        poly, log = (x.laurent, x.log_coeff) if isinstance(x, LogLaurent) else (x, 0)
-        return poly._terms, tuple(to_mpf(c, M) for c in poly._terms.values()), to_mpf(log, M)
-    return tuple(map(form, derive(*args)))
+    return tuple(_form(x, M) for x in derive(*args))
 
 
 def evaluate(forms, zero, *point, log=None):

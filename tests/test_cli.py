@@ -149,6 +149,18 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload[0]["method"] == "large-lambda"
 
+    @pytest.mark.parametrize("argv, method", [
+        (["binomial-entropy", "--method", "stirling-m1"], "stirling-m1"),
+        (["relative-entropy"], "relative-entropy"),
+    ])
+    def test_error_and_good_rows_name_one_method(self, capsys, argv, method):
+        # p = 0 is an error row and p = 0.5 a good one
+        code, out = run(capsys, ["bounds", *argv, "--n", "10", "--points", "0,0.5"])
+        assert code == 0
+        rows = rows_of(out)
+        assert rows[0]["error"] != "" and rows[1]["error"] == ""
+        assert [row["method"] for row in rows] == [method, method]
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _ = run(capsys, ["bounds", "binomial-entropy", "--points", "0.5"])
         assert code == 2

@@ -35,10 +35,11 @@ from entropy_bounds import (
 from entropy_bounds.oracle import (
     _TABLE_BITS,
     _TABLE_CAP,
-    _binomial_expectation,
+    _binomial_law,
     _dyadic,
     _log_factorial,
     _log_factorials,
+    _outward,
     poisson_expectation,
 )
 from entropy_bounds.symbolic import to_mpf
@@ -277,8 +278,10 @@ class TestExpectedLogOracles:
         """np E[phi(B_{n-1,p} + 1)] = E[B_{n,p} phi(B_{n,p})], phi = log(1+.)."""
         with mp.workprec(320):
             pm = mpf(p)
-            lhs = n * pm * _binomial_expectation(n - 1, pm, lambda k: _dyadic(mpmath.log(k + 2)))
-            rhs = _binomial_expectation(n, pm, lambda k: _dyadic(k * mpmath.log(k + 1)))
+            lhs = n * pm * _outward(_binomial_law(n - 1, pm, mp.prec),
+                                    lambda k: _dyadic(mpmath.log(k + 2)), mp)[0]
+            rhs = _outward(_binomial_law(n, pm, mp.prec),
+                           lambda k: _dyadic(k * mpmath.log(k + 1)), mp)[0]
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(rhs))
 
 

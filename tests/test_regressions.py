@@ -1,7 +1,8 @@
 """Known misses of the certified bounds, kept as expected failures.
 
-Each case is judged against the oracle at 1024 bits, and each reason records
-the miss measured there, in ulps of |value| * 2^-bits at the case's own bits.
+Each case is judged against the oracle at 1024 bits (768 for the
+expected-log oracle), and each reason records the miss measured there, in ulps
+of |value| * 2^-bits at the case's own bits.
 ``xfail_strict`` is set for the suite, so a case that starts to pass fails it
 until its marker is removed together with the fix.
 """
@@ -15,10 +16,12 @@ import entropy_bounds.cli as cli
 from entropy_bounds import (
     PrecisionContext,
     entropy_poisson_small,
+    expected_log_binomial,
     poisson_entropy_oracle,
     relative_entropy_bounds,
     relative_entropy_oracle,
 )
+from entropy_bounds.symbolic import to_mpf
 
 TRUTH = PrecisionContext(bits=1024)
 
@@ -60,6 +63,19 @@ def test_relative_entropy_oracle_is_accurate_at_its_own_bits():
     value = relative_entropy_oracle(1000, p, PrecisionContext(bits=64))
     truth = relative_entropy_oracle(1000, p, TRUTH)
     assert abs(value - truth) <= abs(truth) * mpf(2) ** -64
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="misses by 6.0e9 ulps (5.1e4 at n = 1000, s = 1 - 1e-20, 128 bits): "
+                          "E[log(B + 1)] and log(ns) cancel to about 1 - s")
+def test_expected_log_binomial_is_accurate_near_one():
+    ctx = PrecisionContext(bits=256)
+    # 1 - 10^-30 as the 256-bit context holds it, the exact binary input the oracle sees
+    man, exp = to_mpf(1 - F(1, 10**30), ctx.mp).man_exp
+    s = F(man, 2**-exp)
+    value = expected_log_binomial(2, s, ctx)
+    truth = expected_log_binomial(2, s, PrecisionContext(bits=768))
+    assert abs(value - truth) <= abs(truth) * mpf(2) ** -256
 
 
 @pytest.mark.xfail(raises=ValueError, reason="ValueError: empty interval, raised with a traceback")

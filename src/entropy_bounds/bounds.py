@@ -2,17 +2,17 @@
 
 Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic, and evaluation is plain round-to-nearest floating point in
-``ctx.mp``, at the context precision plus guard bits (no directed rounding).
-Each coefficient set is converted into ``ctx.mp`` once per precision and
-evaluated as a unit (:func:`symbolic.compiled`); expansions in 1/lambda and
-1/n are then summed by Horner's scheme for stability at large arguments.
+analytic.  Each sandwich's series and gap are exact polynomials over its own
+point, compiled into ``ctx.mp`` once per precision and summed in integers,
+each rounded once (:mod:`symbolic`); the rest is round-to-nearest mpmath
+arithmetic in ``ctx.mp``, and each end is rounded to nearest at ``ctx.bits``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from mpmath import mpf
@@ -21,6 +21,7 @@ from . import coefficients
 from .symbolic import (
     DEFAULT_CONTEXT,
     Interval,
+    LaurentPoly,
     PrecisionContext,
     _check_n,
     _check_order,
@@ -65,21 +66,26 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
     )
 
 
-def _horner_inverse(values, y: mpf, first: int = 1) -> mpf:
-    """sum_k values[k - first] * y^k, k = first, first + 1, ..., in y's context."""
-    acc = y.context.zero
-    for v in reversed(values):
-        acc = (acc + v) * y
-    for _ in range(first - 1):
-        acc *= y
-    return acc
+def _over_n(pieces) -> LaurentPoly:
+    """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals,
+    and over (x, n, log x) for LogLaurents in x."""
+    return LaurentPoly(term for k, f in pieces.items() for term in (
+        [((-k,), f)] if isinstance(f, Fraction) else
+        [((e, -k, 0), c) for e, c in f.laurent.terms()] + [((0, -k, 1), f.log_coeff)]))
 
 
-def _series(derive, m: int) -> tuple:
-    """The Horner coefficients b(m, k), k = 1..2m-1, then a(m, k), k = m..2m, of
-    the set ``derive(m)``; ``derive`` is part of the cache key."""
+def _sandwich_forms(derive, m: int) -> tuple:
+    """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k (:func:`_over_n`) of the set
+    ``derive(m)``, ``derive`` being part of the cache key; n is lam for the Poisson law."""
     cs = derive(m)
-    return (*map(cs.b.get, range(1, 2 * m)), *map(cs.a.get, range(m, 2 * m + 1)))
+    return _over_n(cs.b), _over_n(cs.a)
+
+
+def _stirling_forms(constants) -> tuple:
+    """The order-1 binomial entropy's series C1/n + C2/n^2 + C3/n^3 and C4/n, over
+    (u, n, log u), from ``constants()``, C1..C4."""
+    c1, c2, c3, c4 = constants()
+    return _over_n({1: c1, 2: c2, 3: c3}), _over_n({1: c4})
 
 
 def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -112,10 +118,7 @@ def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     _check_order(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", "> 0")
-    coeffs = compiled(M, _series, coefficients.poisson_coeffs, m)
-    y = 1 / lam_m
-    beta = _horner_inverse(coeffs[:2 * m - 1], y)
-    gap = _horner_inverse(coeffs[2 * m - 1:], y, m)
+    beta, gap = evaluate(compiled(M, _sandwich_forms, coefficients.poisson_coeffs, m), M, lam_m)
     upper = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2 + beta
     return _report(upper - gap, upper, m, "large-lambda", ctx)
 
@@ -161,11 +164,8 @@ def relative_entropy_bounds(
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     log_q = M.log(q_m)
-    form = compiled(M, _series, coefficients.binomial_coeffs, m)
-    values = list(evaluate(form, M.zero, q_m, log=log_q))
-    y = M.mpf(1) / n
-    beta = _horner_inverse(values[:2 * m - 1], y)
-    gap = _horner_inverse(values[2 * m - 1:], y, m)
+    form = compiled(M, _sandwich_forms, coefficients.binomial_coeffs, m)
+    beta, gap = evaluate(form, M, q_m, M.mpf(n), log_q)
     lower = -(p_m + log_q) / 2 + beta
     return _report(lower, lower + gap, m, "relative-entropy", ctx)
 
@@ -196,14 +196,11 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
-    q_m = 1 - p_m
-    u = p_m * q_m
-    c1, c2, c3, c4 = evaluate(compiled(M, coefficients.stirling_m1_constants), M.zero, u)
-    y = M.mpf(1) / n
+    u = p_m * (1 - p_m)
+    form = compiled(M, _stirling_forms, coefficients.stirling_m1_constants)
+    lower, upper = evaluate(form, M, u, M.mpf(n), M.log(u))
     base = M.log(2 * M.pi * n * u) / 2 + M.mpf(1) / 2
-    lower = base + _horner_inverse((c1, c2, c3), y)
-    upper = base + c4 * y
-    return _report(lower, upper, 1, "binomial-stirling", ctx)
+    return _report(base + lower, base + upper, 1, "binomial-stirling", ctx)
 
 
 def expected_log_poisson_bounds(
@@ -215,8 +212,7 @@ def expected_log_poisson_bounds(
     _check_order(m)
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    form = compiled(M, coefficients.expected_log_series, "poisson", m)
-    series, gap = evaluate(form, M.zero, s_m)
+    series, gap = evaluate(compiled(M, coefficients.expected_log_series, "poisson", m), M, s_m)
     lower = M.log(s_m) + series
     return _report(lower, lower + gap, m, "expected-log-poisson", ctx)
 
@@ -231,7 +227,7 @@ def expected_log_binomial_bounds(
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
     form = compiled(M, coefficients.expected_log_series, "binomial", m)
-    series, gap = evaluate(form, M.zero, M.mpf(n), s_m)
+    series, gap = evaluate(form, M, M.mpf(n), s_m)
     lower = M.log(n * s_m) + series
     return _report(lower, lower + gap, m, "expected-log-binomial", ctx)
 

@@ -78,12 +78,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise UsageError(f"bad grid spec {spec!r}") from exc
     if step <= 0 or stop < start:
         raise UsageError(f"grid requires stop >= start and step > 0, got {spec!r}")
-    points = []
-    x = start
-    while x <= stop:
-        points.append(x)
-        x += step
-    return points
+    return [start + i * step for i in range(math.floor((stop - start) / step) + 1)]
 
 
 def _grid_points(args, default: str) -> list[Fraction]:

@@ -53,6 +53,7 @@ from .symbolic import (
     PrecisionContext,
     PrecisionError,
     _check_n,
+    _dyadic,
     _mp_context,
     _point,
     as_fraction,
@@ -67,12 +68,6 @@ _TABLE_BITS = 64
 _TABLE_CAP = 1 << 17
 
 _Dyadic = tuple[int, int]  # (man, exp): the exact value man * 2^exp
-
-
-def _dyadic(x: mpf) -> _Dyadic:
-    """The finite mpf ``x`` as a :data:`_Dyadic`."""
-    sign, man, exp, _ = x._mpf_
-    return -man if sign else man, exp
 
 
 @dataclass(frozen=True)
@@ -137,6 +132,12 @@ def _log_factorial(i: int, prec: int) -> int:
         return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
     frac = prec + _TABLE_BITS
     return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+
+
+def _exact_mpf(man: int, exp: int) -> tuple:
+    """``from_man_exp(man, exp)`` for man >= 0, its bit count from ``int.bit_length``."""
+    zeros = (man & -man).bit_length() - 1
+    return (0, man >> zeros, exp + zeros, man.bit_length() - zeros) if man else fzero
 
 
 def _log_next(prec: int) -> Callable[[int], _Dyadic]:
@@ -392,7 +393,7 @@ def poisson_entropy_oracle(
     wide = PrecisionContext(M.prec)
     W, exp = wide.mp, -wide.mp.prec - _TABLE_BITS
     series, receipt = poisson_expectation(
-        lam_m, lambda j: W.make_mpf(from_man_exp(_log_factorial(j, W.prec), exp)), wide
+        lam_m, lambda j: W.make_mpf(_exact_mpf(_log_factorial(j, W.prec), exp)), wide
     )
     value = lam_m - lam_m * M.log(lam_m) + series
     # entropy is strictly positive for lam > 0, so this is a true rel err
@@ -407,8 +408,7 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
     log_next = _log_next(M.prec)
-    value, _ = poisson_expectation(s_m, lambda j: M.make_mpf(from_man_exp(*log_next(j))), ctx)
-    return value
+    return poisson_expectation(s_m, lambda j: M.make_mpf(_exact_mpf(*log_next(j))), ctx)[0]
 
 
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -4,8 +4,8 @@ All coefficient derivations run on `fractions.Fraction` end to end, with two
 expression types: :class:`LaurentPoly`, one sparse polynomial type in one or
 several variables with negative exponents allowed, and :class:`LogLaurent`, a
 one-variable Laurent polynomial plus a logarithm term.  Nothing here ever
-rounds; numeric evaluation is a separate step done with mpmath at a precision
-chosen through :class:`PrecisionContext`.
+rounds; numeric evaluation is a separate step, in Python integers rounded once
+per expression (:func:`evaluate`), at a precision chosen through :class:`PrecisionContext`.
 
 The two term-wise integration rules that turn moment polynomials into
 expansion coefficients live here as well: :func:`integrate_tail` for
@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_pos, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pos, mpf_pow_int, round_nearest
 
 Scalar = Union[int, Fraction]
 Exponent = Union[int, tuple[int, ...]]
@@ -256,22 +257,17 @@ class LaurentPoly:
         )
 
     def __call__(self, *point):
-        """Value at ``point``, one coordinate per variable: exact when every
-        coordinate is an int or Fraction, else an mpf in the mpmath context
-        of the first mpf coordinate (DEFAULT_CONTEXT's if none), at its precision.
-
-        Terms sharing the last variable's exponent are summed first, and each
-        sum is multiplied by that power once; every other power is computed once
-        per call.  For one variable this is the ascending-exponent sum of c * x**e.
-        """
+        """Value at ``point``, one coordinate per variable: exact when every coordinate is
+        an int or Fraction, else an mpf (:func:`evaluate`) in the mpmath context of the
+        first mpf coordinate (DEFAULT_CONTEXT's if none), at its precision."""
         if self._terms and len(point) != len(next(iter(self._terms))):
             raise TypeError(f"expected one coordinate per variable, got {len(point)}")
         if all(isinstance(x, (int, Fraction)) for x in point):
-            exact = [(self._terms, self._terms.values(), 0)]
-            return next(evaluate(exact, Fraction(0), *map(Fraction, point)))
+            return sum((c * prod(Fraction(x) ** k for x, k in zip(point, e))
+                        for e, c in self._terms.items()), Fraction(0))
         M = _context_of(*point)
-        # uncached, so that one-off polynomials do not evict the bounds' compiled sets
-        return next(evaluate((_form(self, M),), M.zero, *(to_mpf(x, M) for x in point)))
+        # uncached, so that one-off polynomials do not evict the bounds' compiled forms
+        return next(evaluate((_form(self, M),), M, *(to_mpf(x, M) for x in point)))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -312,45 +308,58 @@ class LogLaurent:
 
     def __call__(self, q):
         M = _context_of(q)
-        form = (_form(self, M),)  # uncached, as in LaurentPoly
-        return next(evaluate(form, M.zero, _point(q, M, "q", "in (0,1]")))
+        q_m = _point(q, M, "q", "in (0,1]")
+        return next(evaluate((_form(self, M),), M, q_m, M.log(q_m)))  # uncached, as in LaurentPoly
 
     def __repr__(self) -> str:
         return f"LogLaurent({self.laurent!r}, log_coeff={rational_str(self.log_coeff)})"
 
 
-def _form(x, M: mpmath.MPContext):
-    """The exact scalar or expression ``x`` converted into ``M``, as :func:`compiled` does."""
-    if isinstance(x, (int, Fraction)):
-        return to_mpf(x, M)
-    poly, log = (x.laurent, x.log_coeff) if isinstance(x, LogLaurent) else (x, 0)
-    return poly._terms, tuple(to_mpf(c, M) for c in poly._terms.values()), to_mpf(log, M)
+def _form(x, M: mpmath.MPContext) -> tuple:
+    """Per term of the exact expression ``x``, its nonzero (variable, exponent) pairs and
+    its coefficient rounded into ``M`` by :func:`to_mpf`, as :func:`_dyadic` (man, exp).
+    A LogLaurent in q becomes a form in (q, log q)."""
+    if isinstance(x, LogLaurent):
+        x = LaurentPoly([(e + (0,), c) for e, c in x.laurent._terms.items()]
+                        + [((0, 1), x.log_coeff)])
+    return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(to_mpf(c, M)))
+                 for e, c in x._terms.items())
 
 
-@lru_cache(maxsize=128)  # the bounds' 25 sets of orders 1..6, at five precisions
+def _dyadic(x: mpf) -> tuple[int, int]:
+    """The finite mpf ``x`` as (man, exp), its exact value man * 2^exp."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"not a finite number: {x}")
+    return -man if sign else man, exp
+
+
+@lru_cache(maxsize=128)  # the bounds' 25 sandwiches of orders 1..6, at five precisions
 def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
-    """``derive(*args)``, exact scalars and expressions, converted once into ``M``, whose
-    precision no code may change (as with :func:`_mp_context`): an mpf per scalar, and per
-    expression its ascending exponent tuples, their mpf coefficients and mpf log coefficient."""
+    """The forms (:func:`_form`) of the exact expressions ``derive(*args)``, built once per
+    context ``M``, whose precision no code may change (as with :func:`_mp_context`)."""
     return tuple(_form(x, M) for x in derive(*args))
 
 
-def evaluate(forms, zero, *point, log=None):
-    """Yield each (exponents, coefficients, log coefficient) form's value at ``point``, from
-    ``zero`` as in :meth:`LaurentPoly.__call__`; powers and the log (or ``log``) are taken once."""
-    last, powers = len(point) - 1, {}
-    for exponents, coeffs, log_coeff in forms:
-        sums, total = {}, zero
-        for e, c in zip(exponents, coeffs):
-            for i in range(last):
-                c *= powers.get((i, e[i])) or powers.setdefault((i, e[i]), point[i] ** e[i])
-            sums[e[last]] = sums[e[last]] + c if e[last] in sums else c
-        for e, c in sums.items():
-            total += c * (powers.get((last, e)) or powers.setdefault((last, e), point[last] ** e))
-        if log_coeff:
-            log = point[0].context.log(point[0]) if log is None else log
-            total += log_coeff * log
-        yield total
+def evaluate(forms, M: mpmath.MPContext, *point):
+    """Yield each form's value at ``point``, one mpf of ``M`` per coordinate.  With P =
+    ``M.prec``, each power is taken once per call at P + 32 bits, each term is an exact
+    integer product truncated to one shared exponent P + 64 bits below the largest term,
+    and their exact sum is rounded once to P bits.  So the value v of sum c x^e lies within
+    |v| 2^-P + 2^(2-P) sum |c x^e| of the exact one, most of it the coefficients' rounding,
+    and exact terms with no bit below the shared exponent that cancel give exact zero."""
+    wide, powers = M.prec + 32, {}
+    for form in forms:
+        terms = []
+        for keys, man, exp in form:
+            for key in keys:
+                power = powers.get(key) or powers.setdefault(key, _dyadic(M.make_mpf(
+                    mpf_pow_int(point[key[0]]._mpf_, key[1], wide, round_nearest))))
+                man, exp = man * power[0], exp + power[1]
+            terms.append((man, exp))
+        base = max((e + m.bit_length() for m, e in terms if m), default=0) - M.prec - 64
+        total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)
+        yield M.make_mpf(from_man_exp(total, base, M.prec, round_nearest))
 
 
 def integrate_tail(f: LaurentPoly) -> LaurentPoly:

@@ -80,7 +80,7 @@ def _cold_call(fn, *args):
     """Call with every numeric cache empty, so nothing is served from a call
     made at another ambient precision."""
     for cached in (c_coeff, coefficients._c_tables, coefficients._c_tilde_tables,
-                   oracle._log_factorials):
+                   oracle._log_factorials, symbolic.compiled):
         cached.cache_clear()
     return fn(*args, ctx=CTX)
 
@@ -191,7 +191,8 @@ def test_two_threads_share_the_compiled_forms():
 
 
 def _every_set(bits: int) -> list:
-    """One bound from each of the 25 coefficient sets of orders 1..6."""
+    """One bound from each of the 25 compiled sandwiches of orders 1..6: a series
+    form and a gap form each, but for the order-1 Stirling one's lower and upper."""
     ctx = PrecisionContext(bits=bits)
     reports = [entropy_binomial_stirling_m1(50, F(1, 5), ctx)]
     for m in range(1, 7):
@@ -207,7 +208,7 @@ def test_compiled_cache_stays_bounded():
     warm = {bits: _every_set(bits) for bits in precisions}
     info = symbolic.compiled.cache_info()
     assert info.maxsize is not None
-    assert info.currsize == info.maxsize  # 40 x 25 forms overfill it, and it holds at its bound
+    assert info.currsize == info.maxsize  # 40 x 25 sandwiches overfill it, and it holds at its bound
     for bits in precisions:
         symbolic.compiled.cache_clear()
         assert _every_set(bits) == warm[bits], bits

@@ -5,7 +5,7 @@ from math import prod
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -22,6 +22,7 @@ from entropy_bounds import (
     integrate_to_one,
     rational_str,
 )
+from entropy_bounds.symbolic import _mp_context, to_mpf
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -168,6 +169,60 @@ class TestLaurentPoly:
             }
             assert f.derivative(var)(*point) == direct_eval(by_hand, point)
 
+
+
+def exact_value(x: mpf) -> F:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+# dyadic coordinates from 2^-36 to 2^36, so below and above 1, exact at 64 bits
+dyadics = st.builds(lambda man, shift: F(man) / F(2) ** shift, st.integers(1, 2**16 - 1), st.integers(-20, 36))
+
+
+@st.composite
+def forms_and_points(draw, exponent_pairs=False):
+    """(terms, point): 1-3 coordinates with exponents in [-13, 13].  With
+    ``exponent_pairs`` the point is powers of two and the terms come in pairs
+    t - t, each t = c x^e a dyadic of 20 bits, so that they cancel exactly."""
+    k = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(-13, 13)] * k)
+    if not exponent_pairs:
+        point = draw(st.tuples(*[dyadics] * k))
+        return draw(st.dictionaries(exponents, rationals.filter(bool), min_size=1, max_size=12)), point
+    point = draw(st.tuples(*[st.integers(-20, 20).map(lambda s: F(2) ** s)] * k))
+    es = draw(st.lists(exponents, min_size=2, max_size=12, unique=True))
+    terms = {}
+    for e, e2 in zip(es[::2], es[1::2]):
+        t = F(draw(st.integers(-2**20, 2**20).filter(bool)), 2 ** draw(st.integers(0, 30)))
+        terms[e], terms[e2] = (sign * t / prod(x**a for x, a in zip(point, f)) for sign, f in ((1, e), (-1, e2)))
+    return terms, point
+
+
+class TestEvaluate:
+    """The integer evaluator against exact Fraction evaluation at dyadic points."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 320])
+    @seed(2010)
+    @given(forms_and_points())
+    def test_within_the_stated_error_bound(self, bits, case):
+        terms, point = case
+        poly, M = LaurentPoly(terms), _mp_context(bits)
+        got = poly(*(to_mpf(x, M) for x in point))
+        assert got.context is M
+        exact = poly(*point)
+        mass = sum(abs(c * prod(x**e for x, e in zip(point, exps))) for exps, c in terms.items())
+        v = exact_value(got)
+        assert abs(v - exact) <= abs(v) / 2**bits + mass * 4 / 2**bits
+
+    @pytest.mark.parametrize("bits", [64, 128, 320])
+    @seed(2010)
+    @given(forms_and_points(exponent_pairs=True))
+    def test_exact_cancellation_gives_exact_zero(self, bits, case):
+        terms, point = case
+        poly, M = LaurentPoly(terms), _mp_context(bits)
+        assert poly(*point) == 0
+        assert poly(*(to_mpf(x, M) for x in point))._mpf_ == M.zero._mpf_
 
 class TestTailIntegration:
     def test_single_power(self):

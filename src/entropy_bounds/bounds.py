@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_nearest
 
 from . import coefficients
 from .symbolic import (
@@ -55,12 +56,13 @@ class BoundReport:
 
 
 def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundReport:
-    lower, upper = ctx.round(lower), ctx.round(upper)
-    M = ctx.mp
+    """Each end, and the gap and midpoint of the rounded ends, rounded once at ``ctx.bits``."""
+    bits = ctx.bits
+    lo, hi = mpf_pos(lower._mpf_, bits, round_nearest), mpf_pos(upper._mpf_, bits, round_nearest)
     return BoundReport(
-        interval=Interval(lower, upper),
-        midpoint=ctx.round(M.fadd(lower, upper) / 2),
-        gap=ctx.round(M.fsub(upper, lower)),
+        interval=Interval(mp.make_mpf(lo), mp.make_mpf(hi)),
+        midpoint=mp.make_mpf(mpf_shift(mpf_add(lo, hi, bits, round_nearest), -1)),
+        gap=mp.make_mpf(mpf_sub(hi, lo, bits, round_nearest)),
         m=m,
         method=method,
     )

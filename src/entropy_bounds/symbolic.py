@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_pos, mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pos, round_nearest
 
 Scalar = Union[int, Fraction]
 Exponent = Union[int, tuple[int, ...]]
@@ -48,7 +48,7 @@ def _check_order(m: int) -> None:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
 
 
-# the words a domain's message prints -> its test; NaN passes none of them
+# the words a domain's message prints -> its test; NaN passes none, and _point refuses inf
 _DOMAINS = {
     ">= 0": lambda x: x >= 0,
     "> 0": lambda x: x > 0,
@@ -60,9 +60,9 @@ _DOMAINS = {
 
 def _point(x, M: mpmath.MPContext, name: str, domain: str) -> mpf:
     """Convert ``x`` into context ``M``; raise :class:`DomainError` unless it
-    lies in ``domain``, a key of :data:`_DOMAINS`."""
+    is finite and lies in ``domain``, a key of :data:`_DOMAINS`."""
     x_m = to_mpf(x, M)
-    if not _DOMAINS[domain](x_m):
+    if not (_DOMAINS[domain](x_m) and M.isfinite(x_m)):
         raise DomainError(f"{name} must be {domain}, got {x_m}")
     return x_m
 
@@ -341,21 +341,44 @@ def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
     return tuple(_form(x, M) for x in derive(*args))
 
 
+def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, int]:
+    """Extend the ladder of coordinate i in ``powers`` to key = (i, k), and return x_i^k as
+    (man, exp): x^1 is exact, x^-1 is one integer division, and each further power is the
+    one before it times x^1 or x^-1, truncated to ``wide`` bits."""
+    i, k = key
+    step = 1 if k > 0 else -1
+    if (i, step) not in powers:
+        man, exp = _dyadic(point[i])
+        shift = wide + man.bit_length()
+        powers[i, step] = (man, exp) if step > 0 else ((1 << shift) // man, -shift - exp)
+    u_man, u_exp = man, exp = powers[i, step]
+    for j in range(2 * step, k + step, step):
+        if (i, j) not in powers:
+            man, exp = man * u_man, exp + u_exp
+            drop = max(man.bit_length() - wide, 0)
+            powers[i, j] = man >> drop, exp + drop
+        man, exp = powers[i, j]
+    return man, exp
+
+
 def evaluate(forms, M: mpmath.MPContext, *point):
     """Yield each form's value at ``point``, one mpf of ``M`` per coordinate.  With P =
-    ``M.prec``, each power is taken once per call at P + 32 bits, each term is an exact
-    integer product truncated to one shared exponent P + 64 bits below the largest term,
-    and their exact sum is rounded once to P bits.  So the value v of sum c x^e lies within
-    |v| 2^-P + 2^(2-P) sum |c x^e| of the exact one, most of it the coefficients' rounding,
-    and exact terms with no bit below the shared exponent that cancel give exact zero."""
-    wide, powers = M.prec + 32, {}
+    ``M.prec``, each coordinate's powers come from one ladder per call (:func:`_climb`) at
+    wide = P + 40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a
+    truncation of at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) <= 2^-(P+32) for
+    |k| <= 85.  Each term is an exact integer product truncated to one shared exponent P + 64
+    bits below the largest term, and their exact sum is rounded once to P bits.  So for up to
+    three coordinates and 2^30 terms, v lies within |v| 2^-P + 2^-(P+30) sum |c' x^e| of the
+    exact sum of c' x^e, c' being the coefficients as compiled (each within |c| 2^-P of c),
+    hence within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value; exact terms with no bit
+    below the shared exponent that cancel give exact zero."""
+    wide, powers = M.prec + 40, {}
     for form in forms:
         terms = []
         for keys, man, exp in form:
             for key in keys:
-                power = powers.get(key) or powers.setdefault(key, _dyadic(M.make_mpf(
-                    mpf_pow_int(point[key[0]]._mpf_, key[1], wide, round_nearest))))
-                man, exp = man * power[0], exp + power[1]
+                p_man, p_exp = powers[key] if key in powers else _climb(powers, point, key, wide)
+                man, exp = man * p_man, exp + p_exp
             terms.append((man, exp))
         base = max((e + m.bit_length() for m, e in terms if m), default=0) - M.prec - 64
         total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)

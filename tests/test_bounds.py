@@ -12,6 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 import entropy_bounds
 from entropy_bounds import (
@@ -36,6 +37,7 @@ from entropy_bounds import (
     relative_entropy_oracle,
     stirling_m1_constants,
 )
+from entropy_bounds.bounds import _report
 from golden_data import FIGURE_GAPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,6 +117,14 @@ class TestLargeMeanPoisson:
         with mp.workprec(320):
             assert abs(rep.midpoint - (rep.lower + rep.upper) / 2) < mpf("1e-70")
             assert abs(rep.gap - (rep.upper - rep.lower)) < mpf("1e-70")
+
+    def test_report_rounds_its_gap_once(self):
+        # the exact gap 1 + 2^-256 + 2^-400 lies above the tie between 1 and 1 + 2^-255,
+        # so rounding it first at 320 bits and then at 256 gives 1
+        lower = mp.make_mpf(from_man_exp(-(2**144 + 1), -400))
+        rep = _report(lower, mpf(1), 1, "large-lambda", PrecisionContext(256))
+        assert rep.lower == lower
+        assert rep.gap._mpf_ == from_man_exp(2**255 + 1, -255)
 
 
 class TestCoverThomas:

@@ -86,21 +86,32 @@ def test_domain_message(routine, args, message):
     assert str(info.value) == message
 
 
-NAN = mpf("nan")
+NAN, INF = mpf("nan"), mpf("inf")
 
 
-@pytest.mark.parametrize("routine, args", [
-    (entropy_poisson_small, (NAN,)),
-    (entropy_poisson_large, (NAN,)),
-    (entropy_poisson_ct, (NAN,)),
-    (expected_log_poisson_bounds, (NAN,)),
-    (poisson_entropy_oracle, (NAN,)),
-    (expected_log_poisson, (NAN,)),
-    (moment_oracle_poisson, (2, NAN)),
-    (relative_entropy_oracle, (10, NAN)),
-], ids=lambda v: getattr(v, "__name__", None))
+def with_point(x):
+    """Each routine whose point is checked by symbolic._point, with its point set to ``x``."""
+    return [
+        (entropy_poisson_small, (x,)),
+        (entropy_poisson_large, (x,)),
+        (entropy_poisson_ct, (x,)),
+        (expected_log_poisson_bounds, (x,)),
+        (poisson_entropy_oracle, (x,)),
+        (expected_log_poisson, (x,)),
+        (moment_oracle_poisson, (2, x)),
+        (relative_entropy_oracle, (10, x)),
+    ]
+
+
+@pytest.mark.parametrize("routine, args", with_point(NAN), ids=lambda v: getattr(v, "__name__", None))
 def test_nan_lies_outside_every_domain(routine, args):
     with pytest.raises(DomainError, match="got nan$"):
+        routine(*args, ctx=CTX)
+
+
+@pytest.mark.parametrize("routine, args", with_point(INF), ids=lambda v: getattr(v, "__name__", None))
+def test_inf_lies_outside_every_domain(routine, args):
+    with pytest.raises(DomainError, match=r"got \+inf$"):
         routine(*args, ctx=CTX)
 
 

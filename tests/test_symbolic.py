@@ -22,7 +22,7 @@ from entropy_bounds import (
     integrate_to_one,
     rational_str,
 )
-from entropy_bounds.symbolic import _mp_context, to_mpf
+from entropy_bounds.symbolic import _form, _mp_context, evaluate, to_mpf
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -199,6 +199,26 @@ def forms_and_points(draw, exponent_pairs=False):
     return terms, point
 
 
+@st.composite
+def ladder_forms_and_points(draw, prec):
+    """(terms, point) for a ``prec``-bit context: 1-3 signed coordinates with mantissas of
+    up to ``prec`` bits, from 2^-300 to 2^300, and terms in pairs c x^e - c x^e2 with
+    exponents in [-40, 40].  The second coefficient of each pair rounds when it is compiled,
+    so the pairs nearly cancel and the powers' errors are not hidden under |v| 2^-prec."""
+    k = draw(st.integers(1, 3))
+    point = []
+    for _ in range(k):
+        width, top = draw(st.integers(1, prec)), draw(st.integers(-299, 300))
+        man = draw(st.integers(2 ** (width - 1), 2**width - 1)) * draw(st.sampled_from((1, -1)))
+        point.append(F(man) * F(2) ** (top - width))
+    es = draw(st.lists(st.tuples(*[st.integers(-40, 40)] * k), min_size=2, max_size=12, unique=True))
+    terms = {}
+    for e, e2 in zip(es[::2], es[1::2]):
+        c = F(draw(st.integers(-2**prec + 1, 2**prec - 1).filter(bool))) * F(2) ** draw(st.integers(-30, 30))
+        terms[e], terms[e2] = c, -c * prod(x ** (a - b) for x, a, b in zip(point, e, e2))
+    return terms, tuple(point)
+
+
 class TestEvaluate:
     """The integer evaluator against exact Fraction evaluation at dyadic points."""
 
@@ -214,6 +234,20 @@ class TestEvaluate:
         mass = sum(abs(c * prod(x**e for x, e in zip(point, exps))) for exps, c in terms.items())
         v = exact_value(got)
         assert abs(v - exact) <= abs(v) / 2**bits + mass * 4 / 2**bits
+
+    @pytest.mark.parametrize("bits", [64, 128, 320])
+    @seed(2017)
+    @given(st.data())
+    def test_ladder_within_the_stated_error_bound(self, bits, data):
+        # against the coefficients as compiled, the bound leaves 2^-(P+30) of the terms
+        M = PrecisionContext(bits).mp
+        terms, point = data.draw(ladder_forms_and_points(M.prec))
+        form = _form(LaurentPoly(terms), M)
+        got = next(evaluate((form,), M, *(to_mpf(x, M) for x in point)))
+        compiled = [F(man) * F(2) ** exp * prod(point[i] ** k for i, k in keys)
+                    for keys, man, exp in form]
+        v = exact_value(got)
+        assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + sum(map(abs, compiled)) / 2 ** (M.prec + 30)
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2010)

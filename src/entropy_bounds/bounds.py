@@ -70,10 +70,11 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
 
 def _over_n(pieces) -> LaurentPoly:
     """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals,
-    and over (x, n, log x) for LogLaurents in x."""
-    return LaurentPoly(term for k, f in pieces.items() for term in (
+    and over (x, n, log x) for LogLaurents in x.  The exponents and Fractions are canonical
+    already, so the terms go to :meth:`LaurentPoly._of` uncoerced."""
+    return LaurentPoly._of(dict(term for k, f in pieces.items() for term in (
         [((-k,), f)] if isinstance(f, Fraction) else
-        [((e, -k, 0), c) for e, c in f.laurent.terms()] + [((0, -k, 1), f.log_coeff)]))
+        [((e, -k, 0), c) for e, c in f.laurent.terms()] + [((0, -k, 1), f.log_coeff)])))
 
 
 def _sandwich_forms(derive, m: int) -> tuple:
@@ -83,11 +84,14 @@ def _sandwich_forms(derive, m: int) -> tuple:
     return _over_n(cs.b), _over_n(cs.a)
 
 
-def _stirling_forms(constants) -> tuple:
-    """The order-1 binomial entropy's series C1/n + C2/n^2 + C3/n^3 and C4/n, over
-    (u, n, log u), from ``constants()``, C1..C4."""
-    c1, c2, c3, c4 = constants()
-    return _over_n({1: c1, 2: c2, 3: c3}), _over_n({1: c4})
+def _relative_entropy_sum(n: int, u: mpf, m: int, M) -> tuple[mpf, mpf]:
+    """(l, gap) with D(n, p) + D(n, q) in [l, l + gap] at u = pq, the order-m sandwiches at p and
+    at q summed (:func:`coefficients._symmetric_coeffs`): l = -(1 + log u)/2 + sum_k
+    b~_sym(m, k; u) n^-k and gap = sum_k a~_sym(m, k; u) n^-k."""
+    log_u = M.log(u)
+    form = compiled(M, _sandwich_forms, coefficients._symmetric_coeffs, m)
+    beta, gap = evaluate(form, M, u, M.mpf(n), log_u)
+    return beta - (1 + log_u) / 2, gap
 
 
 def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -176,33 +180,28 @@ def entropy_binomial_bounds(
     n: int, p, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
     """Sandwich for H(B_{n,p}) through the identity
-    H = log n! - n log n + n - D(n, p) - D(n, q), with both D terms replaced
-    by their order-m intervals.  log n! is log Gamma(n + 1) at the working
+    H = log n! - n log n + n - D(n, p) - D(n, q), with D(n, p) + D(n, q) replaced
+    by its order-m interval in u = pq.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
     _check_order(m)
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
-    q_m = 1 - p_m
-    base = M.loggamma(n + 1) - n * M.log(n) + n
-    d_p = relative_entropy_bounds(n, p_m, m, ctx)
-    d_q = relative_entropy_bounds(n, q_m, m, ctx)
-    lower = base - d_p.upper - d_q.upper
-    upper = base - d_p.lower - d_q.lower
-    return _report(lower, upper, m, "binomial-corollary", ctx)
+    l, gap = _relative_entropy_sum(n, p_m * (1 - p_m), m, M)
+    upper = M.loggamma(n + 1) - n * M.log(n) + n - l
+    return _report(upper - gap, upper, m, "binomial-corollary", ctx)
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
-    """Order-1 binomial entropy sandwich in closed form:
-    log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n]."""
+    """Order-1 binomial entropy sandwich: the order-1 corollary with log n! - n log n + n
+    replaced by Stirling's log(2 pi n)/2 + [1/(12n) - 1/(360n^3), 1/(12n)].  In closed form,
+    log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n] (:func:`stirling_m1_constants`)."""
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
-    u = p_m * (1 - p_m)
-    form = compiled(M, _stirling_forms, coefficients.stirling_m1_constants)
-    lower, upper = evaluate(form, M, u, M.mpf(n), M.log(u))
-    base = M.log(2 * M.pi * n * u) / 2 + M.mpf(1) / 2
-    return _report(base + lower, base + upper, 1, "binomial-stirling", ctx)
+    l, gap = _relative_entropy_sum(n, p_m * (1 - p_m), 1, M)
+    upper = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n) - l
+    return _report(upper - gap - M.mpf(1) / (360 * n**3), upper, 1, "binomial-stirling", ctx)
 
 
 def expected_log_poisson_bounds(

@@ -195,49 +195,39 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     return _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)[k - 2]
 
 
-@lru_cache(maxsize=None)
-def _power_sum_poly(e: int) -> LaurentPoly:
-    """p^e + q^e as a polynomial in u = pq, using p + q = 1.
-
-    Newton's identity: s_0 = 2, s_1 = 1, s_e = s_{e-1} - u s_{e-2}.
-    """
-    if e == 0:
-        return LaurentPoly({0: 2})
-    prev, cur = LaurentPoly({0: 2}), LaurentPoly({0: 1})
-    for _ in range(e - 1):
-        prev, cur = cur, cur - prev.shifted(1)
-    return cur
-
-
 def _symmetrize_pq(f: LogLaurent) -> LogLaurent:
-    """f(q) + f(p) rewritten exactly as a LogLaurent in u = pq.
+    """f(q) + f(p) rewritten exactly as a LogLaurent in u = pq, for any f.
 
-    Valid for any f: each p^e + q^e is symmetric in (p, q), hence a
-    polynomial in pq once p + q = 1; for e < 0 it is s_{|e|}(u) * u^e.  The
-    log part uses log p + log q = log u.
+    With p + q = 1, Girard-Waring gives p^e + q^e = sum_{i <= e/2} (-1)^i
+    e/(e-i) C(e-i, i) u^i for e >= 1 and 2 for e = 0; for e < 0 it is that
+    sum at |e| times u^e.  The log part uses log p + log q = log u.
     """
-    acc = LaurentPoly()
+    d: dict[tuple[int], Fraction] = {}
     for e, c in f.laurent.terms():
-        acc = acc + c * _power_sum_poly(abs(e)).shifted(min(e, 0))
-    return LogLaurent(acc, f.log_coeff)
+        a = abs(e)
+        for i in range(a // 2 + 1):
+            w = Fraction((-1) ** i * a * math.comb(a - i, i), a - i) if a else 2
+            key = (i + min(e, 0),)
+            d[key] = d.get(key, 0) + c * w
+    return LogLaurent(LaurentPoly._of(d), f.log_coeff)
+
+
+@lru_cache(maxsize=None)
+def _symmetric_coeffs(m: int) -> CoeffSet:
+    """:func:`binomial_coeffs` (m) with each b~ and a~ symmetrized in p <-> q
+    (:func:`_symmetrize_pq`): the coefficients of D(n, p) + D(n, q) in u = pq."""
+    cs = binomial_coeffs(m)
+    return CoeffSet(m, *({k: _symmetrize_pq(f) for k, f in d.items()} for d in (cs.b, cs.a)))
 
 
 @lru_cache(maxsize=None)
 def stirling_m1_constants() -> tuple[LogLaurent, LogLaurent, LogLaurent, LogLaurent]:
     """The four constants of the order-1 binomial entropy bound, in u = pq.
 
-    Assembled from the order-1 binomial coefficient functions symmetrized in
-    p <-> q, combined with the classical two-sided Stirling bounds on log n!
-    (1/(12n) - 1/(360n^3) below, 1/(12n) above).  Returned as (C1, C2, C3, C4):
-    lower bound C1/n + C2/n^2 + C3/n^3, upper bound C4/n.
+    The order-1 symmetric set (:func:`_symmetric_coeffs`) with the classical
+    Stirling bounds on log n!, 1/(12n) - 1/(360n^3) below and 1/(12n) above.
+    Returned as (C1, C2, C3, C4): lower C1/n + C2/n^2 + C3/n^3, upper C4/n.
     """
-    cs = binomial_coeffs(1)
-    sym_b = _symmetrize_pq(cs.b[1])
-    sym_a1 = _symmetrize_pq(cs.a[1])
-    sym_a2 = _symmetrize_pq(cs.a[2])
-    twelfth = LogLaurent.constant(Fraction(1, 12))
-    c4 = twelfth - sym_b
-    c1 = c4 - sym_a1
-    c2 = -sym_a2
-    c3 = LogLaurent.constant(Fraction(-1, 360))
-    return c1, c2, c3, c4
+    cs = _symmetric_coeffs(1)
+    c4 = LogLaurent.constant(Fraction(1, 12)) - cs.b[1]
+    return c4 - cs.a[1], -cs.a[2], LogLaurent.constant(Fraction(-1, 360)), c4

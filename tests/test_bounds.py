@@ -3,6 +3,7 @@ gap formulas, limits, and domain handling."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -38,6 +39,7 @@ from entropy_bounds import (
     stirling_m1_constants,
 )
 from entropy_bounds.bounds import _report
+from entropy_bounds.symbolic import to_mpf
 from golden_data import FIGURE_GAPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -236,6 +238,41 @@ class TestBinomialEntropyBounds:
         assert diffs[1] < diffs[0]
         assert diffs[1] < mpf("2e-3")
 
+
+    def test_ends_match_the_composed_sandwiches_at_3000_bits(self):
+        # the fixture's corollary grid, against the two relative-entropy sandwiches at p
+        # and at q taken at 3000 bits and subtracted from log n! - n log n + n; every end
+        # lies within one unit of |v| 2^-bits of that reference
+        ref = PrecisionContext(3000)
+        M = ref.mp
+        for n in (10, 100, 2 * 10**4):
+            for p in (F(1, 100), F(3, 10), F(1, 2), F(99, 100)):
+                p_m = to_mpf(p, M)
+                base = M.loggamma(n + 1) - n * M.log(n) + n
+                for m in range(1, 7):
+                    d_p = relative_entropy_bounds(n, p_m, m, ref)
+                    d_q = relative_entropy_bounds(n, 1 - p_m, m, ref)
+                    want = (base - d_p.upper - d_q.upper, base - d_p.lower - d_q.lower)
+                    for bits in (64, 128, 256):
+                        rep = entropy_binomial_bounds(n, p, m, PrecisionContext(bits))
+                        for got, v in zip((rep.lower, rep.upper), want):
+                            unit = abs(v) * M.ldexp(1, -bits)
+                            assert abs(M.mpf(got) - v) <= unit, (n, p, m, bits)
+
+    def test_tiny_p_sweep_contains_the_oracle(self):
+        # p log-uniform in [2^-900, 2^-30], half of the points mirrored to 1 - p; a mirrored
+        # p that the working precision rounds to 1 is outside the domain
+        rng = random.Random(18)
+        for i in range(36):
+            p = F(rng.getrandbits(52) | 1 << 52, 1 << (52 + rng.randint(31, 900)))
+            p = 1 - p if i % 2 else p
+            n, m, bits = rng.randint(1, 2500), rng.randint(1, 6), rng.choice((64, 128, 256))
+            try:
+                rep = entropy_binomial_bounds(n, p, m, PrecisionContext(bits))
+            except DomainError:
+                continue
+            value = binomial_entropy_oracle(n, p, PrecisionContext(bits + 64))
+            assert rep.interval.contains(value), (n, p, m, bits)
 
     def test_large_n_is_fast(self):
         # log n! comes from loggamma, not from the exact integer n!

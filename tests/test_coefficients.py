@@ -29,6 +29,7 @@ from entropy_bounds import (
     stirling_m1_constants,
 )
 from entropy_bounds.cli import coeffs_to_json
+from entropy_bounds.coefficients import _symmetric_coeffs
 from golden_data import (
     BINOMIAL_A,
     BINOMIAL_B,
@@ -354,3 +355,17 @@ class TestStirlingConstants:
         c1, _, _, c4 = stirling_m1_constants()
         want = loglaurent(-1, {0: F(7, 6), -1: F(-2, 3)})
         assert c1 + c4 == want
+
+
+class TestSymmetricCoefficients:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_laurent_part_is_the_sum_at_q_and_p(self, m):
+        # exact: the Laurent part of each entry at u = q(1 - q) is that of b~ or a~ at q plus
+        # at 1 - q, and log p + log q = log u leaves the log coefficient as it was
+        cs, sym = binomial_coeffs(m), _symmetric_coeffs(m)
+        for q in (F(1, 2), F(3, 10), F(1, 7), F(99, 100), F(2, 3)):
+            for want, got in ((cs.b, sym.b), (cs.a, sym.a)):
+                assert set(got) == set(want)
+                for k, f in want.items():
+                    assert got[k].laurent(q * (1 - q)) == f.laurent(q) + f.laurent(1 - q), (m, k, q)
+                    assert got[k].log_coeff == f.log_coeff

@@ -4,7 +4,8 @@ Each case is judged against the oracle at 1024 bits (768 for the
 expected-log oracle), and each reason records the miss measured there, in ulps
 of |value| * 2^-bits at the case's own bits.
 ``xfail_strict`` is set for the suite, so a case that starts to pass fails it
-until its marker is removed together with the fix.
+until its marker is removed together with the fix; the test then stays,
+unmarked, as a regression test.
 """
 
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from mpmath import mpf
 import entropy_bounds.cli as cli
 from entropy_bounds import (
     PrecisionContext,
+    binomial_entropy_oracle,
     entropy_poisson_small,
     expected_log_binomial,
     poisson_entropy_oracle,
@@ -78,8 +80,11 @@ def test_expected_log_binomial_is_accurate_near_one():
     assert abs(value - truth) <= abs(truth) * mpf(2) ** -256
 
 
-@pytest.mark.xfail(raises=ValueError, reason="ValueError: empty interval, raised with a traceback")
 def test_bounds_command_at_tiny_p_gives_a_row(capsys):
     argv = ["bounds", "binomial-entropy", "--n", "1000", "--points", "1e-40",
             "--m", "2", "--bits", "64"]
     assert cli.main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    value = binomial_entropy_oracle(1000, 1e-40, PrecisionContext(bits=128))
+    assert mpf(fields["lower"]) <= value <= mpf(fields["upper"])

@@ -2,10 +2,11 @@
 
 Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic.  Each sandwich's series and gap are exact polynomials over its own
-point, compiled into ``ctx.mp`` once per precision and summed in integers,
-each rounded once (:mod:`symbolic`); the rest is round-to-nearest mpmath
-arithmetic in ``ctx.mp``, and each end is rounded to nearest at ``ctx.bits``.
+analytic.  Every series (each sandwich's series and gap, the small-mean sum
+and the exact D(n, p) sum) has exact dyadic coefficients and is summed in
+integers, rounded once, by one :func:`symbolic.evaluate` call; only the
+closed-form leading terms (logarithms, log Gamma) are mpmath arithmetic in
+``ctx.mp``, and each end is rounded to nearest at ``ctx.bits``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import mpf_add, mpf_lt, mpf_pos, mpf_shift, mpf_sub, round_nearest, to_rational
 
 from . import coefficients
 from .symbolic import (
@@ -24,8 +25,10 @@ from .symbolic import (
     Interval,
     LaurentPoly,
     PrecisionContext,
+    PrecisionError,
     _check_n,
     _check_order,
+    _dyadic,
     _point,
     compiled,
     evaluate,
@@ -59,6 +62,8 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
     """Each end, and the gap and midpoint of the rounded ends, rounded once at ``ctx.bits``."""
     bits = ctx.bits
     lo, hi = mpf_pos(lower._mpf_, bits, round_nearest), mpf_pos(upper._mpf_, bits, round_nearest)
+    if mpf_lt(hi, lo):
+        raise PrecisionError(f"the ends of the order-{m} {method} bound cross at {bits} bits")
     return BoundReport(
         interval=Interval(mp.make_mpf(lo), mp.make_mpf(hi)),
         midpoint=mp.make_mpf(mpf_shift(mpf_add(lo, hi, bits, round_nearest), -1)),
@@ -84,6 +89,15 @@ def _sandwich_forms(derive, m: int) -> tuple:
     return _over_n(cs.b), _over_n(cs.a)
 
 
+def _small_forms(c, m: int, bits: int) -> tuple:
+    """Over (lam), the series sum_{k=2}^{2m} c(k)/k! lam^k and its next term, which is negative;
+    each c(k) = ``c(k, bits)`` enters exactly, and ``c`` is part of the cache key."""
+    ctx = PrecisionContext(bits)
+    terms = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
+             for k in range(2, 2 * m + 2)]
+    return LaurentPoly._of(dict(terms[:-1])), LaurentPoly._of(dict(terms[-1:]))
+
+
 def _relative_entropy_sum(n: int, u: mpf, m: int, M) -> tuple[mpf, mpf]:
     """(l, gap) with D(n, p) + D(n, q) in [l, l + gap] at u = pq, the order-m sandwiches at p and
     at q summed (:func:`coefficients._symmetric_coeffs`): l = -(1 + log u)/2 + sum_k
@@ -105,17 +119,9 @@ def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTE
     lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
         return _report(M.zero, M.zero, m, "small-lambda", ctx)
-    base = lam_m - lam_m * M.log(lam_m)
-    acc = M.zero
-    upper_sum = M.zero
-    power = lam_m
-    for k in range(2, 2 * m + 2):
-        power *= lam_m
-        # c(k) has ctx.bits bits, so it enters M exactly
-        acc += M.make_mpf(coefficients.c_coeff(k, ctx)._mpf_) * power / math.factorial(k)
-        if k == 2 * m:
-            upper_sum = acc
-    return _report(base + acc, base + upper_sum, m, "small-lambda", ctx)
+    series, last = evaluate(compiled(M, _small_forms, coefficients.c_coeff, m, ctx.bits), M, lam_m)
+    upper = lam_m - lam_m * M.log(lam_m) + series
+    return _report(upper + last, upper, m, "small-lambda", ctx)
 
 
 def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -147,16 +153,13 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
-    if p_m == 0:
-        return mpf(0)
     q_m = 1 - p_m
-    total = n * (p_m + (q_m * M.log(q_m) if q_m > 0 else M.zero))
-    power = p_m
-    for k in range(2, n + 1):
-        power *= p_m
-        # c~(n, k) has ctx.bits bits, so it enters M exactly
-        total += math.comb(n, k) * M.make_mpf(coefficients.c_tilde_coeff(n, k, ctx)._mpf_) * power
-    return ctx.round(total)
+    # each c~(n, k) has ctx.bits bits, so each C(n, k) c~(n, k) is exact; p = 0 needs none
+    table = coefficients._c_tilde_tables(range(n, 0, -1), ctx.bits) if n > 1 and p_m else ()
+    form = tuple((((0, k),), math.comb(n, k) * man, exp)
+                 for k, (man, exp) in enumerate(map(_dyadic, table), 2))
+    series = next(evaluate((form,), M, p_m))
+    return ctx.round(n * (p_m + (q_m * M.log(q_m) if q_m > 0 else M.zero)) + series)
 
 
 def relative_entropy_bounds(

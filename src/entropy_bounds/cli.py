@@ -7,9 +7,9 @@ ends of the poisson-entropy large-lambda sandwich, one column per order, for
 external plotting; it takes the points, and the default points, of the others.
 
 Exit codes: 0 success, 1 verification failure (a sandwich missed its
-oracle, which the theorems rule out for a correct build), 2 usage error:
-bad flags, a method the target does not offer, every ``bounds`` point
-outside the domain, or any ``verify`` point outside it.
+oracle, which the theorems rule out for a correct build), 2 error: bad
+flags, a method the target does not offer, or every ``bounds`` point and
+any ``verify`` point outside the domain or with ends that cross at --bits.
 Identical invocations produce byte-identical output; ``--bits`` sets the
 precision, 256 by default.
 """
@@ -34,6 +34,7 @@ from .symbolic import (
     DomainError,
     LogLaurent,
     PrecisionContext,
+    PrecisionError,
     rational_str,
     to_mpf,
 )
@@ -237,7 +238,7 @@ def _cmd_bounds(args) -> int:
     for point, cols in points:
         try:
             rep = _evaluate(bound, point, m, ctx)
-        except DomainError as exc:
+        except (DomainError, PrecisionError) as exc:
             failures += 1
             # an orderless bound leaves m blank, the rest echo --m
             rows.append(cols + [str(m) if bound[1] else "", method, "", "", "", "", str(exc)])
@@ -250,7 +251,7 @@ def _cmd_bounds(args) -> int:
             rows.append(cols + ["", method, "", _fmt(rep, bits), "", "", ""])
 
     if failures == len(rows):
-        raise UsageError("every grid point failed with a domain error")
+        raise UsageError("every grid point failed")
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -366,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, PrecisionError) as exc:
         print(f"entropy-bounds: error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,7 +158,7 @@ def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
 
 # c's tables get a cache of their own, so that a run of exact D(n, p) cannot
 # evict them.  Their ladder starts at depth 16, as the small-lambda bound asks
-# for a few low c(k); exact D(n, p) asks for every c~(n, k), so its starts at 64.
+# for a few low c(k); c~'s starts at 64, and exact D(n, p) reads its top rung.
 _c_tables = lru_cache(maxsize=8)(_log_differences)
 _c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
 

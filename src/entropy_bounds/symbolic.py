@@ -334,7 +334,7 @@ def _dyadic(x: mpf) -> tuple[int, int]:
     return -man if sign else man, exp
 
 
-@lru_cache(maxsize=128)  # the bounds' 30 sandwiches, five sets at orders 1..6, at four precisions
+@lru_cache(maxsize=144)  # the bounds' six cached sets (README) at orders 1..6, four precisions
 def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
     """The forms (:func:`_form`) of the exact expressions ``derive(*args)``, built once per
     context ``M``, whose precision no code may change (as with :func:`_mp_context`)."""
@@ -342,22 +342,23 @@ def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
 
 
 def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, int]:
-    """Extend the ladder of coordinate i in ``powers`` to key = (i, k), and return x_i^k as
-    (man, exp): x^1 is exact, x^-1 is one integer division, and each further power is the
-    one before it times x^1 or x^-1, truncated to ``wide`` bits."""
+    """Extend the ladder of coordinate i in ``powers`` from its top rung to key = (i, k), and
+    return x_i^k as (man, exp): x^1 is exact, x^-1 is one integer division, and each further
+    power is the one before it times x^1 or x^-1, truncated to ``wide`` bits."""
     i, k = key
     step = 1 if k > 0 else -1
     if (i, step) not in powers:
         man, exp = _dyadic(point[i])
         shift = wide + man.bit_length()
         powers[i, step] = (man, exp) if step > 0 else ((1 << shift) // man, -shift - exp)
-    u_man, u_exp = man, exp = powers[i, step]
-    for j in range(2 * step, k + step, step):
-        if (i, j) not in powers:
-            man, exp = man * u_man, exp + u_exp
-            drop = max(man.bit_length() - wide, 0)
-            powers[i, j] = man >> drop, exp + drop
-        man, exp = powers[i, j]
+    top = k
+    while (i, top) not in powers:  # the rungs run unbroken from x^step, so this finds the top
+        top -= step
+    (u_man, u_exp), (man, exp) = powers[i, step], powers[i, top]
+    for j in range(top + step, k + step, step):
+        man, exp = man * u_man, exp + u_exp
+        drop = max(man.bit_length() - wide, 0)
+        man, exp = powers[i, j] = man >> drop, exp + drop
     return man, exp
 
 
@@ -365,12 +366,13 @@ def evaluate(forms, M: mpmath.MPContext, *point):
     """Yield each form's value at ``point``, one mpf of ``M`` per coordinate.  With P =
     ``M.prec``, each coordinate's powers come from one ladder per call (:func:`_climb`) at
     wide = P + 40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a
-    truncation of at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) <= 2^-(P+32) for
-    |k| <= 85.  Each term is an exact integer product truncated to one shared exponent P + 64
-    bits below the largest term, and their exact sum is rounded once to P bits.  So for up to
-    three coordinates and 2^30 terms, v lies within |v| 2^-P + 2^-(P+30) sum |c' x^e| of the
-    exact sum of c' x^e, c' being the coefficients as compiled (each within |c| 2^-P of c),
-    hence within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value; exact terms with no bit
+    truncation of at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any |k| < 2^64.
+    Each term is an exact integer product truncated to one shared exponent P + 64 bits below
+    the largest term, and their exact sum is rounded once to P bits.  So for up to 2^30 terms,
+    K being the largest sum of |k| in one term, v lies within |v| 2^-P + (1.5K 2^(1-wide) +
+    2^-(P+32)) sum |c' x^e| of the exact sum of c' x^e, c' the form's coefficients.  For K <=
+    255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c' is within |c| 2^-P of c,
+    so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.  Exact terms with no bit
     below the shared exponent that cancel give exact zero."""
     wide, powers = M.prec + 40, {}
     for form in forms:

@@ -75,6 +75,21 @@ class TestSmallMeanPoisson:
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] < mpf("1e-8")
 
+    def test_patched_coefficient_changes_the_interval(self, monkeypatch):
+        # the compiled forms are keyed by the function that supplies c(k), so a
+        # patched c_coeff is seen even after the true forms were compiled
+        import entropy_bounds.coefficients as coefficients
+
+        ctx = PrecisionContext(128)
+        good = entropy_poisson_small(F(1, 2), 2, ctx)
+        real = coefficients.c_coeff
+        monkeypatch.setattr(coefficients, "c_coeff",
+                            lambda k, ctx: 2 * real(k, ctx) if k == 2 else real(k, ctx))
+        bad = entropy_poisson_small(F(1, 2), 2, ctx)
+        # c(2) = log 2 doubled lifts both ends by about log(2)/8
+        assert bad.lower > good.upper
+        assert not bad.interval.contains(poisson_entropy_oracle(F(1, 2), ctx)[0])
+
     def test_domain(self):
         with pytest.raises(DomainError):
             entropy_poisson_small(-0.5)

@@ -161,6 +161,18 @@ class TestBoundsCommand:
         assert rows[0]["error"] != "" and rows[1]["error"] == ""
         assert [row["method"] for row in rows] == [method, method]
 
+    def test_crossing_ends_give_an_error_row(self, capsys):
+        # at q = 1 - 1e-20 the order-2 gap form cancels below zero at 64 bits, so the
+        # rounded ends of the first point cross; the second point still gets its row
+        argv = ["bounds", "relative-entropy", "--n", "1000", "--points", "1e-20,0.5",
+                "--bits", "64", "--m", "2"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        crossed, good = rows_of(out)
+        assert crossed["lower"] == "" and crossed["m"] == "2"
+        assert crossed["error"] == "the ends of the order-2 relative-entropy bound cross at 64 bits"
+        assert good["error"] == "" and mpf(good["lower"]) <= mpf(good["upper"])
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _ = run(capsys, ["bounds", "binomial-entropy", "--points", "0.5"])
         assert code == 2
@@ -234,6 +246,16 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert proc.stderr.startswith("entropy-bounds: error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "relative-entropy", "--n", "1000", "--points", "1e-20", "--m-list", "2"],
+        ["bounds", "relative-entropy", "--n", "1000", "--points", "1e-20", "--m", "2"],
+    ])
+    def test_crossing_ends_exit_2(self, capsys, argv):
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "poisson-entropy", "--points", "1", "--method", "bogus"],

@@ -5,7 +5,7 @@ from math import prod
 
 import mpmath
 import pytest
-from hypothesis import given, seed
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -22,7 +22,7 @@ from entropy_bounds import (
     integrate_to_one,
     rational_str,
 )
-from entropy_bounds.symbolic import _form, _mp_context, evaluate, to_mpf
+from entropy_bounds.symbolic import _climb, _form, _mp_context, evaluate, to_mpf
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -200,18 +200,19 @@ def forms_and_points(draw, exponent_pairs=False):
 
 
 @st.composite
-def ladder_forms_and_points(draw, prec):
-    """(terms, point) for a ``prec``-bit context: 1-3 signed coordinates with mantissas of
-    up to ``prec`` bits, from 2^-300 to 2^300, and terms in pairs c x^e - c x^e2 with
-    exponents in [-40, 40].  The second coefficient of each pair rounds when it is compiled,
-    so the pairs nearly cancel and the powers' errors are not hidden under |v| 2^-prec."""
-    k = draw(st.integers(1, 3))
+def ladder_forms_and_points(draw, prec, coords=(1, 3), reach=40):
+    """(terms, point) for a ``prec``-bit context: ``coords`` (least, most) signed coordinates
+    with mantissas of up to ``prec`` bits, from 2^-300 to 2^300, and terms in pairs
+    c x^e - c x^e2 with exponents in [-reach, reach].  The second coefficient of each pair
+    rounds when it is compiled, so the pairs nearly cancel and the powers' errors are not
+    hidden under |v| 2^-prec."""
+    k = draw(st.integers(*coords))
     point = []
     for _ in range(k):
         width, top = draw(st.integers(1, prec)), draw(st.integers(-299, 300))
         man = draw(st.integers(2 ** (width - 1), 2**width - 1)) * draw(st.sampled_from((1, -1)))
         point.append(F(man) * F(2) ** (top - width))
-    es = draw(st.lists(st.tuples(*[st.integers(-40, 40)] * k), min_size=2, max_size=12, unique=True))
+    es = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * k), min_size=2, max_size=12, unique=True))
     terms = {}
     for e, e2 in zip(es[::2], es[1::2]):
         c = F(draw(st.integers(-2**prec + 1, 2**prec - 1).filter(bool))) * F(2) ** draw(st.integers(-30, 30))
@@ -248,6 +249,46 @@ class TestEvaluate:
                     for keys, man, exp in form]
         v = exact_value(got)
         assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + sum(map(abs, compiled)) / 2 ** (M.prec + 30)
+
+    @pytest.mark.parametrize("bits", [64, 128, 320])
+    @seed(2019)
+    @settings(max_examples=15)  # a pair's coefficients reach x^800 and take long to compile
+    @given(st.data())
+    def test_long_ladders_asked_out_of_order(self, bits, data):
+        # one coordinate with |k| up to 400: each pair of terms is a form of its own, and the
+        # forms and their terms come in a drawn order, so the ladder is asked for its rungs
+        # out of order and resumes from its top rung
+        M = PrecisionContext(bits).mp
+        terms, (x,) = data.draw(ladder_forms_and_points(M.prec, coords=(1, 1), reach=400))
+        pairs = list(zip(*[iter(terms.items())] * 2))
+        forms = data.draw(st.permutations(
+            [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M))) for pair in pairs]))
+        wide = M.prec + 40
+        for form, got in zip(forms, evaluate(forms, M, to_mpf(x, M)), strict=True):
+            ks = [sum(k for _, k in keys) for keys, _, _ in form]
+            compiled = [F(man) * F(2) ** exp * x**k for k, (_, man, exp) in zip(ks, form)]
+            rel = F(3 * max(map(abs, ks)), 2) * F(2) ** (1 - wide) + F(1, 2 ** (M.prec + 32))
+            v = exact_value(got)
+            assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + rel * sum(map(abs, compiled))
+
+    def test_ladder_builds_each_rung_once(self):
+        # the rungs x^1..x^400 and x^-1..x^-400 asked for one by one cost O(800) dict
+        # lookups, not O(800^2), and match the rungs of a ladder climbed in one go
+        class Counting(dict):
+            lookups = 0
+
+            def __contains__(self, key):
+                Counting.lookups += 1
+                return dict.__contains__(self, key)
+
+        M = PrecisionContext(64).mp
+        point, wide = (M.mpf(-3) / 7,), M.prec + 40
+        powers = Counting()
+        for k in [*range(1, 401), *range(-1, -401, -1)]:
+            _climb(powers, point, (0, k), wide)
+        assert len(powers) == 800 and Counting.lookups <= 4 * 800
+        for k in (400, -400):
+            assert _climb({}, point, (0, k), wide) == powers[0, k]
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2010)

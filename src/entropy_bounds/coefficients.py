@@ -4,10 +4,11 @@ Nothing in this module is hard-coded.  The large-argument coefficients are
 term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
 from central-moment polynomials (:func:`expected_log_series`); the bounds on
 E[log(X + 1)] evaluate the same sandwich.  The small-argument coefficients
-are forward differences of logarithms, taken in exact fixed-point integer
+are forward differences of logarithms read from the one log-factorial ladder
+(:func:`symbolic._log_factorials`), taken in exact fixed-point integer
 arithmetic at a precision fixed in advance by an error bound (see
-:func:`_log_differences`).  Published tables exist only in the test suite, as
-golden data.
+:func:`_log_differences`) and kept unrounded until each coefficient is read.
+Published tables exist only in the test suite, as golden data.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Mapping
 
 from mpmath import mp, mpf
@@ -23,11 +26,15 @@ from mpmath.libmp import from_int, from_man_exp, mpf_log, round_nearest, to_fixe
 
 from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
+    _TABLE_BITS,
+    _TABLE_CAP,
     DEFAULT_CONTEXT,
     LaurentPoly,
     LogLaurent,
     PrecisionContext,
     _check_order,
+    _log_factorials,
+    _round64,
     integrate_tail,
     integrate_to_one,
 )
@@ -123,42 +130,47 @@ def binomial_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
 
 
-def _log_differences(args: range, bits: int) -> tuple[mpf, ...]:
-    """Leading forward differences Delta^r log(a_j) at j = 0, r = 1..K-1,
-    for a run a_0..a_{K-1} of consecutive positive integers, ascending or
-    descending, each rounded once to ``bits``.
+def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
+    """Leading forward differences Delta^r log(a_j) at j = 0, r = 1..K-1, for a run a_0..a_{K-1}
+    of consecutive positive integers, ascending or descending, as (diffs, exp): Delta^r log is
+    diffs[r-1] 2^exp, within 2^-(bits+64) of its value, relative.
 
-    The logs are fixed-point integers at P fractional bits, differenced by
-    exact integer subtraction.  A priori error bound, with M the largest
-    argument and 2^g > log2 M >= |log a|: each log is taken at P + 8 + g
-    bits, so its error is below one unit of 2^-P, and truncating it to a
-    fixed-point integer adds less than one more.  Each entry is thus within
-    2 units, and Delta^r, a sum of C(r, j) entries, within 2^(r+1) units.  By
-    the mean value theorem |Delta^r log| = (r-1)!/xi^r >= (r-1)!/M^r, so the
-    relative error is at most 2^(r+1-P) M^r / (r-1)!.  Taking
+    Each log a is an integer at F = -exp fractional bits, F a multiple of 64 so that runs,
+    precisions and the oracles share ladders: T[a] - T[a-1] from the log-factorial ladder T
+    (:func:`symbolic._log_factorials`), within e = 2 log2 M units of 2^-F, M the largest
+    argument; or, when that ladder would reach the cap or 16 times the run's length, one
+    ``mpf_log``, within 2 units.  Delta^r, a sum of C(r, j) logs, is then within 2^r e units.
+    As log x = integral_0^inf (e^-t - e^-xt) dt/t, with u = 1 - e^-t, |Delta^r log| is the
+    integral over (0, 1) of u^r (1-u)^(a-1) / -log(1-u), a the least of a_0..a_r, and
+    -log(1-u) <= u/(1-u) bounds it below by (r-1)! a!/(a+r)!.  So taking
 
-        P = bits + 64 + max_r ceil(r + 1 + r log2 M - log2 (r-1)!) + 4
+        F >= bits + 68 + log2 e + max_r ceil(r + log2((a+1)...(a+r)) - log2 (r-1)!)
 
-    keeps every difference within 2^-(bits+64) of its true value, relative,
-    before the one rounding to ``bits``.
+    bounds every relative error by 2^-(bits+64).
     """
     top = max(args[0], args[-1])
-    g = top.bit_length().bit_length()
-    prec = bits + 68 + max(
-        math.ceil(r + 1 + r * math.log2(top) - math.lgamma(r) / math.log(2))
-        for r in range(1, len(args))
-    )
-    row = [to_fixed(mpf_log(from_int(a), prec + 8 + g), prec) for a in args]
+    log_e = (2 * top.bit_length()).bit_length()
+    # log2 of (a + 1)...(a + r) for r = 1..K-1: the arguments a_0..a_r less the least
+    spans = accumulate(math.log2(max(a, b)) for a, b in zip(args, args[1:]))
+    prec = _round64(bits + 4 + log_e + max(
+        (math.ceil(r + s - math.lgamma(r) / math.log(2)) for r, s in enumerate(spans, 1)), default=0))
+    frac = prec + _TABLE_BITS
+    if top < min(_TABLE_CAP, 16 * len(args)):
+        ladder = _log_factorials(1 << max(1, top.bit_length()), prec)
+        row = [ladder[a] - ladder[a - 1] for a in args]
+    else:
+        g = top.bit_length().bit_length()  # |log a| < 2^g
+        row = [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args]
     out = []
     while len(row) > 1:
-        row = [b - a for a, b in zip(row, row[1:])]
-        out.append(mp.make_mpf(from_man_exp(row[0], -prec, bits, round_nearest)))
-    return tuple(out)
+        row = list(map(sub, row[1:], row))
+        out.append(row[0])
+    return tuple(out), -frac
 
 
 # c's tables get a cache of their own, so that a run of exact D(n, p) cannot
 # evict them.  Their ladder starts at depth 16, as the small-lambda bound asks
-# for a few low c(k); c~'s starts at 64, and exact D(n, p) reads its top rung.
+# for a few low c(k); c~'s starts at 64, and exact D(n, p) reads the run n..1.
 _c_tables = lru_cache(maxsize=8)(_log_differences)
 _c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
 
@@ -184,7 +196,8 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _c_tables(range(1, _depth(k, math.inf, 16) + 1), ctx.bits)[k - 2]
+    diffs, exp = _c_tables(range(1, _depth(k, math.inf, 16) + 1), ctx.bits)
+    return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
 
 
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -192,7 +205,8 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     the (k-1)-th forward difference of log(n - j) at j = 0."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)[k - 2]
+    diffs, exp = _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)
+    return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
 
 
 def _symmetrize_pq(f: LogLaurent) -> LogLaurent:

@@ -5,12 +5,14 @@ summation at high precision: Shannon entropy of the Poisson and binomial
 laws, their relative entropy, the expected-log quantities the proofs run
 through, and the central moments of both laws.  This module imports only
 :mod:`symbolic`, and nothing on the bounds path (moments, coefficients,
-bounds) imports it, so a bound and its oracle can only agree when both are
-right.
+bounds) imports it, so a bound and its oracle share only the exact kernel.
+That kernel holds the one fixed-point table of log i!
+(:func:`symbolic._log_factorials`), which the exact D(n, p) also reads; a
+test pins it against ``mpmath.log`` at twice the precision.
 
 Both laws are summed by one fixed-point core, :func:`_outward`, which
 takes the caller's mpmath context and returns its mpfs.  It seeds the term
-at the mode from a cached table of log i! and one exp, walks outward in
+at the mode from that table and one exp, walks outward in
 both directions in Python integers by the exact ratio of successive pmf
 values, and stops each side at its own certified geometric tail or at the
 end of the support.  A Poisson sum thus costs about sqrt(lam * bits)
@@ -26,9 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
 from mpmath import mp, mpf
@@ -38,35 +37,30 @@ from mpmath.libmp import (
     from_man_exp,
     mpf_add,
     mpf_div,
-    mpf_log,
-    mpf_loggamma,
     mpf_mul,
     mpf_shift,
     round_nearest,
     round_up,
-    to_fixed,
 )
 
 from .symbolic import (
+    _TABLE_BITS,
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
     PrecisionError,
     _check_n,
     _dyadic,
+    _log_factorial,
     _mp_context,
     _point,
+    _round64,
     as_fraction,
     to_mpf,
 )
 
 # the pmf walk carries this many bits past the working precision
 _GUARD = 32
-# log-factorial entries carry this many fractional bits past the working precision
-_TABLE_BITS = 64
-# log i! is tabulated below this index and taken from loggamma at and above it
-_TABLE_CAP = 1 << 17
-
 _Dyadic = tuple[int, int]  # (man, exp): the exact value man * 2^exp
 
 
@@ -89,51 +83,6 @@ class TruncationReceipt:
     rel_err_bound: mpf
 
 
-@lru_cache(maxsize=128)
-def _log_factorials(size: int, prec: int) -> tuple[int, ...]:
-    """log i! for i = 0..size-1 in units of 2^-(``prec`` + 64), size a power of two.
-
-    Each rung of the ladder extends the one below it: a prime's log is one
-    ``mpf_log``, and a composite's is the exact sum of the logs of two
-    smaller factors.  A priori error bound: a prime's log is taken at
-    enough bits to be within one unit before it is truncated to an integer,
-    so within two after; then log i is within 2 log2 i units and log i!
-    within 2 i log2 i < 2^23 units below the cap, that is within
-    2^-(``prec`` + 41).
-    """
-    if size <= 2:
-        return (0, 0)
-    half = size // 2
-    below = _log_factorials(half, prec)
-    frac = prec + _TABLE_BITS
-    wp = frac + 8 + size.bit_length().bit_length()
-    # factor[i - half] divides i and lies in (1, i), or is 0 when i is prime
-    factor = [0] * half
-    for d in range(2, math.isqrt(size - 1) + 1):
-        first = -(-half // d) * d
-        factor[first - half :: d] = [d] * len(range(first, size, d))
-
-    log = [0, *map(sub, below[1:], below)]  # log[i] = log i, for 0 < i < half
-    logs = [
-        log[f] + log[i // f] if f else to_fixed(mpf_log(from_int(i), wp), frac)
-        for i, f in enumerate(factor, half)
-    ]
-    return below + tuple(accumulate(logs, initial=below[-1]))[1:]
-
-
-def _log_factorial(i: int, prec: int) -> int:
-    """log i! in units of 2^-(``prec`` + 64), within 2^-(``prec`` + 41).
-
-    Below the cap it is read from the table on the power-of-two ladder that
-    first holds i; at and above it, one loggamma, which keeps the memory of
-    a huge mean or n at O(1) per precision.
-    """
-    if i < _TABLE_CAP:
-        return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
-    frac = prec + _TABLE_BITS
-    return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
-
-
 def _exact_mpf(man: int, exp: int) -> tuple:
     """``from_man_exp(man, exp)`` for man >= 0, its bit count from ``int.bit_length``."""
     zeros = (man & -man).bit_length() - 1
@@ -144,11 +93,6 @@ def _log_next(prec: int) -> Callable[[int], _Dyadic]:
     """The weight j -> log(j + 1), read from the log-factorial table at ``prec``."""
     exp = -prec - _TABLE_BITS
     return lambda j: (_log_factorial(j + 1, prec) - _log_factorial(j, prec), exp)
-
-
-def _round64(bits: int) -> int:
-    """``bits`` rounded up to a multiple of 64, so that few contexts are made."""
-    return -(-bits // 64) * 64
 
 
 class _Law(NamedTuple):

@@ -10,7 +10,9 @@ per expression (:func:`evaluate`), at a precision chosen through :class:`Precisi
 The two term-wise integration rules that turn moment polynomials into
 expansion coefficients live here as well: :func:`integrate_tail` for
 ``integral_x^inf`` of pure negative powers, and :func:`integrate_to_one` for
-``integral_q^1``, where the exponent -1 produces a ``-log q`` term.
+``integral_q^1``, where the exponent -1 produces a ``-log q`` term.  So does
+the one fixed-point ladder of log i! (:func:`_log_factorials`), from which the
+coefficients and the oracles read every logarithm of an integer.
 """
 
 from __future__ import annotations
@@ -18,18 +20,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import accumulate
+from math import isqrt, prod
+from operator import sub
 from typing import Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_pos, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_log,
+    mpf_loggamma,
+    mpf_pos,
+    normalize,
+    round_nearest,
+    to_fixed,
+)
 
 Scalar = Union[int, Fraction]
 Exponent = Union[int, tuple[int, ...]]
 
 # extra mantissa bits used while evaluating, before rounding to ctx.bits
 _GUARD_BITS = 64
+# log-factorial entries carry this many fractional bits past the precision they are asked at
+_TABLE_BITS = 64
+# log i! is tabulated below this index and taken from loggamma at and above it
+_TABLE_CAP = 1 << 17
 
 
 class DomainError(ValueError):
@@ -130,13 +147,68 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
+def _round64(bits: int) -> int:
+    """``bits`` rounded up to a multiple of 64, so that few contexts and tables are made."""
+    return -(-bits // 64) * 64
+
+
 def to_mpf(x, M: mpmath.MPContext) -> mpf:
-    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision."""
-    if isinstance(x, Fraction):
-        value = M.mpf(x.numerator)
-        # dividing by 1 would change no bit, so integers skip the division
-        return value if x.denominator == 1 else value / x.denominator
-    return M.mpf(x)
+    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision.  A
+    Fraction is rounded once, to nearest, from its integer quotient to over ``M.prec`` + 1 bits
+    and a sticky bit, which lies on the same side of every tie as the rest of the quotient."""
+    if not isinstance(x, Fraction):
+        return M.mpf(x)
+    num, den = x.numerator, x.denominator
+    shift = M.prec + 2 + den.bit_length() - num.bit_length()
+    man, rest = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
+    man = man << 1 | bool(rest)
+    return M.make_mpf(normalize(num < 0, man, -shift - 1, man.bit_length(), M.prec, round_nearest))
+
+
+@lru_cache(maxsize=128)
+def _log_factorials(size: int, prec: int) -> tuple[int, ...]:
+    """log i! for i = 0..size-1 in units of 2^-(``prec`` + 64), size a power of two: the one
+    source of fixed-point logarithms of integers, log i being entry i less entry i - 1.
+
+    Each rung of the ladder extends the one below it: a prime's log is one
+    ``mpf_log``, and a composite's is the exact sum of the logs of two
+    smaller factors.  A priori error bound: a prime's log is taken at
+    enough bits to be within one unit before it is truncated to an integer,
+    so within two after; then log i, a sum of at most log2 i prime logs, is
+    within 2 log2 i units, and log i! within 2 i log2 i < 2^23 units below
+    the cap, that is within 2^-(``prec`` + 41).
+    """
+    if size <= 2:
+        return (0, 0)
+    half = size // 2
+    below = _log_factorials(half, prec)
+    frac = prec + _TABLE_BITS
+    wp = frac + 8 + size.bit_length().bit_length()
+    # factor[i - half] divides i and lies in (1, i), or is 0 when i is prime
+    factor = [0] * half
+    for d in range(2, isqrt(size - 1) + 1):
+        first = -(-half // d) * d
+        factor[first - half :: d] = [d] * len(range(first, size, d))
+
+    log = [0, *map(sub, below[1:], below)]  # log[i] = log i, for 0 < i < half
+    logs = [
+        log[f] + log[i // f] if f else to_fixed(mpf_log(from_int(i), wp), frac)
+        for i, f in enumerate(factor, half)
+    ]
+    return below + tuple(accumulate(logs, initial=below[-1]))[1:]
+
+
+def _log_factorial(i: int, prec: int) -> int:
+    """log i! in units of 2^-(``prec`` + 64), within 2^-(``prec`` + 41).
+
+    Below the cap it is read from the table on the power-of-two ladder that
+    first holds i; at and above it, one loggamma, which keeps the memory of
+    a huge mean or n at O(1) per precision.
+    """
+    if i < _TABLE_CAP:
+        return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
+    frac = prec + _TABLE_BITS
+    return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
 
 
 def _context_of(*xs) -> mpmath.MPContext:

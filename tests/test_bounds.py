@@ -186,14 +186,16 @@ class TestRelativeEntropyExact:
             got = relative_entropy_exact(case["n"], F(case["p"]), PrecisionContext(case["bits"]))
             assert got.man_exp == (case["man"], case["exp"]), case
 
-    def test_cold_n300_is_fast(self):
-        # one fresh interpreter, so no coefficient cache is warm
+    @staticmethod
+    def cold_seconds(n: int) -> float:
+        """Seconds for relative_entropy_exact(n, 3/10) at 256 bits in a fresh interpreter, so
+        that no coefficient cache or log ladder is warm."""
         code = (
             "import time\n"
             "from fractions import Fraction\n"
             "from entropy_bounds import PrecisionContext, relative_entropy_exact\n"
             "t = time.perf_counter()\n"
-            "relative_entropy_exact(300, Fraction(3, 10), PrecisionContext(256))\n"
+            f"relative_entropy_exact({n}, Fraction(3, 10), PrecisionContext(256))\n"
             "print(time.perf_counter() - t)\n"
         )
         proc = subprocess.run(
@@ -201,7 +203,43 @@ class TestRelativeEntropyExact:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 0.5
+        return float(proc.stdout)
+
+    def test_cold_n300_is_fast(self):
+        assert self.cold_seconds(300) < 0.5
+
+    def test_cold_n1000_is_fast(self):
+        # O(n) logarithms, one per prime below 1024, where one per argument at 2,771 bits
+        # took 1.1-1.7 s
+        assert self.cold_seconds(1000) < 0.6
+
+    @staticmethod
+    def ulps_off(value: mpf, truth: mpf, bits: int) -> mpf:
+        """|value - truth| in units of the last place of ``bits`` bits at ``truth``."""
+        with mp.workprec(4 * bits):
+            return abs(value - truth) / mpf(2) ** (mpmath.mag(truth) - bits)
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("n", [2, 40, 1000])
+    @pytest.mark.parametrize("p", [F(1, 10**20), F(1, 10**80)])
+    def test_tiny_p_within_an_ulp_of_the_1024_bit_oracle(self, p, n, bits):
+        # n(p + q log q) is about n p^2 / 2 and D about p^2 / 4, so a head formed at the
+        # working precision loses about log2(1/p) bits
+        value = relative_entropy_exact(n, p, PrecisionContext(bits))
+        truth = relative_entropy_oracle(n, p, PrecisionContext(1024))
+        assert self.ulps_off(value, truth, bits) <= 1, (value, truth)
+
+    def test_correctly_rounded_against_the_oracle(self):
+        # seeded (n, p, bits) with log-uniform p: within half an ulp, plus 2^-32 ulp for the
+        # oracle's own error, of the oracle at bits + 192
+        rng = random.Random(2010)
+        for _ in range(24):
+            n = rng.choice([rng.randrange(2, 200), rng.randrange(200, 700)])
+            bits = rng.choice([64, 128, 256])
+            p = F(round(2 ** -rng.uniform(0, 40) * 10**15), 10**15)
+            value = relative_entropy_exact(n, p, PrecisionContext(bits))
+            truth = relative_entropy_oracle(n, p, PrecisionContext(bits + 192))
+            assert self.ulps_off(value, truth, bits) <= 0.5 + mpf(2) ** -32, (n, p, bits)
 
 
 class TestRelativeEntropyBounds:

@@ -32,17 +32,14 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds.oracle import (
+from entropy_bounds.oracle import _binomial_law, _dyadic, _outward, poisson_expectation
+from entropy_bounds.symbolic import (
     _TABLE_BITS,
     _TABLE_CAP,
-    _binomial_law,
-    _dyadic,
     _log_factorial,
     _log_factorials,
-    _outward,
-    poisson_expectation,
+    to_mpf,
 )
-from entropy_bounds.symbolic import to_mpf
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,5 +1,7 @@
-"""Kernel tests: exact arithmetic, the two integration rules, evaluation."""
+"""Kernel tests: exact arithmetic, the two integration rules, evaluation, the log ladder."""
 
+import math
+import random
 from fractions import Fraction as F
 from math import prod
 
@@ -22,7 +24,16 @@ from entropy_bounds import (
     integrate_to_one,
     rational_str,
 )
-from entropy_bounds.symbolic import _climb, _form, _mp_context, evaluate, to_mpf
+from entropy_bounds.symbolic import (
+    _TABLE_BITS,
+    _TABLE_CAP,
+    _climb,
+    _form,
+    _log_factorials,
+    _mp_context,
+    evaluate,
+    to_mpf,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -424,3 +435,28 @@ class TestContextAndInterval:
 
     def test_default_context(self):
         assert DEFAULT_CONTEXT.bits == 256
+
+    @pytest.mark.parametrize("bits", [64, 128, 320])
+    def test_huge_fraction_is_rounded_once(self, bits):
+        # numerators of 10^5 bits: rounding the numerator to the context first and then
+        # dividing rounds twice, and misses the nearest mpf for some of these draws
+        M = _mp_context(bits)
+        rng = random.Random(bits)
+        for _ in range(8):
+            x = F(rng.getrandbits(10**5) | 1 << (10**5 - 1), rng.getrandbits(64) | 1)
+            y = to_mpf(x, M)
+            _, _, exp, bc = y._mpf_
+            assert abs(exact_value(y) - x) <= F(2) ** (exp + bc - bits) / 2, x.denominator
+
+
+class TestLogLadder:
+    @pytest.mark.parametrize("prec, top", [(64, _TABLE_CAP), (256, 1 << 14), (1024, 1 << 12),
+                                           (2048, 1 << 11)])
+    def test_log_i_within_the_stated_bound(self, prec, top):
+        # log i is entry i less entry i - 1, within 2 log2 i units of 2^-(prec + 64); exact D
+        # and the oracles both read it, so it is pinned against mpmath.log on its own
+        ladder = _log_factorials(top, prec)
+        units = mpf(2) ** (prec + _TABLE_BITS)
+        for i in random.Random(prec).sample(range(2, top), 40):
+            with mp.workprec(2 * (prec + _TABLE_BITS)):
+                assert abs(ladder[i] - ladder[i - 1] - mpmath.log(i) * units) <= 2 * math.log2(i)

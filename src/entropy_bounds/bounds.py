@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from mpmath import mp, mpf
@@ -76,11 +77,10 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
 
 def _over_n(pieces) -> LaurentPoly:
     """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals,
-    and over (x, n, log x) for LogLaurents in x.  The exponents and Fractions are canonical
-    already, so the terms go to :meth:`LaurentPoly._of` uncoerced."""
-    return LaurentPoly._of(dict(term for k, f in pieces.items() for term in (
-        [((-k,), f)] if isinstance(f, Fraction) else
-        [((e, -k, 0), c) for e, c in f.laurent.terms()] + [((0, -k, 1), f.log_coeff)])))
+    and over (*x, n) for LaurentPolys over x, such as (q, log q).  The exponents and Fractions
+    are canonical already, so the terms go to :meth:`LaurentPoly._of` uncoerced."""
+    return LaurentPoly._of({(*e, -k): c for k, f in pieces.items() for e, c in (
+        f._terms.items() if isinstance(f, LaurentPoly) else [((), f)])})
 
 
 def _sandwich_forms(derive, m: int) -> tuple:
@@ -102,10 +102,10 @@ def _small_forms(c, m: int, bits: int) -> tuple:
 def _relative_entropy_sum(n: int, u: mpf, m: int, M) -> tuple[mpf, mpf]:
     """(l, gap) with D(n, p) + D(n, q) in [l, l + gap] at u = pq, the order-m sandwiches at p and
     at q summed (:func:`coefficients._symmetric_coeffs`): l = -(1 + log u)/2 + sum_k
-    b~_sym(m, k; u) n^-k and gap = sum_k a~_sym(m, k; u) n^-k."""
+    b~_sym(m, k; u) n^-k and gap = sum_k a~_sym(m, k; u) n^-k, over (u, log u, n)."""
     log_u = M.log(u)
     form = compiled(M, _sandwich_forms, coefficients._symmetric_coeffs, m)
-    beta, gap = evaluate(form, M, u, M.mpf(n), log_u)
+    beta, gap = evaluate(form, M, u, log_u, M.mpf(n))
     return beta - (1 + log_u) / 2, gap
 
 
@@ -162,7 +162,9 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         return ctx.round(p_m)
     wbits = ctx.bits + (6 * n).bit_length()
     diffs, exp = coefficients._c_tilde_tables(range(n, 0, -1), wbits)
-    form = tuple((((0, k),), math.comb(n, k) * d, exp) for k, d in enumerate(diffs, 2))
+    # C(n, k) for k = 2..n, each from the one before: C(n, k + 1) = C(n, k)(n - k)/(k + 1)
+    binom = accumulate(range(2, n), lambda c, k: c * (n - k) // (k + 1), initial=n * (n - 1) // 2)
+    form = tuple((((0, k),), c * d, exp) for k, (c, d) in enumerate(zip(binom, diffs), 2))
     W = _mp_context(_round64(wbits + 64))
     series = next(evaluate((form,), W, p_m))
     H = _mp_context(_round64(W.prec + 16 - M.mag(p_m)))
@@ -183,7 +185,7 @@ def relative_entropy_bounds(
     q_m = 1 - p_m
     log_q = M.log(q_m)
     form = compiled(M, _sandwich_forms, coefficients.binomial_coeffs, m)
-    beta, gap = evaluate(form, M, q_m, M.mpf(n), log_q)
+    beta, gap = evaluate(form, M, q_m, log_q, M.mpf(n))
     lower = -(p_m + log_q) / 2 + beta
     return _report(lower, lower + gap, m, "relative-entropy", ctx)
 

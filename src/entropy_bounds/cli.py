@@ -32,7 +32,7 @@ from . import bounds, coefficients, oracle
 from .symbolic import (
     DEFAULT_CONTEXT,
     DomainError,
-    LogLaurent,
+    LaurentPoly,
     PrecisionContext,
     PrecisionError,
     rational_str,
@@ -121,10 +121,10 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _exact_json(value):
-    """An exact coefficient as 'num/den', a LogLaurent as its terms and log coefficient."""
-    if isinstance(value, LogLaurent):
-        return {"terms": {str(e): rational_str(c) for e, c in value.laurent.terms()},
-                "log": rational_str(value.log_coeff)}
+    """An exact coefficient as 'num/den', a LaurentPoly over (q, log q) as its terms and log."""
+    if isinstance(value, LaurentPoly):
+        return {"terms": {str(e): rational_str(c) for (e, log), c in value.terms() if not log},
+                "log": rational_str(value.coeff((0, 1)))}
     return rational_str(value)
 
 

@@ -30,7 +30,6 @@ from .symbolic import (
     _TABLE_CAP,
     DEFAULT_CONTEXT,
     LaurentPoly,
-    LogLaurent,
     PrecisionContext,
     _check_order,
     _log_factorials,
@@ -45,14 +44,14 @@ class CoeffSet:
     """Large-argument coefficients of order m of one law.
 
     ``b[k]`` (k = 1..2m-1) are the expansion terms, ``a[k]`` (k = m..2m) the
-    gap terms: exact rationals for the Poisson law, LogLaurent functions of
-    q = 1 - p, defined on q in (0, 1], for the binomial.  A gap integrand is
-    an even central moment, so every rational a(m, k) is nonnegative.
+    gap terms: exact rationals for the Poisson law, LaurentPolys over
+    (q, log q), q = 1 - p, for the binomial.  A gap integrand is an even
+    central moment, so every rational a(m, k) is nonnegative.
     """
 
     m: int
-    b: Mapping[int, Fraction | LogLaurent]
-    a: Mapping[int, Fraction | LogLaurent]
+    b: Mapping[int, Fraction | LaurentPoly]
+    a: Mapping[int, Fraction | LaurentPoly]
 
     def __post_init__(self) -> None:
         if set(self.b) != set(range(1, 2 * self.m)):
@@ -109,7 +108,7 @@ def poisson_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
 
 
-def _integrate_pieces(f: LaurentPoly) -> dict[int, LogLaurent]:
+def _integrate_pieces(f: LaurentPoly) -> dict[int, LaurentPoly]:
     """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1."""
     pieces: dict[int, dict[int, Fraction]] = {}
     for (n_exp, s_exp), c in f.terms():
@@ -119,7 +118,7 @@ def _integrate_pieces(f: LaurentPoly) -> dict[int, LogLaurent]:
 
 @lru_cache(maxsize=None)
 def binomial_coeffs(m: int) -> CoeffSet:
-    """Derive a~(m, k; p) and b~(m, k; p) as LogLaurent functions of q, through
+    """Derive a~(m, k; p) and b~(m, k; p) as LaurentPolys over (q, log q), through
     D(n, p) = n integral_q^1 E[log((B_{n-1,s} + 1) / (ns))] ds.
 
     The coefficient of n^-k is the integral of the n^-(k+1) piece of the
@@ -209,39 +208,39 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
 
 
-def _symmetrize_pq(f: LogLaurent) -> LogLaurent:
-    """f(q) + f(p) rewritten exactly as a LogLaurent in u = pq, for any f.
+def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:
+    """f(q, log q) + f(p, log p) rewritten exactly over (u, log u), u = pq, for any f.
 
     With p + q = 1, Girard-Waring gives p^e + q^e = sum_{i <= e/2} (-1)^i
     e/(e-i) C(e-i, i) u^i for e >= 1 and 2 for e = 0; for e < 0 it is that
-    sum at |e| times u^e.  The log part uses log p + log q = log u.
+    sum at |e| times u^e.  The log term keeps weight 1, as log p + log q = log u.
     """
-    d: dict[tuple[int], Fraction] = {}
-    for e, c in f.laurent.terms():
+    d: dict[tuple[int, int], Fraction] = {}
+    for (e, log), c in f.terms():
         a = abs(e)
         for i in range(a // 2 + 1):
-            w = Fraction((-1) ** i * a * math.comb(a - i, i), a - i) if a else 2
-            key = (i + min(e, 0),)
+            w = Fraction((-1) ** i * a * math.comb(a - i, i), a - i) if a else 2 - log
+            key = (i + min(e, 0), log)
             d[key] = d.get(key, 0) + c * w
-    return LogLaurent(LaurentPoly._of(d), f.log_coeff)
+    return LaurentPoly._of(d)
 
 
 @lru_cache(maxsize=None)
 def _symmetric_coeffs(m: int) -> CoeffSet:
     """:func:`binomial_coeffs` (m) with each b~ and a~ symmetrized in p <-> q
-    (:func:`_symmetrize_pq`): the coefficients of D(n, p) + D(n, q) in u = pq."""
+    (:func:`_symmetrize_pq`): the coefficients of D(n, p) + D(n, q) over (u, log u), u = pq."""
     cs = binomial_coeffs(m)
     return CoeffSet(m, *({k: _symmetrize_pq(f) for k, f in d.items()} for d in (cs.b, cs.a)))
 
 
 @lru_cache(maxsize=None)
-def stirling_m1_constants() -> tuple[LogLaurent, LogLaurent, LogLaurent, LogLaurent]:
-    """The four constants of the order-1 binomial entropy bound, in u = pq.
+def stirling_m1_constants() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The four constants of the order-1 binomial entropy bound, over (u, log u), u = pq.
 
     The order-1 symmetric set (:func:`_symmetric_coeffs`) with the classical
     Stirling bounds on log n!, 1/(12n) - 1/(360n^3) below and 1/(12n) above.
     Returned as (C1, C2, C3, C4): lower C1/n + C2/n^2 + C3/n^3, upper C4/n.
     """
     cs = _symmetric_coeffs(1)
-    c4 = LogLaurent.constant(Fraction(1, 12)) - cs.b[1]
-    return c4 - cs.a[1], -cs.a[2], LogLaurent.constant(Fraction(-1, 360)), c4
+    c4 = LaurentPoly({(0, 0): Fraction(1, 12)}) - cs.b[1]
+    return c4 - cs.a[1], -cs.a[2], LaurentPoly({(0, 0): Fraction(-1, 360)}), c4

@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
-All coefficient derivations run on `fractions.Fraction` end to end, with two
-expression types: :class:`LaurentPoly`, one sparse polynomial type in one or
-several variables with negative exponents allowed, and :class:`LogLaurent`, a
-one-variable Laurent polynomial plus a logarithm term.  Nothing here ever
+All coefficient derivations run on `fractions.Fraction` end to end, with one
+expression type: :class:`LaurentPoly`, a sparse polynomial in one or several
+variables with negative exponents allowed.  A binomial coefficient function is
+one over (q, L), L standing for log q with exponent 0 or 1.  Nothing here ever
 rounds; numeric evaluation is a separate step, in Python integers rounded once
 per expression (:func:`evaluate`), at a precision chosen through :class:`PrecisionContext`.
 
@@ -71,7 +71,6 @@ _DOMAINS = {
     "> 0": lambda x: x > 0,
     "in [0,1]": lambda x: 0 <= x <= 1,
     "in (0,1)": lambda x: 0 < x < 1,
-    "in (0,1]": lambda x: 0 < x <= 1,
 }
 
 
@@ -211,11 +210,6 @@ def _log_factorial(i: int, prec: int) -> int:
     return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
 
 
-def _context_of(*xs) -> mpmath.MPContext:
-    """The mpmath context of the first mpf among ``xs``, else DEFAULT_CONTEXT's."""
-    return next((x.context for x in xs if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Certified enclosure: lower <= quantity <= upper."""
@@ -337,7 +331,7 @@ class LaurentPoly:
         if all(isinstance(x, (int, Fraction)) for x in point):
             return sum((c * prod(Fraction(x) ** k for x, k in zip(point, e))
                         for e, c in self._terms.items()), Fraction(0))
-        M = _context_of(*point)
+        M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
         return next(evaluate((_form(self, M),), M, *(to_mpf(x, M) for x in point)))
 
@@ -348,52 +342,25 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class LogLaurent:
-    """Laurent polynomial in q plus ``log_coeff * log(q)``.
+class LogLaurent(LaurentPoly):
+    """A LaurentPoly over (q, L), L standing for log q, as :func:`integrate_to_one` returns it,
+    read as its L-free part in q and its coefficient of L.  Arithmetic gives a plain LaurentPoly."""
 
-    Evaluation is defined for q in (0, 1] only, the domain on which the
-    binomial-side coefficient functions live.
-    """
+    # ROADMAP item 11 deletes this view once perfbench reads coeff((e, 0)) and coeff((0, 1))
+    __slots__ = ()
 
-    laurent: LaurentPoly
-    log_coeff: Fraction = Fraction(0)
+    @property
+    def laurent(self) -> LaurentPoly:
+        return LaurentPoly._of({e[:1]: c for e, c in self._terms.items() if not e[1]})
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "LogLaurent":
-        return cls(LaurentPoly(((0, c),)), Fraction(0))
-
-    def __add__(self, other: "LogLaurent") -> "LogLaurent":
-        return LogLaurent(self.laurent + other.laurent, self.log_coeff + other.log_coeff)
-
-    def __neg__(self) -> "LogLaurent":
-        return LogLaurent(-self.laurent, -self.log_coeff)
-
-    def __sub__(self, other: "LogLaurent") -> "LogLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: Scalar) -> "LogLaurent":
-        s = as_fraction(other)
-        return LogLaurent(self.laurent * s, self.log_coeff * s)
-
-    __rmul__ = __mul__
-
-    def __call__(self, q):
-        M = _context_of(q)
-        q_m = _point(q, M, "q", "in (0,1]")
-        return next(evaluate((_form(self, M),), M, q_m, M.log(q_m)))  # uncached, as in LaurentPoly
-
-    def __repr__(self) -> str:
-        return f"LogLaurent({self.laurent!r}, log_coeff={rational_str(self.log_coeff)})"
+    @property
+    def log_coeff(self) -> Fraction:
+        return self.coeff((0, 1))
 
 
 def _form(x, M: mpmath.MPContext) -> tuple:
     """Per term of the exact expression ``x``, its nonzero (variable, exponent) pairs and
-    its coefficient rounded into ``M`` by :func:`to_mpf`, as :func:`_dyadic` (man, exp).
-    A LogLaurent in q becomes a form in (q, log q)."""
-    if isinstance(x, LogLaurent):
-        x = LaurentPoly([(e + (0,), c) for e, c in x.laurent._terms.items()]
-                        + [((0, 1), x.log_coeff)])
+    its coefficient rounded into ``M`` by :func:`to_mpf`, as :func:`_dyadic` (man, exp)."""
     return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(to_mpf(c, M)))
                  for e, c in x._terms.items())
 
@@ -472,26 +439,24 @@ def integrate_tail(f: LaurentPoly) -> LaurentPoly:
 
 
 def integrate_to_one(f: LaurentPoly) -> LogLaurent:
-    """Exact ``integral_q^1 f(s) ds`` as a LogLaurent in q.
+    """Exact ``integral_q^1 f(s) ds`` as a LaurentPoly over (q, L), L standing for log q.
 
-    Exponent -1 contributes ``-log q``; exponent e != -1 contributes
+    Exponent -1 contributes ``-L``; exponent e != -1 contributes
     ``(1 - q**(e+1)) / (e+1)``, split into a constant and a power of q.
     """
-    out: list[tuple[int, Fraction]] = []
-    log_coeff = Fraction(0)
+    out: list[tuple[tuple[int, int], Fraction]] = []
     for e, c in f.terms():
         if e == -1:
-            log_coeff -= c
+            out.append(((0, 1), -c))
         else:
-            out.append((0, c / (e + 1)))
-            out.append((e + 1, -c / (e + 1)))
-    return LogLaurent(LaurentPoly(out), log_coeff)
+            out.append(((0, 0), c / (e + 1)))
+            out.append(((e + 1, 0), -c / (e + 1)))
+    return LogLaurent(out)
 
 
-def eval_at(expr, point, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Evaluate any kernel expression at a numeric point, rounded to ctx.bits.
+def eval_at(expr: LaurentPoly, point, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """Evaluate a one-variable LaurentPoly at a numeric point, rounded to ctx.bits.
 
-    Accepts a one-variable LaurentPoly or a LogLaurent; the point may be int,
-    float, str, Fraction, or mpf.
+    The point may be int, float, str, Fraction, or mpf.
     """
     return ctx.round(expr(to_mpf(point, ctx.mp)))

@@ -6,7 +6,7 @@ else.  Keys are (m, k).
 
 from fractions import Fraction as F
 
-from entropy_bounds import LaurentPoly, LogLaurent
+from entropy_bounds import LaurentPoly
 
 TABLE_A = {
     (1, 1): F(1),
@@ -45,8 +45,9 @@ TABLE_B = {
 }
 
 
-def loglaurent(log_coeff, terms) -> LogLaurent:
-    return LogLaurent(LaurentPoly(terms), F(log_coeff))
+def loglaurent(log_coeff, terms) -> LaurentPoly:
+    """sum_e terms[e] q^e + log_coeff log q, as a LaurentPoly over (q, log q)."""
+    return LaurentPoly([((e, 0), c) for e, c in terms.items()] + [((0, 1), log_coeff)])
 
 
 # order-1 and order-2 binomial coefficient functions of q, published closed

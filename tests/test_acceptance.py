@@ -96,7 +96,7 @@ def test_criterion_02_published_coefficient_functions():
             for (kind, m, k), want in printed.items():
                 cs = binomial_coeffs(m)
                 fn = cs.b_tilde[k] if kind == "b" else cs.a_tilde[k]
-                assert abs(fn(q) - want) <= mpf("1e-25"), (kind, m, k, q)
+                assert abs(fn(q, lq) - want) <= mpf("1e-25"), (kind, m, k, q)
     ok(2, "order-1 and order-2 binomial coefficient functions match the "
           "published forms symbolically and numerically")
 

@@ -347,8 +347,9 @@ class TestStirlingOrderOne:
             p = mpf(0.4)
             u = p * (1 - p)
             base = mpmath.log(2 * mpmath.pi * n * u) / 2 + mpf(1) / 2
-            lower = base + c1(u) / n + c2(u) / n**2 + c3(u) / n**3
-            upper = base + c4(u) / n
+            lu = mpmath.log(u)
+            lower = base + c1(u, lu) / n + c2(u, lu) / n**2 + c3(u, lu) / n**3
+            upper = base + c4(u, lu) / n
             assert abs(rep.lower - lower) < mpf("1e-70")
             assert abs(rep.upper - upper) < mpf("1e-70")
 

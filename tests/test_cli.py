@@ -429,6 +429,8 @@ class TestDeterminismAndEnvironment:
 # the Stirling constants, order selection, oracle comparison, the c(k) table)
 GOLDEN_COMMANDS = {
     "coeffs_binomial_m3": ["coeffs", "binomial", "--m", "3"],
+    # orders 4-6 and their larger q-exponents
+    "coeffs_binomial_m6": ["coeffs", "binomial", "--m", "6"],
     "coeffs_poisson_m4": ["coeffs", "poisson", "--m", "4"],
     "bounds_relative_entropy": [
         "bounds", "relative-entropy", "--n", "100", "--points", "0.05,0.5,0.95", "--m", "3",

@@ -18,8 +18,6 @@ from mpmath import mp, mpf
 from entropy_bounds import (
     CoeffSet,
     DEFAULT_CONTEXT,
-    LaurentPoly,
-    LogLaurent,
     PrecisionContext,
     binomial_coeffs,
     c_coeff,
@@ -29,7 +27,7 @@ from entropy_bounds import (
     stirling_m1_constants,
 )
 from entropy_bounds.cli import coeffs_to_json
-from entropy_bounds.coefficients import _symmetric_coeffs
+from entropy_bounds.coefficients import _symmetric_coeffs, _symmetrize_pq
 from golden_data import (
     BINOMIAL_A,
     BINOMIAL_B,
@@ -162,7 +160,7 @@ class TestBinomialCoefficients:
             for (kind, m, k), want in direct.items():
                 cs = binomial_coeffs(m)
                 fn = cs.b_tilde[k] if kind == "b" else cs.a_tilde[k]
-                assert abs(fn(qm) - want) < mpf("1e-40"), (kind, m, k)
+                assert abs(fn(qm, log_q) - want) < mpf("1e-40"), (kind, m, k)
 
     def test_poisson_limit_of_first_expansion_term(self):
         """The symmetrized order-1 expansion term, Stirling-corrected, tends
@@ -174,7 +172,8 @@ class TestBinomialCoefficients:
             errors = []
             for n in (10**3, 10**4, 10**5):
                 p = mpf(lam) / n
-                errors.append(abs(c4(p * (1 - p)) / n - target))
+                u = p * (1 - p)
+                errors.append(abs(c4(u, mpmath.log(u)) / n - target))
             assert errors[0] > errors[1] > errors[2]
             assert errors[2] < mpf("1e-3")
 
@@ -343,13 +342,13 @@ class TestStirlingConstants:
         assert c4 == STIRLING_C4
 
     def test_third_constant_value(self):
-        assert stirling_m1_constants()[2] == LogLaurent(LaurentPoly({0: F(-1, 360)}))
+        assert stirling_m1_constants()[2] == loglaurent(0, {0: F(-1, 360)})
 
     def test_fourth_constant_at_quarter(self):
         _, _, _, c4 = stirling_m1_constants()
         with mp.workprec(128):
             want = mpf(1) / 12 + mpmath.log(mpf(1) / 4) / 2 + mpf(2) / 3
-            assert abs(c4(mpf(1) / 4) - want) < mpf("1e-35")
+            assert abs(c4(mpf(1) / 4, mpmath.log(mpf(1) / 4)) - want) < mpf("1e-35")
 
     def test_symbolic_sum_of_outer_constants(self):
         c1, _, _, c4 = stirling_m1_constants()
@@ -357,15 +356,25 @@ class TestStirlingConstants:
         assert c1 + c4 == want
 
 
+def _check_symmetrized(f, got):
+    # exact: the log-free part of got at u = q(1 - q), read at log u = 0, is that of f at q plus
+    # at 1 - q, and log p + log q = log u leaves the log coefficient as it was
+    for q in (F(1, 2), F(3, 10), F(1, 7), F(99, 100), F(2, 3)):
+        assert got(q * (1 - q), 0) == f(q, 0) + f(1 - q, 0), q
+    assert got.coeff((0, 1)) == f.coeff((0, 1))
+
+
 class TestSymmetricCoefficients:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_laurent_part_is_the_sum_at_q_and_p(self, m):
-        # exact: the Laurent part of each entry at u = q(1 - q) is that of b~ or a~ at q plus
-        # at 1 - q, and log p + log q = log u leaves the log coefficient as it was
         cs, sym = binomial_coeffs(m), _symmetric_coeffs(m)
-        for q in (F(1, 2), F(3, 10), F(1, 7), F(99, 100), F(2, 3)):
-            for want, got in ((cs.b, sym.b), (cs.a, sym.a)):
-                assert set(got) == set(want)
-                for k, f in want.items():
-                    assert got[k].laurent(q * (1 - q)) == f.laurent(q) + f.laurent(1 - q), (m, k, q)
-                    assert got[k].log_coeff == f.log_coeff
+        for want, got in ((cs.b, sym.b), (cs.a, sym.a)):
+            assert set(got) == set(want)
+            for k, f in want.items():
+                _check_symmetrized(f, got[k])
+
+    def test_constant_term_doubles_but_log_term_does_not(self):
+        # 1 + 1 = 2, but log q + log p = log u: 1 + log q goes to 2 + log u
+        f = loglaurent(1, {0: 1})
+        assert _symmetrize_pq(f) == loglaurent(1, {0: 2})
+        _check_symmetrized(f, _symmetrize_pq(f))

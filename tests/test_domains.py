@@ -9,8 +9,6 @@ from mpmath import mpf
 
 from entropy_bounds import (
     DomainError,
-    LaurentPoly,
-    LogLaurent,
     PrecisionContext,
     binomial_entropy_oracle,
     entropy_binomial_bounds,
@@ -113,10 +111,3 @@ def test_nan_lies_outside_every_domain(routine, args):
 def test_inf_lies_outside_every_domain(routine, args):
     with pytest.raises(DomainError, match=r"got \+inf$"):
         routine(*args, ctx=CTX)
-
-
-def test_log_laurent_names_its_domain():
-    f = LogLaurent(LaurentPoly({1: 1}), F(1))
-    with pytest.raises(DomainError) as info:
-        f(mpf(0))
-    assert str(info.value) == "q must be in (0,1], got 0.0"

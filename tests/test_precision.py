@@ -3,6 +3,7 @@ mpmath's process-wide state: results do not depend on the ambient ``mp.prec``,
 leave it unchanged, and come back as default-context mpfs, and threads at
 different precisions cannot corrupt each other."""
 
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -15,7 +16,6 @@ from entropy_bounds import (
     DEFAULT_CONTEXT,
     BoundReport,
     LaurentPoly,
-    LogLaurent,
     PrecisionContext,
     best_interval,
     binomial_coeffs,
@@ -41,6 +41,7 @@ from entropy_bounds import (
     relative_entropy_oracle,
 )
 from entropy_bounds import coefficients, symbolic
+from golden_data import loglaurent
 
 CTX = PrecisionContext(bits=128)
 
@@ -71,7 +72,6 @@ CALLS = {
     "moment_oracle_poisson": (moment_oracle_poisson, 4, F(7, 2)),
     "c_coeff": (c_coeff, 7),
     "c_tilde_coeff": (c_tilde_coeff, 40, 7),
-    "eval_at_loglaurent": (eval_at, binomial_coeffs(2).a_tilde[2], F(7, 10)),
     "eval_at_laurentpoly": (eval_at, poisson_central_moment(6), F(7, 2)),
 }
 
@@ -150,11 +150,12 @@ def test_threads_at_different_precisions_do_not_interfere():
 def test_polynomial_value_ignores_ambient_precision():
     # with no mpf coordinate, evaluation runs in DEFAULT_CONTEXT, not mpmath.mp
     log_laurent, poly = binomial_coeffs(1).b_tilde[1], LaurentPoly({(0, 1): F(1, 3), (-2, 2): -1})
-    want = [log_laurent(F(1, 3)), poly(7, 0.5)]
+    log_third = math.log(1 / 3)  # a float, so that log q is no mpf coordinate either
+    want = [log_laurent(F(1, 3), log_third), poly(7, 0.5)]
     assert all(x.context is DEFAULT_CONTEXT.mp for x in want)
     for ambient in (20, 200):
         with mp.workprec(ambient):
-            got = [log_laurent(F(1, 3)), poly(7, 0.5)]
+            got = [log_laurent(F(1, 3), log_third), poly(7, 0.5)]
         assert _bits(got) == _bits(want), ambient
     assert poly(7, F(1, 2)) == F(1, 6) - F(1, 196)  # all-Fraction points stay exact
 
@@ -219,9 +220,10 @@ def test_one_off_polynomials_leave_the_compiled_forms_alone():
     warm = _every_set(128)
     before = symbolic.compiled.cache_info()
     x = CTX.mp.mpf(3) / 10
+    log_x = CTX.mp.log(x)
     for k in range(1, 101):  # 200 one-off expressions, none of them a bound's set
         LaurentPoly({-1: k, 0: 1})(x)
-        LogLaurent(LaurentPoly({1: k}), F(1, k))(x)
+        loglaurent(F(1, k), {1: k})(x, log_x)
     after = symbolic.compiled.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert _every_set(128) == warm

@@ -13,10 +13,8 @@ from mpmath import mp, mpf
 
 from entropy_bounds import (
     DEFAULT_CONTEXT,
-    DomainError,
     Interval,
     LaurentPoly,
-    LogLaurent,
     NonIntegrableTailError,
     PrecisionContext,
     eval_at,
@@ -34,6 +32,7 @@ from entropy_bounds.symbolic import (
     evaluate,
     to_mpf,
 )
+from golden_data import loglaurent
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -351,7 +350,7 @@ class TestIntervalIntegration:
         assert out.laurent.is_zero
 
     def test_constant(self):
-        assert integrate_to_one(LaurentPoly({0: 1})) == LogLaurent(LaurentPoly({0: 1, 1: -1}))
+        assert integrate_to_one(LaurentPoly({0: 1})) == loglaurent(0, {0: 1, 1: -1})
 
     @given(
         st.dictionaries(st.integers(-4, 3), rationals, max_size=4),
@@ -369,12 +368,14 @@ class TestIntervalIntegration:
         # gives -(p + log q)/2, the order-independent leading term
         f = LaurentPoly({-1: F(1, 2), 0: F(-1, 2)})
         got = integrate_to_one(f)
-        assert got == LogLaurent(LaurentPoly({0: F(-1, 2), 1: F(1, 2)}), F(-1, 2))
+        assert got == loglaurent(F(-1, 2), {0: F(-1, 2), 1: F(1, 2)})
 
     @pytest.mark.parametrize("q0", [F(1, 10), F(1, 2), F(9, 10)])
     def test_matches_quadrature(self, q0):
         f = LaurentPoly({-3: F(2, 5), -1: -3, 0: 1, 2: F(1, 4)})
-        symbolic = eval_at(integrate_to_one(f), q0, PrecisionContext(bits=128))
+        M = PrecisionContext(bits=128).mp
+        q = to_mpf(q0, M)
+        symbolic = integrate_to_one(f)(q, M.log(q))
         with mp.workprec(128):
             quad = mpmath.quad(lambda s: f(s), [mpf(q0.numerator) / q0.denominator, 1])
             assert abs(symbolic - quad) < mpf(10) ** -20
@@ -382,10 +383,11 @@ class TestIntervalIntegration:
 
 class TestLogLaurent:
     def test_eval_examples(self):
-        assert eval_at(LogLaurent(LaurentPoly({-1: 1})), F(1, 2)) == 2
+        M = PrecisionContext(bits=128).mp
+        half = M.mpf(1) / 2
+        assert loglaurent(0, {-1: 1})(half, M.log(half)) == 2
         # 2 log q - q + 1/q at q = 1/2 -> 3/2 - 2 log 2
-        f = LogLaurent(LaurentPoly({1: -1, -1: 1}), F(2))
-        got = eval_at(f, F(1, 2), PrecisionContext(bits=128))
+        got = loglaurent(2, {1: -1, -1: 1})(half, M.log(half))
         with mp.workprec(128):
             want = mpf(3) / 2 - 2 * mpmath.log(2)
             assert abs(got - want) < mpf(2) ** -120
@@ -395,19 +397,15 @@ class TestLogLaurent:
         rationals,
     )
     def test_log_term_vanishes_at_one(self, terms, log_coeff):
-        f = LogLaurent(LaurentPoly(terms), log_coeff)
-        plain = LogLaurent(LaurentPoly(terms))
-        assert eval_at(f, 1) == eval_at(plain, 1)
-
-    @pytest.mark.parametrize("q", [0, -1, F(3, 2)])
-    def test_domain(self, q):
-        with pytest.raises(DomainError):
-            eval_at(LogLaurent(LaurentPoly({0: 1}), F(1)), q)
+        M = DEFAULT_CONTEXT.mp
+        one = M.mpf(1)
+        f, plain = loglaurent(log_coeff, terms), loglaurent(0, terms)
+        assert f(one, M.log(one)) == plain(one, M.log(one))
 
     def test_scalar_algebra(self):
-        f = LogLaurent(LaurentPoly({-1: 1}), F(2))
-        assert f - f == LogLaurent(LaurentPoly())
-        assert (F(1, 2) * f).log_coeff == 1
+        f = loglaurent(2, {-1: 1})
+        assert f - f == LaurentPoly()
+        assert (F(1, 2) * f).coeff((0, 1)) == 1
 
 
 class TestContextAndInterval:

@@ -2,11 +2,12 @@
 
 Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic.  Every series (each sandwich's series and gap, the small-mean sum
-and the exact D(n, p) sum) has exact dyadic coefficients and is summed in
-integers, rounded once, by one :func:`symbolic.evaluate` call; only the
-closed-form leading terms (logarithms, log Gamma) are mpmath arithmetic in
-``ctx.mp``, and each end is rounded to nearest at ``ctx.bits``.
+analytic.  Every series (each sandwich's series and gap, and the small-mean
+sum) has exact dyadic coefficients and is summed in integers, rounded once,
+by one :func:`symbolic.evaluate` call; only the closed-form leading terms
+(logarithms, log Gamma) are mpmath arithmetic in ``ctx.mp``, and each end is
+rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such form: it is
+one fixed-point sum over the binomial tails near the mean, rounded once.
 """
 
 from __future__ import annotations
@@ -15,13 +16,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_lt, mpf_pos, mpf_shift, mpf_sub, round_nearest, to_rational
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_rational,
+)
 
 from . import coefficients
 from .symbolic import (
+    _TABLE_BITS,
+    _TABLE_CAP,
     DEFAULT_CONTEXT,
     Interval,
     LaurentPoly,
@@ -29,6 +44,9 @@ from .symbolic import (
     PrecisionError,
     _check_n,
     _check_order,
+    _dyadic,
+    _log_factorial,
+    _logs,
     _mp_context,
     _point,
     _round64,
@@ -143,34 +161,85 @@ def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     return ctx.round(M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2)
 
 
-def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Exact D(n, p) = n(p + q log q) + sum_{k=2}^n C(n,k) c~(n, k) p^k at p as ``ctx.mp``
-    holds it, within half an ulp plus 2^-62 ulp.
+def _binomial_window(n: int, a: int, b: int, E: int, P: int) -> tuple[int, list[int]]:
+    """(lo, w) for B(n, p), p = a/2^E and q = b/2^E exactly: w[k - lo] for k = lo..hi is the
+    floor of 2^P pmf(k)/pmf(mode), walked outward from the mode by the exact pmf ratio.
 
-    Every c~ is negative, and C(n, k) |c~(n, k)| is C(n, k) times the integral over (0, 1) of
-    u^(k-1) (1-u)^(n-k) / -log(1-u) (:func:`coefficients._log_differences`), against n/(k(k-1))
-    for the head's p^k.  As -log(1-u) >= u + u^2/2, D's own p^k has a coefficient of at least
-    1/(3k) up to n: so head and series each lie within 3nD and cancel under c = log2(6n) bits.
-    The series sums the unrounded c~ at bits + c in one :func:`symbolic.evaluate` call at no
-    fewer than bits + c + 64 bits; p + q log q, which cancels under log2(4/p) bits, is formed
-    that many bits higher still; and their sum, within 2^-(bits+63) D, is rounded once.
+    Each floor loses under one unit, and the ratio is at most 1 outward, so weight k is
+    within |k - mode| units below its value.  The ratio keeps falling, so the weights from k
+    on, in either direction, are at most (w_k + |k - mode|) / (1 - ratio at k); a side ends
+    before the first k where that is at most n units, or at the end of the support.
+    """
+    mode = min(n, (n + 1) * a >> E)
+    sides = []
+    for d, end, ratio in ((-1, 0, lambda k: (k * b, (n - k + 1) * a)),
+                          (1, n, lambda k: ((n - k) * a, (k + 1) * b))):
+        k, w, side = mode, 1 << P, []
+        num, den = ratio(k)  # pmf(k + d) / pmf(k)
+        while k != end:
+            k, w = k + d, w * num // den
+            if k != end:
+                num, den = ratio(k)
+                if (w + abs(k - mode)) * den <= n * (den - num):
+                    break
+            side.append(w)
+        sides.append(side)
+    down, up = sides
+    return mode - len(down), [*reversed(down), 1 << P, *up]
+
+
+def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """Exact D(n, p) at p as ``ctx.mp`` holds it, within half an ulp plus 2^-62 ulp, from the
+    binomial tails T_j = P(B_{n,p} > j):
+
+        D(n, p) = n(p + q log q) + S,    S = sum_{j=1}^{n-1} log(1 - j/n) T_j.
+
+    As sum_j T_j = np, this is sum_k P(k) log(n!/(n-k)!) - np log n + n(p + q log q) by Abel
+    summation.  Every term of S is negative, and S cancels only against the head n(p + q log
+    q), whose p^k coefficient n/(k(k-1)) is at most 3n times D's own (at least 1/(3k), as
+    -log(1-u) >= u + u^2/2 in D's p-series): so the head is at most 3nD, |S| < 3nD, and as
+    |log(1 - j/n)| >= 1/n, sum_{j>=1} T_j <= 3n^2 D.  Also D >= p^2/6 and sum_j |log(1 - j/n)|
+    = n log n - log n! < n.
+
+    S is empty at n = 1.  The weights of B (:func:`_binomial_window`) are integers at P =
+    bits + 74 + 3 bl(n) + 2 max(0, -mag p) bits, bl the bit length, and T_j is their sum
+    beyond j over their sum s >= 2^P, each sum within e <= n(n+1)/2 + 2n <= 2n^2 units for
+    n >= 2; so T_j is within 2e/s <= 2^(2-P) n^2, and S within 2^(3-P) n^3 < 2^-(bits+66)
+    p^2/6 <= 2^-(bits+66) D.  Below the window T_j = 1, and that run is one log-factorial
+    difference (:func:`symbolic._log_factorial`).  Each log is a fixed-point integer at F =
+    64 + a multiple of 64 >= bits + 70 + 2 bl(n) + bl(bl(n)) fractional bits (the ladder
+    below the cap, else one ``mpf_log`` each: :func:`symbolic._logs`), so log(1 - j/n) is
+    within 4 bl(n) units and S within 2^(4-F) bl(n) 4n^2 D <= 2^-(bits+66) D.  The head,
+    formed at bits + 73 + bl(n) + max(0, -mag p) bits with q exact, is within 2^-(bits+66)
+    D.  Their sum, within 2^-(bits+64) D, is one exact quotient, rounded once.
     """
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if not p_m:
         return ctx.round(p_m)
-    wbits = ctx.bits + (6 * n).bit_length()
-    diffs, exp = coefficients._c_tilde_tables(range(n, 0, -1), wbits)
-    # C(n, k) for k = 2..n, each from the one before: C(n, k + 1) = C(n, k)(n - k)/(k + 1)
-    binom = accumulate(range(2, n), lambda c, k: c * (n - k) // (k + 1), initial=n * (n - 1) // 2)
-    form = tuple((((0, k),), c * d, exp) for k, (c, d) in enumerate(zip(binom, diffs), 2))
-    W = _mp_context(_round64(wbits + 64))
-    series = next(evaluate((form,), W, p_m))
-    H = _mp_context(_round64(W.prec + 16 - M.mag(p_m)))
+    _, a, exp, _ = p_m._mpf_
+    E, bl, lost = -exp, n.bit_length(), -min(0, M.mag(p_m))
+    b = (1 << E) - a  # p = a / 2^E and q = b / 2^E exactly
+    lo, w = _binomial_window(n, a, b, E, ctx.bits + 74 + 3 * bl + 2 * lost)
+    hi, j0 = lo + len(w) - 1, max(lo, 1)
+    prec = _round64(ctx.bits + 6 + 2 * bl + bl.bit_length())
+    # log n, then log(n - j) for j = hi - 1 down to j0, beside T_j's numerators, sum_{k>j} w_k
+    log_n, *logs = _logs([n, *range(n - hi + 1, n - j0 + 1)], prec, n < _TABLE_CAP)
+    tails = list(accumulate(reversed(w[j0 + 1 - lo:])))
+    sigma = sum(w)
+    total = sum(map(mul, logs, tails)) - log_n * sum(tails)
+    if lo > 1:  # sum_{j=1}^{lo-1} log(1 - j/n), each T_j = 1
+        fold = _log_factorial(n - 1, prec) - _log_factorial(n - lo, prec) - (lo - 1) * log_n
+        total += fold * sigma
+    H = _mp_context(_round64(ctx.bits + 73 + bl + lost))
     q = H.fsub(1, p_m, exact=True)
-    head = n * H.fadd(p_m, q * H.log(q) if q else 0)
-    return mp.make_mpf(mpf_add(head._mpf_, series._mpf_, ctx.bits, round_nearest))
+    h_man, h_exp = _dyadic(n * H.fadd(p_m, q * H.log(q) if q else 0))
+    # D = head + total / (sigma 2^F), as one quotient over 2^base
+    F = prec + _TABLE_BITS
+    base = min(h_exp, -F)
+    num = (h_man * sigma << h_exp - base) + (total << -F - base)
+    return mp.make_mpf(mpf_div(from_man_exp(num, base), from_int(sigma), ctx.bits, round_nearest))
 
 
 def relative_entropy_bounds(

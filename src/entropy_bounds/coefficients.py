@@ -22,7 +22,7 @@ from operator import sub
 from typing import Mapping
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_log, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
@@ -32,7 +32,7 @@ from .symbolic import (
     LaurentPoly,
     PrecisionContext,
     _check_order,
-    _log_factorials,
+    _logs,
     _round64,
     integrate_tail,
     integrate_to_one,
@@ -135,8 +135,8 @@ def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
     diffs[r-1] 2^exp, within 2^-(bits+64) of its value, relative.
 
     Each log a is an integer at F = -exp fractional bits, F a multiple of 64 so that runs,
-    precisions and the oracles share ladders: T[a] - T[a-1] from the log-factorial ladder T
-    (:func:`symbolic._log_factorials`), within e = 2 log2 M units of 2^-F, M the largest
+    precisions and the oracles share ladders (:func:`symbolic._logs`): T[a] - T[a-1] from the
+    log-factorial ladder T, within e = 2 log2 M units of 2^-F, M the largest
     argument; or, when that ladder would reach the cap or 16 times the run's length, one
     ``mpf_log``, within 2 units.  Delta^r, a sum of C(r, j) logs, is then within 2^r e units.
     As log x = integral_0^inf (e^-t - e^-xt) dt/t, with u = 1 - e^-t, |Delta^r log| is the
@@ -153,23 +153,17 @@ def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
     spans = accumulate(math.log2(max(a, b)) for a, b in zip(args, args[1:]))
     prec = _round64(bits + 4 + log_e + max(
         (math.ceil(r + s - math.lgamma(r) / math.log(2)) for r, s in enumerate(spans, 1)), default=0))
-    frac = prec + _TABLE_BITS
-    if top < min(_TABLE_CAP, 16 * len(args)):
-        ladder = _log_factorials(1 << max(1, top.bit_length()), prec)
-        row = [ladder[a] - ladder[a - 1] for a in args]
-    else:
-        g = top.bit_length().bit_length()  # |log a| < 2^g
-        row = [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args]
+    row = _logs(args, prec, top < min(_TABLE_CAP, 16 * len(args)))
     out = []
     while len(row) > 1:
         row = list(map(sub, row[1:], row))
         out.append(row[0])
-    return tuple(out), -frac
+    return tuple(out), -prec - _TABLE_BITS
 
 
-# c's tables get a cache of their own, so that a run of exact D(n, p) cannot
+# c's tables get a cache of their own, so that c~'s tables over many n cannot
 # evict them.  Their ladder starts at depth 16, as the small-lambda bound asks
-# for a few low c(k); c~'s starts at 64, and exact D(n, p) reads the run n..1.
+# for a few low c(k); c~'s starts at 64.
 _c_tables = lru_cache(maxsize=8)(_log_differences)
 _c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
 

@@ -390,23 +390,30 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     """D(B_{n,p} || Poisson(np)) by direct summation.
 
     Uses n(p + q log q) - np log n + sum_k P(k) log(n! / (n-k)!), the
-    falling-factorial logs read from the log-factorial table.
+    falling-factorial logs read from the log-factorial table.  The sum and
+    np log n are each at most 6n log n / p times D, as D >= p^2/6, so they
+    cancel under c = bl(6n bl(n)) + 1 - mag p bits; they are formed with at
+    least 32 of the working precision's guard bits to spare, c - 32 bits
+    higher where c exceeds 32.  The head n(p + q log q), with q exact,
+    cancels under log2(4/p) bits and is formed that many bits higher still.
     """
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0:
         return mpf(0)
-    log_n = M.log(n)
     if p_m == 1:
         # mass concentrated at k = n
-        return ctx.round(n - n * log_n + M.loggamma(n + 1))
-    q_m = 1 - p_m
-    base = n * (p_m + q_m * M.log(q_m)) - n * p_m * log_n
-    log_fact_n, exp = _log_factorial(n, M.prec), -M.prec - _TABLE_BITS
-    law = _binomial_law(n, p_m, M.prec)
-    series = _outward(law, lambda k: (log_fact_n - _log_factorial(n - k, M.prec), exp), M)[0]
-    return ctx.round(base + series)
+        return ctx.round(n - n * M.log(n) + M.loggamma(n + 1))
+    lost = (6 * n * n.bit_length()).bit_length() + 1 - M.mag(p_m)
+    W = _mp_context(_round64(M.prec + max(0, lost - 32)))
+    H = _mp_context(_round64(W.prec + 2 - M.mag(p_m)))
+    q = H.fsub(1, p_m, exact=True)
+    base = W.fsub(n * H.fadd(p_m, q * H.log(q)), W.fmul(n, p_m, exact=True) * W.log(n))
+    log_fact_n, exp = _log_factorial(n, W.prec), -W.prec - _TABLE_BITS
+    law = _binomial_law(n, p_m, W.prec)
+    series = _outward(law, lambda k: (log_fact_n - _log_factorial(n - k, W.prec), exp), W)[0]
+    return ctx.round(W.fadd(base, series))
 
 
 def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -12,7 +12,8 @@ expansion coefficients live here as well: :func:`integrate_tail` for
 ``integral_x^inf`` of pure negative powers, and :func:`integrate_to_one` for
 ``integral_q^1``, where the exponent -1 produces a ``-log q`` term.  So does
 the one fixed-point ladder of log i! (:func:`_log_factorials`), from which the
-coefficients and the oracles read every logarithm of an integer.
+coefficients, exact D(n, p) and the oracles read logarithms of integers
+(:func:`_logs`, :func:`_log_factorial`).
 """
 
 from __future__ import annotations
@@ -201,13 +202,25 @@ def _log_factorial(i: int, prec: int) -> int:
     """log i! in units of 2^-(``prec`` + 64), within 2^-(``prec`` + 41).
 
     Below the cap it is read from the table on the power-of-two ladder that
-    first holds i; at and above it, one loggamma, which keeps the memory of
-    a huge mean or n at O(1) per precision.
+    first holds i; at and above it, one loggamma, within 2 units, which
+    keeps the memory of a huge mean or n at O(1) per precision.
     """
     if i < _TABLE_CAP:
         return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
     frac = prec + _TABLE_BITS
     return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+
+
+def _logs(args, prec: int, ladder: bool) -> list[int]:
+    """log a for each positive integer a of ``args``, in units of 2^-(``prec`` + 64): when
+    ``ladder``, T[a] - T[a - 1] from the log-factorial ladder T, within 2 log2 a units;
+    else one ``mpf_log`` each, within 2 units, so that no ladder is built for them."""
+    frac, top = prec + _TABLE_BITS, max(args)
+    if ladder:
+        T = _log_factorials(1 << max(1, top.bit_length()), prec)
+        return [T[a] - T[a - 1] for a in args]
+    g = top.bit_length().bit_length()  # |log a| < 2^g
+    return [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args]
 
 
 @dataclass(frozen=True)

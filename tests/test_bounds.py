@@ -2,6 +2,7 @@
 gap formulas, limits, and domain handling."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,6 +23,7 @@ from entropy_bounds import (
     PrecisionContext,
     best_interval,
     binomial_entropy_oracle,
+    c_tilde_coeff,
     entropy_binomial_bounds,
     entropy_binomial_stirling_m1,
     entropy_poisson_ct,
@@ -38,8 +40,9 @@ from entropy_bounds import (
     relative_entropy_oracle,
     stirling_m1_constants,
 )
+from entropy_bounds import symbolic
 from entropy_bounds.bounds import _report
-from entropy_bounds.symbolic import to_mpf
+from entropy_bounds.symbolic import _TABLE_CAP, _log_factorials, to_mpf
 from golden_data import FIGURE_GAPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +216,11 @@ class TestRelativeEntropyExact:
         # took 1.1-1.7 s
         assert self.cold_seconds(1000) < 0.6
 
+    def test_cold_n3000_is_fast(self):
+        # a walk over the binomial weights near the mode, where the O(n^2) table of forward
+        # differences of log n..log 1 took 3.5-3.9 s
+        assert self.cold_seconds(3000) < 0.5
+
     @staticmethod
     def ulps_off(value: mpf, truth: mpf, bits: int) -> mpf:
         """|value - truth| in units of the last place of ``bits`` bits at ``truth``."""
@@ -240,6 +248,64 @@ class TestRelativeEntropyExact:
             value = relative_entropy_exact(n, p, PrecisionContext(bits))
             truth = relative_entropy_oracle(n, p, PrecisionContext(bits + 192))
             assert self.ulps_off(value, truth, bits) <= 0.5 + mpf(2) ** -32, (n, p, bits)
+
+    @pytest.mark.parametrize("n, p, bits", [(2, F(1, 2), 64), (17, F(1, 1000), 128),
+                                            (60, F(3, 10), 256), (200, F(7, 9), 64),
+                                            (200, F(1, 3), 128)])
+    def test_matches_the_c_tilde_series(self, n, p, bits):
+        # n(p + q log q) + sum_k C(n, k) c~(n, k) p^k, the sum that cancels, summed at bits + 128
+        wide = PrecisionContext(bits + 128)
+        with mp.workprec(bits + 256):
+            p_m = to_mpf(p, PrecisionContext(bits).mp)  # the binary value exact D sees
+            q = 1 - p_m
+            series = sum(math.comb(n, k) * c_tilde_coeff(n, k, wide) * p_m**k for k in range(2, n + 1))
+            truth = n * (p_m + q * mpmath.log(q)) + series
+        value = relative_entropy_exact(n, p, PrecisionContext(bits))
+        assert self.ulps_off(value, truth, bits) <= 0.5 + mpf(2) ** -32
+
+    def test_ladder_is_reused_across_n_and_precision(self):
+        # every n below 1024 and each precision asks for one ladder precision, so a sweep
+        # builds each rung once per precision
+        _log_factorials.cache_clear()
+        for bits in (64, 128, 256):
+            for n in range(10, 1001, 30):
+                relative_entropy_exact(n, F(3, 10), PrecisionContext(bits))
+        info = _log_factorials.cache_info()
+        assert info.hits >= info.misses, info
+
+    def test_past_the_ladder_cap(self, monkeypatch):
+        # above the cap the window's logs are one mpf_log each and the run below it two
+        # loggammas, so no ladder past the cap is built
+        sizes = []
+
+        def ladder(size, prec):
+            sizes.append(size)
+            return real(size, prec)
+
+        real = symbolic._log_factorials
+        monkeypatch.setattr(symbolic, "_log_factorials", ladder)
+        n, p = 200_000, F(3, 10)
+        value = relative_entropy_exact(n, p, PrecisionContext(64))
+        truth = relative_entropy_oracle(n, p, PrecisionContext(256))
+        assert self.ulps_off(value, truth, 64) <= 0.5 + mpf(2) ** -32
+        assert max(sizes, default=0) <= _TABLE_CAP
+
+    @pytest.mark.parametrize("n", [2, 40, 1000])
+    def test_tiny_q(self, n):
+        # 1 - 10^-20 as the context holds it: all the mass at n but about nq
+        ctx = PrecisionContext(128)
+        man, exp = to_mpf(1 - F(1, 10**20), ctx.mp).man_exp
+        p = F(man, 2**-exp)
+        value = relative_entropy_exact(n, p, ctx)
+        truth = relative_entropy_oracle(n, p, PrecisionContext(128 + 192))
+        assert self.ulps_off(value, truth, 128) <= 0.5 + mpf(2) ** -32
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 5000])
+    def test_certain_success(self, n):
+        # all mass at n: D = n + log n! - n log n
+        with mp.workprec(1024):
+            truth = n + mpmath.loggamma(n + 1) - n * mpmath.log(n)
+        assert self.ulps_off(relative_entropy_exact(n, 1, PrecisionContext(256)), truth, 256) <= 0.5
 
 
 class TestRelativeEntropyBounds:

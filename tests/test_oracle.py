@@ -221,6 +221,14 @@ class TestRelativeEntropyOracle:
         o = relative_entropy_oracle(10, 0.3)
         assert abs(v - o) <= mpf("1e-25") * max(1, abs(o))
 
+    @pytest.mark.parametrize("n", [2, 1000])
+    @pytest.mark.parametrize("p", [F(1, 10**20), F(1, 10**80)])
+    def test_agrees_with_exact_d_at_tiny_p(self, p, n):
+        # the sum and np log n cancel under about log2(n log n / p) bits, far past the guard
+        ctx = PrecisionContext(64)
+        value, exact = relative_entropy_oracle(n, p, ctx), relative_entropy_exact(n, p, ctx)
+        assert abs(value - exact) <= mpf(2) ** (mpmath.mag(exact) - 64), (value, exact)
+
 
 class TestExpectedLogOracles:
     def test_poisson_small_mean_limit(self):

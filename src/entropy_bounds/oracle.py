@@ -6,15 +6,17 @@ laws, their relative entropy, the expected-log quantities the proofs run
 through, and the central moments of both laws.  This module imports only
 :mod:`symbolic`, and nothing on the bounds path (moments, coefficients,
 bounds) imports it, so a bound and its oracle share only the exact kernel.
-That kernel holds the one fixed-point table of log i!
+That kernel holds the one fixed-point ladder of log i!
 (:func:`symbolic._log_factorials`), which the exact D(n, p) also reads; a
-test pins it against ``mpmath.log`` at twice the precision.
+test pins it against ``mpmath.log`` at twice the precision.  Each oracle
+call reads it through one reader (:func:`_log_factorial_reader`), which
+holds one rung and moves up a rung only when the walk passes its end.
 
 Both laws are summed by one fixed-point core, :func:`_outward`, which
 takes the caller's mpmath context and returns its mpfs.  It seeds the term
-at the mode from that table and one exp, walks outward in
-both directions in Python integers by the exact ratio of successive pmf
-values, and stops each side at its own certified geometric tail or at the
+at the mode from the ladder and one exp, then walks each side in one flat
+loop of Python integer arithmetic by the exact ratio of successive pmf
+values, and stops the side at its own certified geometric tail or at the
 end of the support.  A Poisson sum thus costs about sqrt(lam * bits)
 terms, not lam, and a binomial one about sqrt(npq * bits), not n + 1.  The
 binomial oracles hand it exact (mantissa, exponent) weights; the Poisson
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -45,6 +47,7 @@ from mpmath.libmp import (
 
 from .symbolic import (
     _TABLE_BITS,
+    _TABLE_CAP,
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
@@ -52,6 +55,7 @@ from .symbolic import (
     _check_n,
     _dyadic,
     _log_factorial,
+    _log_factorials,
     _mp_context,
     _point,
     _round64,
@@ -89,10 +93,22 @@ def _exact_mpf(man: int, exp: int) -> tuple:
     return (0, man >> zeros, exp + zeros, man.bit_length() - zeros) if man else fzero
 
 
-def _log_next(prec: int) -> Callable[[int], _Dyadic]:
-    """The weight j -> log(j + 1), read from the log-factorial table at ``prec``."""
-    exp = -prec - _TABLE_BITS
-    return lambda j: (_log_factorial(j + 1, prec) - _log_factorial(j, prec), exp)
+def _log_factorial_reader(prec: int) -> Callable[[int], int]:
+    """i -> :func:`_log_factorial` (i, ``prec``) for one oracle call.  It moves to the next
+    ladder rung only when i passes the end of the one it holds, so it builds no rung that
+    :func:`_log_factorial` would not, and falls back to it at and above the cap."""
+    rung: tuple[int, ...] = ()
+
+    def log_factorial(i: int) -> int:
+        nonlocal rung
+        if i < len(rung):
+            return rung[i]
+        if i >= _TABLE_CAP:
+            return _log_factorial(i, prec)
+        rung = _log_factorials(max(2, 1 << i.bit_length()), prec)
+        return rung[i]
+
+    return log_factorial
 
 
 class _Law(NamedTuple):
@@ -144,35 +160,6 @@ def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
     return _Law(mode, n, Fraction(n * a, 1 << E), ratio, pmf)
 
 
-def _walk(mode: int, end: int | None, d: int, ratio, P: int) -> Iterator[tuple[int, int, int]]:
-    """(j, r, x) for j = mode + d, mode + 2d, ... up to ``end``, where
-    pmf(j) / pmf(mode) = r 2^x within a relative |j - mode| 2^-(P - 1).
-
-    Every step multiplies r by the exact ratio and floors it to at least P
-    bits, so each step costs at most 2^-(P - 1), relative; walking away from
-    the mode the ratio is at most 1, so r never grows past 2^P.
-    """
-    r, x, j = 1 << P, -P, mode
-    while j != end:
-        num, den = ratio(j, d)
-        q = r * num
-        k = P + den.bit_length() - q.bit_length()
-        if k > 0:
-            q <<= k
-            x -= k
-        r = q // den
-        j += d
-        yield j, r, x
-
-
-def _rises(w: _Dyadic, prev: _Dyadic, back: _Dyadic) -> bool:
-    """|w / prev| > |prev / back| for three successive weights, exactly; a
-    zero ``back`` gives no ratio to exceed."""
-    lhs, rhs = abs(w[0] * back[0]), prev[0] * prev[0]
-    s = w[1] + back[1] - 2 * prev[1]
-    return lhs << s > rhs if s >= 0 else lhs > rhs << -s
-
-
 def _tail(first: _Dyadic, second: _Dyadic, mass: int, unit: int, t: int):
     """Bound on the terms from ``first`` on, as an mpf tuple, or None unless
     it is at most 2^-t of ``mass`` (an integer in units of 2^``unit``).
@@ -198,14 +185,6 @@ def _tail(first: _Dyadic, second: _Dyadic, mass: int, unit: int, t: int):
     return mpf_shift(mpf_div(from_int(lhs), from_int(c), 64, round_up), ea)
 
 
-def _at(term: _Dyadic, unit: int | None) -> int:
-    """``term`` in units of 2^``unit``, floored."""
-    prod, e = term
-    if not prod:
-        return 0
-    return prod << (e - unit) if e >= unit else prod >> (unit - e)
-
-
 def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, mpf, mpf]:
     """(sum, terms summed, tail bound, summed absolute terms) of
     sum_j pmf(j) w_j, as mpfs of the mpmath context ``M`` but for the count:
@@ -221,11 +200,18 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
     leave out at most 2^-(``prec`` + 2) of them.  A rise in the weight
     ratio beyond the mean raises :class:`PrecisionError`.
 
-    The terms are summed as integers in units of at most 2^-(``prec`` + 31)
-    times the first nonzero term, so a sum of tiny terms keeps its
-    precision.  A priori error bound, relative to the summed absolute
-    terms, for s terms: the pmf ratios carry at most s 2^-(prec + 31)
-    (:func:`_walk`), flooring each term to a unit at most s 2^-(prec + 31)
+    Each side is one flat loop of integer arithmetic.  It keeps pmf(j) /
+    pmf(mode) as r 2^x, multiplying r by the exact pmf ratio and flooring it
+    to at least P = ``prec`` + 32 bits: each step costs at most 2^-(P - 1),
+    relative, and r stays below 2^P as the ratio is at most 1.  It asks
+    :func:`_tail` only at a zero t_J = man 2^e_J or where bl(man) + e_J -
+    unit + t - 2 < bl(mass), t = ``prec`` + 3 and mass the summed absolute
+    terms in units of 2^unit, as _tail's own first test refuses every
+    other stop.  The terms are summed as integers in units of at most
+    2^-(``prec`` + 31) times the first nonzero term, so a sum of tiny terms
+    keeps its precision.  A priori error bound, relative to the summed
+    absolute terms, for s terms: the pmf ratios carry at most
+    s 2^-(prec + 31), flooring each term to a unit at most s 2^-(prec + 31)
     more, and the pmf at the mode less than 2^-(prec + 36); in all less
     than 2^-(prec + 3) for any s below 2^27, and with both tails less than
     2^-(prec + 1).  The weights are taken as given.
@@ -233,42 +219,52 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
     mode, last, mean, ratio, pmf = law
     prec = M.prec
     P, t = prec + _GUARD, prec + 3
-    w_mode = weight(mode)
-    unit = None
-    total = mass = 0
-    if w_mode[0]:
-        unit = w_mode[1] + abs(w_mode[0]).bit_length() - P
-        total = _at(w_mode, unit)
+    w_mode, e_mode = weight(mode)
+    unit, total, mass, terms, tail = None, 0, 0, 1, fzero
+    if w_mode:
+        unit = e_mode + w_mode.bit_length() - P
+        total = w_mode << (e_mode - unit) if e_mode >= unit else w_mode >> (unit - e_mode)
         mass = abs(total)
-    terms = 1
-    tail = fzero
     for d, end in ((-1, 0), (1, last)):
         # j lies beyond the mean on this side when d * j >= edge
         edge = 1 - math.ceil(mean) if d < 0 else math.floor(mean) + 1
-        back, prev, pending = (0, 0), w_mode, None
-        for j, r, x in _walk(mode, end, d, ratio, P):
-            w = weight(j)
-            term = (r * w[0], x + w[1])
-            if unit is None and term[0]:
-                unit = term[1] + abs(term[0]).bit_length() - P
-            if d * j - 2 >= edge and _rises(w, prev, back):
-                raise PrecisionError(
-                    f"the weight ratio rises beyond the mean {float(mean):.6g} at "
-                    f"j = {j - d}, so no tail can be certified"
-                )
-            if pending is not None:
-                # the pending term and this one are the first left out if the side stops here
-                bound = _tail(pending, term, mass, unit, t) if d * j - 1 >= edge else None
+        # the weights at j - 2d and j - d; the term at j - d adds v to the mass held before it
+        w_back, e_back, w_prev, e_prev = 0, 0, w_mode, e_mode
+        r, x, j, pm, pe = 1 << P, -P, mode, None, None
+        while j != end:
+            num, den = ratio(j, d)
+            q = r * num
+            k = P + den.bit_length() - q.bit_length()
+            if k > 0:
+                q <<= k
+                x -= k
+            r = q // den
+            j += d
+            w, e = weight(j)
+            tm, te = r * w, x + e
+            if unit is None and tm:
+                unit = te + tm.bit_length() - P
+            beyond = d * j - edge
+            if beyond >= 2:
+                # |w_j / w_(j-d)| > |w_(j-d) / w_(j-2d)|, exactly; a zero w_(j-2d) gives no ratio
+                lhs, rhs, s = abs(w * w_back), w_prev * w_prev, e + e_back - 2 * e_prev
+                if (lhs << s > rhs) if s >= 0 else (lhs > rhs << -s):
+                    raise PrecisionError(
+                        f"the weight ratio rises beyond the mean {float(mean):.6g} at "
+                        f"j = {j - d}, so no tail can be certified"
+                    )
+            # t_(j-d) and t_j are the first left out if the side stops here
+            if pm is not None and beyond >= 1 and not (
+                pm and pm.bit_length() + pe - unit + t - 2 >= held.bit_length()
+            ):
+                bound = _tail((pm, pe), (tm, te), held, unit, t)
                 if bound is not None:
                     tail = mpf_add(tail, bound, P, round_up)
+                    total, mass, terms = total - v, held, terms - 1
                     break
-                v = _at(pending, unit)
-                total, mass, terms = total + v, mass + abs(v), terms + 1
-            back, prev, pending = prev, w, term
-        else:
-            if pending is not None:
-                v = _at(pending, unit)
-                total, mass, terms = total + v, mass + abs(v), terms + 1
+            v = (tm << (te - unit) if te >= unit else tm >> (unit - te)) if tm else 0
+            total, held, mass, terms = total + v, mass, mass + abs(v), terms + 1
+            w_back, e_back, w_prev, e_prev, pm, pe = w_prev, e_prev, w, e, tm, te
     scale = pmf._mpf_
     value = mpf_mul(from_man_exp(total, unit or 0), scale, prec, round_nearest)
     mass = mpf_mul(from_man_exp(mass, unit or 0), scale, prec, round_up)
@@ -336,8 +332,9 @@ def poisson_entropy_oracle(
 
     wide = PrecisionContext(M.prec)
     W, exp = wide.mp, -wide.mp.prec - _TABLE_BITS
+    log_fact = _log_factorial_reader(W.prec)
     series, receipt = poisson_expectation(
-        lam_m, lambda j: W.make_mpf(_exact_mpf(_log_factorial(j, W.prec), exp)), wide
+        lam_m, lambda j: W.make_mpf(_exact_mpf(log_fact(j), exp)), wide
     )
     value = lam_m - lam_m * M.log(lam_m) + series
     # entropy is strictly positive for lam > 0, so this is a true rel err
@@ -351,8 +348,10 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     log-factorial table."""
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    log_next = _log_next(M.prec)
-    return poisson_expectation(s_m, lambda j: M.make_mpf(_exact_mpf(*log_next(j))), ctx)[0]
+    log_fact, exp = _log_factorial_reader(M.prec), -M.prec - _TABLE_BITS
+    return poisson_expectation(
+        s_m, lambda j: M.make_mpf(_exact_mpf(log_fact(j + 1) - log_fact(j), exp)), ctx
+    )[0]
 
 
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -361,8 +360,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
     s_m = _point(s, ctx.mp, "s", "> 0")
-    value, _ = poisson_expectation(s_m, lambda j: (j - s_m) ** k, ctx)
-    return value
+    return poisson_expectation(s_m, lambda j: (j - s_m) ** k, ctx)[0]
 
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -376,13 +374,11 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
         return mpf(0)
-    log_n, exp = _log_factorial(n, M.prec), -M.prec - _TABLE_BITS
-
-    def log_choose(k: int) -> _Dyadic:
-        return log_n - _log_factorial(k, M.prec) - _log_factorial(n - k, M.prec), exp
-
+    log_fact, exp = _log_factorial_reader(M.prec), -M.prec - _TABLE_BITS
+    log_n = log_fact(n)
+    law = _binomial_law(n, p_m, M.prec)
+    series = _outward(law, lambda k: (log_n - log_fact(k) - log_fact(n - k), exp), M)[0]
     q_m = M.fsub(1, p_m, exact=True)
-    series = _outward(_binomial_law(n, p_m, M.prec), log_choose, M)[0]
     return ctx.round(-n * (p_m * M.log(p_m) + q_m * M.log(q_m)) - series)
 
 
@@ -410,19 +406,30 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     H = _mp_context(_round64(W.prec + 2 - M.mag(p_m)))
     q = H.fsub(1, p_m, exact=True)
     base = W.fsub(n * H.fadd(p_m, q * H.log(q)), W.fmul(n, p_m, exact=True) * W.log(n))
-    log_fact_n, exp = _log_factorial(n, W.prec), -W.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    log_n = log_fact(n)
     law = _binomial_law(n, p_m, W.prec)
-    series = _outward(law, lambda k: (log_fact_n - _log_factorial(n - k, W.prec), exp), W)[0]
+    series = _outward(law, lambda k: (log_n - log_fact(n - k), exp), W)[0]
     return ctx.round(W.fadd(base, series))
 
 
 def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """E[log((B_{n-1,s} + 1) / (n s))], summed as E[log(B_{n-1,s} + 1)] - log(n s)."""
+    """E[log((B_{n-1,s} + 1) / (n s))], summed as E[log(B_{n-1,s} + 1)] - log(n s).
+
+    It is E[Y log Y] for Y = B_{n,s} / (n s) (size bias), at least E[(Y - 1)^2] s / 2 =
+    q / (2n) as Y <= 1 / s, q = 1 - s.  Both terms lie below log n < bl(n) where their signs
+    differ, so they cancel under c = bl(2n bl(n)) + 1 - mag q bits, and the difference is
+    formed c - 32 bits higher where c exceeds 32 of the working precision's guard bits.
+    """
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    series = _outward(_binomial_law(n - 1, s_m, M.prec), _log_next(M.prec), M)[0]
-    return ctx.round(series - M.log(n * s_m))
+    lost = (2 * n * n.bit_length()).bit_length() + 1 - M.mag(M.fsub(1, s_m, exact=True))
+    W = M if lost <= 32 else _mp_context(_round64(M.prec + lost - 32))
+    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    law = _binomial_law(n - 1, s_m, W.prec)
+    series = _outward(law, lambda k: (log_fact(k + 1) - log_fact(k), exp), W)[0]
+    return ctx.round(W.fsub(series, W.log(W.fmul(n, s_m))))
 
 
 def moment_oracle_binomial(k: int, n: int, s) -> Fraction:

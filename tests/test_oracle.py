@@ -32,6 +32,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
+import entropy_bounds.oracle as oracle
 from entropy_bounds.oracle import _binomial_law, _dyadic, _outward, poisson_expectation
 from entropy_bounds.symbolic import (
     _TABLE_BITS,
@@ -197,6 +198,59 @@ class TestBinomialOraclesPinned:
         for case in cases["cases"]:
             got = oracles[case["oracle"]](case["n"], F(case["p"]), PrecisionContext(case["bits"]))
             assert got.man_exp == (case["man"], case["exp"]), case
+
+
+BINOMIAL_ORACLES = (binomial_entropy_oracle, relative_entropy_oracle, expected_log_binomial)
+
+
+@pytest.fixture
+def outward_terms(monkeypatch):
+    """The term count of every outward sum an oracle makes while the test runs."""
+    counts = []
+
+    def spy(law, weight, M):
+        result = _outward(law, weight, M)
+        counts.append(result[1])
+        return result
+
+    monkeypatch.setattr(oracle, "_outward", spy)
+    return counts
+
+
+class TestStopsPinned:
+    """Where each side of an outward sum stops, captured once from the loop that
+    asked for a tail at every term past the mean: lam from 1/10 to 10^5 and n up
+    to 3000, at 64, 128 and 256 bits."""
+
+    CASES = json.loads((ROOT / "tests" / "fixtures" / "oracle_stops.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES["poisson_entropy_oracle"],
+                             ids=lambda c: f"{c['lam']}-{c['bits']}")
+    def test_poisson_entropy_receipt(self, case, outward_terms):
+        _, receipt = poisson_entropy_oracle(F(case["lam"]), PrecisionContext(case["bits"]))
+        assert receipt.terms_used == case["terms_used"]
+        assert receipt.tail_bound.man_exp == (case["tail_man"], case["tail_exp"])
+        assert outward_terms == [case["terms_used"]]
+
+    @pytest.mark.parametrize("case", CASES["binomial"],
+                             ids=lambda c: f"{c['n']}-{c['p']}-{c['bits']}")
+    def test_binomial_terms(self, case, outward_terms):
+        for fn in BINOMIAL_ORACLES:
+            outward_terms.clear()
+            fn(case["n"], F(case["p"]), PrecisionContext(case["bits"]))
+            assert outward_terms == [case[fn.__name__]], fn.__name__
+
+
+@pytest.mark.parametrize("call, rungs", [
+    (lambda ctx: poisson_entropy_oracle(F(1, 10), ctx), 6),
+    (lambda ctx: poisson_entropy_oracle(3000, ctx), 13),
+    *((lambda ctx, fn=fn: fn(3000, F(3, 10), ctx), 12) for fn in BINOMIAL_ORACLES),
+], ids=["poisson-1/10", "poisson-3000", *(fn.__name__ for fn in BINOMIAL_ORACLES)])
+def test_one_call_builds_only_the_rungs_it_reads(call, rungs):
+    # the ladder rungs of sizes 2, 4, ... up to the one holding the largest index read
+    _log_factorials.cache_clear()
+    call(PrecisionContext(256))
+    assert _log_factorials.cache_info().currsize == rungs
 
 
 class TestRelativeEntropyOracle:

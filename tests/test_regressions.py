@@ -65,9 +65,6 @@ def test_relative_entropy_oracle_is_accurate_at_its_own_bits():
     assert abs(value - truth) <= abs(truth) * mpf(2) ** -64
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="misses by 6.0e9 ulps (5.1e4 at n = 1000, s = 1 - 1e-20, 128 bits): "
-                          "E[log(B + 1)] and log(ns) cancel to about 1 - s")
 def test_expected_log_binomial_is_accurate_near_one():
     ctx = PrecisionContext(bits=256)
     # 1 - 10^-30 as the 256-bit context holds it, the exact binary input the oracle sees

@@ -8,6 +8,12 @@ by one :func:`symbolic.evaluate` call; only the closed-form leading terms
 (logarithms, log Gamma) are mpmath arithmetic in ``ctx.mp``, and each end is
 rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such form: it is
 one fixed-point sum over the binomial tails near the mean, rounded once.
+
+Every order-taking routine also takes m = "auto" (the CLI's ``--m auto``, and
+:func:`best_interval`): the order of AUTO_ORDERS with the least rounded gap, the
+lowest order winning ties.  Each gap is known before its bound, so the six gaps
+are one evaluation and only the orders within a proven rounding slack of the
+least gap, or below zero, are reported (:func:`_auto`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from operator import mul
 from typing import Callable
 
@@ -23,9 +29,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
     from_man_exp,
+    fzero,
     mpf_add,
     mpf_div,
+    mpf_le,
     mpf_lt,
+    mpf_neg,
     mpf_pos,
     mpf_shift,
     mpf_sub,
@@ -93,6 +102,108 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
     )
 
 
+def _check_m(m) -> None:
+    """:func:`symbolic._check_order`, letting m = "auto" through."""
+    if m != "auto":
+        _check_order(m)
+
+
+def _majorant(series: LaurentPoly) -> LaurentPoly:
+    """2^k prod_i (x_i^lo_i + x_i^hi_i) over the variables x_i of ``series``, lo_i and hi_i the
+    even exponents next to the least and greatest exponent of x_i in it, and 2^k >= sum |c| from
+    |c| < 2^(bl(num) - bl(den) + 1).  Each |x_i|^e lies between its values at the even exponents
+    around e, so the majorant is at least sum |c x^e| at every point where no x_i with a negative
+    lo_i is 0; its terms are all nonnegative."""
+    terms = series._terms
+    corners = [{min(es) // 2 * 2, -(-max(es) // 2) * 2} for es in zip(*terms)]
+    k = max((c.numerator.bit_length() - c.denominator.bit_length() for c in terms.values()),
+            default=0) + 1 + (len(terms) - 1).bit_length()
+    return LaurentPoly._of(dict.fromkeys(product(*corners), Fraction(2) ** k))
+
+
+def _with_majorant(series: LaurentPoly, gap: LaurentPoly) -> tuple:
+    """The forms of an order: its series, its gap and the series' :func:`_majorant`."""
+    return series, gap, _majorant(series)
+
+
+def _top(x) -> int:
+    """An integer t with |x| < 2^t, and 2^(t-1) <= |x| unless x is 0, for the mpf tuple ``x``."""
+    _, _, exp, bc = x
+    return exp + bc
+
+
+def _beyond(forms, tops: list[int]) -> int:
+    """An integer beta with each term |c' x^e| of each compiled form of ``forms`` below 2^beta /
+    (its form's number of terms), at a point whose coordinates x_i have :func:`_top` tops[i]:
+    |c'| is below 2^(bl(man) + exp), and |x_i|^e_i below 2^(e_i tops[i]), or 2^(e_i (tops[i] -
+    1)) for e_i < 0."""
+    beta = 0
+    for form in forms:
+        spread = (len(form) - 1).bit_length()
+        for keys, man, exp in form:
+            top = man.bit_length() + exp + spread
+            for i, k in keys:
+                top += k * tops[i] if k > 0 else k * (tops[i] - 1)
+            beta = max(beta, top)
+    return beta
+
+
+def _auto(ctx: PrecisionContext, method: str, key: tuple, point: tuple, ends, heads: tuple,
+          negated: bool = False) -> BoundReport:
+    """The m = "auto" report of a sandwich: ``compiled(ctx.mp, *key, k)`` is the compiled (series,
+    gap, majorant) of order k (:func:`_with_majorant`), evaluated at ``point``, and ``ends(s, v)``
+    the ends (lower, upper) in ``ctx.mp`` for series value s and gap form value v, one end formed
+    from the other and v, as the order-k report takes them.  ``heads`` are the other terms of the
+    first end, mpfs whose moduli sum to ``head``.  When ``negated``, the gap form is minus the gap
+    (the small-mean sandwich's next term; a negated form would not give the negated value bit for
+    bit, as :func:`evaluate` truncates toward minus infinity), and the gap value g is -v.
+
+    It is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest order winning
+    ties: what a scan of the six reports returns, bit for bit, including a crossing order's
+    :class:`PrecisionError`.  The six gap forms are one :func:`evaluate` call, whose power ladders
+    then serve the series of the candidate orders, reported in ascending order: every order whose
+    gap value is negative, and every order k with
+
+        g_k <= max(g_j, 0) + 2^(t + 6 - b),
+
+    b = ``ctx.bits``, g_k the gap value of order k, j the least g's order, and t the greatest of
+    :func:`_top` of ``head`` and of each g_k, and :func:`_beyond` of the orders' majorants.  The
+    slack is 16 ulps at b bits of the bound 3 2^t on every order's ends.
+
+    A left-out order can neither win nor tie.  Proof, with P = b + 64 the precision of
+    ``ctx.mp``, where each operation rounds within 2^-P relative, and rounding at b bits within
+    2^-b: (1) by :func:`evaluate`'s bound, the series value s_k lies within |s_k| 2^-P +
+    2^(2-P) S_k of sum c x^e, of modulus at most S_k = sum |c x^e|; S_k is at most the majorant,
+    whose terms, each a power of two times even powers of the x_i, sum below 2^t.  So |s_k| <
+    2^t (1 + 2^(3-P)), and both ends, A_k and A'_k = A_k -+ g_k rounded, are below 3 (1 + 2^-60)
+    2^t in modulus.  (2) The rounded ends differ by x_k with |x_k - g_k| <=
+    2^-b (|A_k| + |A'_k|) + 2^-P |A'_k| < r = 2^(t + 3 - b).  (3) A left-out k has g_k >= 0, so
+    its ends cannot cross: every crossing order is reported, in the scan's order, and raises the
+    scan's error.  If j does not raise, its rounded gap is G_j <= (1 + 2^-b) x_j <= Gamma =
+    (1 + 2^-b)(max(g_j, 0) + r).  A left-out k has g_k above the slack, rounded once at P bits,
+    which exceeds max(g_j, 0)(1 + 2^(3-b)) + 3 r, as 2^t > max(g_j, 0); so x_k > g_k - r >
+    Gamma (1 + 2^(3-b)) / (1 + 2^-b) >= 0, and its rounded gap is G_k >= (1 - 2^-b) x_k > Gamma
+    >= G_j: strictly wider than order j.
+    """
+    M, bits = ctx.mp, ctx.bits
+    sets = [compiled(M, *key, k) for k in AUTO_ORDERS]
+    picked: list[int] = []
+    # evaluate reads its forms one at a time, so the series of the orders picked from the gaps
+    # follow them in the same call, on the same power ladders
+    values = evaluate(chain((f[1] for f in sets), (sets[k][0] for k in picked)), M, *point)
+    raw = [next(values) for _ in sets]
+    gaps = [mpf_neg(v._mpf_) if negated else v._mpf_ for v in raw]
+    tops = [_top(x._mpf_) for x in point]
+    t = max(_top(sum(map(abs, heads))._mpf_), *map(_top, gaps), _beyond([f[2] for f in sets], tops))
+    least = mpf_neg(max(raw)._mpf_) if negated else min(raw)._mpf_
+    # a negative gap lies below the slack too
+    slack = mpf_add(least if least[0] == 0 else fzero, from_man_exp(1, t + 6 - bits), M.prec)
+    picked += [k for k, g in enumerate(gaps) if mpf_le(g, slack)]
+    reports = [_report(*ends(s, raw[k]), AUTO_ORDERS[k], method, ctx)
+               for k, s in zip(picked, values)]
+    return min(reports, key=lambda r: r.gap)
+
+
 def _over_n(pieces) -> LaurentPoly:
     """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals,
     and over (*x, n) for LaurentPolys over x, such as (q, log q).  The exponents and Fractions
@@ -105,53 +216,77 @@ def _sandwich_forms(derive, m: int) -> tuple:
     """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k (:func:`_over_n`) of the set
     ``derive(m)``, ``derive`` being part of the cache key; n is lam for the Poisson law."""
     cs = derive(m)
-    return _over_n(cs.b), _over_n(cs.a)
+    return _with_majorant(_over_n(cs.b), _over_n(cs.a))
 
 
-def _small_forms(c, m: int, bits: int) -> tuple:
+def _small_forms(c, bits: int, m: int) -> tuple:
     """Over (lam), the series sum_{k=2}^{2m} c(k)/k! lam^k and its next term, which is negative;
     each c(k) = ``c(k, bits)`` enters exactly, and ``c`` is part of the cache key."""
     ctx = PrecisionContext(bits)
     terms = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
              for k in range(2, 2 * m + 2)]
-    return LaurentPoly._of(dict(terms[:-1])), LaurentPoly._of(dict(terms[-1:]))
+    return _with_majorant(LaurentPoly._of(dict(terms[:-1])), LaurentPoly._of(dict(terms[-1:])))
 
 
-def _relative_entropy_sum(n: int, u: mpf, m: int, M) -> tuple[mpf, mpf]:
-    """(l, gap) with D(n, p) + D(n, q) in [l, l + gap] at u = pq, the order-m sandwiches at p and
-    at q summed (:func:`coefficients._symmetric_coeffs`): l = -(1 + log u)/2 + sum_k
-    b~_sym(m, k; u) n^-k and gap = sum_k a~_sym(m, k; u) n^-k, over (u, log u, n)."""
+def _expected_log_forms(derive, law: str, m: int) -> tuple:
+    """The series and gap ``derive(law, m)`` of the expected-log sandwich, ``derive`` being part
+    of the cache key."""
+    return _with_majorant(*derive(law, m))
+
+
+def _relative_entropy_sum(n: int, u: mpf, M) -> tuple:
+    """(point, t, key) for D(n, p) + D(n, q) at u = pq, the order-k sandwiches at p and at q
+    summed (:func:`coefficients._symmetric_coeffs`): D(n, p) + D(n, q) lies in [l, l + g] with
+    l = s - t, t = (1 + log u)/2, and s and g the series and gap of ``compiled(M, *key, k)`` at
+    ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and sum_i a~_sym(k, i; u) n^-i."""
     log_u = M.log(u)
-    form = compiled(M, _sandwich_forms, coefficients._symmetric_coeffs, m)
-    beta, gap = evaluate(form, M, u, log_u, M.mpf(n))
-    return beta - (1 + log_u) / 2, gap
+    return ((u, log_u, M.mpf(n)), (1 + log_u) / 2,
+            (_sandwich_forms, coefficients._symmetric_coeffs))
 
 
-def entropy_poisson_small(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
+def entropy_poisson_small(
+    lam, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+) -> BoundReport:
     """Small-mean sandwich for H(lam), valid for every lam >= 0.
 
     lower = lam - lam log lam + sum_{k=2}^{2m+1} c(k)/k! lam^k, upper stops
     the sum at 2m.  The two differ by O(lam^(2m+1)).
     """
-    _check_order(m)
+    _check_m(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
-        return _report(M.zero, M.zero, m, "small-lambda", ctx)
-    series, last = evaluate(compiled(M, _small_forms, coefficients.c_coeff, m, ctx.bits), M, lam_m)
-    upper = lam_m - lam_m * M.log(lam_m) + series
-    return _report(upper + last, upper, m, "small-lambda", ctx)
+        return _report(M.zero, M.zero, AUTO_ORDERS[0] if m == "auto" else m, "small-lambda", ctx)
+    head = lam_m - lam_m * M.log(lam_m)
+
+    def ends(series, last):
+        upper = head + series
+        return upper + last, upper
+
+    key = (_small_forms, coefficients.c_coeff, ctx.bits)
+    if m == "auto":
+        return _auto(ctx, "small-lambda", key, (lam_m,), ends, (head,), negated=True)
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, lam_m)), m, "small-lambda", ctx)
 
 
-def entropy_poisson_large(lam, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
+def entropy_poisson_large(
+    lam, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+) -> BoundReport:
     """Large-mean sandwich: H(lam) in [u - r_m(lam), u] with
     u = log(2 pi lam)/2 + 1/2 + sum_k b(m,k)/lam^k."""
-    _check_order(m)
+    _check_m(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", "> 0")
-    beta, gap = evaluate(compiled(M, _sandwich_forms, coefficients.poisson_coeffs, m), M, lam_m)
-    upper = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2 + beta
-    return _report(upper - gap, upper, m, "large-lambda", ctx)
+    head = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2
+
+    def ends(beta, gap):
+        upper = head + beta
+        return upper - gap, upper
+
+    key = (_sandwich_forms, coefficients.poisson_coeffs)
+    if m == "auto":
+        return _auto(ctx, "large-lambda", key, (lam_m,), ends, (head,))
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, lam_m)), m, "large-lambda", ctx)
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -243,36 +378,51 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
 
 def relative_entropy_bounds(
-    n: int, p, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+    n: int, p, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
     """Large-n sandwich: D(n, p) in [l, l + r~] with
     l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
-    _check_order(m)
+    _check_m(m)
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     log_q = M.log(q_m)
-    form = compiled(M, _sandwich_forms, coefficients.binomial_coeffs, m)
-    beta, gap = evaluate(form, M, q_m, log_q, M.mpf(n))
-    lower = -(p_m + log_q) / 2 + beta
-    return _report(lower, lower + gap, m, "relative-entropy", ctx)
+    head = -(p_m + log_q) / 2
+
+    def ends(beta, gap):
+        lower = head + beta
+        return lower, lower + gap
+
+    key, point = (_sandwich_forms, coefficients.binomial_coeffs), (q_m, log_q, M.mpf(n))
+    if m == "auto":
+        return _auto(ctx, "relative-entropy", key, point, ends, (head,))
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m, "relative-entropy",
+                   ctx)
 
 
 def entropy_binomial_bounds(
-    n: int, p, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+    n: int, p, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
     """Sandwich for H(B_{n,p}) through the identity
     H = log n! - n log n + n - D(n, p) - D(n, q), with D(n, p) + D(n, q) replaced
     by its order-m interval in u = pq.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
-    _check_order(m)
+    _check_m(m)
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
-    l, gap = _relative_entropy_sum(n, p_m * (1 - p_m), m, M)
-    upper = M.loggamma(n + 1) - n * M.log(n) + n - l
-    return _report(upper - gap, upper, m, "binomial-corollary", ctx)
+    point, t, key = _relative_entropy_sum(n, p_m * (1 - p_m), M)
+    head = M.loggamma(n + 1) - n * M.log(n) + n
+
+    def ends(beta, gap):
+        upper = head - (beta - t)
+        return upper - gap, upper
+
+    if m == "auto":
+        return _auto(ctx, "binomial-corollary", key, point, ends, (head, t))
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m, "binomial-corollary",
+                   ctx)
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -282,38 +432,55 @@ def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONT
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
-    l, gap = _relative_entropy_sum(n, p_m * (1 - p_m), 1, M)
-    upper = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n) - l
+    point, t, key = _relative_entropy_sum(n, p_m * (1 - p_m), M)
+    beta, gap = evaluate(compiled(M, *key, 1)[:2], M, *point)
+    upper = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n) - (beta - t)
     return _report(upper - gap - M.mpf(1) / (360 * n**3), upper, 1, "binomial-stirling", ctx)
 
 
 def expected_log_poisson_bounds(
-    s, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+    s, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
     """Sandwich for E[log(N_s + 1)]:
     lower = log s + sum_{k=2}^{2m+1} (-1)^k mu_k(s) / (k (k-1) s^k),
     gap = mu_{2m+2}(s) / ((2m+1) s^(2m+2))."""
-    _check_order(m)
+    _check_m(m)
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    series, gap = evaluate(compiled(M, coefficients.expected_log_series, "poisson", m), M, s_m)
-    lower = M.log(s_m) + series
-    return _report(lower, lower + gap, m, "expected-log-poisson", ctx)
+    head = M.log(s_m)
+
+    def ends(series, gap):
+        lower = head + series
+        return lower, lower + gap
+
+    key = (_expected_log_forms, coefficients.expected_log_series, "poisson")
+    if m == "auto":
+        return _auto(ctx, "expected-log-poisson", key, (s_m,), ends, (head,))
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, s_m)), m, "expected-log-poisson",
+                   ctx)
 
 
 def expected_log_binomial_bounds(
-    n: int, s, m: int = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
+    n: int, s, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
     """Sandwich for E[log(B_{n-1,s} + 1)], same shape with mu_k(n, s) and
     powers of ns.  Subtract log(ns) to bound the ratio form."""
-    _check_order(m)
+    _check_m(m)
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    form = compiled(M, coefficients.expected_log_series, "binomial", m)
-    series, gap = evaluate(form, M, M.mpf(n), s_m)
-    lower = M.log(n * s_m) + series
-    return _report(lower, lower + gap, m, "expected-log-binomial", ctx)
+    head = M.log(n * s_m)
+
+    def ends(series, gap):
+        lower = head + series
+        return lower, lower + gap
+
+    key = (_expected_log_forms, coefficients.expected_log_series, "binomial")
+    point = (M.mpf(n), s_m)
+    if m == "auto":
+        return _auto(ctx, "expected-log-binomial", key, point, ends, (head,))
+    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m,
+                   "expected-log-binomial", ctx)
 
 
 def best_interval(
@@ -321,9 +488,12 @@ def best_interval(
     *args,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> BoundReport:
-    """Evaluate the orders of AUTO_ORDERS (1..6) and return the narrowest interval.
+    """``bound_fn(*args, m="auto", ctx=ctx)``: of the orders AUTO_ORDERS (1..6), the report with
+    the least rounded gap, the lowest order winning ties.
 
-    The intervals need not be nested in m, so minimal width is the honest
-    aggregate.
+    The intervals need not be nested in m, so minimal width is the honest aggregate.  The
+    chooser (:func:`_auto`) evaluates the six gaps in one call and reports only the orders
+    within a proven rounding slack of the least gap, so it returns what reporting all six and
+    keeping the narrowest would, bit for bit.
     """
-    return min((bound_fn(*args, m=m, ctx=ctx) for m in AUTO_ORDERS), key=lambda r: r.gap)
+    return bound_fn(*args, m="auto", ctx=ctx)

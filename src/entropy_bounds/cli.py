@@ -222,8 +222,6 @@ def _evaluate(bound, point, m, ctx: PrecisionContext):
     fn = getattr(bounds, name)
     if not takes_order:
         return fn(*point, ctx)
-    if m == "auto":
-        return bounds.best_interval(fn, *point, ctx=ctx)
     return fn(*point, m, ctx)
 
 

@@ -30,7 +30,6 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
-    from_man_exp,
     mpf_log,
     mpf_loggamma,
     mpf_pos,
@@ -425,18 +424,23 @@ def evaluate(forms, M: mpmath.MPContext, *point):
     2^-(P+32)) sum |c' x^e| of the exact sum of c' x^e, c' the form's coefficients.  For K <=
     255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c' is within |c| 2^-P of c,
     so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.  Exact terms with no bit
-    below the shared exponent that cancel give exact zero."""
-    wide, powers = M.prec + 40, {}
+    below the shared exponent that cancel give exact zero.
+
+    ``forms`` is read one form at a time, as each value is asked for, so a caller may choose the
+    later forms from the earlier values and have them share the ladders."""
+    prec, make = M.prec, M.make_mpf
+    wide, powers = prec + 40, {}
     for form in forms:
         terms = []
         for keys, man, exp in form:
             for key in keys:
-                p_man, p_exp = powers[key] if key in powers else _climb(powers, point, key, wide)
+                p_man, p_exp = powers.get(key) or _climb(powers, point, key, wide)
                 man, exp = man * p_man, exp + p_exp
             terms.append((man, exp))
-        base = max((e + m.bit_length() for m, e in terms if m), default=0) - M.prec - 64
+        base = max((e + m.bit_length() for m, e in terms if m), default=0) - prec - 64
         total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)
-        yield M.make_mpf(from_man_exp(total, base, M.prec, round_nearest))
+        sign, total = (1, -total) if total < 0 else (0, total)
+        yield make(normalize(sign, total, base, total.bit_length(), prec, round_nearest))
 
 
 def integrate_tail(f: LaurentPoly) -> LaurentPoly:

@@ -21,6 +21,7 @@ from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
+    PrecisionError,
     best_interval,
     binomial_entropy_oracle,
     c_tilde_coeff,
@@ -40,8 +41,8 @@ from entropy_bounds import (
     relative_entropy_oracle,
     stirling_m1_constants,
 )
-from entropy_bounds import symbolic
-from entropy_bounds.bounds import _report
+from entropy_bounds import bounds, coefficients, symbolic
+from entropy_bounds.bounds import AUTO_ORDERS, _report
 from entropy_bounds.symbolic import _TABLE_CAP, _log_factorials, to_mpf
 from golden_data import FIGURE_GAPS
 
@@ -479,6 +480,101 @@ class TestBestInterval:
     def test_still_contains_oracle(self):
         value, _ = poisson_entropy_oracle(10)
         assert best_interval(entropy_poisson_large, 10).interval.contains(value)
+
+
+def _scan_outcome(fn, args, ctx):
+    """The six-order scan that m="auto" replaces, kept as the reference: the narrowest report of
+    AUTO_ORDERS, the lowest order winning ties, or the first order's error."""
+    try:
+        return _outcome(min((fn(*args, m=k, ctx=ctx) for k in AUTO_ORDERS), key=lambda r: r.gap))
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
+def _auto_outcome(fn, args, ctx):
+    try:
+        return _outcome(fn(*args, m="auto", ctx=ctx))
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(rep):
+    return rep.m, rep.method, [x._mpf_ for x in (rep.lower, rep.upper, rep.midpoint, rep.gap)]
+
+
+def _auto_cases():
+    """(routine, args, bits): a seeded sweep of the six order-taking routines at 64, 128 and 256
+    bits, and the edges: lam = 0; lam and s at 10^4, where at 64 bits several orders lie within
+    a few ulps; n = 2*10^4 at p near 0, 1/2 and 1; and a crossing order at tiny p."""
+    rng = random.Random(2024)
+    cases = []
+    for bits in (64, 128, 256):
+        for _ in range(8):
+            lam = F(f"{10 ** rng.uniform(-3, 5):.4g}")
+            n = int(10 ** rng.uniform(0, 4.3))
+            p = F(f"{10 ** rng.uniform(-8, -0.3):.4g}")
+            p = 1 - p if rng.random() < 0.3 else p
+            cases += [
+                (entropy_poisson_small, (F(f"{10 ** rng.uniform(-4, 1.7):.4g}"),), bits),
+                (entropy_poisson_large, (lam,), bits),
+                (expected_log_poisson_bounds, (lam,), bits),
+                (relative_entropy_bounds, (n, p), bits),
+                (entropy_binomial_bounds, (n, p), bits),
+                (expected_log_binomial_bounds, (n, p), bits),
+            ]
+        cases += [(entropy_poisson_small, (0,), bits)]
+        cases += [(fn, (10**4,), bits) for fn in (
+            entropy_poisson_small, entropy_poisson_large, expected_log_poisson_bounds)]
+        cases += [(fn, (2 * 10**4, p), bits) for p in (F(1, 100), F(1, 2), F(99, 100))
+                  for fn in (relative_entropy_bounds, entropy_binomial_bounds,
+                             expected_log_binomial_bounds)]
+    cases += [(relative_entropy_bounds, (1000, F(1, 10**20)), 64)]
+    return cases
+
+
+class TestAutoOrder:
+    @pytest.mark.parametrize("fn, args, bits", _auto_cases(), ids=lambda x: (
+        x.__name__ if callable(x) else ",".join(map(str, x)) if isinstance(x, tuple) else str(x)))
+    def test_same_report_as_the_six_order_scan(self, fn, args, bits):
+        ctx = PrecisionContext(bits)
+        assert _auto_outcome(fn, args, ctx) == _scan_outcome(fn, args, ctx)
+
+    def test_edges(self):
+        # lam = 0: every gap is 0, so the lowest order wins
+        assert entropy_poisson_small(0, m="auto", ctx=PrecisionContext(64)).m == 1
+        # at 64 bits orders 5 and 6 both round to gap 0 and order 4 to one ulp: order 5 wins
+        rep = expected_log_poisson_bounds(10**4, m="auto", ctx=PrecisionContext(64))
+        assert (rep.m, rep.gap) == (5, 0)
+        # the scan's error, naming the first crossing order
+        with pytest.raises(PrecisionError, match="the ends of the order-2 relative-entropy bound "
+                           "cross at 64 bits"):
+            relative_entropy_bounds(1000, F(1, 10**20), m="auto", ctx=PrecisionContext(64))
+
+    def test_majorant_bounds_the_series(self):
+        # exactly, sum |c x^e| <= the majorant <= 2^_beyond, at points with a negative log u
+        ctx = PrecisionContext(128)
+        sets = [(coefficients.poisson_coeffs, [(F(1, 100),), (F(1),), (F(10**4),)]),
+                (coefficients._symmetric_coeffs, [(F(21, 100), F(-156, 100), F(1000)),
+                                                  (F(1, 101), F(-462, 100), F(3))])]
+        for derive, points in sets:
+            for m in AUTO_ORDERS:
+                series, _, majorant = bounds._sandwich_forms(derive, m)
+                form = symbolic.compiled(ctx.mp, bounds._sandwich_forms, derive, m)[2]
+                for x in points:
+                    absolute = sum(abs(c) * math.prod(abs(xi) ** e for xi, e in zip(x, es))
+                                   for es, c in series._terms.items())
+                    assert absolute <= majorant(*x)
+                    tops = [bounds._top(to_mpf(xi, ctx.mp)._mpf_) for xi in x]
+                    value, = symbolic.evaluate([form], ctx.mp, *(to_mpf(xi, ctx.mp) for xi in x))
+                    assert value < mpf(2) ** bounds._beyond([form], tops)
+
+    def test_wrapped_routine(self):
+        # perfbench's tracer hands best_interval wrappers of the routines
+        ctx = PrecisionContext(128)
+        for fn, args in ((entropy_poisson_large, (F(7, 2),)),
+                         (entropy_binomial_bounds, (1000, F(3, 10)))):
+            wrapped = best_interval(lambda *a, **k: fn(*a, **k), *args, ctx=ctx)
+            assert _outcome(wrapped) == _outcome(best_interval(fn, *args, ctx=ctx))
 
 
 class TestBoundValuesPinned:

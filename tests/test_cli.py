@@ -1,6 +1,7 @@
 """CLI behaviour: exports, grids, verification exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -486,3 +487,14 @@ def test_stdout_is_byte_identical_to_fixture(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (ROOT / "tests" / "fixtures" / "cli" / f"{name}.out").read_bytes()
+
+
+def test_auto_grid_is_byte_identical(capsys):
+    # the 991-point --m auto grid, whose sha256 was captured from the six-order scan that
+    # m="auto" replaced; its m column reads 987 x 6, 3 x 5 and 1 x 4
+    code, out = run(capsys, ["bounds", "poisson-entropy", "--grid", "10:1000:1", "--m", "auto"])
+    assert code == 0
+    orders = [row["m"] for row in rows_of(out)]
+    assert {m: orders.count(m) for m in set(orders)} == {"6": 987, "5": 3, "4": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7a2a956daed4e1e43fe8d622522fbc7df6008a0fd387b3d4505221329d6f6c71")

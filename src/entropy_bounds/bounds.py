@@ -1,19 +1,20 @@
-"""Certified two-sided bounds, one routine per inequality.
+"""Certified two-sided bounds, one public routine per inequality.
 
 Every routine returns a :class:`BoundReport` whose interval is guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic.  Every series (each sandwich's series and gap, and the small-mean
-sum) has exact dyadic coefficients and is summed in integers, rounded once,
-by one :func:`symbolic.evaluate` call; only the closed-form leading terms
-(logarithms, log Gamma) are mpmath arithmetic in ``ctx.mp``, and each end is
-rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such form: it is
-one fixed-point sum over the binomial tails near the mean, rounded once.
+analytic.  Each sandwich is a closed-form head, a series with exact dyadic
+coefficients and a gap; a routine checks its inputs, forms its head (logarithms,
+log Gamma) in mpmath arithmetic in ``ctx.mp``, and hands its ``ends`` and the key
+of its compiled forms to :func:`_sandwich`, which all share.  Its series and gap
+are summed in integers, rounded once, by one :func:`symbolic.evaluate` call, and
+each end is rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such
+form: it is one fixed-point sum over the binomial tails near the mean, rounded once.
 
 Every order-taking routine also takes m = "auto" (the CLI's ``--m auto``, and
 :func:`best_interval`): the order of AUTO_ORDERS with the least rounded gap, the
 lowest order winning ties.  Each gap is known before its bound, so the six gaps
 are one evaluation and only the orders within a proven rounding slack of the
-least gap, or below zero, are reported (:func:`_auto`).
+least gap, or below zero, are reported; a fixed order is the one candidate.
 """
 
 from __future__ import annotations
@@ -148,21 +149,26 @@ def _beyond(forms, tops: list[int]) -> int:
     return beta
 
 
-def _auto(ctx: PrecisionContext, method: str, key: tuple, point: tuple, ends, heads: tuple,
-          negated: bool = False) -> BoundReport:
-    """The m = "auto" report of a sandwich: ``compiled(ctx.mp, *key, k)`` is the compiled (series,
-    gap, majorant) of order k (:func:`_with_majorant`), evaluated at ``point``, and ``ends(s, v)``
-    the ends (lower, upper) in ``ctx.mp`` for series value s and gap form value v, one end formed
-    from the other and v, as the order-k report takes them.  ``heads`` are the other terms of the
+def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends,
+              heads: tuple = (), negated: bool = False) -> BoundReport:
+    """The order-m report of a sandwich, m an order or "auto": ``compiled(ctx.mp, *key, k)`` is
+    the compiled (series, gap, majorant) of order k (:func:`_with_majorant`), evaluated at
+    ``point``, and ``ends(s, v)`` the ends (lower, upper) in ``ctx.mp`` for series value s and
+    gap form value v, one end formed from the other and v.  ``heads`` are the other terms of the
     first end, mpfs whose moduli sum to ``head``.  When ``negated``, the gap form is minus the gap
     (the small-mean sandwich's next term; a negated form would not give the negated value bit for
     bit, as :func:`evaluate` truncates toward minus infinity), and the gap value g is -v.
 
-    It is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest order winning
-    ties: what a scan of the six reports returns, bit for bit, including a crossing order's
-    :class:`PrecisionError`.  The six gap forms are one :func:`evaluate` call, whose power ladders
-    then serve the series of the candidate orders, reported in ascending order: every order whose
-    gap value is negative, and every order k with
+    A fixed m is the one candidate: its gap and then its series are one :func:`evaluate` call,
+    and it is reported with no slack computed, so ``heads`` and ``negated`` go unread.  Its gap
+    form being read first moves no bit, as each power ladder runs from x^+-1 in the same rungs
+    whatever the order of the powers asked for.
+
+    For m = "auto" it is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest
+    order winning ties: what a scan of the six reports returns, bit for bit, including a crossing
+    order's :class:`PrecisionError`.  The six gap forms are one :func:`evaluate` call, whose power
+    ladders then serve the series of the candidate orders, reported in ascending order: every
+    order whose gap value is negative, and every order k with
 
         g_k <= max(g_j, 0) + 2^(t + 6 - b),
 
@@ -186,6 +192,10 @@ def _auto(ctx: PrecisionContext, method: str, key: tuple, point: tuple, ends, he
     >= G_j: strictly wider than order j.
     """
     M, bits = ctx.mp, ctx.bits
+    if m != "auto":
+        series, gap, _ = compiled(M, *key, m)
+        v, s = evaluate((gap, series), M, *point)
+        return _report(*ends(s, v), m, method, ctx)
     sets = [compiled(M, *key, k) for k in AUTO_ORDERS]
     picked: list[int] = []
     # evaluate reads its forms one at a time, so the series of the orders picked from the gaps
@@ -202,6 +212,12 @@ def _auto(ctx: PrecisionContext, method: str, key: tuple, point: tuple, ends, he
     reports = [_report(*ends(s, raw[k]), AUTO_ORDERS[k], method, ctx)
                for k, s in zip(picked, values)]
     return min(reports, key=lambda r: r.gap)
+
+
+def _lower_anchored(head: mpf):
+    """``ends`` for :func:`_sandwich` of a sandwich whose lower end is head + s, and upper end
+    that plus the gap."""
+    return lambda s, v: ((end := head + s), end + v)
 
 
 def _over_n(pieces) -> LaurentPoly:
@@ -234,11 +250,15 @@ def _expected_log_forms(derive, law: str, m: int) -> tuple:
     return _with_majorant(*derive(law, m))
 
 
-def _relative_entropy_sum(n: int, u: mpf, M) -> tuple:
-    """(point, t, key) for D(n, p) + D(n, q) at u = pq, the order-k sandwiches at p and at q
-    summed (:func:`coefficients._symmetric_coeffs`): D(n, p) + D(n, q) lies in [l, l + g] with
-    l = s - t, t = (1 + log u)/2, and s and g the series and gap of ``compiled(M, *key, k)`` at
-    ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and sum_i a~_sym(k, i; u) n^-i."""
+def _relative_entropy_sum(n: int, p, M) -> tuple:
+    """(point, t, key) for D(n, p) + D(n, q) at u = pq, once n and p are checked: the order-k
+    sandwiches at p and at q summed (:func:`coefficients._symmetric_coeffs`).  D(n, p) + D(n, q)
+    lies in [l, l + g] with l = s - t, t = (1 + log u)/2, and s and g the series and gap of
+    ``compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
+    sum_i a~_sym(k, i; u) n^-i."""
+    _check_n(n)
+    p_m = _point(p, M, "p", "in (0,1)")
+    u = p_m * (1 - p_m)
     log_u = M.log(u)
     return ((u, log_u, M.mpf(n)), (1 + log_u) / 2,
             (_sandwich_forms, coefficients._symmetric_coeffs))
@@ -258,15 +278,8 @@ def entropy_poisson_small(
     if lam_m == 0:
         return _report(M.zero, M.zero, AUTO_ORDERS[0] if m == "auto" else m, "small-lambda", ctx)
     head = lam_m - lam_m * M.log(lam_m)
-
-    def ends(series, last):
-        upper = head + series
-        return upper + last, upper
-
-    key = (_small_forms, coefficients.c_coeff, ctx.bits)
-    if m == "auto":
-        return _auto(ctx, "small-lambda", key, (lam_m,), ends, (head,), negated=True)
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, lam_m)), m, "small-lambda", ctx)
+    return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx.bits),
+                     (lam_m,), lambda s, v: ((end := head + s) + v, end), (head,), negated=True)
 
 
 def entropy_poisson_large(
@@ -278,15 +291,8 @@ def entropy_poisson_large(
     M = ctx.mp
     lam_m = _point(lam, M, "lam", "> 0")
     head = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2
-
-    def ends(beta, gap):
-        upper = head + beta
-        return upper - gap, upper
-
-    key = (_sandwich_forms, coefficients.poisson_coeffs)
-    if m == "auto":
-        return _auto(ctx, "large-lambda", key, (lam_m,), ends, (head,))
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, lam_m)), m, "large-lambda", ctx)
+    return _sandwich(ctx, "large-lambda", m, (_sandwich_forms, coefficients.poisson_coeffs),
+                     (lam_m,), lambda s, v: ((end := head + s) - v, end), (head,))
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -389,16 +395,8 @@ def relative_entropy_bounds(
     q_m = 1 - p_m
     log_q = M.log(q_m)
     head = -(p_m + log_q) / 2
-
-    def ends(beta, gap):
-        lower = head + beta
-        return lower, lower + gap
-
-    key, point = (_sandwich_forms, coefficients.binomial_coeffs), (q_m, log_q, M.mpf(n))
-    if m == "auto":
-        return _auto(ctx, "relative-entropy", key, point, ends, (head,))
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m, "relative-entropy",
-                   ctx)
+    return _sandwich(ctx, "relative-entropy", m, (_sandwich_forms, coefficients.binomial_coeffs),
+                     (q_m, log_q, M.mpf(n)), _lower_anchored(head), (head,))
 
 
 def entropy_binomial_bounds(
@@ -409,33 +407,22 @@ def entropy_binomial_bounds(
     by its order-m interval in u = pq.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
     _check_m(m)
-    _check_n(n)
     M = ctx.mp
-    p_m = _point(p, M, "p", "in (0,1)")
-    point, t, key = _relative_entropy_sum(n, p_m * (1 - p_m), M)
+    point, t, key = _relative_entropy_sum(n, p, M)
     head = M.loggamma(n + 1) - n * M.log(n) + n
-
-    def ends(beta, gap):
-        upper = head - (beta - t)
-        return upper - gap, upper
-
-    if m == "auto":
-        return _auto(ctx, "binomial-corollary", key, point, ends, (head, t))
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m, "binomial-corollary",
-                   ctx)
+    return _sandwich(ctx, "binomial-corollary", m, key, point,
+                     lambda s, v: ((end := head - (s - t)) - v, end), (head, t))
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
     """Order-1 binomial entropy sandwich: the order-1 corollary with log n! - n log n + n
     replaced by Stirling's log(2 pi n)/2 + [1/(12n) - 1/(360n^3), 1/(12n)].  In closed form,
     log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n] (:func:`stirling_m1_constants`)."""
-    _check_n(n)
     M = ctx.mp
-    p_m = _point(p, M, "p", "in (0,1)")
-    point, t, key = _relative_entropy_sum(n, p_m * (1 - p_m), M)
-    beta, gap = evaluate(compiled(M, *key, 1)[:2], M, *point)
-    upper = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n) - (beta - t)
-    return _report(upper - gap - M.mpf(1) / (360 * n**3), upper, 1, "binomial-stirling", ctx)
+    point, t, key = _relative_entropy_sum(n, p, M)
+    head = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n)
+    return _sandwich(ctx, "binomial-stirling", 1, key, point, lambda s, v: (
+        (end := head - (s - t)) - v - M.mpf(1) / (360 * n**3), end))
 
 
 def expected_log_poisson_bounds(
@@ -448,16 +435,9 @@ def expected_log_poisson_bounds(
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
     head = M.log(s_m)
-
-    def ends(series, gap):
-        lower = head + series
-        return lower, lower + gap
-
-    key = (_expected_log_forms, coefficients.expected_log_series, "poisson")
-    if m == "auto":
-        return _auto(ctx, "expected-log-poisson", key, (s_m,), ends, (head,))
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, s_m)), m, "expected-log-poisson",
-                   ctx)
+    return _sandwich(ctx, "expected-log-poisson", m,
+                     (_expected_log_forms, coefficients.expected_log_series, "poisson"), (s_m,),
+                     _lower_anchored(head), (head,))
 
 
 def expected_log_binomial_bounds(
@@ -470,17 +450,9 @@ def expected_log_binomial_bounds(
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
     head = M.log(n * s_m)
-
-    def ends(series, gap):
-        lower = head + series
-        return lower, lower + gap
-
-    key = (_expected_log_forms, coefficients.expected_log_series, "binomial")
-    point = (M.mpf(n), s_m)
-    if m == "auto":
-        return _auto(ctx, "expected-log-binomial", key, point, ends, (head,))
-    return _report(*ends(*evaluate(compiled(M, *key, m)[:2], M, *point)), m,
-                   "expected-log-binomial", ctx)
+    return _sandwich(ctx, "expected-log-binomial", m,
+                     (_expected_log_forms, coefficients.expected_log_series, "binomial"),
+                     (M.mpf(n), s_m), _lower_anchored(head), (head,))
 
 
 def best_interval(
@@ -491,9 +463,9 @@ def best_interval(
     """``bound_fn(*args, m="auto", ctx=ctx)``: of the orders AUTO_ORDERS (1..6), the report with
     the least rounded gap, the lowest order winning ties.
 
-    The intervals need not be nested in m, so minimal width is the honest aggregate.  The
-    chooser (:func:`_auto`) evaluates the six gaps in one call and reports only the orders
-    within a proven rounding slack of the least gap, so it returns what reporting all six and
-    keeping the narrowest would, bit for bit.
+    The intervals need not be nested in m, so minimal width is the honest aggregate.
+    :func:`_sandwich`, through which every bound reports, evaluates the six gaps in one call and
+    reports only the orders within a proven rounding slack of the least gap, so it returns what
+    reporting all six and keeping the narrowest would, bit for bit.
     """
     return bound_fn(*args, m="auto", ctx=ctx)

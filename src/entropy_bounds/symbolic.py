@@ -54,14 +54,14 @@ class DomainError(ValueError):
 
 
 def _check_n(n: int) -> None:
-    """Raise :class:`DomainError` unless ``n`` is a positive int."""
-    if not isinstance(n, int) or n < 1:
+    """Raise :class:`DomainError` unless ``n`` is a positive int, bool refused."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
 def _check_order(m: int) -> None:
-    """Raise ``ValueError`` unless the expansion order ``m`` is a positive int."""
-    if not isinstance(m, int) or m < 1:
+    """Raise ``ValueError`` unless the expansion order ``m`` is a positive int, bool refused."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
 
 

@@ -1,6 +1,8 @@
 """Every bound and oracle refuses a point outside its domain with one
 message form, ``<name> must be <domain>, got <value>``, pinned here byte for
-byte at the points just past each domain edge."""
+byte at the points just past each domain edge; and an n or an order m that is
+no positive int, bool included, with the messages of ``symbolic._check_n`` and
+``symbolic._check_order``."""
 
 from fractions import Fraction as F
 
@@ -70,6 +72,16 @@ CASES = [
     (moment_oracle_binomial, (2, 10, F(3, 2)), "s must be in (0,1), got 3/2"),
     (moment_oracle_binomial, (2, 10, 0), "s must be in (0,1), got 0"),
 ]
+# n in {0, True} for every n-taking bound and oracle; the two rows of a routine take different
+# points so that their ids differ, and True, an int to isinstance, is no count
+CASES += [(routine, (*lead, n, point), f"n must be a positive integer, got {n!r}")
+          for routine, lead in [
+              (relative_entropy_exact, ()), (relative_entropy_bounds, ()),
+              (entropy_binomial_bounds, ()), (entropy_binomial_stirling_m1, ()),
+              (expected_log_binomial_bounds, ()), (binomial_entropy_oracle, ()),
+              (relative_entropy_oracle, ()), (expected_log_binomial, ()),
+              (moment_oracle_binomial, (2,))]
+          for n, point in [(0, F(3, 10)), (True, F(1, 4))]]
 
 
 @pytest.mark.parametrize(
@@ -82,6 +94,29 @@ def test_domain_message(routine, args, message):
     with pytest.raises(DomainError) as info:
         routine(*args, **kwargs)
     assert str(info.value) == message
+
+
+ORDER_TAKING = [
+    (entropy_poisson_small, (F(1, 2),)),
+    (entropy_poisson_large, (10,)),
+    (relative_entropy_bounds, (10, F(3, 10))),
+    (entropy_binomial_bounds, (10, F(3, 10))),
+    (expected_log_poisson_bounds, (10,)),
+    (expected_log_binomial_bounds, (10, F(3, 10))),
+]
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, "x", True], ids=repr)
+@pytest.mark.parametrize("routine, args", ORDER_TAKING, ids=[r.__name__ for r, _ in ORDER_TAKING])
+def test_order_message(routine, args, m):
+    with pytest.raises(ValueError) as info:
+        routine(*args, m=m, ctx=CTX)
+    assert str(info.value) == f"order m must be a positive integer, got {m!r}"
+
+
+def test_order_is_checked_before_the_point():
+    with pytest.raises(ValueError, match=r"^order m must be a positive integer, got 0$"):
+        relative_entropy_bounds(10, 0, m=0, ctx=CTX)
 
 
 NAN, INF = mpf("nan"), mpf("inf")

@@ -19,10 +19,10 @@ loop of Python integer arithmetic by the exact ratio of successive pmf
 values, and stops the side at its own certified geometric tail or at the
 end of the support.  A Poisson sum thus costs about sqrt(lam * bits)
 terms, not lam, and a binomial one about sqrt(npq * bits), not n + 1.  The
-binomial oracles hand it exact (mantissa, exponent) weights; the Poisson
-ones reach it through :func:`poisson_expectation`, which converts the
-weights its caller supplies.  The binomial central moments are exact
-rational sums.
+oracles hand it exact (mantissa, exponent) weights from the ladder, of five
+families that meet its tail's requirement by a proof in its docstring;
+:func:`poisson_expectation` checks that requirement on a caller's weights.
+The binomial central moments are exact rational sums.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ class TruncationReceipt:
     rel_err_bound: mpf
 
 
-def _exact_mpf(man: int, exp: int) -> tuple:
-    """``from_man_exp(man, exp)`` for man >= 0, its bit count from ``int.bit_length``."""
-    zeros = (man & -man).bit_length() - 1
-    return (0, man >> zeros, exp + zeros, man.bit_length() - zeros) if man else fzero
-
-
 def _log_factorial_reader(prec: int) -> Callable[[int], int]:
     """i -> :func:`_log_factorial` (i, ``prec``) for one oracle call.  It moves to the next
     ladder rung only when i passes the end of the one it holds, so it builds no rung that
@@ -112,12 +106,14 @@ def _log_factorial_reader(prec: int) -> Callable[[int], int]:
 
 
 class _Law(NamedTuple):
-    """A law as :func:`_outward` walks it, from ``mode`` to 0 and to ``last``."""
+    """A law as :func:`_outward` walks it, from ``mode`` to 0 and to ``last``: pmf(j + d) /
+    pmf(j) is exactly (A + B j) / (C + D j), (A, B, C, D) = ``down`` for d = -1, ``up`` for 1."""
 
     mode: int
     last: int | None  # the last index of the support; None for an infinite one
     mean: Fraction
-    ratio: Callable[[int, int], tuple[int, int]]  # pmf(j + d) / pmf(j), d = +-1, exactly
+    down: tuple[int, int, int, int]
+    up: tuple[int, int, int, int]
     pmf: mpf  # pmf(mode), within 2^-(prec + 36) at the working precision prec
 
 
@@ -130,11 +126,8 @@ def _poisson_law(lam: mpf, prec: int) -> _Law:
     H = _mp_context(_round64(prec + _GUARD + 8 + 2 * mode.bit_length()))
     log_fact = H.make_mpf(from_man_exp(_log_factorial(mode, prec), -prec - _TABLE_BITS))
     pmf = H.exp(mode * H.log(lam) - lam - log_fact)
-
-    def ratio(j: int, d: int) -> tuple[int, int]:
-        return (num, den * (j + 1)) if d > 0 else (den * j, num)
-
-    return _Law(mode, None, Fraction(num, den), ratio, pmf)
+    # pmf(j - 1) / pmf(j) = j / lam and pmf(j + 1) / pmf(j) = lam / (j + 1), lam = num / den
+    return _Law(mode, None, Fraction(num, den), (0, den, num, 0), (num, 0, den, den), pmf)
 
 
 def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
@@ -153,11 +146,8 @@ def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
         + mode * H.log(p)
         + (n - mode) * H.log(q)
     )
-
-    def ratio(k: int, d: int) -> tuple[int, int]:
-        return ((n - k) * a, (k + 1) * b) if d > 0 else (k * b, (n - k + 1) * a)
-
-    return _Law(mode, n, Fraction(n * a, 1 << E), ratio, pmf)
+    # pmf(k - 1) / pmf(k) = k b / ((n - k + 1) a) and pmf(k + 1) / pmf(k) = (n - k) a / ((k + 1) b)
+    return _Law(mode, n, Fraction(n * a, 1 << E), (0, b, (n + 1) * a, -a), (n * a, -a, b, b), pmf)
 
 
 def _tail(first: _Dyadic, second: _Dyadic, mass: int, unit: int, t: int):
@@ -190,71 +180,77 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
     sum_j pmf(j) w_j, as mpfs of the mpmath context ``M`` but for the count:
     the sum rounded to nearest and the bounds up, at ``prec`` = ``M.prec``.
 
-    ``weight(j)`` gives w_j exactly, as a :data:`_Dyadic`.  Requirement:
-    |w_(j+1) / w_j| is non-increasing once j exceeds the mean, and
-    |w_(j-1) / w_j| once j is below it.  The pmf ratios fall on both sides
-    of the mode, so the term ratios then never rise beyond the mean either,
-    and a side stops at the first term J beyond the mean whose tail |t_J| /
-    (1 - |t_(J+d) / t_J|) is at most 2^-(``prec`` + 3) of the absolute
-    terms summed so far, or at the end of the support; both sides together
-    leave out at most 2^-(``prec`` + 2) of them.  A rise in the weight
-    ratio beyond the mean raises :class:`PrecisionError`.
+    ``weight(j)`` gives w_j exactly, as a :data:`_Dyadic`, read once per j:
+    the mode, then down from it, then up.  A side stops at the first term J
+    beyond the mean whose tail |t_J| / (1 - |t_(J+d) / t_J|) is at most
+    2^-(``prec`` + 3) of the absolute terms summed so far, or at the end of
+    the support; both sides together leave out at most 2^-(``prec`` + 2) of
+    them.  Requirement, checked nowhere here: no term ratio |t_(j+d) / t_j|
+    beyond J exceeds the one at J.  :func:`poisson_expectation` checks it on
+    a caller's weights; for the five families the oracles pass, each stored
+    as at most three ladder entries (log j!, log(j + 1), log C(n, k),
+    log(n!/(n - k)!) and log(k + 1)), it holds by this proof.
+    - Each exact family is log-concave: four are concave and nonnegative, and
+      L = log j! has L (log(j + 1) - log j) <= log j <= log j log(j + 1) for
+      j >= 2.  Its zeros lie only at the ends of the support and at j = 1,
+      its other values are at least log 2, so beyond a nonzero t_J the exact
+      weight ratio is at most the one at J until the side meets zeros.
+    - A ladder entry is within 2^-(prec + 41), so a stored weight is within
+      2^-(prec + 39), a factor 1 +- 2^-(prec + 38), of its value, and an
+      exact 0 where that is 0: a stored weight ratio beyond J exceeds the
+      one at J by a factor below 1 + 2^-(prec + 35).
+    - The exact pmf ratio at any j beyond J is at most 1 - 1/(J + 2) times
+      the one at J ((J + 1) / (j + 1) up, j / J down), and for the binomial
+      at most 1 - 1/(n - J + 2) times.  That outweighs the rounding at every
+      stop J with J, or n - J, below 2^(prec + 34).  No other stop can be
+      reached: within the 2^27 terms of the error bound below, around a mode
+      that far out, the pmf and the weight move by under a factor 2 each.
 
-    Each side is one flat loop of integer arithmetic.  It keeps pmf(j) /
-    pmf(mode) as r 2^x, multiplying r by the exact pmf ratio and flooring it
-    to at least P = ``prec`` + 32 bits: each step costs at most 2^-(P - 1),
-    relative, and r stays below 2^P as the ratio is at most 1.  It asks
-    :func:`_tail` only at a zero t_J = man 2^e_J or where bl(man) + e_J -
+    Each side is one flat loop of integer arithmetic and one ``weight(j)`` call
+    per term, the pmf ratio's integers moving by one addition each.  It keeps
+    pmf(j) / pmf(mode) as r 2^x, multiplying r by the exact pmf ratio and
+    flooring it to at least P = ``prec`` + 32 bits: each step costs at most
+    2^-(P - 1), relative, and r stays below 2^P as the ratio is at most 1.  It
+    asks :func:`_tail` only at a zero t_J = man 2^e_J or where bl(man) + e_J -
     unit + t - 2 < bl(mass), t = ``prec`` + 3 and mass the summed absolute
-    terms in units of 2^unit, as _tail's own first test refuses every
-    other stop.  The terms are summed as integers in units of at most
-    2^-(``prec`` + 31) times the first nonzero term, so a sum of tiny terms
-    keeps its precision.  A priori error bound, relative to the summed
-    absolute terms, for s terms: the pmf ratios carry at most
-    s 2^-(prec + 31), flooring each term to a unit at most s 2^-(prec + 31)
-    more, and the pmf at the mode less than 2^-(prec + 36); in all less
-    than 2^-(prec + 3) for any s below 2^27, and with both tails less than
-    2^-(prec + 1).  The weights are taken as given.
+    terms in units of 2^unit, as _tail's own first test refuses every other
+    stop.  The terms are summed as integers in units of at most 2^-(prec + 31)
+    times the first nonzero term, so a sum of tiny terms keeps its precision.
+    A priori error bound, relative to the summed absolute terms, for s terms:
+    the pmf ratios carry at most s 2^-(prec + 31), flooring each term to a unit
+    at most s 2^-(prec + 31) more, and the pmf at the mode less than
+    2^-(prec + 36); in all less than 2^-(prec + 3) for any s below 2^27, and
+    with both tails less than 2^-(prec + 1).
     """
-    mode, last, mean, ratio, pmf = law
-    prec = M.prec
-    P, t = prec + _GUARD, prec + 3
+    mode, last, mean, down, up, pmf = law
+    prec, P, t = M.prec, M.prec + _GUARD, M.prec + 3
     w_mode, e_mode = weight(mode)
     unit, total, mass, terms, tail = None, 0, 0, 1, fzero
     if w_mode:
         unit = e_mode + w_mode.bit_length() - P
         total = w_mode << (e_mode - unit) if e_mode >= unit else w_mode >> (unit - e_mode)
         mass = abs(total)
-    for d, end in ((-1, 0), (1, last)):
-        # j lies beyond the mean on this side when d * j >= edge
+    for d, end, (A, B, C, D) in ((-1, 0, down), (1, last, up)):
+        # the term at j - d lies beyond the mean on this side when d * j > edge
         edge = 1 - math.ceil(mean) if d < 0 else math.floor(mean) + 1
-        # the weights at j - 2d and j - d; the term at j - d adds v to the mass held before it
-        w_back, e_back, w_prev, e_prev = 0, 0, w_mode, e_mode
+        # the pmf ratio num / den from j to j + d, and its moves as j moves by d
+        num, den, B, D = A + B * mode, C + D * mode, B * d, D * d
+        # the term at j - d adds v to the mass held before it
         r, x, j, pm, pe = 1 << P, -P, mode, None, None
         while j != end:
-            num, den = ratio(j, d)
             q = r * num
             k = P + den.bit_length() - q.bit_length()
             if k > 0:
                 q <<= k
                 x -= k
             r = q // den
-            j += d
+            j, num, den = j + d, num + B, den + D
             w, e = weight(j)
             tm, te = r * w, x + e
             if unit is None and tm:
                 unit = te + tm.bit_length() - P
-            beyond = d * j - edge
-            if beyond >= 2:
-                # |w_j / w_(j-d)| > |w_(j-d) / w_(j-2d)|, exactly; a zero w_(j-2d) gives no ratio
-                lhs, rhs, s = abs(w * w_back), w_prev * w_prev, e + e_back - 2 * e_prev
-                if (lhs << s > rhs) if s >= 0 else (lhs > rhs << -s):
-                    raise PrecisionError(
-                        f"the weight ratio rises beyond the mean {float(mean):.6g} at "
-                        f"j = {j - d}, so no tail can be certified"
-                    )
             # t_(j-d) and t_j are the first left out if the side stops here
-            if pm is not None and beyond >= 1 and not (
+            if pm is not None and d * j > edge and not (
                 pm and pm.bit_length() + pe - unit + t - 2 >= held.bit_length()
             ):
                 bound = _tail((pm, pe), (tm, te), held, unit, t)
@@ -264,7 +260,7 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
                     break
             v = (tm << (te - unit) if te >= unit else tm >> (unit - te)) if tm else 0
             total, held, mass, terms = total + v, mass, mass + abs(v), terms + 1
-            w_back, e_back, w_prev, e_prev, pm, pe = w_prev, e_prev, w, e, tm, te
+            pm, pe = tm, te
     scale = pmf._mpf_
     value = mpf_mul(from_man_exp(total, unit or 0), scale, prec, round_nearest)
     mass = mpf_mul(from_man_exp(mass, unit or 0), scale, prec, round_up)
@@ -283,35 +279,47 @@ def poisson_expectation(
     is converted into ``ctx.mp``, so an mpf weight should carry at least the
     working precision ``ctx.bits`` + 64 (compute it in ``ctx.mp``).
     Requirement: |w_(j+1) / w_j| is non-increasing once j exceeds the mean,
-    and |w_(j-1) / w_j| once j is below it (true for every weight used in
-    this package: powers of j - lam, log j!, log(j + 1), and products
-    thereof).  The sum starts at the mode floor(lam), seeded by one exp,
-    and walks outward in fixed-point integers by the exact ratios
-    lam / (j + 1) and j / lam.  Each side stops at its first certified
-    geometric tail, at most 2^-(``ctx.bits`` + 67) of the summed absolute
-    terms, or at j = 0; the receipt's ``terms_used`` counts both sides and
-    the mode, and its tail bound adds both tails.  A rise in the weight
-    ratio beyond the mean breaks the requirement and raises
-    :class:`PrecisionError`; without one, term ratios fall at least as fast
-    as lam / (j + 1), so the sum always stops.  The fixed-point error is
-    bounded a priori in :func:`_outward`: with the tails it stays below
-    half an ulp of the working sum, 2^-(``ctx.bits`` + 65) of the absolute
-    terms, before the result is rounded once to ``ctx.bits``.
+    and |w_(j-1) / w_j| once j is below it (true of the powers of j - lam
+    that :func:`moment_oracle_poisson` passes).  It is checked here, exactly,
+    on each weight as :func:`_outward` reads it, the mode, then down, then
+    up: a rise beyond the mean raises :class:`PrecisionError`.  (The oracles'
+    own weights skip this check, as _outward proves it for them.)  The sum
+    starts at the mode floor(lam), seeded by one exp, and walks outward in
+    fixed-point integers by the exact ratios lam / (j + 1) and j / lam.
+    Each side stops at its first certified geometric tail, at most
+    2^-(``ctx.bits`` + 67) of the summed absolute terms, or at j = 0: with
+    no rise, term ratios fall at least as fast as lam / (j + 1).  The
+    receipt's ``terms_used`` counts both sides and the mode, and its tail
+    bound adds both tails.  The fixed-point error is bounded a priori in
+    :func:`_outward`: with the tails it stays below half an ulp of the
+    working sum, 2^-(``ctx.bits`` + 65) of the absolute terms, before the
+    result is rounded once to ``ctx.bits``.
     """
     M = ctx.mp
     lam_m = _point(lam, M, "Poisson mean", ">= 0")
     if lam_m == 0:
-        w0 = to_mpf(weight(0), M)
-        return ctx.round(w0), TruncationReceipt(1, mpf(0), mpf(0))
+        return ctx.round(to_mpf(weight(0), M)), TruncationReceipt(1, mpf(0), mpf(0))
+    law = _poisson_law(lam_m, M.prec)
+    # j at or past low and high lies two terms or more beyond the mean
+    low, high, read = math.ceil(law.mean) - 3, math.floor(law.mean) + 3, {}
 
     def dyadic(j: int) -> _Dyadic:
-        w = weight(j)
-        return _dyadic(w if type(w) is M.mpf else to_mpf(w, M))
+        read[j] = w, e = _dyadic(to_mpf(weight(j), M))
+        d = 1 if j >= high else -1 if j <= low else 0
+        if d:
+            # |w_j / w_(j-d)| > |w_(j-d) / w_(j-2d)|, exactly; a zero w_(j-2d) gives no ratio
+            (w_prev, e_prev), (w_back, e_back) = read[j - d], read[j - 2 * d]
+            lhs, rhs, s = abs(w * w_back), w_prev * w_prev, e + e_back - 2 * e_prev
+            if (lhs << s > rhs) if s >= 0 else (lhs > rhs << -s):
+                raise PrecisionError(
+                    f"the weight ratio rises beyond the mean {float(law.mean):.6g} at "
+                    f"j = {j - d}, so no tail can be certified"
+                )
+        return w, e
 
-    value, terms, tail, mass = _outward(_poisson_law(lam_m, M.prec), dyadic, M)
+    value, terms, tail, mass = _outward(law, dyadic, M)
     rel = M.fdiv(tail, mass, rounding=round_up) if mass else M.zero
-    receipt = TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
-    return ctx.round(value), receipt
+    return ctx.round(value), TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
 
 
 def poisson_entropy_oracle(
@@ -321,26 +329,22 @@ def poisson_entropy_oracle(
 
     log j! is read from the fixed-point log-factorial table, so no large
     factorial is ever formed.  The series is about lam log lam while H is
-    about log(2 pi e lam) / 2, so the sum cancels; it is therefore asked
-    for at the working precision ``ctx.bits`` + 64, and H is formed there
-    and rounded once.
+    about log(2 pi e lam) / 2, so the sum cancels; it is therefore summed
+    64 bits above the working precision ``ctx.bits`` + 64 and rounded to it,
+    and H is formed there and rounded once.
     """
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
-
-    wide = PrecisionContext(M.prec)
-    W, exp = wide.mp, -wide.mp.prec - _TABLE_BITS
-    log_fact = _log_factorial_reader(W.prec)
-    series, receipt = poisson_expectation(
-        lam_m, lambda j: W.make_mpf(_exact_mpf(log_fact(j), exp)), wide
-    )
-    value = lam_m - lam_m * M.log(lam_m) + series
+    W = PrecisionContext(M.prec).mp
+    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    law = _poisson_law(lam_m, W.prec)
+    series, terms, tail, mass = _outward(law, lambda j: (log_fact(j), exp), W)
+    value = lam_m - lam_m * M.log(lam_m) + M.mpf(series)
     # entropy is strictly positive for lam > 0, so this is a true rel err
-    rel = M.fdiv(receipt.tail_bound, value) if value > 0 else receipt.rel_err_bound
-    receipt = TruncationReceipt(receipt.terms_used, receipt.tail_bound, ctx.round(rel))
-    return ctx.round(value), receipt
+    rel = M.fdiv(tail, value) if value > 0 else W.fdiv(tail, mass, rounding=round_up)
+    return ctx.round(value), TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
 
 
 def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -349,9 +353,8 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
     log_fact, exp = _log_factorial_reader(M.prec), -M.prec - _TABLE_BITS
-    return poisson_expectation(
-        s_m, lambda j: M.make_mpf(_exact_mpf(log_fact(j + 1) - log_fact(j), exp)), ctx
-    )[0]
+    law = _poisson_law(s_m, M.prec)
+    return ctx.round(_outward(law, lambda j: (log_fact(j + 1) - log_fact(j), exp), M)[0])
 
 
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -365,10 +368,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """H(B_{n,p}) = -sum_k P(k) log P(k) (0 log 0 = 0), summed as
-    n h(p) - E[log C(n, K)], h the binary entropy in nats.
-
-    log C(n, k) is positive and concave in k, so its ratios never rise.
-    """
+    n h(p) - E[log C(n, K)], h the binary entropy in nats."""
     _check_n(n)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")

@@ -33,7 +33,13 @@ from entropy_bounds import (
     relative_entropy_oracle,
 )
 import entropy_bounds.oracle as oracle
-from entropy_bounds.oracle import _binomial_law, _dyadic, _outward, poisson_expectation
+from entropy_bounds.oracle import (
+    _binomial_law,
+    _dyadic,
+    _outward,
+    _tail,
+    poisson_expectation,
+)
 from entropy_bounds.symbolic import (
     _TABLE_BITS,
     _TABLE_CAP,
@@ -122,6 +128,26 @@ class TestPoissonEntropyOracle:
         with pytest.raises(PrecisionError):
             poisson_expectation(1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, ctx)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("lam, weight, j", [
+        (10, lambda j: 2 ** (j * j), 8),
+        (1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, 998),
+    ])
+    def test_rising_weight_ratio_message(self, lam, weight, j):
+        # the first rise the walk meets, below the mean before above it
+        with pytest.raises(PrecisionError) as info:
+            poisson_expectation(lam, weight, PrecisionContext(bits=64))
+        assert str(info.value) == (
+            f"the weight ratio rises beyond the mean {lam} at j = {j}, so no tail can be certified"
+        )
+
+    def test_weights_are_read_from_the_mode_down_then_up(self):
+        # poisson_expectation's check of a caller's weights holds only in this order
+        reads = []
+        poisson_expectation(500, lambda j: reads.append(j) or (j - 500) ** 2, PrecisionContext(64))
+        low, high = min(reads), max(reads)
+        assert 0 < low < 400 and high > 600
+        assert reads == [500, *range(499, low - 1, -1), *range(501, high + 1)]
 
     def test_contained_in_small_mean_interval(self):
         value, _ = poisson_entropy_oracle(1)
@@ -239,6 +265,90 @@ class TestStopsPinned:
             outward_terms.clear()
             fn(case["n"], F(case["p"]), PrecisionContext(case["bits"]))
             assert outward_terms == [case[fn.__name__]], fn.__name__
+
+
+@pytest.fixture
+def outward_stops(monkeypatch):
+    """(law, weight, {d: J}) of every outward sum an oracle makes while the test runs, J the
+    first term left out on side d wherever that side stopped at a certified tail."""
+    sums, reads = [], []
+
+    def tail(*args):
+        bound = _tail(*args)
+        if bound is not None:
+            j = reads[-1]  # t_j is the second term left out
+            d = 1 if j > sums[-1][0].mode else -1
+            sums[-1][2][d] = j - d
+        return bound
+
+    def outward(law, weight, M):
+        sums.append((law, weight, {}))
+        return _outward(law, lambda j: reads.append(j) or weight(j), M)
+
+    monkeypatch.setattr(oracle, "_tail", tail)
+    monkeypatch.setattr(oracle, "_outward", outward)
+    return sums
+
+
+def pmf_ratio(law, j, d):
+    """pmf(j + d) / pmf(j) as an unreduced (num, den), from the law's mean and support alone."""
+    if law.last is None:
+        a, b = law.mean.numerator, law.mean.denominator  # lam = a / b
+        return (a, b * (j + 1)) if d > 0 else (b * j, a)
+    n, p = law.last, law.mean / law.last
+    a, b = p.numerator, p.denominator - p.numerator  # p / q = a / b
+    return ((n - j) * a, (j + 1) * b) if d > 0 else (j * b, (n - j + 1) * a)
+
+
+class TestTailRequirement:
+    """The requirement that _outward's docstring proves for the five weight families it is
+    passed: beyond each real stop J, no ratio of exact pmf times stored weight exceeds the
+    one at J, walked for four times J's distance from the mean or to the end of the support."""
+
+    LAMS = [(lam,) for lam in (F(1, 10), F(7, 2), 50, 1000, 3000)]
+    BINOMIAL = [(n, p) for n in (10, 400, 3000) for p in (F(1, 100), F(3, 10), F(99, 100))]
+    FAMILIES = {  # the oracle that passes each family, and its points
+        "log j!": (poisson_entropy_oracle, LAMS),
+        "log(j + 1)": (expected_log_poisson, LAMS),
+        "log C(n, k)": (binomial_entropy_oracle, BINOMIAL),
+        "log(n!/(n - k)!)": (relative_entropy_oracle, BINOMIAL),
+        "log(k + 1)": (expected_log_binomial, BINOMIAL),
+    }
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_later_term_ratio_exceeds_the_stop(self, family, bits, outward_stops):
+        fn, points = self.FAMILIES[family]
+        for point in points:
+            fn(*point, PrecisionContext(bits))
+        stops = checked = 0
+        for law, weight, sides in outward_stops:
+            for d, J in sides.items():
+                stops += 1
+                assert d * J > d * law.mean, (family, J)
+                end = law.last if d > 0 else 0
+                steps = math.ceil(4 * abs(J - law.mean))
+                if end is not None:
+                    steps = min(steps, abs(end - J) - 1)
+                (wJ, e), (wJd, ed) = weight(J), weight(J + d)
+                assert wJ >= 0 and e == ed, (family, J)
+                num, den = pmf_ratio(law, J, d)
+                top, bottom = num * wJd, den * wJ  # the term ratio at J, for a nonzero t_J
+                w = wJd
+                for j in range(J + d, J + d * (steps + 1), d):
+                    # a zero t_J stops only beside a zero t_(J+d), and zeros then follow
+                    assert wJ or not w, (family, J, j)
+                    w_next, e_next = weight(j + d)
+                    assert e_next == e
+                    if not w:
+                        assert not w_next, (family, J, j)
+                        continue
+                    num, den = pmf_ratio(law, j, d)
+                    assert num * w_next * bottom <= top * den * w, (family, law.mean, J, j)
+                    checked += 1
+                    w = w_next
+        assert stops > len(points) // 2, family  # most sums stop short of the support's end
+        assert checked > 1000, family
 
 
 @pytest.mark.parametrize("call, rungs", [

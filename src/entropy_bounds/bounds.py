@@ -45,8 +45,6 @@ from mpmath.libmp import (
 
 from . import coefficients
 from .symbolic import (
-    _TABLE_BITS,
-    _TABLE_CAP,
     DEFAULT_CONTEXT,
     Interval,
     LaurentPoly,
@@ -55,7 +53,7 @@ from .symbolic import (
     _check_n,
     _check_order,
     _dyadic,
-    _log_factorial,
+    _log_factorial_reader,
     _logs,
     _mp_context,
     _point,
@@ -347,8 +345,8 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     beyond j over their sum s >= 2^P, each sum within e <= n(n+1)/2 + 2n <= 2n^2 units for
     n >= 2; so T_j is within 2e/s <= 2^(2-P) n^2, and S within 2^(3-P) n^3 < 2^-(bits+66)
     p^2/6 <= 2^-(bits+66) D.  Below the window T_j = 1, and that run is one log-factorial
-    difference (:func:`symbolic._log_factorial`).  Each log is a fixed-point integer at F =
-    64 + a multiple of 64 >= bits + 70 + 2 bl(n) + bl(bl(n)) fractional bits (the ladder
+    difference (:func:`symbolic._log_factorial_reader`).  Each log is a fixed-point integer at
+    F = 64 + a multiple of 64 >= bits + 70 + 2 bl(n) + bl(bl(n)) fractional bits (the ladder
     below the cap, else one ``mpf_log`` each: :func:`symbolic._logs`), so log(1 - j/n) is
     within 4 bl(n) units and S within 2^(4-F) bl(n) 4n^2 D <= 2^-(bits+66) D.  The head,
     formed at bits + 73 + bl(n) + max(0, -mag p) bits with q exact, is within 2^-(bits+66)
@@ -366,20 +364,20 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     hi, j0 = lo + len(w) - 1, max(lo, 1)
     prec = _round64(ctx.bits + 6 + 2 * bl + bl.bit_length())
     # log n, then log(n - j) for j = hi - 1 down to j0, beside T_j's numerators, sum_{k>j} w_k
-    log_n, *logs = _logs([n, *range(n - hi + 1, n - j0 + 1)], prec, n < _TABLE_CAP)
+    (log_n, *logs), exp = _logs([n, *range(n - hi + 1, n - j0 + 1)], prec, True)
     tails = list(accumulate(reversed(w[j0 + 1 - lo:])))
     sigma = sum(w)
     total = sum(map(mul, logs, tails)) - log_n * sum(tails)
     if lo > 1:  # sum_{j=1}^{lo-1} log(1 - j/n), each T_j = 1
-        fold = _log_factorial(n - 1, prec) - _log_factorial(n - lo, prec) - (lo - 1) * log_n
+        log_fact = _log_factorial_reader(prec)[0]
+        fold = log_fact(n - 1) - log_fact(n - lo) - (lo - 1) * log_n
         total += fold * sigma
     H = _mp_context(_round64(ctx.bits + 73 + bl + lost))
     q = H.fsub(1, p_m, exact=True)
     h_man, h_exp = _dyadic(n * H.fadd(p_m, q * H.log(q) if q else 0))
-    # D = head + total / (sigma 2^F), as one quotient over 2^base
-    F = prec + _TABLE_BITS
-    base = min(h_exp, -F)
-    num = (h_man * sigma << h_exp - base) + (total << -F - base)
+    # D = head + total 2^exp / sigma, as one quotient over 2^base
+    base = min(h_exp, exp)
+    num = (h_man * sigma << h_exp - base) + (total << exp - base)
     return mp.make_mpf(mpf_div(from_man_exp(num, base), from_int(sigma), ctx.bits, round_nearest))
 
 

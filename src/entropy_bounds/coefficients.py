@@ -4,11 +4,10 @@ Nothing in this module is hard-coded.  The large-argument coefficients are
 term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
 from central-moment polynomials (:func:`expected_log_series`); the bounds on
 E[log(X + 1)] evaluate the same sandwich.  The small-argument coefficients
-are forward differences of logarithms read from the one log-factorial ladder
-(:func:`symbolic._log_factorials`), taken in exact fixed-point integer
-arithmetic at a precision fixed in advance by an error bound (see
-:func:`_log_differences`) and kept unrounded until each coefficient is read.
-Published tables exist only in the test suite, as golden data.
+are forward differences of logarithms of integers (:func:`symbolic._logs`),
+in exact fixed-point integer arithmetic at a precision fixed in advance by an
+error bound (see :func:`_log_differences`) and kept unrounded until each
+coefficient is read.  Published tables exist only in the tests, as golden data.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
-    _TABLE_BITS,
-    _TABLE_CAP,
     DEFAULT_CONTEXT,
     LaurentPoly,
     PrecisionContext,
+    _check_index,
     _check_order,
     _logs,
     _round64,
@@ -74,7 +72,7 @@ _LAWS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # m = 2.0 or True misses m = 2 or 1, and is refused
 def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The order-m sandwich log mean + [lower, lower + gap] for E[log(X + 1)],
     as the Laurent polynomials (lower, gap):
@@ -137,7 +135,7 @@ def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
     Each log a is an integer at F = -exp fractional bits, F a multiple of 64 so that runs,
     precisions and the oracles share ladders (:func:`symbolic._logs`): T[a] - T[a-1] from the
     log-factorial ladder T, within e = 2 log2 M units of 2^-F, M the largest
-    argument; or, when that ladder would reach the cap or 16 times the run's length, one
+    argument; or, when M reaches 16 times the run's length or the ladder's cap, one
     ``mpf_log``, within 2 units.  Delta^r, a sum of C(r, j) logs, is then within 2^r e units.
     As log x = integral_0^inf (e^-t - e^-xt) dt/t, with u = 1 - e^-t, |Delta^r log| is the
     integral over (0, 1) of u^r (1-u)^(a-1) / -log(1-u), a the least of a_0..a_r, and
@@ -153,12 +151,12 @@ def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
     spans = accumulate(math.log2(max(a, b)) for a, b in zip(args, args[1:]))
     prec = _round64(bits + 4 + log_e + max(
         (math.ceil(r + s - math.lgamma(r) / math.log(2)) for r, s in enumerate(spans, 1)), default=0))
-    row = _logs(args, prec, top < min(_TABLE_CAP, 16 * len(args)))
+    row, exp = _logs(args, prec, top < 16 * len(args))
     out = []
     while len(row) > 1:
         row = list(map(sub, row[1:], row))
         out.append(row[0])
-    return tuple(out), -prec - _TABLE_BITS
+    return tuple(out), exp
 
 
 # c's tables get a cache of their own, so that c~'s tables over many n cannot
@@ -180,15 +178,14 @@ def _depth(k: int, top: float, first: int) -> int:
     return depth if 2 * depth <= top else top
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # k = 2.0 or True misses k = 2 or 1, and is refused
 def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Small-argument coefficient c(k) = sum_j (-1)^(k-1-j) C(k-1, j) log(j+1),
     the (k-1)-th forward difference of log(j + 1) at j = 0.
 
     Its sign is (-1)^k.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_index(k, "k", 2)
     diffs, exp = _c_tables(range(1, _depth(k, math.inf, 16) + 1), ctx.bits)
     return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
 
@@ -196,6 +193,7 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Binomial analogue: sum_j (-1)^(k-1-j) C(k-1, j) log(n - j), 2 <= k <= n,
     the (k-1)-th forward difference of log(n - j) at j = 0."""
+    _check_index(k, "k")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     diffs, exp = _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)

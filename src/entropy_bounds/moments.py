@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .symbolic import LaurentPoly
+from .symbolic import LaurentPoly, _check_index
 
 
 @lru_cache(maxsize=None)
 def poisson_central_moment(k: int) -> LaurentPoly:
     """mu_k(s) via mu_k = s * sum_{j<=k-2} C(k-1, j) mu_j, memoized."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+    _check_index(k, "moment order", 0)
     if k == 0:
         return LaurentPoly({0: 1})
     if k == 1:
@@ -38,8 +37,7 @@ def poisson_central_moment(k: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def binomial_central_moment(k: int) -> LaurentPoly:
     """mu_k(n, s) via mu_k = s(1-s) * [n (k-1) mu_{k-2} + d mu_{k-1} / ds]."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+    _check_index(k, "moment order", 0)
     if k == 0:
         return LaurentPoly({(0, 0): 1})
     if k == 1:

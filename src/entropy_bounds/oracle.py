@@ -6,11 +6,11 @@ laws, their relative entropy, the expected-log quantities the proofs run
 through, and the central moments of both laws.  This module imports only
 :mod:`symbolic`, and nothing on the bounds path (moments, coefficients,
 bounds) imports it, so a bound and its oracle share only the exact kernel.
-That kernel holds the one fixed-point ladder of log i!
-(:func:`symbolic._log_factorials`), which the exact D(n, p) also reads; a
-test pins it against ``mpmath.log`` at twice the precision.  Each oracle
-call reads it through one reader (:func:`_log_factorial_reader`), which
-holds one rung and moves up a rung only when the walk passes its end.
+That kernel holds the one fixed-point ladder of log i!, which the exact
+D(n, p) also reads; a test pins it against ``mpmath.log`` at twice the
+precision.  Each oracle call reads it through one reader
+(:func:`symbolic._log_factorial_reader`), which gives the exponent of its
+unit, holds one rung and moves up a rung only when the walk passes its end.
 
 Both laws are summed by one fixed-point core, :func:`_outward`, which
 takes the caller's mpmath context and returns its mpfs.  It seeds the term
@@ -46,16 +46,14 @@ from mpmath.libmp import (
 )
 
 from .symbolic import (
-    _TABLE_BITS,
-    _TABLE_CAP,
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
     PrecisionError,
+    _check_index,
     _check_n,
     _dyadic,
-    _log_factorial,
-    _log_factorials,
+    _log_factorial_reader,
     _mp_context,
     _point,
     _round64,
@@ -87,24 +85,6 @@ class TruncationReceipt:
     rel_err_bound: mpf
 
 
-def _log_factorial_reader(prec: int) -> Callable[[int], int]:
-    """i -> :func:`_log_factorial` (i, ``prec``) for one oracle call.  It moves to the next
-    ladder rung only when i passes the end of the one it holds, so it builds no rung that
-    :func:`_log_factorial` would not, and falls back to it at and above the cap."""
-    rung: tuple[int, ...] = ()
-
-    def log_factorial(i: int) -> int:
-        nonlocal rung
-        if i < len(rung):
-            return rung[i]
-        if i >= _TABLE_CAP:
-            return _log_factorial(i, prec)
-        rung = _log_factorials(max(2, 1 << i.bit_length()), prec)
-        return rung[i]
-
-    return log_factorial
-
-
 class _Law(NamedTuple):
     """A law as :func:`_outward` walks it, from ``mode`` to 0 and to ``last``: pmf(j + d) /
     pmf(j) is exactly (A + B j) / (C + D j), (A, B, C, D) = ``down`` for d = -1, ``up`` for 1."""
@@ -124,8 +104,8 @@ def _poisson_law(lam: mpf, prec: int) -> _Law:
     mode = num // den
     # log pmf(mode) = mode log lam - lam - log mode!, within 2^-(prec + 40)
     H = _mp_context(_round64(prec + _GUARD + 8 + 2 * mode.bit_length()))
-    log_fact = H.make_mpf(from_man_exp(_log_factorial(mode, prec), -prec - _TABLE_BITS))
-    pmf = H.exp(mode * H.log(lam) - lam - log_fact)
+    read, unit = _log_factorial_reader(prec)
+    pmf = H.exp(mode * H.log(lam) - lam - H.make_mpf(from_man_exp(read(mode), unit)))
     # pmf(j - 1) / pmf(j) = j / lam and pmf(j + 1) / pmf(j) = lam / (j + 1), lam = num / den
     return _Law(mode, None, Fraction(num, den), (0, den, num, 0), (num, 0, den, den), pmf)
 
@@ -137,12 +117,10 @@ def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
     b = (1 << E) - a  # p = a / 2^E and q = b / 2^E exactly
     mode = (n + 1) * a >> E
     H = _mp_context(_round64(prec + _GUARD + 8 + 2 * n.bit_length() + E.bit_length()))
-    log_choose = (
-        _log_factorial(n, prec) - _log_factorial(mode, prec) - _log_factorial(n - mode, prec)
-    )
+    read, unit = _log_factorial_reader(prec)
     q = H.make_mpf(from_man_exp(b, exp))
     pmf = H.exp(
-        H.make_mpf(from_man_exp(log_choose, -prec - _TABLE_BITS))
+        H.make_mpf(from_man_exp(read(n) - read(mode) - read(n - mode), unit))
         + mode * H.log(p)
         + (n - mode) * H.log(q)
     )
@@ -338,7 +316,7 @@ def poisson_entropy_oracle(
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
     W = PrecisionContext(M.prec).mp
-    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(W.prec)
     law = _poisson_law(lam_m, W.prec)
     series, terms, tail, mass = _outward(law, lambda j: (log_fact(j), exp), W)
     value = lam_m - lam_m * M.log(lam_m) + M.mpf(series)
@@ -352,7 +330,7 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     log-factorial table."""
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    log_fact, exp = _log_factorial_reader(M.prec), -M.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(M.prec)
     law = _poisson_law(s_m, M.prec)
     return ctx.round(_outward(law, lambda j: (log_fact(j + 1) - log_fact(j), exp), M)[0])
 
@@ -360,8 +338,7 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """E[(N_s - s)^k] by certified series truncation, independent of the
     moment polynomials."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+    _check_index(k, "moment order", 0)
     s_m = _point(s, ctx.mp, "s", "> 0")
     return poisson_expectation(s_m, lambda j: (j - s_m) ** k, ctx)[0]
 
@@ -374,7 +351,7 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
         return mpf(0)
-    log_fact, exp = _log_factorial_reader(M.prec), -M.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(M.prec)
     log_n = log_fact(n)
     law = _binomial_law(n, p_m, M.prec)
     series = _outward(law, lambda k: (log_n - log_fact(k) - log_fact(n - k), exp), M)[0]
@@ -406,7 +383,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     H = _mp_context(_round64(W.prec + 2 - M.mag(p_m)))
     q = H.fsub(1, p_m, exact=True)
     base = W.fsub(n * H.fadd(p_m, q * H.log(q)), W.fmul(n, p_m, exact=True) * W.log(n))
-    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(W.prec)
     log_n = log_fact(n)
     law = _binomial_law(n, p_m, W.prec)
     series = _outward(law, lambda k: (log_n - log_fact(n - k), exp), W)[0]
@@ -426,7 +403,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     s_m = _point(s, M, "s", "in (0,1)")
     lost = (2 * n * n.bit_length()).bit_length() + 1 - M.mag(M.fsub(1, s_m, exact=True))
     W = M if lost <= 32 else _mp_context(_round64(M.prec + lost - 32))
-    log_fact, exp = _log_factorial_reader(W.prec), -W.prec - _TABLE_BITS
+    log_fact, exp = _log_factorial_reader(W.prec)
     law = _binomial_law(n - 1, s_m, W.prec)
     series = _outward(law, lambda k: (log_fact(k + 1) - log_fact(k), exp), W)[0]
     return ctx.round(W.fsub(series, W.log(W.fmul(n, s_m))))
@@ -434,8 +411,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 def moment_oracle_binomial(k: int, n: int, s) -> Fraction:
     """E[(B_{n,s} - ns)^k] as an exact rational finite sum."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+    _check_index(k, "moment order", 0)
     _check_n(n)
     s = as_fraction(s)
     if not 0 < s < 1:

@@ -11,9 +11,11 @@ The two term-wise integration rules that turn moment polynomials into
 expansion coefficients live here as well: :func:`integrate_tail` for
 ``integral_x^inf`` of pure negative powers, and :func:`integrate_to_one` for
 ``integral_q^1``, where the exponent -1 produces a ``-log q`` term.  So does
-the one fixed-point ladder of log i! (:func:`_log_factorials`), from which the
-coefficients, exact D(n, p) and the oracles read logarithms of integers
-(:func:`_logs`, :func:`_log_factorial`).
+the one fixed-point ladder of log i! (:func:`_log_factorials`), and only this
+module knows its unit and its cap: the coefficients, exact D(n, p) and the
+oracles read logarithms of integers through :func:`_logs` and
+:func:`_log_factorial_reader`, which apply the cap and return the unit's
+exponent beside their integers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import isqrt, prod
 from operator import sub
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -63,6 +65,14 @@ def _check_order(m: int) -> None:
     """Raise ``ValueError`` unless the expansion order ``m`` is a positive int, bool refused."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
+
+
+def _check_index(k: int, name: str, least: int | None = None) -> None:
+    """Raise ``ValueError`` unless the index ``k`` is an int, bool refused, not below ``least``."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if least is not None and k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
 
 
 # the words a domain's message prints -> its test; NaN passes none, and _point refuses inf
@@ -153,8 +163,12 @@ def _round64(bits: int) -> int:
 
 def to_mpf(x, M: mpmath.MPContext) -> mpf:
     """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision.  A
-    Fraction is rounded once, to nearest, from its integer quotient to over ``M.prec`` + 1 bits
-    and a sticky bit, which lies on the same side of every tie as the rest of the quotient."""
+    Fraction, or an int wider than ``M.prec``, is rounded once, to nearest, from its integer
+    quotient to over ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every
+    tie as the rest of the quotient; so no full-width int reaches mpmath, whose conversion
+    strips trailing zeros in time that grows faster than the width."""
+    if isinstance(x, int) and x.bit_length() > M.prec:
+        x = Fraction(x)
     if not isinstance(x, Fraction):
         return M.mpf(x)
     num, den = x.numerator, x.denominator
@@ -197,29 +211,37 @@ def _log_factorials(size: int, prec: int) -> tuple[int, ...]:
     return below + tuple(accumulate(logs, initial=below[-1]))[1:]
 
 
-def _log_factorial(i: int, prec: int) -> int:
-    """log i! in units of 2^-(``prec`` + 64), within 2^-(``prec`` + 41).
+def _log_factorial_reader(prec: int) -> tuple[Callable[[int], int], int]:
+    """(read, exp) for one call: read(i) is log i! in units of 2^exp, exp = -(``prec`` + 64),
+    within 2^-(``prec`` + 41).  Below the cap it reads the ladder rung that first holds i and
+    moves up a rung only when i passes the end of the one it holds, so it builds no rung that a
+    lone read of its largest i would not.  At and above the cap it is one loggamma, within 2
+    units, which keeps the memory of a huge mean or n at O(1) per precision."""
+    frac, rung = prec + _TABLE_BITS, ()
 
-    Below the cap it is read from the table on the power-of-two ladder that
-    first holds i; at and above it, one loggamma, within 2 units, which
-    keeps the memory of a huge mean or n at O(1) per precision.
-    """
-    if i < _TABLE_CAP:
-        return _log_factorials(max(2, 1 << i.bit_length()), prec)[i]
-    frac = prec + _TABLE_BITS
-    return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+    def read(i: int) -> int:
+        nonlocal rung
+        if i < len(rung):
+            return rung[i]
+        if i >= _TABLE_CAP:
+            return to_fixed(mpf_loggamma(from_int(i + 1), frac + 2 * i.bit_length() + 8), frac)
+        rung = _log_factorials(max(2, 1 << i.bit_length()), prec)
+        return rung[i]
+
+    return read, -frac
 
 
-def _logs(args, prec: int, ladder: bool) -> list[int]:
-    """log a for each positive integer a of ``args``, in units of 2^-(``prec`` + 64): when
-    ``ladder``, T[a] - T[a - 1] from the log-factorial ladder T, within 2 log2 a units;
-    else one ``mpf_log`` each, within 2 units, so that no ladder is built for them."""
+def _logs(args, prec: int, ladder: bool) -> tuple[list[int], int]:
+    """(logs, exp): log a in units of 2^exp, exp = -(``prec`` + 64), for each positive integer
+    a of ``args``.  When ``ladder`` and the largest a lies below the cap, T[a] - T[a - 1] from
+    the log-factorial ladder T, within 2 log2 a units; else one ``mpf_log`` each, within 2
+    units, so that no ladder is built for them."""
     frac, top = prec + _TABLE_BITS, max(args)
-    if ladder:
+    if ladder and top < _TABLE_CAP:
         T = _log_factorials(1 << max(1, top.bit_length()), prec)
-        return [T[a] - T[a - 1] for a in args]
+        return [T[a] - T[a - 1] for a in args], -frac
     g = top.bit_length().bit_length()  # |log a| < 2^g
-    return [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args]
+    return [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args], -frac
 
 
 @dataclass(frozen=True)

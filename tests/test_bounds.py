@@ -274,6 +274,22 @@ class TestRelativeEntropyExact:
         info = _log_factorials.cache_info()
         assert info.hits >= info.misses, info
 
+    def test_ladder_policies(self):
+        # the two callers of symbolic._logs keep their own ladder rules: exact D reads its logs
+        # from the ladder below the cap, so that warm calls at small p read one cached rung,
+        # and c~ takes one mpf_log each unless its run is longer than a sixteenth of n, so
+        # that a cold c~ at large n builds no ladder; one rule for both fails one of these
+        _log_factorials.cache_clear()
+        relative_entropy_exact(10**4, F(1, 1000))  # the rungs of sizes 2, 4, ..., 2^14
+        assert _log_factorials.cache_info().misses == 14
+        relative_entropy_exact(10**4, F(1, 1000))
+        info = _log_factorials.cache_info()
+        assert info.misses == 14 and info.hits >= 1, info
+        _log_factorials.cache_clear()
+        coefficients._c_tilde_tables.cache_clear()
+        c_tilde_coeff(10**5, 10)
+        assert _log_factorials.cache_info().misses == 0
+
     def test_past_the_ladder_cap(self, monkeypatch):
         # above the cap the window's logs are one mpf_log each and the run below it two
         # loggammas, so no ladder past the cap is built

@@ -2,7 +2,8 @@
 message form, ``<name> must be <domain>, got <value>``, pinned here byte for
 byte at the points just past each domain edge; and an n or an order m that is
 no positive int, bool included, with the messages of ``symbolic._check_n`` and
-``symbolic._check_order``."""
+``symbolic._check_order``; and a moment order or coefficient index k that is no
+int, bool included (``symbolic._check_index``), or lies outside its range."""
 
 from fractions import Fraction as F
 
@@ -12,7 +13,11 @@ from mpmath import mpf
 from entropy_bounds import (
     DomainError,
     PrecisionContext,
+    binomial_central_moment,
+    binomial_coeffs,
     binomial_entropy_oracle,
+    c_coeff,
+    c_tilde_coeff,
     entropy_binomial_bounds,
     entropy_binomial_stirling_m1,
     entropy_poisson_ct,
@@ -24,11 +29,14 @@ from entropy_bounds import (
     expected_log_poisson_bounds,
     moment_oracle_binomial,
     moment_oracle_poisson,
+    poisson_central_moment,
+    poisson_coeffs,
     poisson_entropy_oracle,
     relative_entropy_bounds,
     relative_entropy_exact,
     relative_entropy_oracle,
 )
+from entropy_bounds.coefficients import expected_log_series
 from entropy_bounds.oracle import poisson_expectation
 
 CTX = PrecisionContext(64)
@@ -111,6 +119,54 @@ ORDER_TAKING = [
 def test_order_message(routine, args, m):
     with pytest.raises(ValueError) as info:
         routine(*args, m=m, ctx=CTX)
+    assert str(info.value) == f"order m must be a positive integer, got {m!r}"
+
+
+# (routine, its arguments at index k, the name of k in its messages)
+INDEX_TAKING = [
+    (poisson_central_moment, lambda k: (k,), "moment order"),
+    (binomial_central_moment, lambda k: (k,), "moment order"),
+    (moment_oracle_poisson, lambda k: (k, 3), "moment order"),
+    (moment_oracle_binomial, lambda k: (k, 10, F(1, 3)), "moment order"),
+    (c_coeff, lambda k: (k,), "k"),
+    (c_tilde_coeff, lambda k: (10, k), "k"),
+]
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("routine, args, name", INDEX_TAKING,
+                         ids=[r.__name__ for r, _, _ in INDEX_TAKING])
+def test_index_message(routine, args, name, k):
+    # an index k that is no int, bool included, is refused even where k = 2 is cached
+    routine(*args(2))
+    with pytest.raises(ValueError) as info:
+        routine(*args(k))
+    assert str(info.value) == f"{name} must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("routine, args, message", [
+    (poisson_central_moment, (-1,), "moment order must be >= 0, got -1"),
+    (binomial_central_moment, (-1,), "moment order must be >= 0, got -1"),
+    (moment_oracle_poisson, (-1, 3), "moment order must be >= 0, got -1"),
+    (moment_oracle_binomial, (-1, 10, F(1, 3)), "moment order must be >= 0, got -1"),
+    (c_coeff, (1,), "k must be >= 2, got 1"),
+    (c_tilde_coeff, (10, 1), "need 2 <= k <= n, got k=1, n=10"),
+    (c_tilde_coeff, (10, 11), "need 2 <= k <= n, got k=11, n=10"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_index_range_message(routine, args, message):
+    with pytest.raises(ValueError) as info:
+        routine(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, True], ids=repr)
+@pytest.mark.parametrize("derive", [poisson_coeffs, binomial_coeffs,
+                                    lambda m: expected_log_series("poisson", m)],
+                         ids=["poisson_coeffs", "binomial_coeffs", "expected_log_series"])
+def test_derivations_refuse_an_order_equal_to_a_cached_int(derive, m):
+    derive(int(m))
+    with pytest.raises(ValueError) as info:
+        derive(m)
     assert str(info.value) == f"order m must be a positive integer, got {m!r}"
 
 

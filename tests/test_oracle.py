@@ -43,7 +43,7 @@ from entropy_bounds.oracle import (
 from entropy_bounds.symbolic import (
     _TABLE_BITS,
     _TABLE_CAP,
-    _log_factorial,
+    _log_factorial_reader,
     _log_factorials,
     to_mpf,
 )
@@ -127,6 +127,21 @@ class TestPoissonEntropyOracle:
         start = time.perf_counter()
         with pytest.raises(PrecisionError):
             poisson_expectation(1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, ctx)
+        assert time.perf_counter() - start < 1
+
+    def test_wide_int_weight(self):
+        # an int weight of 10^5 bits is rounded by integer shifts, not through mpmath's strip
+        # of its trailing zeros, and a constant weight's expectation is that weight
+        start = time.perf_counter()
+        value, _ = poisson_expectation(50, lambda j: 2**100_000, PrecisionContext(bits=128))
+        assert time.perf_counter() - start < 1
+        assert value == 2**100_000
+
+    def test_rising_wide_int_weight_raises_at_once(self):
+        # weights of up to millions of bits; the sixth one read rises
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            poisson_expectation(1339, lambda j: 2 ** (j * j) if j % 7 else 1, PrecisionContext(128))
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("lam, weight, j", [
@@ -437,10 +452,11 @@ class TestExpectedLogOracles:
         # the last tabulated log i! and the first ones taken from loggamma
         # agree with loggamma at twice the precision, within 2^-(prec + 40)
         prec = 128
+        log_factorial = _log_factorial_reader(prec)[0]
         for i in (_TABLE_CAP - 1, _TABLE_CAP, _TABLE_CAP + 1):
             with mp.workprec(2 * prec + 64):
                 want = mpmath.loggamma(i + 1) * mpf(2) ** (prec + _TABLE_BITS)
-                assert abs(_log_factorial(i, prec) - want) < 2 ** 24, i
+                assert abs(log_factorial(i) - want) < 2 ** 24, i
 
     @pytest.mark.parametrize("n,p", [(8, 0.25), (20, 0.6)])
     def test_size_bias_identity(self, n, p):
@@ -501,3 +517,21 @@ class TestIndependence:
 
     def test_oracle_imports_only_symbolic(self):
         assert self.relative_imports()["oracle"] == {"symbolic"}
+
+    def test_only_symbolic_knows_the_log_ladder(self):
+        # the ladder's unit, its cap and the ladder itself are named in symbolic alone; every
+        # other module reads logarithms of integers through symbolic._logs and
+        # symbolic._log_factorial_reader, which return the unit's exponent with their integers
+        private = {"_TABLE_BITS", "_TABLE_CAP", "_log_factorials"}
+        modules = {path.stem: path for path in (ROOT / "src" / "entropy_bounds").glob("*.py")}
+        assert {"oracle", "bounds", "coefficients", "symbolic"} <= set(modules)
+        for stem, path in modules.items():
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            assert bool(names & private) == (stem == "symbolic"), (stem, names & private)

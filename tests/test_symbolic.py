@@ -446,6 +446,20 @@ class TestContextAndInterval:
             _, _, exp, bc = y._mpf_
             assert abs(exact_value(y) - x) <= F(2) ** (exp + bc - bits) / 2, x.denominator
 
+    @pytest.mark.parametrize("bits", [64, 128, 384])
+    def test_wide_int_matches_mpmath(self, bits):
+        # an int wider than the context is rounded by integer shifts, bit for bit as mpmath
+        # rounds it: random widths, exact ties (one bit past the precision, then zeros) and
+        # runs of trailing zeros, of either sign
+        M = _mp_context(bits)
+        rng = random.Random(bits)
+        for _ in range(300):
+            x = rng.getrandbits(rng.randint(bits + 1, bits + 200)) | 1 << bits
+            tie = ((rng.getrandbits(bits - 1) | 1 << (bits - 1)) << 1 | 1) << rng.randint(0, 99)
+            for y in (x, tie, x >> 50 << 50):
+                y = rng.choice((y, -y))
+                assert to_mpf(y, M)._mpf_ == M.mpf(y)._mpf_, y
+
 
 class TestLogLadder:
     @pytest.mark.parametrize("prec, top", [(64, _TABLE_CAP), (256, 1 << 14), (1024, 1 << 12),

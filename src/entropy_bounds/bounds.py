@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from operator import mul
 from typing import Callable
 
@@ -35,7 +35,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_le,
     mpf_lt,
-    mpf_neg,
     mpf_pos,
     mpf_shift,
     mpf_sub,
@@ -107,22 +106,12 @@ def _check_m(m) -> None:
         _check_order(m)
 
 
-def _majorant(series: LaurentPoly) -> LaurentPoly:
-    """2^k prod_i (x_i^lo_i + x_i^hi_i) over the variables x_i of ``series``, lo_i and hi_i the
-    even exponents next to the least and greatest exponent of x_i in it, and 2^k >= sum |c| from
-    |c| < 2^(bl(num) - bl(den) + 1).  Each |x_i|^e lies between its values at the even exponents
-    around e, so the majorant is at least sum |c x^e| at every point where no x_i with a negative
-    lo_i is 0; its terms are all nonnegative."""
+def _box(series: LaurentPoly) -> tuple:
+    """(k, ((lo_i, hi_i), ...)) for ``series``: 2^k > sum |c| over its coefficients, and lo_i and
+    hi_i the least and greatest exponent of its variable x_i."""
     terms = series._terms
-    corners = [{min(es) // 2 * 2, -(-max(es) // 2) * 2} for es in zip(*terms)]
-    k = max((c.numerator.bit_length() - c.denominator.bit_length() for c in terms.values()),
-            default=0) + 1 + (len(terms) - 1).bit_length()
-    return LaurentPoly._of(dict.fromkeys(product(*corners), Fraction(2) ** k))
-
-
-def _with_majorant(series: LaurentPoly, gap: LaurentPoly) -> tuple:
-    """The forms of an order: its series, its gap and the series' :func:`_majorant`."""
-    return series, gap, _majorant(series)
+    return (int(sum(map(abs, terms.values()))).bit_length(),
+            tuple((min(es), max(es)) for es in zip(*terms)))
 
 
 def _top(x) -> int:
@@ -131,36 +120,32 @@ def _top(x) -> int:
     return exp + bc
 
 
-def _beyond(forms, tops: list[int]) -> int:
-    """An integer beta with each term |c' x^e| of each compiled form of ``forms`` below 2^beta /
-    (its form's number of terms), at a point whose coordinates x_i have :func:`_top` tops[i]:
-    |c'| is below 2^(bl(man) + exp), and |x_i|^e_i below 2^(e_i tops[i]), or 2^(e_i (tops[i] -
-    1)) for e_i < 0."""
+def _beyond(boxes, tops: list[int]) -> int:
+    """An integer beta with sum |c x^e| < 2^beta for the series of each :func:`_box` of ``boxes``,
+    at a point whose coordinates x_i have :func:`_top` tops[i] and are nonzero where a lo_i is
+    negative: |x_i|^e is below 2^(e tops[i]) for e > 0, and at most 2^(e (tops[i] - 1)) for
+    e <= 0, a bound convex in e, so over lo_i <= e <= hi_i largest at lo_i or hi_i; and
+    2^k > sum |c|."""
     beta = 0
-    for form in forms:
-        spread = (len(form) - 1).bit_length()
-        for keys, man, exp in form:
-            top = man.bit_length() + exp + spread
-            for i, k in keys:
-                top += k * tops[i] if k > 0 else k * (tops[i] - 1)
-            beta = max(beta, top)
+    for k, spans in boxes:
+        for (lo, hi), top in zip(spans, tops):
+            k += max(e * top if e > 0 else e * (top - 1) for e in (lo, hi))
+        beta = max(beta, k)
     return beta
 
 
 def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends,
-              heads: tuple = (), negated: bool = False) -> BoundReport:
+              heads: tuple = ()) -> BoundReport:
     """The order-m report of a sandwich, m an order or "auto": ``compiled(ctx.mp, *key, k)`` is
-    the compiled (series, gap, majorant) of order k (:func:`_with_majorant`), evaluated at
-    ``point``, and ``ends(s, v)`` the ends (lower, upper) in ``ctx.mp`` for series value s and
-    gap form value v, one end formed from the other and v.  ``heads`` are the other terms of the
-    first end, mpfs whose moduli sum to ``head``.  When ``negated``, the gap form is minus the gap
-    (the small-mean sandwich's next term; a negated form would not give the negated value bit for
-    bit, as :func:`evaluate` truncates toward minus infinity), and the gap value g is -v.
+    the compiled (series, gap) of order k and the series' :func:`_box`, evaluated at ``point``,
+    and ``ends(s, v)`` the ends (lower, upper) in ``ctx.mp`` for series value s and gap value v,
+    one end formed from the other and v.  ``heads`` are the other terms of the first end, mpfs
+    whose moduli sum to ``head``.
 
     A fixed m is the one candidate: its gap and then its series are one :func:`evaluate` call,
-    and it is reported with no slack computed, so ``heads`` and ``negated`` go unread.  Its gap
-    form being read first moves no bit, as each power ladder runs from x^+-1 in the same rungs
-    whatever the order of the powers asked for.
+    and it is reported with no slack computed, so ``heads`` goes unread.  Its gap form being read
+    first moves no bit, as each power ladder runs from x^+-1 in the same rungs whatever the order
+    of the powers asked for.
 
     For m = "auto" it is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest
     order winning ties: what a scan of the six reports returns, bit for bit, including a crossing
@@ -171,23 +156,22 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
         g_k <= max(g_j, 0) + 2^(t + 6 - b),
 
     b = ``ctx.bits``, g_k the gap value of order k, j the least g's order, and t the greatest of
-    :func:`_top` of ``head`` and of each g_k, and :func:`_beyond` of the orders' majorants.  The
+    :func:`_top` of ``head`` and of each g_k, and :func:`_beyond` of the orders' boxes.  The
     slack is 16 ulps at b bits of the bound 3 2^t on every order's ends.
 
     A left-out order can neither win nor tie.  Proof, with P = b + 64 the precision of
     ``ctx.mp``, where each operation rounds within 2^-P relative, and rounding at b bits within
     2^-b: (1) by :func:`evaluate`'s bound, the series value s_k lies within |s_k| 2^-P +
-    2^(2-P) S_k of sum c x^e, of modulus at most S_k = sum |c x^e|; S_k is at most the majorant,
-    whose terms, each a power of two times even powers of the x_i, sum below 2^t.  So |s_k| <
-    2^t (1 + 2^(3-P)), and both ends, A_k and A'_k = A_k -+ g_k rounded, are below 3 (1 + 2^-60)
-    2^t in modulus.  (2) The rounded ends differ by x_k with |x_k - g_k| <=
-    2^-b (|A_k| + |A'_k|) + 2^-P |A'_k| < r = 2^(t + 3 - b).  (3) A left-out k has g_k >= 0, so
-    its ends cannot cross: every crossing order is reported, in the scan's order, and raises the
-    scan's error.  If j does not raise, its rounded gap is G_j <= (1 + 2^-b) x_j <= Gamma =
-    (1 + 2^-b)(max(g_j, 0) + r).  A left-out k has g_k above the slack, rounded once at P bits,
-    which exceeds max(g_j, 0)(1 + 2^(3-b)) + 3 r, as 2^t > max(g_j, 0); so x_k > g_k - r >
-    Gamma (1 + 2^(3-b)) / (1 + 2^-b) >= 0, and its rounded gap is G_k >= (1 - 2^-b) x_k > Gamma
-    >= G_j: strictly wider than order j.
+    2^(2-P) S_k of sum c x^e, of modulus at most S_k = sum |c x^e|, and S_k < 2^t by
+    :func:`_beyond`.  So |s_k| < 2^t (1 + 2^(3-P)), and both ends, A_k and A'_k = A_k -+ g_k
+    rounded, are below 3 (1 + 2^-60) 2^t in modulus.  (2) The rounded ends differ by x_k with
+    |x_k - g_k| <= 2^-b (|A_k| + |A'_k|) + 2^-P |A'_k| < r = 2^(t + 3 - b).  (3) A left-out k has
+    g_k >= 0, so its ends cannot cross: every crossing order is reported, in the scan's order,
+    and raises the scan's error.  If j does not raise, its rounded gap is G_j <= (1 + 2^-b) x_j
+    <= Gamma = (1 + 2^-b)(max(g_j, 0) + r).  A left-out k has g_k above the slack, rounded once
+    at P bits, which exceeds max(g_j, 0)(1 + 2^(3-b)) + 3 r, as 2^t > max(g_j, 0); so x_k >
+    g_k - r > Gamma (1 + 2^(3-b)) / (1 + 2^-b) >= 0, and its rounded gap is G_k >= (1 - 2^-b)
+    x_k > Gamma >= G_j: strictly wider than order j.
     """
     M, bits = ctx.mp, ctx.bits
     if m != "auto":
@@ -199,15 +183,15 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     # evaluate reads its forms one at a time, so the series of the orders picked from the gaps
     # follow them in the same call, on the same power ladders
     values = evaluate(chain((f[1] for f in sets), (sets[k][0] for k in picked)), M, *point)
-    raw = [next(values) for _ in sets]
-    gaps = [mpf_neg(v._mpf_) if negated else v._mpf_ for v in raw]
+    gaps = [next(values) for _ in sets]
     tops = [_top(x._mpf_) for x in point]
-    t = max(_top(sum(map(abs, heads))._mpf_), *map(_top, gaps), _beyond([f[2] for f in sets], tops))
-    least = mpf_neg(max(raw)._mpf_) if negated else min(raw)._mpf_
+    t = max(_top(sum(map(abs, heads))._mpf_), *(_top(g._mpf_) for g in gaps),
+            _beyond([f[2] for f in sets], tops))
+    least = min(gaps)._mpf_
     # a negative gap lies below the slack too
     slack = mpf_add(least if least[0] == 0 else fzero, from_man_exp(1, t + 6 - bits), M.prec)
-    picked += [k for k, g in enumerate(gaps) if mpf_le(g, slack)]
-    reports = [_report(*ends(s, raw[k]), AUTO_ORDERS[k], method, ctx)
+    picked += [k for k, g in enumerate(gaps) if mpf_le(g._mpf_, slack)]
+    reports = [_report(*ends(s, gaps[k]), AUTO_ORDERS[k], method, ctx)
                for k, s in zip(picked, values)]
     return min(reports, key=lambda r: r.gap)
 
@@ -230,22 +214,27 @@ def _sandwich_forms(derive, m: int) -> tuple:
     """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k (:func:`_over_n`) of the set
     ``derive(m)``, ``derive`` being part of the cache key; n is lam for the Poisson law."""
     cs = derive(m)
-    return _with_majorant(_over_n(cs.b), _over_n(cs.a))
+    series = _over_n(cs.b)
+    return series, _over_n(cs.a), _box(series)
 
 
 def _small_forms(c, bits: int, m: int) -> tuple:
-    """Over (lam), the series sum_{k=2}^{2m} c(k)/k! lam^k and its next term, which is negative;
-    each c(k) = ``c(k, bits)`` enters exactly, and ``c`` is part of the cache key."""
+    """Over (lam), the series sum_{k=2}^{2m} c(k)/k! lam^k and the gap, minus its next term; each
+    c(k) = ``c(k, bits)`` enters exactly, and ``c`` is part of the cache key.  The gap is one
+    term, which :func:`evaluate` sums exactly before rounding to nearest, so its value is minus
+    the next term's, bit for bit."""
     ctx = PrecisionContext(bits)
-    terms = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
-             for k in range(2, 2 * m + 2)]
-    return _with_majorant(LaurentPoly._of(dict(terms[:-1])), LaurentPoly._of(dict(terms[-1:])))
+    *terms, (e, c_next) = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
+                           for k in range(2, 2 * m + 2)]
+    series = LaurentPoly._of(dict(terms))
+    return series, LaurentPoly._of({e: -c_next}), _box(series)
 
 
 def _expected_log_forms(derive, law: str, m: int) -> tuple:
     """The series and gap ``derive(law, m)`` of the expected-log sandwich, ``derive`` being part
     of the cache key."""
-    return _with_majorant(*derive(law, m))
+    series, gap = derive(law, m)
+    return series, gap, _box(series)
 
 
 def _relative_entropy_sum(n: int, p, M) -> tuple:
@@ -273,11 +262,9 @@ def entropy_poisson_small(
     _check_m(m)
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
-    if lam_m == 0:
-        return _report(M.zero, M.zero, AUTO_ORDERS[0] if m == "auto" else m, "small-lambda", ctx)
-    head = lam_m - lam_m * M.log(lam_m)
+    head = lam_m - lam_m * M.log(lam_m) if lam_m else M.zero
     return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx.bits),
-                     (lam_m,), lambda s, v: ((end := head + s) + v, end), (head,), negated=True)
+                     (lam_m,), lambda s, v: ((end := head + s) - v, end), (head,))
 
 
 def entropy_poisson_large(

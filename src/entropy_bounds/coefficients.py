@@ -194,6 +194,7 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     """Binomial analogue: sum_j (-1)^(k-1-j) C(k-1, j) log(n - j), 2 <= k <= n,
     the (k-1)-th forward difference of log(n - j) at j = 0."""
     _check_index(k, "k")
+    _check_index(n, "n")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     diffs, exp = _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)

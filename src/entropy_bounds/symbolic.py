@@ -409,9 +409,9 @@ def _dyadic(x: mpf) -> tuple[int, int]:
 
 @lru_cache(maxsize=144)  # the bounds' six cached sets (README) at orders 1..6, four precisions
 def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
-    """The forms (:func:`_form`) of the exact expressions ``derive(*args)``, built once per
+    """``derive(*args)`` with each LaurentPoly in it as its form (:func:`_form`), built once per
     context ``M``, whose precision no code may change (as with :func:`_mp_context`)."""
-    return tuple(_form(x, M) for x in derive(*args))
+    return tuple(_form(x, M) if isinstance(x, LaurentPoly) else x for x in derive(*args))
 
 
 def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, int]:

@@ -1,9 +1,9 @@
 """Interval evaluation of every sandwich bound: anchors, containment,
 gap formulas, limits, and domain handling."""
 
+import ast
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -17,6 +17,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 import entropy_bounds
+from conftest import child_env
 from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
@@ -204,7 +205,7 @@ class TestRelativeEntropyExact:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return float(proc.stdout)
@@ -566,23 +567,32 @@ class TestAutoOrder:
                            "cross at 64 bits"):
             relative_entropy_bounds(1000, F(1, 10**20), m="auto", ctx=PrecisionContext(64))
 
-    def test_majorant_bounds_the_series(self):
-        # exactly, sum |c x^e| <= the majorant <= 2^_beyond, at points with a negative log u
+    def test_box_bounds_the_series(self):
+        # exactly, sum |c x^e| < 2^_beyond([box], tops) for each of the six cached sets, the box
+        # passed through compiled as it is, at points with lam = 0 and with negative logs
         ctx = PrecisionContext(128)
-        sets = [(coefficients.poisson_coeffs, [(F(1, 100),), (F(1),), (F(10**4),)]),
-                (coefficients._symmetric_coeffs, [(F(21, 100), F(-156, 100), F(1000)),
-                                                  (F(1, 101), F(-462, 100), F(3))])]
-        for derive, points in sets:
+        poisson = [(F(1, 100),), (F(1),), (F(10**4),)]
+        sets = [
+            ((bounds._sandwich_forms, coefficients.poisson_coeffs), poisson),
+            ((bounds._small_forms, coefficients.c_coeff, 128),
+             [(F(0),), (F(1, 100),), (F(1, 2),), (F(10),)]),
+            ((bounds._sandwich_forms, coefficients.binomial_coeffs),
+             [(F(7, 10), F(-357, 1000), F(1000)), (F(999999, 10**6), F(-1, 10**6), F(3))]),
+            ((bounds._sandwich_forms, coefficients._symmetric_coeffs),
+             [(F(21, 100), F(-156, 100), F(1000)), (F(1, 101), F(-462, 100), F(3))]),
+            ((bounds._expected_log_forms, coefficients.expected_log_series, "poisson"), poisson),
+            ((bounds._expected_log_forms, coefficients.expected_log_series, "binomial"),
+             [(F(1000), F(3, 10)), (F(3), F(1, 100))]),
+        ]
+        for key, points in sets:
             for m in AUTO_ORDERS:
-                series, _, majorant = bounds._sandwich_forms(derive, m)
-                form = symbolic.compiled(ctx.mp, bounds._sandwich_forms, derive, m)[2]
+                series, _, box = key[0](*key[1:], m)
+                assert symbolic.compiled(ctx.mp, *key, m)[2] == box
                 for x in points:
                     absolute = sum(abs(c) * math.prod(abs(xi) ** e for xi, e in zip(x, es))
                                    for es, c in series._terms.items())
-                    assert absolute <= majorant(*x)
                     tops = [bounds._top(to_mpf(xi, ctx.mp)._mpf_) for xi in x]
-                    value, = symbolic.evaluate([form], ctx.mp, *(to_mpf(xi, ctx.mp) for xi in x))
-                    assert value < mpf(2) ** bounds._beyond([form], tops)
+                    assert absolute < 2 ** bounds._beyond([box], tops)
 
     def test_wrapped_routine(self):
         # perfbench's tracer hands best_interval wrappers of the routines
@@ -591,6 +601,19 @@ class TestAutoOrder:
                          (entropy_binomial_bounds, (1000, F(3, 10)))):
             wrapped = best_interval(lambda *a, **k: fn(*a, **k), *args, ctx=ctx)
             assert _outcome(wrapped) == _outcome(best_interval(fn, *args, ctx=ctx))
+
+
+def test_only_the_sandwich_driver_reports_and_evaluates():
+    # every bound reaches its forms' values and its BoundReport through _sandwich alone, so a
+    # change to rounding or reporting is one edit there
+    callers = {"_report": set(), "evaluate": set()}
+    for top in ast.parse((ROOT / "src" / "entropy_bounds" / "bounds.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in callers:
+                    callers[name].add(getattr(top, "name", None))
+    assert callers == {"_report": {"_sandwich"}, "evaluate": {"_sandwich"}}
 
 
 class TestBoundValuesPinned:

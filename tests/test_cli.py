@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 import entropy_bounds.cli as cli
+from conftest import child_env
 from entropy_bounds import (
     CoeffSet,
     DEFAULT_CONTEXT,
@@ -238,10 +238,9 @@ class TestUsageErrors:
         ["verify", "relative-entropy", "--n", "12", "--points", "1"],
     ])
     def test_verify_point_outside_domain(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "entropy_bounds.cli", *argv, "--bits", "64"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -480,10 +479,9 @@ GOLDEN_COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_stdout_is_byte_identical_to_fixture(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "entropy_bounds.cli", *GOLDEN_COMMANDS[name]],
-        capture_output=True, env=env, timeout=120,
+        capture_output=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (ROOT / "tests" / "fixtures" / "cli" / f"{name}.out").read_bytes()

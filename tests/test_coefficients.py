@@ -3,7 +3,6 @@ independent quadrature/finite-difference oracles."""
 
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from conftest import child_env
 from entropy_bounds import (
     CoeffSet,
     DEFAULT_CONTEXT,
@@ -313,7 +313,7 @@ class TestSmallArgumentReference:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 0.1

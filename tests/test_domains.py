@@ -144,6 +144,14 @@ def test_index_message(routine, args, name, k):
     assert str(info.value) == f"{name} must be an integer, got {k!r}"
 
 
+@pytest.mark.parametrize("n", [10.0, F(10), "10", True], ids=repr)
+def test_c_tilde_refuses_a_non_integer_n(n):
+    # before its range check, which read True as 1 and raised TypeError for the others
+    with pytest.raises(ValueError) as info:
+        c_tilde_coeff(n, 2)
+    assert str(info.value) == f"n must be an integer, got {n!r}"
+
+
 @pytest.mark.parametrize("routine, args, message", [
     (poisson_central_moment, (-1,), "moment order must be >= 0, got -1"),
     (binomial_central_moment, (-1,), "moment order must be >= 0, got -1"),

@@ -5,7 +5,6 @@ from the bounds path."""
 import ast
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -16,6 +15,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from conftest import child_env
 from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
@@ -218,7 +218,7 @@ class TestBinomialEntropyOracle:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 0.25

@@ -5,9 +5,10 @@ term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
 from central-moment polynomials (:func:`expected_log_series`); the bounds on
 E[log(X + 1)] evaluate the same sandwich.  The small-argument coefficients
 are forward differences of logarithms of integers (:func:`symbolic._logs`),
-in exact fixed-point integer arithmetic at a precision fixed in advance by an
-error bound (see :func:`_log_differences`) and kept unrounded until each
-coefficient is read.  Published tables exist only in the tests, as golden data.
+each one alternating sum over its k logarithms in exact fixed-point integer
+arithmetic, at a precision fixed in advance by an error bound for its one
+order (see :func:`_log_difference`), and rounded once when it is read.
+Published tables exist only in the tests, as golden data.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
 from typing import Mapping
 
 from mpmath import mp, mpf
@@ -127,55 +126,36 @@ def binomial_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
 
 
-def _log_differences(args: range, bits: int) -> tuple[tuple[int, ...], int]:
-    """Leading forward differences Delta^r log(a_j) at j = 0, r = 1..K-1, for a run a_0..a_{K-1}
-    of consecutive positive integers, ascending or descending, as (diffs, exp): Delta^r log is
-    diffs[r-1] 2^exp, within 2^-(bits+64) of its value, relative.
+def _log_difference(args: range, bits: int) -> tuple[int, int]:
+    """The forward difference Delta^r log(a_j) at j = 0, r = K-1, for a run a_0..a_r of K >= 2
+    consecutive positive integers, ascending or descending, as (diff, exp): Delta^r log is
+    diff 2^exp, within 2^-(bits+64) of its value, relative.
 
     Each log a is an integer at F = -exp fractional bits, F a multiple of 64 so that runs,
     precisions and the oracles share ladders (:func:`symbolic._logs`): T[a] - T[a-1] from the
     log-factorial ladder T, within e = 2 log2 M units of 2^-F, M the largest
     argument; or, when M reaches 16 times the run's length or the ladder's cap, one
-    ``mpf_log``, within 2 units.  Delta^r, a sum of C(r, j) logs, is then within 2^r e units.
+    ``mpf_log``, within 2 units.  Delta^r, the exact integer sum
+    sum_j (-1)^(r-j) C(r, j) log a_j, is then within 2^r e units.
     As log x = integral_0^inf (e^-t - e^-xt) dt/t, with u = 1 - e^-t, |Delta^r log| is the
     integral over (0, 1) of u^r (1-u)^(a-1) / -log(1-u), a the least of a_0..a_r, and
     -log(1-u) <= u/(1-u) bounds it below by (r-1)! a!/(a+r)!.  So taking
 
-        F >= bits + 68 + log2 e + max_r ceil(r + log2((a+1)...(a+r)) - log2 (r-1)!)
+        F >= bits + 68 + log2 e + ceil(r + log2((a+1)...(a+r)) - log2 (r-1)!)
 
-    bounds every relative error by 2^-(bits+64).
+    bounds the relative error by 2^-(bits+64).
     """
-    top = max(args[0], args[-1])
+    r, top = len(args) - 1, max(args[0], args[-1])
     log_e = (2 * top.bit_length()).bit_length()
-    # log2 of (a + 1)...(a + r) for r = 1..K-1: the arguments a_0..a_r less the least
-    spans = accumulate(math.log2(max(a, b)) for a, b in zip(args, args[1:]))
-    prec = _round64(bits + 4 + log_e + max(
-        (math.ceil(r + s - math.lgamma(r) / math.log(2)) for r, s in enumerate(spans, 1)), default=0))
-    row, exp = _logs(args, prec, top < 16 * len(args))
-    out = []
-    while len(row) > 1:
-        row = list(map(sub, row[1:], row))
-        out.append(row[0])
-    return tuple(out), exp
-
-
-# c's tables get a cache of their own, so that c~'s tables over many n cannot
-# evict them.  Their ladder starts at depth 16, as the small-lambda bound asks
-# for a few low c(k); c~'s starts at 64.
-_c_tables = lru_cache(maxsize=8)(_log_differences)
-_c_tilde_tables = lru_cache(maxsize=8)(_log_differences)
-
-
-def _depth(k: int, top: float, first: int) -> int:
-    """Depth of the table that serves index k when arguments run ``top`` deep.
-
-    Depths run ``first``, 2 ``first``, ... while at most top/2, then top: a
-    lone small k costs O(k^2), not O(top^2), and a loop over k = 2..top
-    builds a few tables whose entries, but for the last, add up to at most a
-    third of the last one's.
-    """
-    depth = max(first, 1 << (k - 1).bit_length())
-    return depth if 2 * depth <= top else top
+    # log2 of (a + 1)...(a + r): the arguments a_0..a_r less the least
+    span = sum(math.log2(max(a, b)) for a, b in zip(args, args[1:]))
+    prec = _round64(bits + 4 + log_e + math.ceil(r + span - math.lgamma(r) / math.log(2)))
+    logs, exp = _logs(args, prec, top < 16 * len(args))
+    diff, binom = 0, 1  # diff = sum_{i <= j} (-1)^(j-i) C(r, i) log a_i, binom = C(r, j)
+    for j, log in enumerate(logs):
+        diff = binom * log - diff
+        binom = binom * (r - j) // (j + 1)
+    return diff, exp
 
 
 @lru_cache(maxsize=None, typed=True)  # k = 2.0 or True misses k = 2 or 1, and is refused
@@ -186,8 +166,8 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Its sign is (-1)^k.
     """
     _check_index(k, "k", 2)
-    diffs, exp = _c_tables(range(1, _depth(k, math.inf, 16) + 1), ctx.bits)
-    return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
+    diff, exp = _log_difference(range(1, k + 1), ctx.bits)
+    return mp.make_mpf(from_man_exp(diff, exp, ctx.bits, round_nearest))
 
 
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -197,8 +177,8 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     _check_index(n, "n")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    diffs, exp = _c_tilde_tables(range(n, n - _depth(k, n, 64), -1), ctx.bits)
-    return mp.make_mpf(from_man_exp(diffs[k - 2], exp, ctx.bits, round_nearest))
+    diff, exp = _log_difference(range(n, n - k, -1), ctx.bits)
+    return mp.make_mpf(from_man_exp(diff, exp, ctx.bits, round_nearest))
 
 
 def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:

@@ -26,6 +26,7 @@ from entropy_bounds import (
     poisson_coeffs,
     stirling_m1_constants,
 )
+from entropy_bounds import coefficients
 from entropy_bounds.cli import coeffs_to_json
 from entropy_bounds.coefficients import _symmetric_coeffs, _symmetrize_pq
 from golden_data import (
@@ -293,15 +294,15 @@ class TestSmallArgumentReference:
 
     @pytest.mark.parametrize("bits", [64, 128, 256])
     def test_c_past_the_first_table(self, bits):
-        # k = 65..128 come from the depth-128 table, k = 129 and 130 from the depth-256 one
+        # k = 61..130: longer sums, whose a-priori precision climbs past the next multiples of 64
         logs = logs_up_to(130, bits)
         ctx = PrecisionContext(bits)
         for k in range(61, 131):
             assert c_coeff(k, ctx) == direct_log_difference(range(1, k + 1), bits, logs), (k, bits)
 
     def test_c_sweep_is_fast(self):
-        # one fresh interpreter, so no table is warm: c(2..200) reads three
-        # tables (depths 64, 128, 256), not one table per k
+        # one fresh interpreter, so nothing is warm: each c(k) of c(2..200) is one
+        # alternating sum over its k logs, read from a few shared ladder rungs
         code = (
             "import time\n"
             "from entropy_bounds import PrecisionContext, c_coeff\n"
@@ -320,10 +321,25 @@ class TestSmallArgumentReference:
 
     @pytest.mark.parametrize("k", [2, 3, 40, 64, 65])
     def test_c_tilde_at_huge_n(self, k):
-        # no table over n..1 could be built here: k <= 64 must use only
-        # n..n-63, and k = 65 only n..n-127
+        # no ladder over n..1 could be built here: c~(n, k) must read only
+        # the k logs of n..n-k+1
         n = 10**12 + 39
         assert c_tilde_coeff(n, k, PrecisionContext(64)) == direct_log_difference(range(n, n - k, -1), 64)
+
+    def test_each_coefficient_reads_only_its_own_logs(self, monkeypatch):
+        # c~(n, k) and c(k) are each one alternating sum over exactly k logarithms
+        counts = []
+
+        def logs(args, prec, ladder):
+            counts.append(len(args))
+            return real(args, prec, ladder)
+
+        real = coefficients._logs
+        monkeypatch.setattr(coefficients, "_logs", logs)
+        c_tilde_coeff(10**6, 10)
+        c_coeff.cache_clear()
+        c_coeff(5)
+        assert counts == [10, 5]
 
     @given(st.integers(2, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
            st.integers(64, 320))

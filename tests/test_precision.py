@@ -40,7 +40,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds import coefficients, symbolic
+from entropy_bounds import symbolic
 from golden_data import loglaurent
 
 CTX = PrecisionContext(bits=128)
@@ -79,8 +79,7 @@ CALLS = {
 def _cold_call(fn, *args):
     """Call with every numeric cache empty, so nothing is served from a call
     made at another ambient precision."""
-    for cached in (c_coeff, coefficients._c_tables, coefficients._c_tilde_tables,
-                   symbolic._log_factorials, symbolic.compiled):
+    for cached in (c_coeff, symbolic._log_factorials, symbolic.compiled):
         cached.cache_clear()
     return fn(*args, ctx=CTX)
 

@@ -15,7 +15,6 @@ from .symbolic import (
     PrecisionContext,
     PrecisionError,
     as_fraction,
-    eval_at,
     integrate_tail,
     integrate_to_one,
     rational_str,
@@ -50,7 +49,6 @@ from .oracle import (
     moment_oracle_binomial,
     moment_oracle_poisson,
     poisson_entropy_oracle,
-    poisson_expectation,
     relative_entropy_oracle,
 )
 
@@ -80,7 +78,6 @@ __all__ = [
     "entropy_poisson_ct",
     "entropy_poisson_large",
     "entropy_poisson_small",
-    "eval_at",
     "expected_log_binomial",
     "expected_log_binomial_bounds",
     "expected_log_poisson",
@@ -92,7 +89,6 @@ __all__ = [
     "poisson_central_moment",
     "poisson_coeffs",
     "poisson_entropy_oracle",
-    "poisson_expectation",
     "rational_str",
     "relative_entropy_bounds",
     "relative_entropy_exact",

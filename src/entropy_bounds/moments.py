@@ -5,9 +5,9 @@ in the mean; for k >= 2 they are polynomials in s of degree floor(k/2).  The
 binomial moments mu_k(n, s) = E[(B_{n,s} - ns)^k] use the derivative
 recursion in the success probability and are exact polynomials in both n
 and s.  Both moment functions return the polynomial itself, a
-:class:`LaurentPoly` in s or in (n, s).  Their brute-force checks, a
-certified Poisson series and an exact rational finite sum for the binomial,
-are in :mod:`oracle`, which this module does not import.
+:class:`LaurentPoly` in s or in (n, s).  Their brute-force checks, exact
+rational sums through Touchard's raw Poisson moments and over the binomial
+support, are in :mod:`oracle`, which this module does not import.
 """
 
 from __future__ import annotations

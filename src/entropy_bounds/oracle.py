@@ -20,9 +20,9 @@ values, and stops the side at its own certified geometric tail or at the
 end of the support.  A Poisson sum thus costs about sqrt(lam * bits)
 terms, not lam, and a binomial one about sqrt(npq * bits), not n + 1.  The
 oracles hand it exact (mantissa, exponent) weights from the ladder, of five
-families that meet its tail's requirement by a proof in its docstring;
-:func:`poisson_expectation` checks that requirement on a caller's weights.
-The binomial central moments are exact rational sums.
+families that meet its tail's requirement by a proof in its docstring.
+The central moments of both laws are exact rational sums, the Poisson ones
+through Touchard's raw moments.
 """
 
 from __future__ import annotations
@@ -43,16 +43,15 @@ from mpmath.libmp import (
     mpf_shift,
     round_nearest,
     round_up,
+    to_rational,
 )
 
 from .symbolic import (
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
-    PrecisionError,
     _check_index,
     _check_n,
-    _dyadic,
     _log_factorial_reader,
     _mp_context,
     _point,
@@ -73,11 +72,7 @@ class TruncationReceipt:
     ``terms_used`` counts the summed terms: the mode and both sides of it.
     ``tail_bound`` bounds the left-out terms, the geometric tails of both
     sides added (a side that reaches the end of the support leaves none).
-    ``rel_err_bound`` is the tail bound divided by the summed absolute terms
-    (equal to the plain relative error whenever the series has nonnegative
-    terms, which is the case for all entropy series here);
-    :func:`poisson_expectation` reports only once it is at most
-    2^-(``bits`` + 65).
+    ``rel_err_bound`` is the tail bound divided by the returned value.
     """
 
     terms_used: int
@@ -163,10 +158,9 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
     beyond the mean whose tail |t_J| / (1 - |t_(J+d) / t_J|) is at most
     2^-(``prec`` + 3) of the absolute terms summed so far, or at the end of
     the support; both sides together leave out at most 2^-(``prec`` + 2) of
-    them.  Requirement, checked nowhere here: no term ratio |t_(j+d) / t_j|
-    beyond J exceeds the one at J.  :func:`poisson_expectation` checks it on
-    a caller's weights; for the five families the oracles pass, each stored
-    as at most three ladder entries (log j!, log(j + 1), log C(n, k),
+    them.  Requirement: no term ratio |t_(j+d) / t_j| beyond J exceeds the
+    one at J.  For the five families the oracles pass, each stored as at
+    most three ladder entries (log j!, log(j + 1), log C(n, k),
     log(n!/(n - k)!) and log(k + 1)), it holds by this proof.
     - Each exact family is log-concave: four are concave and nonnegative, and
       L = log j! has L (log(j + 1) - log j) <= log j <= log j log(j + 1) for
@@ -246,60 +240,6 @@ def _outward(law: _Law, weight: Callable[[int], _Dyadic], M) -> tuple[mpf, int, 
     return M.make_mpf(value), terms, M.make_mpf(tail), M.make_mpf(mass)
 
 
-def poisson_expectation(
-    lam,
-    weight: Callable[[int], object],
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> tuple[mpf, TruncationReceipt]:
-    """Certified E[w(N_lam)] = sum_j e^(-lam) lam^j / j! * w(j).
-
-    ``weight(j)`` gives w_j for any j >= 0 as an int, Fraction or mpf; each
-    is converted into ``ctx.mp``, so an mpf weight should carry at least the
-    working precision ``ctx.bits`` + 64 (compute it in ``ctx.mp``).
-    Requirement: |w_(j+1) / w_j| is non-increasing once j exceeds the mean,
-    and |w_(j-1) / w_j| once j is below it (true of the powers of j - lam
-    that :func:`moment_oracle_poisson` passes).  It is checked here, exactly,
-    on each weight as :func:`_outward` reads it, the mode, then down, then
-    up: a rise beyond the mean raises :class:`PrecisionError`.  (The oracles'
-    own weights skip this check, as _outward proves it for them.)  The sum
-    starts at the mode floor(lam), seeded by one exp, and walks outward in
-    fixed-point integers by the exact ratios lam / (j + 1) and j / lam.
-    Each side stops at its first certified geometric tail, at most
-    2^-(``ctx.bits`` + 67) of the summed absolute terms, or at j = 0: with
-    no rise, term ratios fall at least as fast as lam / (j + 1).  The
-    receipt's ``terms_used`` counts both sides and the mode, and its tail
-    bound adds both tails.  The fixed-point error is bounded a priori in
-    :func:`_outward`: with the tails it stays below half an ulp of the
-    working sum, 2^-(``ctx.bits`` + 65) of the absolute terms, before the
-    result is rounded once to ``ctx.bits``.
-    """
-    M = ctx.mp
-    lam_m = _point(lam, M, "Poisson mean", ">= 0")
-    if lam_m == 0:
-        return ctx.round(to_mpf(weight(0), M)), TruncationReceipt(1, mpf(0), mpf(0))
-    law = _poisson_law(lam_m, M.prec)
-    # j at or past low and high lies two terms or more beyond the mean
-    low, high, read = math.ceil(law.mean) - 3, math.floor(law.mean) + 3, {}
-
-    def dyadic(j: int) -> _Dyadic:
-        read[j] = w, e = _dyadic(to_mpf(weight(j), M))
-        d = 1 if j >= high else -1 if j <= low else 0
-        if d:
-            # |w_j / w_(j-d)| > |w_(j-d) / w_(j-2d)|, exactly; a zero w_(j-2d) gives no ratio
-            (w_prev, e_prev), (w_back, e_back) = read[j - d], read[j - 2 * d]
-            lhs, rhs, s = abs(w * w_back), w_prev * w_prev, e + e_back - 2 * e_prev
-            if (lhs << s > rhs) if s >= 0 else (lhs > rhs << -s):
-                raise PrecisionError(
-                    f"the weight ratio rises beyond the mean {float(law.mean):.6g} at "
-                    f"j = {j - d}, so no tail can be certified"
-                )
-        return w, e
-
-    value, terms, tail, mass = _outward(law, dyadic, M)
-    rel = M.fdiv(tail, mass, rounding=round_up) if mass else M.zero
-    return ctx.round(value), TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
-
-
 def poisson_entropy_oracle(
     lam, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> tuple[mpf, TruncationReceipt]:
@@ -336,11 +276,18 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """E[(N_s - s)^k] by certified series truncation, independent of the
-    moment polynomials."""
+    """E[(N_s - s)^k] = sum_i C(k, i) (-s)^(k-i) E[N_s^i] as an exact rational sum at the
+    point s as read into ``ctx.mp``, rounded once to ``ctx.bits``.  The raw moments are
+    Touchard's E[N_s^i] = sum_j S(i, j) s^j, S the Stirling numbers of the second kind, so
+    the sum is independent of the moment polynomials."""
     _check_index(k, "moment order", 0)
-    s_m = _point(s, ctx.mp, "s", "> 0")
-    return poisson_expectation(s_m, lambda j: (j - s_m) ** k, ctx)[0]
+    s = Fraction(*to_rational(_point(s, ctx.mp, "s", "> 0")._mpf_))
+    raw, row = [], [1]  # row[j] = S(i, j) as the i-th raw moment is summed
+    for _ in range(k + 1):
+        raw.append(sum(c * s**j for j, c in enumerate(row)))
+        row = [j * a + b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    value = sum(math.comb(k, i) * (-s) ** (k - i) * m for i, m in enumerate(raw))
+    return ctx.round(to_mpf(value, _mp_context(ctx.bits)))
 
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -492,10 +492,3 @@ def integrate_to_one(f: LaurentPoly) -> LogLaurent:
             out.append(((e + 1, 0), -c / (e + 1)))
     return LogLaurent(out)
 
-
-def eval_at(expr: LaurentPoly, point, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Evaluate a one-variable LaurentPoly at a numeric point, rounded to ctx.bits.
-
-    The point may be int, float, str, Fraction, or mpf.
-    """
-    return ctx.round(expr(to_mpf(point, ctx.mp)))

@@ -37,14 +37,9 @@ from entropy_bounds import (
     relative_entropy_oracle,
 )
 from entropy_bounds.coefficients import expected_log_series
-from entropy_bounds.oracle import poisson_expectation
 
 CTX = PrecisionContext(64)
 THIRD = "0.33333333333333333333333333333333333333"  # 1/3 at 64 + 64 guard bits
-
-
-def _weights(j):
-    return 1
 
 
 CASES = [
@@ -64,7 +59,6 @@ CASES = [
     (expected_log_poisson_bounds, (F(-1, 3),), f"s must be > 0, got -{THIRD}"),
     (expected_log_binomial_bounds, (10, 0), "s must be in (0,1), got 0.0"),
     (expected_log_binomial_bounds, (10, 1), "s must be in (0,1), got 1.0"),
-    (poisson_expectation, (F(-1, 3), _weights), f"Poisson mean must be >= 0, got -{THIRD}"),
     (poisson_entropy_oracle, (F(-1, 3),), f"lam must be >= 0, got -{THIRD}"),
     (expected_log_poisson, (0,), "s must be > 0, got 0.0"),
     (expected_log_poisson, (F(-1, 3),), f"s must be > 0, got -{THIRD}"),
@@ -95,7 +89,7 @@ CASES += [(routine, (*lead, n, point), f"n must be a positive integer, got {n!r}
 @pytest.mark.parametrize(
     "routine, args, message",
     CASES,
-    ids=[f"{r.__name__}-{args[-1] if r is not poisson_expectation else args[0]}" for r, args, _ in CASES],
+    ids=[f"{r.__name__}-{args[-1]}" for r, args, _ in CASES],
 )
 def test_domain_message(routine, args, message):
     kwargs = {} if routine is moment_oracle_binomial else {"ctx": CTX}

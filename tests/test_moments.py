@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from entropy_bounds import (
     DEFAULT_CONTEXT,
@@ -14,8 +15,9 @@ from entropy_bounds import (
     moment_oracle_binomial,
     moment_oracle_poisson,
     poisson_central_moment,
-    poisson_expectation,
 )
+from entropy_bounds.oracle import _outward, _poisson_law
+from entropy_bounds.symbolic import _log_factorial_reader, _mp_context, to_mpf
 
 S_SAMPLES = (F(1, 2), F(2), F(7, 3))
 
@@ -39,17 +41,27 @@ class TestPoissonMoments:
 
     @pytest.mark.parametrize("k", range(13))
     @pytest.mark.parametrize("s", S_SAMPLES)
-    def test_matches_series_oracle(self, k, s):
+    def test_matches_oracle(self, k, s):
         value = moment_oracle_poisson(k, s)
         exact = poisson_central_moment(k)(s)
         with mp.workprec(300):
             diff = abs(value - as_mpf(exact))
             assert diff <= mpf("1e-25") * max(1, abs(as_mpf(exact)))
 
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("s", [F(1, 3), F(7, 2), 1000, F(1, 10**9)], ids=str)
+    def test_oracle_is_exact(self, s, bits):
+        # the oracle is mu_k at the point it reads, rounded once
+        ctx = PrecisionContext(bits)
+        point = F(*to_rational(to_mpf(s, ctx.mp)._mpf_))
+        for k in range(25):
+            exact = to_mpf(poisson_central_moment(k)(point), _mp_context(bits))
+            assert moment_oracle_poisson(k, s, ctx)._mpf_ == exact._mpf_, k
+
     def test_oracle_simple_values(self):
         # mean deviation is zero; second moment equals the mean
-        assert abs(moment_oracle_poisson(1, 5)) < mpf("1e-40")
-        assert abs(moment_oracle_poisson(2, 3) - 3) < mpf("1e-40")
+        assert moment_oracle_poisson(1, 5) == 0
+        assert moment_oracle_poisson(2, 3) == 3
 
     def test_oracle_domain(self):
         with pytest.raises(DomainError):
@@ -125,20 +137,16 @@ class TestSizeBiasIdentity:
 
     @pytest.mark.parametrize("lam", [F(1, 2), F(2), F(10)])
     def test_identity(self, lam):
-        ctx = PrecisionContext(bits=256)
-        with mp.workprec(ctx.bits + 64):
-            import mpmath
-
-            def shifted(j):
-                return mpmath.log(j + 2)  # phi(j + 1) = log(j + 2)
-
-            def weighted(j):
-                return j * mpmath.log(j + 1)
-
-            lhs_series, _ = poisson_expectation(lam, shifted, ctx)
-            rhs, _ = poisson_expectation(lam, weighted, ctx)
-            lhs = as_mpf(lam) * lhs_series
-            assert abs(lhs - rhs) <= mpf("1e-25") * max(1, abs(rhs))
+        # both weights are log-concave, as the oracles' walk requires: log(j + 2) is concave,
+        # and so is log(j log(j + 1)) = log j + log log(j + 1)
+        M = PrecisionContext(bits=256).mp
+        lam_m = to_mpf(lam, M)
+        law = _poisson_law(lam_m, M.prec)
+        read, e = _log_factorial_reader(M.prec)
+        shifted = _outward(law, lambda j: (read(j + 2) - read(j + 1), e), M)[0]
+        rhs = _outward(law, lambda j: (j * (read(j + 1) - read(j)), e), M)[0]
+        lhs = lam_m * shifted
+        assert abs(lhs - rhs) <= mpf("1e-25") * max(1, abs(rhs))
 
 
 def test_moment_caches_are_consistent():

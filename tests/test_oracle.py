@@ -7,7 +7,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from entropy_bounds import (
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
-    PrecisionError,
     binomial_entropy_oracle,
     entropy_poisson_large,
     entropy_poisson_small,
@@ -35,17 +33,15 @@ from entropy_bounds import (
 import entropy_bounds.oracle as oracle
 from entropy_bounds.oracle import (
     _binomial_law,
-    _dyadic,
     _outward,
     _tail,
-    poisson_expectation,
 )
 from entropy_bounds.symbolic import (
     _TABLE_BITS,
     _TABLE_CAP,
+    _dyadic,
     _log_factorial_reader,
     _log_factorials,
-    to_mpf,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,17 +67,10 @@ class TestPoissonEntropyOracle:
         # every receipt certifies its tail to 2^-bits, far past any float's range at 2000 bits
         for bits in (64, 256, 1000, 2000):
             ctx = PrecisionContext(bits=bits)
-            M = ctx.mp
             for lam in (F(1, 1000), F(1, 10), 1, 100, 1000):
-                s = to_mpf(lam, M)
-                receipts = [
-                    poisson_entropy_oracle(lam, ctx)[1],
-                    poisson_expectation(s, lambda j: M.log(j + 1), ctx)[1],
-                    poisson_expectation(s, lambda j: (j - s) ** 6, ctx)[1],
-                ]
-                for receipt in receipts:
-                    assert 0 <= receipt.rel_err_bound <= M.ldexp(1, -bits)
-                    assert receipt.terms_used > 0
+                receipt = poisson_entropy_oracle(lam, ctx)[1]
+                assert 0 <= receipt.rel_err_bound <= ctx.mp.ldexp(1, -bits)
+                assert receipt.terms_used > 0
 
     def test_bit_identical_to_fixture(self):
         # (mantissa, exponent) of every value, captured once from a known-good
@@ -111,58 +100,6 @@ class TestPoissonEntropyOracle:
         # the first certified tail comes after 1,733 terms, about 23 sqrt(lam) past the mean
         _, receipt = poisson_entropy_oracle(1000, PrecisionContext(bits=256))
         assert receipt.terms_used < 2000
-
-    def test_rising_weight_ratio_raises(self):
-        # |w_(j+1) / w_j| = 2^(2j + 1) rises without bound, so no tail is certified
-        ctx = PrecisionContext(bits=64)
-        start = time.perf_counter()
-        with pytest.raises(PrecisionError):
-            poisson_expectation(10, lambda j: 2 ** (j * j), ctx)
-        assert time.perf_counter() - start < 1
-
-    def test_rising_weight_ratio_below_the_mean_raises(self):
-        # |w_(j-1) / w_j| = 2^(2001 - 2j) rises as j falls below 1000, while the
-        # constant weight past the mean is harmless
-        ctx = PrecisionContext(bits=64)
-        start = time.perf_counter()
-        with pytest.raises(PrecisionError):
-            poisson_expectation(1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, ctx)
-        assert time.perf_counter() - start < 1
-
-    def test_wide_int_weight(self):
-        # an int weight of 10^5 bits is rounded by integer shifts, not through mpmath's strip
-        # of its trailing zeros, and a constant weight's expectation is that weight
-        start = time.perf_counter()
-        value, _ = poisson_expectation(50, lambda j: 2**100_000, PrecisionContext(bits=128))
-        assert time.perf_counter() - start < 1
-        assert value == 2**100_000
-
-    def test_rising_wide_int_weight_raises_at_once(self):
-        # weights of up to millions of bits; the sixth one read rises
-        start = time.perf_counter()
-        with pytest.raises(PrecisionError):
-            poisson_expectation(1339, lambda j: 2 ** (j * j) if j % 7 else 1, PrecisionContext(128))
-        assert time.perf_counter() - start < 1
-
-    @pytest.mark.parametrize("lam, weight, j", [
-        (10, lambda j: 2 ** (j * j), 8),
-        (1000, lambda j: 2 ** ((1000 - j) ** 2) if j < 1000 else 1, 998),
-    ])
-    def test_rising_weight_ratio_message(self, lam, weight, j):
-        # the first rise the walk meets, below the mean before above it
-        with pytest.raises(PrecisionError) as info:
-            poisson_expectation(lam, weight, PrecisionContext(bits=64))
-        assert str(info.value) == (
-            f"the weight ratio rises beyond the mean {lam} at j = {j}, so no tail can be certified"
-        )
-
-    def test_weights_are_read_from_the_mode_down_then_up(self):
-        # poisson_expectation's check of a caller's weights holds only in this order
-        reads = []
-        poisson_expectation(500, lambda j: reads.append(j) or (j - 500) ** 2, PrecisionContext(64))
-        low, high = min(reads), max(reads)
-        assert 0 < low < 400 and high > 600
-        assert reads == [500, *range(499, low - 1, -1), *range(501, high + 1)]
 
     def test_contained_in_small_mean_interval(self):
         value, _ = poisson_entropy_oracle(1)

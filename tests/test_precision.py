@@ -27,7 +27,6 @@ from entropy_bounds import (
     entropy_poisson_ct,
     entropy_poisson_large,
     entropy_poisson_small,
-    eval_at,
     expected_log_binomial,
     expected_log_binomial_bounds,
     expected_log_poisson,
@@ -35,7 +34,6 @@ from entropy_bounds import (
     moment_oracle_poisson,
     poisson_central_moment,
     poisson_entropy_oracle,
-    poisson_expectation,
     relative_entropy_bounds,
     relative_entropy_exact,
     relative_entropy_oracle,
@@ -45,7 +43,7 @@ from golden_data import loglaurent
 
 CTX = PrecisionContext(bits=128)
 
-# every public bound, oracle, coefficient function and eval_at, with
+# every public bound, oracle and coefficient function, and a LaurentPoly called at an mpf, with
 # arguments that reach each branch that returns a value
 CALLS = {
     "entropy_poisson_small": (entropy_poisson_small, F(3, 10), 3),
@@ -61,8 +59,6 @@ CALLS = {
     "expected_log_binomial_bounds": (expected_log_binomial_bounds, 20, F(1, 2), 2),
     "best_interval": (best_interval, entropy_poisson_large, F(7, 2)),
     "poisson_entropy_oracle": (poisson_entropy_oracle, F(7, 2)),
-    "poisson_expectation": (poisson_expectation, F(7, 2), lambda j: j),
-    "poisson_expectation_zero": (poisson_expectation, 0, lambda j: j),
     "binomial_entropy_oracle": (binomial_entropy_oracle, 30, F(3, 10)),
     "relative_entropy_oracle": (relative_entropy_oracle, 30, F(3, 10)),
     "relative_entropy_oracle_p1": (relative_entropy_oracle, 30, 1),
@@ -72,7 +68,8 @@ CALLS = {
     "moment_oracle_poisson": (moment_oracle_poisson, 4, F(7, 2)),
     "c_coeff": (c_coeff, 7),
     "c_tilde_coeff": (c_tilde_coeff, 40, 7),
-    "eval_at_laurentpoly": (eval_at, poisson_central_moment(6), F(7, 2)),
+    "laurentpoly_call": (lambda poly, x, ctx: ctx.round(poly(symbolic.to_mpf(x, ctx.mp))),
+                         poisson_central_moment(6), F(7, 2)),
 }
 
 

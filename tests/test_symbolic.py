@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from math import prod
 
@@ -17,7 +18,6 @@ from entropy_bounds import (
     LaurentPoly,
     NonIntegrableTailError,
     PrecisionContext,
-    eval_at,
     integrate_tail,
     integrate_to_one,
     rational_str,
@@ -337,7 +337,7 @@ class TestTailIntegration:
     @pytest.mark.parametrize("x0", [F(1, 2), F(2), F(7, 3)])
     def test_matches_quadrature(self, x0):
         f = LaurentPoly({-2: F(3, 7), -4: -2, -5: F(1, 3)})
-        symbolic = eval_at(integrate_tail(f), x0, PrecisionContext(bits=128))
+        symbolic = integrate_tail(f)(to_mpf(x0, _mp_context(128)))
         with mp.workprec(128):
             quad = mpmath.quad(lambda s: f(s), [mpf(x0.numerator) / x0.denominator, mpmath.inf])
             assert abs(symbolic - quad) < mpf(10) ** -20
@@ -459,6 +459,16 @@ class TestContextAndInterval:
             for y in (x, tie, x >> 50 << 50):
                 y = rng.choice((y, -y))
                 assert to_mpf(y, M)._mpf_ == M.mpf(y)._mpf_, y
+
+    def test_wide_int_is_fast(self):
+        # an int of 10^5 bits is rounded by integer shifts, not through mpmath's strip of its
+        # trailing zeros, which takes tens of ms per call: fifty calls stay well under 1 s
+        M = _mp_context(128)
+        start = time.perf_counter()
+        for _ in range(50):
+            value = to_mpf(2**100_000, M)
+        assert time.perf_counter() - start < 1
+        assert value._mpf_ == (0, 1, 100_000, 1)
 
 
 class TestLogLadder:

@@ -34,6 +34,7 @@ import entropy_bounds.oracle as oracle
 from entropy_bounds.oracle import (
     _binomial_law,
     _outward,
+    _poisson_law,
     _tail,
 )
 from entropy_bounds.symbolic import (
@@ -100,6 +101,17 @@ class TestPoissonEntropyOracle:
         # the first certified tail comes after 1,733 terms, about 23 sqrt(lam) past the mean
         _, receipt = poisson_entropy_oracle(1000, PrecisionContext(bits=256))
         assert receipt.terms_used < 2000
+
+    def test_weights_are_read_from_the_mode_down_then_up(self):
+        # _outward reads each weight once, in the order its docstring gives
+        M = PrecisionContext(64).mp
+        read, e = _log_factorial_reader(M.prec)
+        reads = []
+        _outward(_poisson_law(M.mpf(500), M.prec),
+                 lambda j: reads.append(j) or (read(j + 1) - read(j), e), M)
+        low, high = min(reads), max(reads)
+        assert 0 < low < 400 and high > 600
+        assert reads == [500, *range(499, low - 1, -1), *range(501, high + 1)]
 
     def test_contained_in_small_mean_interval(self):
         value, _ = poisson_entropy_oracle(1)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul
 from typing import Callable
@@ -52,12 +53,12 @@ from .symbolic import (
     _check_n,
     _check_order,
     _dyadic,
+    _form,
     _log_factorial_reader,
     _logs,
     _mp_context,
     _point,
     _round64,
-    compiled,
     evaluate,
 )
 
@@ -106,12 +107,17 @@ def _check_m(m) -> None:
         _check_order(m)
 
 
-def _box(series: LaurentPoly) -> tuple:
-    """(k, ((lo_i, hi_i), ...)) for ``series``: 2^k > sum |c| over its coefficients, and lo_i and
-    hi_i the least and greatest exponent of its variable x_i."""
+@lru_cache(maxsize=144)  # six sets (README) at orders 1..6, four precisions
+def _compiled(M, derive, *args) -> tuple:
+    """(series, gap, box) for the exact pair (series, gap) = ``derive(*args)``: each as its form
+    (:func:`symbolic._form`) in the context ``M``, whose precision no code may change, and box =
+    (k, ((lo_i, hi_i), ...)) with 2^k > sum |c| over the series' coefficients, and lo_i and hi_i
+    the least and greatest exponent of its variable x_i."""
+    series, gap = derive(*args)
     terms = series._terms
-    return (int(sum(map(abs, terms.values()))).bit_length(),
-            tuple((min(es), max(es)) for es in zip(*terms)))
+    box = (int(sum(map(abs, terms.values()))).bit_length(),
+           tuple((min(es), max(es)) for es in zip(*terms)))
+    return _form(series, M), _form(gap, M), box
 
 
 def _top(x) -> int:
@@ -121,7 +127,7 @@ def _top(x) -> int:
 
 
 def _beyond(boxes, tops: list[int]) -> int:
-    """An integer beta with sum |c x^e| < 2^beta for the series of each :func:`_box` of ``boxes``,
+    """An integer beta with sum |c x^e| < 2^beta for the series of each box of ``boxes``,
     at a point whose coordinates x_i have :func:`_top` tops[i] and are nonzero where a lo_i is
     negative: |x_i|^e is below 2^(e tops[i]) for e > 0, and at most 2^(e (tops[i] - 1)) for
     e <= 0, a bound convex in e, so over lo_i <= e <= hi_i largest at lo_i or hi_i; and
@@ -136,8 +142,8 @@ def _beyond(boxes, tops: list[int]) -> int:
 
 def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends,
               heads: tuple = ()) -> BoundReport:
-    """The order-m report of a sandwich, m an order or "auto": ``compiled(ctx.mp, *key, k)`` is
-    the compiled (series, gap) of order k and the series' :func:`_box`, evaluated at ``point``,
+    """The order-m report of a sandwich, m an order or "auto": ``_compiled(ctx.mp, *key, k)`` is
+    the compiled (series, gap) of order k and the series' box, evaluated at ``point``,
     and ``ends(s, v)`` the ends (lower, upper) in ``ctx.mp`` for series value s and gap value v,
     one end formed from the other and v.  ``heads`` are the other terms of the first end, mpfs
     whose moduli sum to ``head``.
@@ -175,10 +181,10 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     """
     M, bits = ctx.mp, ctx.bits
     if m != "auto":
-        series, gap, _ = compiled(M, *key, m)
+        series, gap, _ = _compiled(M, *key, m)
         v, s = evaluate((gap, series), M, *point)
         return _report(*ends(s, v), m, method, ctx)
-    sets = [compiled(M, *key, k) for k in AUTO_ORDERS]
+    sets = [_compiled(M, *key, k) for k in AUTO_ORDERS]
     picked: list[int] = []
     # evaluate reads its forms one at a time, so the series of the orders picked from the gaps
     # follow them in the same call, on the same power ladders
@@ -214,8 +220,7 @@ def _sandwich_forms(derive, m: int) -> tuple:
     """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k (:func:`_over_n`) of the set
     ``derive(m)``, ``derive`` being part of the cache key; n is lam for the Poisson law."""
     cs = derive(m)
-    series = _over_n(cs.b)
-    return series, _over_n(cs.a), _box(series)
+    return _over_n(cs.b), _over_n(cs.a)
 
 
 def _small_forms(c, bits: int, m: int) -> tuple:
@@ -226,22 +231,14 @@ def _small_forms(c, bits: int, m: int) -> tuple:
     ctx = PrecisionContext(bits)
     *terms, (e, c_next) = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
                            for k in range(2, 2 * m + 2)]
-    series = LaurentPoly._of(dict(terms))
-    return series, LaurentPoly._of({e: -c_next}), _box(series)
-
-
-def _expected_log_forms(derive, law: str, m: int) -> tuple:
-    """The series and gap ``derive(law, m)`` of the expected-log sandwich, ``derive`` being part
-    of the cache key."""
-    series, gap = derive(law, m)
-    return series, gap, _box(series)
+    return LaurentPoly._of(dict(terms)), LaurentPoly._of({e: -c_next})
 
 
 def _relative_entropy_sum(n: int, p, M) -> tuple:
     """(point, t, key) for D(n, p) + D(n, q) at u = pq, once n and p are checked: the order-k
     sandwiches at p and at q summed (:func:`coefficients._symmetric_coeffs`).  D(n, p) + D(n, q)
     lies in [l, l + g] with l = s - t, t = (1 + log u)/2, and s and g the series and gap of
-    ``compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
+    ``_compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
     sum_i a~_sym(k, i; u) n^-i."""
     _check_n(n)
     p_m = _point(p, M, "p", "in (0,1)")
@@ -420,9 +417,8 @@ def expected_log_poisson_bounds(
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
     head = M.log(s_m)
-    return _sandwich(ctx, "expected-log-poisson", m,
-                     (_expected_log_forms, coefficients.expected_log_series, "poisson"), (s_m,),
-                     _lower_anchored(head), (head,))
+    return _sandwich(ctx, "expected-log-poisson", m, (coefficients.expected_log_series, "poisson"),
+                     (s_m,), _lower_anchored(head), (head,))
 
 
 def expected_log_binomial_bounds(
@@ -436,8 +432,8 @@ def expected_log_binomial_bounds(
     s_m = _point(s, M, "s", "in (0,1)")
     head = M.log(n * s_m)
     return _sandwich(ctx, "expected-log-binomial", m,
-                     (_expected_log_forms, coefficients.expected_log_series, "binomial"),
-                     (M.mpf(n), s_m), _lower_anchored(head), (head,))
+                     (coefficients.expected_log_series, "binomial"), (M.mpf(n), s_m),
+                     _lower_anchored(head), (head,))
 
 
 def best_interval(

@@ -92,27 +92,27 @@ class _Law(NamedTuple):
     pmf: mpf  # pmf(mode), within 2^-(prec + 36) at the working precision prec
 
 
-def _poisson_law(lam: mpf, prec: int) -> _Law:
-    """Poisson(lam) for lam > 0, at working precision ``prec``."""
+def _poisson_law(lam: mpf, prec: int, read: Callable[[int], int], unit: int) -> _Law:
+    """Poisson(lam) for lam > 0, at working precision ``prec``, log mode! read by the caller's
+    reader (read, unit) at ``prec``."""
     _, man, exp, _ = lam._mpf_
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     mode = num // den
     # log pmf(mode) = mode log lam - lam - log mode!, within 2^-(prec + 40)
     H = _mp_context(_round64(prec + _GUARD + 8 + 2 * mode.bit_length()))
-    read, unit = _log_factorial_reader(prec)
     pmf = H.exp(mode * H.log(lam) - lam - H.make_mpf(from_man_exp(read(mode), unit)))
     # pmf(j - 1) / pmf(j) = j / lam and pmf(j + 1) / pmf(j) = lam / (j + 1), lam = num / den
     return _Law(mode, None, Fraction(num, den), (0, den, num, 0), (num, 0, den, den), pmf)
 
 
-def _binomial_law(n: int, p: mpf, prec: int) -> _Law:
-    """Binomial(n, p) for 0 < p < 1, at working precision ``prec``."""
+def _binomial_law(n: int, p: mpf, prec: int, read: Callable[[int], int], unit: int) -> _Law:
+    """Binomial(n, p) for 0 < p < 1, at working precision ``prec``, its log factorials read by
+    the caller's reader (read, unit) at ``prec``."""
     _, a, exp, _ = p._mpf_
     E = -exp
     b = (1 << E) - a  # p = a / 2^E and q = b / 2^E exactly
     mode = (n + 1) * a >> E
     H = _mp_context(_round64(prec + _GUARD + 8 + 2 * n.bit_length() + E.bit_length()))
-    read, unit = _log_factorial_reader(prec)
     q = H.make_mpf(from_man_exp(b, exp))
     pmf = H.exp(
         H.make_mpf(from_man_exp(read(n) - read(mode) - read(n - mode), unit))
@@ -257,7 +257,7 @@ def poisson_entropy_oracle(
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
     W = PrecisionContext(M.prec).mp
     log_fact, exp = _log_factorial_reader(W.prec)
-    law = _poisson_law(lam_m, W.prec)
+    law = _poisson_law(lam_m, W.prec, log_fact, exp)
     series, terms, tail, mass = _outward(law, lambda j: (log_fact(j), exp), W)
     value = lam_m - lam_m * M.log(lam_m) + M.mpf(series)
     # entropy is strictly positive for lam > 0, so this is a true rel err
@@ -271,7 +271,7 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
     log_fact, exp = _log_factorial_reader(M.prec)
-    law = _poisson_law(s_m, M.prec)
+    law = _poisson_law(s_m, M.prec, log_fact, exp)
     return ctx.round(_outward(law, lambda j: (log_fact(j + 1) - log_fact(j), exp), M)[0])
 
 
@@ -300,7 +300,7 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         return mpf(0)
     log_fact, exp = _log_factorial_reader(M.prec)
     log_n = log_fact(n)
-    law = _binomial_law(n, p_m, M.prec)
+    law = _binomial_law(n, p_m, M.prec, log_fact, exp)
     series = _outward(law, lambda k: (log_n - log_fact(k) - log_fact(n - k), exp), M)[0]
     q_m = M.fsub(1, p_m, exact=True)
     return ctx.round(-n * (p_m * M.log(p_m) + q_m * M.log(q_m)) - series)
@@ -332,7 +332,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     base = W.fsub(n * H.fadd(p_m, q * H.log(q)), W.fmul(n, p_m, exact=True) * W.log(n))
     log_fact, exp = _log_factorial_reader(W.prec)
     log_n = log_fact(n)
-    law = _binomial_law(n, p_m, W.prec)
+    law = _binomial_law(n, p_m, W.prec, log_fact, exp)
     series = _outward(law, lambda k: (log_n - log_fact(n - k), exp), W)[0]
     return ctx.round(W.fadd(base, series))
 
@@ -351,7 +351,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     lost = (2 * n * n.bit_length()).bit_length() + 1 - M.mag(M.fsub(1, s_m, exact=True))
     W = M if lost <= 32 else _mp_context(_round64(M.prec + lost - 32))
     log_fact, exp = _log_factorial_reader(W.prec)
-    law = _binomial_law(n - 1, s_m, W.prec)
+    law = _binomial_law(n - 1, s_m, W.prec, log_fact, exp)
     series = _outward(law, lambda k: (log_fact(k + 1) - log_fact(k), exp), W)[0]
     return ctx.round(W.fsub(series, W.log(W.fmul(n, s_m))))
 

@@ -407,13 +407,6 @@ def _dyadic(x: mpf) -> tuple[int, int]:
     return -man if sign else man, exp
 
 
-@lru_cache(maxsize=144)  # the bounds' six cached sets (README) at orders 1..6, four precisions
-def compiled(M: mpmath.MPContext, derive, *args) -> tuple:
-    """``derive(*args)`` with each LaurentPoly in it as its form (:func:`_form`), built once per
-    context ``M``, whose precision no code may change (as with :func:`_mp_context`)."""
-    return tuple(_form(x, M) if isinstance(x, LaurentPoly) else x for x in derive(*args))
-
-
 def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, int]:
     """Extend the ladder of coordinate i in ``powers`` from its top rung to key = (i, k), and
     return x_i^k as (man, exp): x^1 is exact, x^-1 is one integer division, and each further

@@ -568,7 +568,7 @@ class TestAutoOrder:
 
     def test_box_bounds_the_series(self):
         # exactly, sum |c x^e| < 2^_beyond([box], tops) for each of the six cached sets, the box
-        # passed through compiled as it is, at points with lam = 0 and with negative logs
+        # as _compiled derives it, at points with lam = 0 and with negative logs
         ctx = PrecisionContext(128)
         poisson = [(F(1, 100),), (F(1),), (F(10**4),)]
         sets = [
@@ -579,14 +579,14 @@ class TestAutoOrder:
              [(F(7, 10), F(-357, 1000), F(1000)), (F(999999, 10**6), F(-1, 10**6), F(3))]),
             ((bounds._sandwich_forms, coefficients._symmetric_coeffs),
              [(F(21, 100), F(-156, 100), F(1000)), (F(1, 101), F(-462, 100), F(3))]),
-            ((bounds._expected_log_forms, coefficients.expected_log_series, "poisson"), poisson),
-            ((bounds._expected_log_forms, coefficients.expected_log_series, "binomial"),
+            ((coefficients.expected_log_series, "poisson"), poisson),
+            ((coefficients.expected_log_series, "binomial"),
              [(F(1000), F(3, 10)), (F(3), F(1, 100))]),
         ]
         for key, points in sets:
             for m in AUTO_ORDERS:
-                series, _, box = key[0](*key[1:], m)
-                assert symbolic.compiled(ctx.mp, *key, m)[2] == box
+                box = bounds._compiled(ctx.mp, *key, m)[2]
+                series = key[0](*key[1:], m)[0]
                 for x in points:
                     absolute = sum(abs(c) * math.prod(abs(xi) ** e for xi, e in zip(x, es))
                                    for es, c in series._terms.items())
@@ -604,15 +604,17 @@ class TestAutoOrder:
 
 def test_only_the_sandwich_driver_reports_and_evaluates():
     # every bound reaches its forms' values and its BoundReport through _sandwich alone, so a
-    # change to rounding or reporting is one edit there
-    callers = {"_report": set(), "evaluate": set()}
+    # change to rounding or reporting is one edit there; and its compiled forms through
+    # _compiled alone, the one place that rounds a series or gap into a context
+    callers = {"_report": set(), "evaluate": set(), "_compiled": set(), "_form": set()}
     for top in ast.parse((ROOT / "src" / "entropy_bounds" / "bounds.py").read_text()).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if name in callers:
                     callers[name].add(getattr(top, "name", None))
-    assert callers == {"_report": {"_sandwich"}, "evaluate": {"_sandwich"}}
+    assert callers == {"_report": {"_sandwich"}, "evaluate": {"_sandwich"},
+                       "_compiled": {"_sandwich"}, "_form": {"_compiled"}}
 
 
 class TestBoundValuesPinned:

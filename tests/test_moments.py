@@ -141,8 +141,8 @@ class TestSizeBiasIdentity:
         # and so is log(j log(j + 1)) = log j + log log(j + 1)
         M = PrecisionContext(bits=256).mp
         lam_m = to_mpf(lam, M)
-        law = _poisson_law(lam_m, M.prec)
         read, e = _log_factorial_reader(M.prec)
+        law = _poisson_law(lam_m, M.prec, read, e)
         shifted = _outward(law, lambda j: (read(j + 2) - read(j + 1), e), M)[0]
         rhs = _outward(law, lambda j: (j * (read(j + 1) - read(j)), e), M)[0]
         lhs = lam_m * shifted

@@ -107,7 +107,7 @@ class TestPoissonEntropyOracle:
         M = PrecisionContext(64).mp
         read, e = _log_factorial_reader(M.prec)
         reads = []
-        _outward(_poisson_law(M.mpf(500), M.prec),
+        _outward(_poisson_law(M.mpf(500), M.prec, read, e),
                  lambda j: reads.append(j) or (read(j + 1) - read(j), e), M)
         low, high = min(reads), max(reads)
         assert 0 < low < 400 and high > 600
@@ -412,9 +412,10 @@ class TestExpectedLogOracles:
         """np E[phi(B_{n-1,p} + 1)] = E[B_{n,p} phi(B_{n,p})], phi = log(1+.)."""
         with mp.workprec(320):
             pm = mpf(p)
-            lhs = n * pm * _outward(_binomial_law(n - 1, pm, mp.prec),
+            reader = _log_factorial_reader(mp.prec)
+            lhs = n * pm * _outward(_binomial_law(n - 1, pm, mp.prec, *reader),
                                     lambda k: _dyadic(mpmath.log(k + 2)), mp)[0]
-            rhs = _outward(_binomial_law(n, pm, mp.prec),
+            rhs = _outward(_binomial_law(n, pm, mp.prec, *reader),
                            lambda k: _dyadic(k * mpmath.log(k + 1)), mp)[0]
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(rhs))
 

@@ -38,7 +38,7 @@ from entropy_bounds import (
     relative_entropy_exact,
     relative_entropy_oracle,
 )
-from entropy_bounds import symbolic
+from entropy_bounds import bounds, symbolic
 from golden_data import loglaurent
 
 CTX = PrecisionContext(bits=128)
@@ -76,7 +76,7 @@ CALLS = {
 def _cold_call(fn, *args):
     """Call with every numeric cache empty, so nothing is served from a call
     made at another ambient precision."""
-    for cached in (c_coeff, symbolic._log_factorials, symbolic.compiled):
+    for cached in (c_coeff, symbolic._log_factorials, bounds._compiled):
         cached.cache_clear()
     return fn(*args, ctx=CTX)
 
@@ -166,7 +166,7 @@ def _mixed(bits: int) -> list:
 def test_two_threads_share_the_compiled_forms():
     orders = ((64, 256, 64, 256), (256, 64, 256, 64))
     expected = {bits: _mixed(bits) for bits in (64, 256)}
-    symbolic.compiled.cache_clear()  # so that both threads compile the same sets
+    bounds._compiled.cache_clear()  # so that both threads compile the same sets
     results: dict[int, list] = {}
 
     def work(i: int) -> None:
@@ -203,24 +203,24 @@ def _every_set(bits: int) -> list:
 def test_compiled_cache_stays_bounded():
     precisions = range(64, 64 + 40 * 8, 8)
     warm = {bits: _every_set(bits) for bits in precisions}
-    info = symbolic.compiled.cache_info()
+    info = bounds._compiled.cache_info()
     assert info.maxsize is not None
     assert info.currsize == info.maxsize  # 40 x 25 sandwiches overfill it, and it holds at its bound
     for bits in precisions:
-        symbolic.compiled.cache_clear()
+        bounds._compiled.cache_clear()
         assert _every_set(bits) == warm[bits], bits
 
 
 def test_one_off_polynomials_leave_the_compiled_forms_alone():
-    symbolic.compiled.cache_clear()
+    bounds._compiled.cache_clear()
     warm = _every_set(128)
-    before = symbolic.compiled.cache_info()
+    before = bounds._compiled.cache_info()
     x = CTX.mp.mpf(3) / 10
     log_x = CTX.mp.log(x)
     for k in range(1, 101):  # 200 one-off expressions, none of them a bound's set
         LaurentPoly({-1: k, 0: 1})(x)
         loglaurent(F(1, k), {1: k})(x, log_x)
-    after = symbolic.compiled.cache_info()
+    after = bounds._compiled.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert _every_set(128) == warm
-    assert symbolic.compiled.cache_info().misses == before.misses  # every set still warm
+    assert bounds._compiled.cache_info().misses == before.misses  # every set still warm

@@ -83,6 +83,12 @@ class TestLaurentPoly:
         assert f.terms() == ((0, F(1)), (1, F(2)))
         assert f.coeff(1) == 2 and f.coeff(7) == 0
 
+    def test_repr(self):
+        # terms in ascending exponent order, each coefficient as num/den
+        assert repr(LaurentPoly()) == "LaurentPoly(0)"
+        assert (repr(LaurentPoly({(1, 0): F(1, 3), (0, 2): -1}))
+                == "LaurentPoly(-1/1*x^(0, 2) + 1/3*x^(1, 0))")
+
     def test_eval_exact_nonnegative_exponents(self):
         # 3s^2 + s at s = 1 and s = 1/2
         assert LaurentPoly({1: 1, 2: 3})(1) == 4

@@ -6,7 +6,7 @@ analytic.  Each sandwich is a closed-form head, a series with exact dyadic
 coefficients and a gap; a routine checks its inputs, forms its head (logarithms,
 log Gamma) in mpmath arithmetic in ``ctx.mp``, and hands its ``ends`` and the key
 of its compiled forms to :func:`_sandwich`, which all share.  Its series and gap
-are summed in integers, rounded once, by one :func:`symbolic.evaluate` call, and
+are summed in integers, rounded once, by :func:`symbolic.evaluate`'s evaluator at the point, and
 each end is rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such
 form: it is one fixed-point sum over the binomial tails near the mean, rounded once.
 
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from typing import Callable
 
@@ -148,16 +148,15 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     one end formed from the other and v.  ``heads`` are the other terms of the first end, mpfs
     whose moduli sum to ``head``.
 
-    A fixed m is the one candidate: its gap and then its series are one :func:`evaluate` call,
-    and it is reported with no slack computed, so ``heads`` goes unread.  Its gap form being read
-    first moves no bit, as each power ladder runs from x^+-1 in the same rungs whatever the order
-    of the powers asked for.
+    One evaluator (:func:`evaluate`) at ``point`` values every form asked for, on the same power
+    ladders.  A fixed m is the one candidate: it is asked for its gap and then its series, and
+    reported with no slack computed, so ``heads`` goes unread.
 
     For m = "auto" it is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest
     order winning ties: what a scan of the six reports returns, bit for bit, including a crossing
-    order's :class:`PrecisionError`.  The six gap forms are one :func:`evaluate` call, whose power
-    ladders then serve the series of the candidate orders, reported in ascending order: every
-    order whose gap value is negative, and every order k with
+    order's :class:`PrecisionError`.  It is asked for the six gaps, and then for the series of
+    the candidate orders, reported in ascending order: every order whose gap value is negative,
+    and every order k with
 
         g_k <= max(g_j, 0) + 2^(t + 6 - b),
 
@@ -180,25 +179,21 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     x_k > Gamma >= G_j: strictly wider than order j.
     """
     M, bits = ctx.mp, ctx.bits
+    value = evaluate(M, *point)
     if m != "auto":
         series, gap, _ = _compiled(M, *key, m)
-        v, s = evaluate((gap, series), M, *point)
-        return _report(*ends(s, v), m, method, ctx)
+        v = value(gap)
+        return _report(*ends(value(series), v), m, method, ctx)
     sets = [_compiled(M, *key, k) for k in AUTO_ORDERS]
-    picked: list[int] = []
-    # evaluate reads its forms one at a time, so the series of the orders picked from the gaps
-    # follow them in the same call, on the same power ladders
-    values = evaluate(chain((f[1] for f in sets), (sets[k][0] for k in picked)), M, *point)
-    gaps = [next(values) for _ in sets]
+    gaps = [value(gap) for _, gap, _ in sets]
     tops = [_top(x._mpf_) for x in point]
     t = max(_top(sum(map(abs, heads))._mpf_), *(_top(g._mpf_) for g in gaps),
             _beyond([f[2] for f in sets], tops))
     least = min(gaps)._mpf_
     # a negative gap lies below the slack too
     slack = mpf_add(least if least[0] == 0 else fzero, from_man_exp(1, t + 6 - bits), M.prec)
-    picked += [k for k, g in enumerate(gaps) if mpf_le(g._mpf_, slack)]
-    reports = [_report(*ends(s, gaps[k]), AUTO_ORDERS[k], method, ctx)
-               for k, s in zip(picked, values)]
+    reports = [_report(*ends(value(series), g), k, method, ctx)
+               for k, (series, _, _), g in zip(AUTO_ORDERS, sets, gaps) if mpf_le(g._mpf_, slack)]
     return min(reports, key=lambda r: r.gap)
 
 
@@ -445,7 +440,7 @@ def best_interval(
     the least rounded gap, the lowest order winning ties.
 
     The intervals need not be nested in m, so minimal width is the honest aggregate.
-    :func:`_sandwich`, through which every bound reports, evaluates the six gaps in one call and
+    :func:`_sandwich`, through which every bound reports, evaluates the six gaps first and
     reports only the orders within a proven rounding slack of the least gap, so it returns what
     reporting all six and keeping the narrowest would, bit for bit.
     """

@@ -128,32 +128,22 @@ def _exact_json(value):
     return rational_str(value)
 
 
-def coeffs_to_json(kind: str, m: int | None, kmax: int | None, ctx: PrecisionContext) -> dict:
-    # looked up at each call, as in _TARGETS below
-    derive = {"poisson": coefficients.poisson_coeffs, "binomial": coefficients.binomial_coeffs}
-    if kind in derive:
-        cs = derive[kind](m)
-        return {"kind": kind, "m": m, **{
+def _cmd_coeffs(args) -> int:
+    ctx, kind = _context(args), args.kind
+    if kind == "small-lambda":
+        if args.kmax is None or args.kmax < 2:
+            raise UsageError("--kmax >= 2 is required for kind small-lambda")
+        payload = {"kind": kind, "kmax": args.kmax, "bits": ctx.bits, "c": {
+            str(k): _fmt(coefficients.c_coeff(k, ctx), ctx.bits) for k in range(2, args.kmax + 1)}}
+    else:
+        if args.m is None or args.m < 1:
+            raise UsageError(f"--m >= 1 is required for kind {kind}")
+        # looked up at each call, as in _TARGETS below
+        derive = {"poisson": coefficients.poisson_coeffs, "binomial": coefficients.binomial_coeffs}
+        cs = derive[kind](args.m)
+        payload = {"kind": kind, "m": args.m, **{
             key: {str(k): _exact_json(v) for k, v in sorted(values.items())}
             for key, values in (("a", cs.a), ("b", cs.b))}}
-    if kind == "small-lambda":
-        return {
-            "kind": kind,
-            "kmax": kmax,
-            "bits": ctx.bits,
-            "c": {str(k): _fmt(coefficients.c_coeff(k, ctx), ctx.bits) for k in range(2, kmax + 1)},
-        }
-    raise UsageError(f"unknown coefficient kind {kind!r}")
-
-
-def _cmd_coeffs(args) -> int:
-    ctx = _context(args)
-    if args.kind in ("poisson", "binomial"):
-        if args.m is None or args.m < 1:
-            raise UsageError(f"--m >= 1 is required for kind {args.kind}")
-    elif args.kmax is None or args.kmax < 2:
-        raise UsageError("--kmax >= 2 is required for kind small-lambda")
-    payload = coeffs_to_json(args.kind, args.m, args.kmax, ctx)
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -367,7 +367,7 @@ class LaurentPoly:
                         for e, c in self._terms.items()), Fraction(0))
         M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
-        return next(evaluate((_form(self, M),), M, *(to_mpf(x, M) for x in point)))
+        return evaluate(M, *(to_mpf(x, M) for x in point))(_form(self, M))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -428,24 +428,23 @@ def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, i
     return man, exp
 
 
-def evaluate(forms, M: mpmath.MPContext, *point):
-    """Yield each form's value at ``point``, one mpf of ``M`` per coordinate.  With P =
-    ``M.prec``, each coordinate's powers come from one ladder per call (:func:`_climb`) at
-    wide = P + 40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a
-    truncation of at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any |k| < 2^64.
-    Each term is an exact integer product truncated to one shared exponent P + 64 bits below
-    the largest term, and their exact sum is rounded once to P bits.  So for up to 2^30 terms,
-    K being the largest sum of |k| in one term, v lies within |v| 2^-P + (1.5K 2^(1-wide) +
-    2^-(P+32)) sum |c' x^e| of the exact sum of c' x^e, c' the form's coefficients.  For K <=
-    255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c' is within |c| 2^-P of c,
-    so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.  Exact terms with no bit
-    below the shared exponent that cancel give exact zero.
-
-    ``forms`` is read one form at a time, as each value is asked for, so a caller may choose the
-    later forms from the earlier values and have them share the ladders."""
+def evaluate(M: mpmath.MPContext, *point) -> Callable[[tuple], mpf]:
+    """The evaluator at ``point``, one mpf of ``M`` per coordinate: a function that returns the
+    value of each form it is given, on power ladders shared by every form it is asked for.  With
+    P = ``M.prec``, each coordinate's powers come from one ladder (:func:`_climb`) at wide = P +
+    40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a truncation of
+    at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any |k| < 2^64, whatever order
+    the rungs are asked for in.  Each term is an exact integer product truncated to one shared
+    exponent P + 64 bits below the largest term, and their exact sum is rounded once to P bits.
+    So for up to 2^30 terms, K being the largest sum of |k| in one term, v lies within |v| 2^-P
+    + (1.5K 2^(1-wide) + 2^-(P+32)) sum |c' x^e| of the exact sum of c' x^e, c' the form's
+    coefficients.  For K <= 255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c'
+    is within |c| 2^-P of c, so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.
+    Exact terms with no bit below the shared exponent that cancel give exact zero."""
     prec, make = M.prec, M.make_mpf
     wide, powers = prec + 40, {}
-    for form in forms:
+
+    def value(form: tuple) -> mpf:
         terms = []
         for keys, man, exp in form:
             for key in keys:
@@ -455,7 +454,9 @@ def evaluate(forms, M: mpmath.MPContext, *point):
         base = max((e + m.bit_length() for m, e in terms if m), default=0) - prec - 64
         total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)
         sign, total = (1, -total) if total < 0 else (0, total)
-        yield make(normalize(sign, total, base, total.bit_length(), prec, round_nearest))
+        return make(normalize(sign, total, base, total.bit_length(), prec, round_nearest))
+
+    return value
 
 
 def integrate_tail(f: LaurentPoly) -> LaurentPoly:

@@ -325,9 +325,12 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("entropy-bounds: error:")
 
-    def test_unknown_coefficient_kind(self):
-        with pytest.raises(cli.UsageError, match="bogus"):
-            cli.coeffs_to_json("bogus", 2, None, DEFAULT_CONTEXT)
+    def test_unknown_coefficient_kind_exits_2(self, capsys):
+        # argparse's choices refuse the kind before any handler runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coeffs", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_bounds_help_names_every_method(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, so no name is split at a hyphen

@@ -26,8 +26,7 @@ from entropy_bounds import (
     poisson_coeffs,
     stirling_m1_constants,
 )
-from entropy_bounds import coefficients
-from entropy_bounds.cli import coeffs_to_json
+from entropy_bounds import cli, coefficients
 from entropy_bounds.coefficients import _symmetric_coeffs, _symmetrize_pq
 from golden_data import (
     BINOMIAL_A,
@@ -184,10 +183,11 @@ COEFF_SETS = json.loads((ROOT / "tests" / "fixtures" / "coeff_sets.json").read_t
 
 @pytest.mark.parametrize("kind", ["poisson", "binomial"])
 @pytest.mark.parametrize("m", range(1, 11))
-def test_coefficient_set_matches_fixture(kind, m):
+def test_coefficient_set_matches_fixture(capsys, kind, m):
     """Orders 1..10, beyond the published tables, exactly as
-    `coeffs --kind KIND --m M` exports them."""
-    assert coeffs_to_json(kind, m, None, DEFAULT_CONTEXT) == COEFF_SETS[kind][str(m)]
+    `coeffs KIND --m M` exports them."""
+    assert cli.main(["coeffs", kind, "--m", str(m)]) == 0
+    assert json.loads(capsys.readouterr().out) == COEFF_SETS[kind][str(m)]
 
 
 @pytest.mark.parametrize("b, a, message", [

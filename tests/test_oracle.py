@@ -13,6 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from conftest import child_env
 from entropy_bounds import (
@@ -262,6 +263,16 @@ def pmf_ratio(law, j, d):
     n, p = law.last, law.mean / law.last
     a, b = p.numerator, p.denominator - p.numerator  # p / q = a / b
     return ((n - j) * a, (j + 1) * b) if d > 0 else (j * b, (n - j + 1) * a)
+
+
+class TestTail:
+    def test_no_bound_unless_the_ratio_falls(self):
+        # terms 4 then 5 or 4 do not fall, so no tail is certified; 4 then 1 bound the rest
+        # by 4^2 / (4 - 1), rounded up at 64 bits
+        assert _tail((4, 0), (5, 0), 1 << 40, -10, 8) is None
+        assert _tail((4, 0), (4, 0), 1 << 40, -10, 8) is None
+        bound = F(*to_rational(_tail((4, 0), (1, 0), 1 << 40, -10, 8)))
+        assert F(16, 3) <= bound < F(16, 3) * (1 + F(1, 2**62))
 
 
 class TestTailRequirement:

@@ -26,6 +26,7 @@ from entropy_bounds.symbolic import (
     _TABLE_BITS,
     _TABLE_CAP,
     _climb,
+    _dyadic,
     _form,
     _log_factorials,
     _mp_context,
@@ -82,6 +83,13 @@ class TestLaurentPoly:
         assert f == g and hash(f) == hash(g)
         assert f.terms() == ((0, F(1)), (1, F(2)))
         assert f.coeff(1) == 2 and f.coeff(7) == 0
+
+    def test_immutable(self):
+        f = LaurentPoly({1: 1})
+        for name in ("_terms", "other"):
+            with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+                setattr(f, name, {})
+        assert f == LaurentPoly({1: 1})
 
     def test_repr(self):
         # terms in ascending exponent order, each coefficient as num/den
@@ -260,11 +268,16 @@ class TestEvaluate:
         M = PrecisionContext(bits).mp
         terms, point = data.draw(ladder_forms_and_points(M.prec))
         form = _form(LaurentPoly(terms), M)
-        got = next(evaluate((form,), M, *(to_mpf(x, M) for x in point)))
+        got = evaluate(M, *(to_mpf(x, M) for x in point))(form)
         compiled = [F(man) * F(2) ** exp * prod(point[i] ** k for i, k in keys)
                     for keys, man, exp in form]
         v = exact_value(got)
         assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + sum(map(abs, compiled)) / 2 ** (M.prec + 30)
+
+    @pytest.mark.parametrize("x", ["+inf", "-inf", "nan"])
+    def test_dyadic_refuses_a_non_finite_number(self, x):
+        with pytest.raises(ValueError, match="not a finite number"):
+            _dyadic(mpf(x))
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2019)
@@ -280,7 +293,7 @@ class TestEvaluate:
         forms = data.draw(st.permutations(
             [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M))) for pair in pairs]))
         wide = M.prec + 40
-        for form, got in zip(forms, evaluate(forms, M, to_mpf(x, M)), strict=True):
+        for form, got in zip(forms, map(evaluate(M, to_mpf(x, M)), forms), strict=True):
             ks = [sum(k for _, k in keys) for keys, _, _ in form]
             compiled = [F(man) * F(2) ** exp * x**k for k, (_, man, exp) in zip(ks, form)]
             rel = F(3 * max(map(abs, ks)), 2) * F(2) ** (1 - wide) + F(1, 2 ** (M.prec + 32))

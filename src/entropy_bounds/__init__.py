@@ -8,7 +8,6 @@ oracles to validate them.
 from .symbolic import (
     DEFAULT_CONTEXT,
     DomainError,
-    Interval,
     LaurentPoly,
     LogLaurent,
     NonIntegrableTailError,
@@ -59,7 +58,6 @@ __all__ = [
     "CoeffSet",
     "DEFAULT_CONTEXT",
     "DomainError",
-    "Interval",
     "LaurentPoly",
     "LogLaurent",
     "NonIntegrableTailError",

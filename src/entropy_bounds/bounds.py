@@ -1,6 +1,6 @@
 """Certified two-sided bounds, one public routine per inequality.
 
-Every routine returns a :class:`BoundReport` whose interval is guaranteed by
+Every routine returns a :class:`BoundReport` whose ends are guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
 analytic.  Each sandwich is a closed-form head, a series with exact dyadic
 coefficients and a gap; a routine checks its inputs, forms its head (logarithms,
@@ -46,7 +46,6 @@ from mpmath.libmp import (
 from . import coefficients
 from .symbolic import (
     DEFAULT_CONTEXT,
-    Interval,
     LaurentPoly,
     PrecisionContext,
     PrecisionError,
@@ -69,21 +68,21 @@ AUTO_ORDERS = range(1, 7)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified sandwich at order m, with its width and midpoint."""
+    """A certified sandwich at order m, lower <= quantity <= upper, with its width and midpoint."""
 
-    interval: Interval
+    lower: mpf
+    upper: mpf
     midpoint: mpf
     gap: mpf
     m: int
     method: str
 
-    @property
-    def lower(self) -> mpf:
-        return self.interval.lower
+    def __post_init__(self) -> None:
+        if not self.lower <= self.upper:
+            raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
 
-    @property
-    def upper(self) -> mpf:
-        return self.interval.upper
+    def contains(self, x) -> bool:
+        return self.lower <= x <= self.upper
 
 
 def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundReport:
@@ -93,7 +92,8 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
     if mpf_lt(hi, lo):
         raise PrecisionError(f"the ends of the order-{m} {method} bound cross at {bits} bits")
     return BoundReport(
-        interval=Interval(mp.make_mpf(lo), mp.make_mpf(hi)),
+        lower=mp.make_mpf(lo),
+        upper=mp.make_mpf(hi),
         midpoint=mp.make_mpf(mpf_shift(mpf_add(lo, hi, bits, round_nearest), -1)),
         gap=mp.make_mpf(mpf_sub(hi, lo, bits, round_nearest)),
         m=m,

@@ -8,8 +8,9 @@ external plotting; it takes the points, and the default points, of the others.
 
 Exit codes: 0 success, 1 verification failure (a sandwich missed its
 oracle, which the theorems rule out for a correct build), 2 error: bad
-flags, a method the target does not offer, or every ``bounds`` point and
-any ``verify`` point outside the domain or with ends that cross at --bits.
+flags, a flag the command or kind does not read, a method the target does
+not offer, or every ``bounds`` point and any ``verify`` point outside the
+domain or with ends that cross at --bits.
 Identical invocations produce byte-identical output; ``--bits`` sets the
 precision, 256 by default.
 """
@@ -130,6 +131,9 @@ def _exact_json(value):
 
 def _cmd_coeffs(args) -> int:
     ctx, kind = _context(args), args.kind
+    unread = "m" if kind == "small-lambda" else "kmax"
+    if getattr(args, unread) is not None:
+        raise UsageError(f"--{unread} is not read by kind {kind}")
     if kind == "small-lambda":
         if args.kmax is None or args.kmax < 2:
             raise UsageError("--kmax >= 2 is required for kind small-lambda")
@@ -190,6 +194,8 @@ def _target(args, ctx: PrecisionContext):
     """(column names, [(point, its printed columns)], oracle, method name, (bound name, takes
     an order m)) for the command line; a target with one bound is its own method name."""
     columns, default, oracle_fn, methods = _TARGETS[args.target]
+    if getattr(args, "n", None) is not None and "n" not in columns[:-1]:  # figure has no --n
+        raise UsageError(f"--n is not read by target {args.target}")
     method = args.method if args.method is not None else next(iter(methods))
     if method not in methods:
         offered = ", ".join(filter(None, methods)) or "none"
@@ -263,7 +269,7 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"{method} is a one-sided bound; verify needs an interval")
         value = oracle_fn(*point, ctx)
         for rep in reps:  # an orderless bound gives one row
-            contained = rep.interval.contains(value)
+            contained = rep.contains(value)
             if not contained:
                 violations += 1
             margin = ctx.round(min(ctx.mp.fsub(value, rep.lower), ctx.mp.fsub(rep.upper, value)))

@@ -244,21 +244,6 @@ def _logs(args, prec: int, ladder: bool) -> tuple[list[int], int]:
     return [to_fixed(mpf_log(from_int(a), frac + 8 + g), frac) for a in args], -frac
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Certified enclosure: lower <= quantity <= upper."""
-
-    lower: mpf
-    upper: mpf
-
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
-
-    def contains(self, x) -> bool:
-        return self.lower <= x <= self.upper
-
-
 def _exponent(e: Exponent) -> tuple[int, ...]:
     """Canonical exponent key: an int names a one-variable exponent."""
     return tuple(int(x) for x in e) if isinstance(e, tuple) else (int(e),)

@@ -129,15 +129,15 @@ def test_criterion_05_sandwich_soundness():
         value = poisson_entropy(lam)
         log_value = expected_log_poisson(lam, ORACLE_CTX)
         for m in range(1, 6):
-            assert entropy_poisson_large(lam, m, CTX).interval.contains(value), (lam, m)
-            assert expected_log_poisson_bounds(lam, m, CTX).interval.contains(log_value), (lam, m)
+            assert entropy_poisson_large(lam, m, CTX).contains(value), (lam, m)
+            assert expected_log_poisson_bounds(lam, m, CTX).contains(log_value), (lam, m)
             checks += 2
 
     for tenth in range(1, 11):
         lam = F(tenth, 10)
         value = poisson_entropy(lam)
         for m in range(1, 9):
-            assert entropy_poisson_small(lam, m, CTX).interval.contains(value), (lam, m)
+            assert entropy_poisson_small(lam, m, CTX).contains(value), (lam, m)
             checks += 1
 
     for n in N_GRID:
@@ -150,12 +150,12 @@ def test_criterion_05_sandwich_soundness():
             M = ORACLE_CTX.mp
             log_value = M.fadd(expected_log_binomial(n, p, ORACLE_CTX), M.log(n * M.mpf(p)))
             for m in range(1, 6):
-                assert relative_entropy_bounds(n, p, m, CTX).interval.contains(d_value), (n, p, m)
-                assert entropy_binomial_bounds(n, p, m, CTX).interval.contains(h_value), (n, p, m)
+                assert relative_entropy_bounds(n, p, m, CTX).contains(d_value), (n, p, m)
+                assert entropy_binomial_bounds(n, p, m, CTX).contains(h_value), (n, p, m)
                 rep = expected_log_binomial_bounds(n, p, m, CTX)
-                assert rep.interval.contains(log_value), (n, p, m)
+                assert rep.contains(log_value), (n, p, m)
                 checks += 3
-            assert entropy_binomial_stirling_m1(n, p, CTX).interval.contains(h_value), (n, p)
+            assert entropy_binomial_stirling_m1(n, p, CTX).contains(h_value), (n, p)
             checks += 1
 
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 gap formulas, limits, and domain handling."""
 
 import ast
+import dataclasses
 import json
 import math
 import random
@@ -63,14 +64,14 @@ class TestSmallMeanPoisson:
 
     def test_contains_oracle(self):
         h1, _ = poisson_entropy_oracle(1)
-        assert entropy_poisson_small(1, m=3).interval.contains(h1)
+        assert entropy_poisson_small(1, m=3).contains(h1)
 
     def test_nested_family_at_half(self):
         value, _ = poisson_entropy_oracle(0.5)
         gaps = []
         for m in range(1, 7):
             rep = entropy_poisson_small(0.5, m)
-            assert rep.interval.contains(value)
+            assert rep.contains(value)
             gaps.append(rep.gap)
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
 
@@ -93,7 +94,7 @@ class TestSmallMeanPoisson:
         bad = entropy_poisson_small(F(1, 2), 2, ctx)
         # c(2) = log 2 doubled lifts both ends by about log(2)/8
         assert bad.lower > good.upper
-        assert not bad.interval.contains(poisson_entropy_oracle(F(1, 2), ctx)[0])
+        assert not bad.contains(poisson_entropy_oracle(F(1, 2), ctx)[0])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -113,7 +114,7 @@ class TestLargeMeanPoisson:
 
     def test_contains_oracle(self):
         value, _ = poisson_entropy_oracle(10)
-        assert entropy_poisson_large(10, m=2).interval.contains(value)
+        assert entropy_poisson_large(10, m=2).contains(value)
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_gap_equals_gap_polynomial(self, m):
@@ -328,7 +329,7 @@ class TestRelativeEntropyExact:
 class TestRelativeEntropyBounds:
     def test_contains_oracle(self):
         value = relative_entropy_oracle(100, 0.2)
-        assert relative_entropy_bounds(100, 0.2, m=2).interval.contains(value)
+        assert relative_entropy_bounds(100, 0.2, m=2).contains(value)
 
     def test_first_order_asymptote(self):
         # n (D - leading term) tends to p^2 / (12 q) at rate ~ 1/n
@@ -353,7 +354,7 @@ class TestRelativeEntropyBounds:
 class TestBinomialEntropyBounds:
     def test_contains_oracle(self):
         value = binomial_entropy_oracle(50, 0.5)
-        assert entropy_binomial_bounds(50, 0.5, m=2).interval.contains(value)
+        assert entropy_binomial_bounds(50, 0.5, m=2).contains(value)
 
     def test_symmetric_in_p(self):
         # dyadic p so that q is exactly representable
@@ -408,7 +409,7 @@ class TestBinomialEntropyBounds:
             except DomainError:
                 continue
             value = binomial_entropy_oracle(n, p, PrecisionContext(bits + 64))
-            assert rep.interval.contains(value), (n, p, m, bits)
+            assert rep.contains(value), (n, p, m, bits)
 
     def test_large_n_is_fast(self):
         # log n! comes from loggamma, not from the exact integer n!
@@ -420,7 +421,7 @@ class TestBinomialEntropyBounds:
 class TestStirlingOrderOne:
     def test_contains_oracle(self):
         value = binomial_entropy_oracle(30, 0.4)
-        assert entropy_binomial_stirling_m1(30, 0.4).interval.contains(value)
+        assert entropy_binomial_stirling_m1(30, 0.4).contains(value)
 
     def test_matches_manual_assembly(self):
         c1, c2, c3, c4 = stirling_m1_constants()
@@ -444,7 +445,7 @@ class TestStirlingOrderOne:
 class TestExpectedLogPoisson:
     def test_contains_oracle(self):
         value = expected_log_poisson(5)
-        assert expected_log_poisson_bounds(5, m=2).interval.contains(value)
+        assert expected_log_poisson_bounds(5, m=2).contains(value)
 
     def test_order_one_gap_closed_form(self):
         # mu_4(10) / (3 * 10^4) = 310 / 30000
@@ -465,7 +466,7 @@ class TestExpectedLogBinomial:
     def test_contains_shifted_oracle(self):
         with mp.workprec(320):
             shifted = expected_log_binomial(20, 0.5) + mpmath.log(20 * mpf(0.5))
-        assert expected_log_binomial_bounds(20, 0.5, m=1).interval.contains(shifted)
+        assert expected_log_binomial_bounds(20, 0.5, m=1).contains(shifted)
 
     def test_gap_closed_form(self):
         from entropy_bounds import binomial_central_moment
@@ -483,7 +484,7 @@ class TestExpectedLogBinomial:
         with mp.workprec(320):
             shifted = expected_log_binomial(1, 0.3) + mpmath.log(mpf(0.3))
         rep = expected_log_binomial_bounds(1, 0.3, m=1)
-        assert rep.interval.contains(shifted)
+        assert rep.contains(shifted)
         assert abs(shifted) < mpf("1e-70")
 
 
@@ -495,7 +496,7 @@ class TestBestInterval:
 
     def test_still_contains_oracle(self):
         value, _ = poisson_entropy_oracle(10)
-        assert best_interval(entropy_poisson_large, 10).interval.contains(value)
+        assert best_interval(entropy_poisson_large, 10).contains(value)
 
 
 def _scan_outcome(fn, args, ctx):
@@ -615,6 +616,24 @@ def test_only_the_sandwich_driver_reports_and_evaluates():
                     callers[name].add(getattr(top, "name", None))
     assert callers == {"_report": {"_sandwich"}, "evaluate": {"_sandwich"},
                        "_compiled": {"_sandwich"}, "_form": {"_compiled"}}
+
+
+def test_report_is_one_flat_record_closed_at_both_ends():
+    for rep in (entropy_poisson_large(10, m=2), entropy_poisson_small(0, m=1)):
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "lower", "upper", "midpoint", "gap", "m", "method"]
+        assert not hasattr(rep, "interval")
+        assert rep.contains(rep.lower) and rep.contains(rep.upper)
+
+
+def test_every_public_name_resolves():
+    # perfbench's tracer wraps exactly these names
+    names = entropy_bounds.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from entropy_bounds import *", namespace)
+    for name in names:
+        assert namespace[name] is getattr(entropy_bounds, name), name
 
 
 class TestBoundValuesPinned:

@@ -325,6 +325,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("entropy-bounds: error:")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["coeffs", "poisson", "--m", "1", "--kmax", "1"], "--kmax"),
+        (["coeffs", "small-lambda", "--kmax", "3", "--m", "0"], "--m"),
+        (["bounds", "poisson-entropy", "--points", "1", "--n", "5"], "--n"),
+        (["verify", "poisson-entropy", "--points", "1", "--n", "0", "--m-list", "1"], "--n"),
+    ])
+    def test_flag_not_read_is_refused(self, capsys, argv, flag):
+        assert cli.main(argv + ["--bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entropy-bounds: error:") and captured.err.count("\n") == 1
+        assert f"{flag} is not read" in captured.err
+
     def test_unknown_coefficient_kind_exits_2(self, capsys):
         # argparse's choices refuse the kind before any handler runs
         with pytest.raises(SystemExit) as exc:

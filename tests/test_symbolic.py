@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 
 from entropy_bounds import (
     DEFAULT_CONTEXT,
-    Interval,
+    BoundReport,
     LaurentPoly,
     NonIntegrableTailError,
     PrecisionContext,
@@ -429,9 +429,9 @@ class TestLogLaurent:
 
 class TestContextAndInterval:
     def test_interval_orientation(self):
-        with pytest.raises(ValueError):
-            Interval(mpf(1), mpf(0))
-        box = Interval(mpf(0), mpf(1))
+        with pytest.raises(ValueError, match="^empty interval:"):
+            BoundReport(mpf(1), mpf(0), mpf("0.5"), mpf(-1), 1, "test")
+        box = BoundReport(mpf(0), mpf(1), mpf("0.5"), mpf(1), 1, "test")
         assert box.contains(mpf("0.5")) and not box.contains(2)
 
     def test_context_validation(self):

@@ -8,9 +8,9 @@ external plotting; it takes the points, and the default points, of the others.
 
 Exit codes: 0 success, 1 verification failure (a sandwich missed its
 oracle, which the theorems rule out for a correct build), 2 error: bad
-flags, a flag the command or kind does not read, a method the target does
-not offer, or every ``bounds`` point and any ``verify`` point outside the
-domain or with ends that cross at --bits.
+flags, a flag the command or kind does not read or an order flag for an
+orderless method, a method the target does not offer, or every ``bounds``
+point and any ``verify`` point outside the domain or whose ends cross at --bits.
 Identical invocations produce byte-identical output; ``--bits`` sets the
 precision, 256 by default.
 """
@@ -93,16 +93,6 @@ def _grid_points(args, default: str) -> list[Fraction]:
     return _parse_points(default)
 
 
-def _parse_m_list(spec: str) -> list[int]:
-    try:
-        ms = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad m list {spec!r}") from exc
-    if not ms or any(m < 1 for m in ms):
-        raise UsageError(f"orders must be positive integers, got {spec!r}")
-    return ms
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -157,6 +147,7 @@ def _cmd_coeffs(args) -> int:
 # target -> (point columns, default points, oracle, {method: (bound, takes an
 # order m)}).  The last column is the grid, the others are flags; the first
 # method is the default, and relative-entropy has one bound and no --method.
+# The pair's second field is what _target reads to take or refuse the orders.
 # Oracles and bounds are looked up in their modules at each call, never held,
 # so that a wrapper put on the module (as perfbench's tracer does) is what runs.
 _TARGETS = {
@@ -178,21 +169,25 @@ _TARGETS = {
 }
 
 
-def _parse_order(spec: str):
-    if spec == "auto":
-        return "auto"
+def _parse_orders(spec: str, flag: str) -> list:
+    """The orders of --m (one positive integer, or 'auto') or --m-list (comma-separated)."""
+    if flag == "--m" and spec == "auto":
+        return ["auto"]
+    tokens = [spec] if flag == "--m" else [tok for tok in spec.split(",") if tok.strip()]
     try:
-        m = int(spec)
-    except ValueError as exc:
-        raise UsageError(f"--m must be an integer or 'auto', got {spec!r}") from exc
-    if m < 1:
-        raise UsageError(f"--m must be >= 1, got {m}")
-    return m
+        orders = [int(tok) for tok in tokens]
+    except ValueError:
+        orders = []
+    if not orders or min(orders) < 1:
+        what = "a positive integer or 'auto'" if flag == "--m" else "positive integers"
+        raise UsageError(f"{flag} takes {what}, got {spec!r}")
+    return orders
 
 
-def _target(args, ctx: PrecisionContext):
-    """(column names, [(point, its printed columns)], oracle, method name, (bound name, takes
-    an order m)) for the command line; a target with one bound is its own method name."""
+def _target(args, ctx: PrecisionContext, default_orders: str):
+    """(column names, [(point, its printed columns)], oracle, method name, bound name, orders)
+    for the command line; a target with one bound is its own method name. The orders are those
+    of --m or --m-list, default_orders if neither is given, and [None] for an orderless bound."""
     columns, default, oracle_fn, methods = _TARGETS[args.target]
     if getattr(args, "n", None) is not None and "n" not in columns[:-1]:  # figure has no --n
         raise UsageError(f"--n is not read by target {args.target}")
@@ -200,6 +195,12 @@ def _target(args, ctx: PrecisionContext):
     if method not in methods:
         offered = ", ".join(filter(None, methods)) or "none"
         raise UsageError(f"{args.target} has no method {method!r} (methods: {offered})")
+    bound, takes_order = methods[method]
+    flag, spec = ("--m", args.m) if args.command == "bounds" else ("--m-list", args.m_list)
+    if not takes_order and spec is not None:
+        raise UsageError(f"{flag} is not read by method {method}")
+    spec = default_orders if spec is None else spec
+    orders = _parse_orders(spec, flag) if takes_order else [None]
     fixed = []
     for name in columns[:-1]:
         value = getattr(args, name)
@@ -210,22 +211,18 @@ def _target(args, ctx: PrecisionContext):
         fixed.append(value)
     points = [((*fixed, x), [str(v) for v in fixed] + [_fmt(to_mpf(x, ctx.mp), ctx.bits)])
               for x in _grid_points(args, default)]
-    return columns, points, oracle_fn, method or args.target, methods[method]
+    return columns, points, oracle_fn, method or args.target, bound, orders
 
 
-def _evaluate(bound, point, m, ctx: PrecisionContext):
-    name, takes_order = bound
+def _evaluate(name: str, point, m, ctx: PrecisionContext):
     fn = getattr(bounds, name)
-    if not takes_order:
-        return fn(*point, ctx)
-    return fn(*point, m, ctx)
+    return fn(*point, ctx) if m is None else fn(*point, m, ctx)
 
 
 def _cmd_bounds(args) -> int:
     ctx = _context(args)
-    m = _parse_order(args.m)
     bits = ctx.bits
-    columns, points, _, method, bound = _target(args, ctx)
+    columns, points, _, method, bound, (m,) = _target(args, ctx, "2")
     header = [*columns, "m", "method", "lower", "upper", "midpoint", "gap", "error"]
     rows: list[list[str]] = []
     failures = 0
@@ -235,7 +232,7 @@ def _cmd_bounds(args) -> int:
         except (DomainError, PrecisionError) as exc:
             failures += 1
             # an orderless bound leaves m blank, the rest echo --m
-            rows.append(cols + [str(m) if bound[1] else "", method, "", "", "", "", str(exc)])
+            rows.append(cols + ["" if m is None else str(m), method, "", "", "", "", str(exc)])
             continue
         if isinstance(rep, bounds.BoundReport):
             rows.append(cols + [str(rep.m), method, _fmt(rep.lower, bits),
@@ -257,14 +254,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     bits = ctx.bits
-    m_list = _parse_m_list(args.m_list)
-    columns, points, oracle_fn, method, bound = _target(args, ctx)
+    columns, points, oracle_fn, method, bound, orders = _target(args, ctx, "1,2,3,4,5")
     header = [*columns, "m", "method", "oracle", "lower", "upper", "contained", "margin"]
     rows: list[list[str]] = []
     violations = 0
     for point, cols in points:
         # the bounds come first, so a one-sided method is refused before any oracle runs
-        reps = [_evaluate(bound, point, m, ctx) for m in (m_list if bound[1] else [None])]
+        reps = [_evaluate(bound, point, m, ctx) for m in orders]
         if not all(isinstance(rep, bounds.BoundReport) for rep in reps):
             raise UsageError(f"{method} is a one-sided bound; verify needs an interval")
         value = oracle_fn(*point, ctx)
@@ -284,8 +280,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     ctx = _context(args)
-    m_list = _parse_m_list(args.m_list)
-    columns, points, _, _, bound = _target(args, ctx)
+    columns, points, _, _, bound, m_list = _target(args, ctx, "1,2,3")
     ends = ("gap",) if args.fig == "gaps" else ("lower", "upper")
     header = [*columns] + [f"{end}_m{m}" for m in m_list for end in ends]
     rows = []
@@ -330,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default=None, help="; ".join(
         f"{target}: {'|'.join(methods)}" for target, (*_, methods) in _TARGETS.items()
         if None not in methods))
-    p.add_argument("--m", default="2", help="expansion order, or 'auto' for the narrowest of "
-                   f"{bounds.AUTO_ORDERS[0]}..{bounds.AUTO_ORDERS[-1]}")
+    p.add_argument("--m", default=None, help="expansion order (default 2), or 'auto' for the "
+                   f"narrowest of {bounds.AUTO_ORDERS[0]}..{bounds.AUTO_ORDERS[-1]}")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_grid(p)
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check bounds against brute-force oracles")
     p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--method", default=None, help="as for the bounds command")
-    p.add_argument("--m-list", default="1,2,3,4,5", help="comma-separated orders")
+    p.add_argument("--m-list", default=None, help="comma-separated orders (default 1,2,3,4,5)")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
     _add_grid(p)
     _add_common(p)
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="CSV columns of the large-lambda poisson-entropy sandwich")
     p.add_argument("fig", choices=["gaps", "bounds"])
-    p.add_argument("--m-list", default="1,2,3", help="comma-separated orders")
+    p.add_argument("--m-list", default=None, help="comma-separated orders (default 1,2,3)")
     _add_grid(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_figure, target="poisson-entropy", method="large-lambda")

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -316,6 +317,12 @@ class TestUsageErrors:
         ["verify", "poisson-entropy", "--points", "1", "--m-list", "0"],
         ["bounds", "poisson-entropy", "--points", "1", "--m", "abc"],
         ["bounds", "poisson-entropy", "--points", "1", "--m", "0"],
+        ["bounds", "poisson-entropy", "--points", "1", "--m", ""],
+        ["bounds", "poisson-entropy", "--points", "1", "--m", "1,2"],
+        ["verify", "poisson-entropy", "--points", "1", "--m-list", ""],
+        ["figure", "gaps", "--points", "10", "--m-list", ""],
+        ["verify", "poisson-entropy", "--points", "1", "--m-list", "auto"],
+        ["figure", "gaps", "--points", "10", "--m-list", "auto"],
         ["coeffs", "small-lambda"],
         ["bounds", "binomial-entropy", "--n", "0", "--points", "0.5"],
     ])
@@ -330,6 +337,12 @@ class TestUsageErrors:
         (["coeffs", "small-lambda", "--kmax", "3", "--m", "0"], "--m"),
         (["bounds", "poisson-entropy", "--points", "1", "--n", "5"], "--n"),
         (["verify", "poisson-entropy", "--points", "1", "--n", "0", "--m-list", "1"], "--n"),
+        (["bounds", "binomial-entropy", "--n", "10", "--points", "0.5", "--method", "stirling-m1",
+          "--m", "3"], "--m"),
+        (["bounds", "poisson-entropy", "--points", "1", "--method", "cover-thomas", "--m", "auto"],
+         "--m"),
+        (["verify", "binomial-entropy", "--n", "10", "--points", "0.5", "--method", "stirling-m1",
+          "--m-list", "4"], "--m-list"),
     ])
     def test_flag_not_read_is_refused(self, capsys, argv, flag):
         assert cli.main(argv + ["--bits", "64"]) == 2
@@ -337,6 +350,13 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("entropy-bounds: error:") and captured.err.count("\n") == 1
         assert f"{flag} is not read" in captured.err
+
+    def test_order_flag_matches_the_library(self):
+        # _TARGETS states apart from bounds whether a routine takes an order; its signature decides
+        for target, (*_, methods) in cli._TARGETS.items():
+            for method, (name, takes_order) in methods.items():
+                params = inspect.signature(getattr(cli.bounds, name)).parameters
+                assert takes_order == ("m" in params), (target, method)
 
     def test_unknown_coefficient_kind_exits_2(self, capsys):
         # argparse's choices refuse the kind before any handler runs
@@ -468,7 +488,7 @@ GOLDEN_COMMANDS = {
     ],
     "bounds_binomial_entropy_stirling_error": [
         "bounds", "binomial-entropy", "--n", "10", "--points", "0,0.5", "--method", "stirling-m1",
-        "--m", "3", "--bits", "64",
+        "--bits", "64",
     ],
     "bounds_relative_entropy_auto_json": [
         "bounds", "relative-entropy", "--n", "10", "--points", "0,0.5", "--m", "auto",

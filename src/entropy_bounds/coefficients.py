@@ -3,11 +3,15 @@
 Nothing in this module is hard-coded.  The large-argument coefficients are
 term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
 from central-moment polynomials (:func:`expected_log_series`); the bounds on
-E[log(X + 1)] evaluate the same sandwich.  The small-argument coefficients
-are forward differences of logarithms of integers (:func:`symbolic._logs`),
-each one alternating sum over its k logarithms in exact fixed-point integer
-arithmetic, at a precision fixed in advance by an error bound for its one
-order (see :func:`_log_difference`), and rounded once when it is read.
+E[log(X + 1)] evaluate the same sandwich.  The whole chain, from the moment
+recursions through the sandwich, its integrals and the p <-> q symmetrization,
+runs on integer numerators over one denominator per polynomial, and builds
+each :class:`LaurentPoly` it returns once, with one Fraction per coefficient.
+The small-argument coefficients are forward differences of logarithms of
+integers (:func:`symbolic._logs`), each one alternating sum over its k
+logarithms in exact fixed-point integer arithmetic, at a precision fixed in
+advance by an error bound for its one order (see :func:`_log_difference`),
+and rounded once when it is read.
 Published tables exist only in the tests, as golden data.
 """
 
@@ -17,12 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .moments import binomial_central_moment, poisson_central_moment
+from .moments import _binomial_table, _poisson_table
 from .symbolic import (
     DEFAULT_CONTEXT,
     LaurentPoly,
@@ -31,8 +36,8 @@ from .symbolic import (
     _check_order,
     _logs,
     _round64,
+    _to_one,
     integrate_tail,
-    integrate_to_one,
 )
 
 
@@ -55,7 +60,7 @@ class CoeffSet:
             raise ValueError(f"b indices must cover 1..{2 * self.m - 1}, got {sorted(self.b)}")
         if set(self.a) != set(range(self.m, 2 * self.m + 1)):
             raise ValueError(f"a indices must cover {self.m}..{2 * self.m}, got {sorted(self.a)}")
-        if any(isinstance(v, Fraction) and v < 0 for v in self.a.values()):
+        if any(not isinstance(v, LaurentPoly) and v < 0 for v in self.a.values()):
             raise ValueError("gap coefficients a(m, k) must be nonnegative")
 
     # the benchmark harness (perfbench) reads a binomial set's b~ and a~ by these names
@@ -63,12 +68,36 @@ class CoeffSet:
     a_tilde = property(lambda self: self.a)
 
 
-# law -> (central moment mu_j, exponent of mean^-j): the Poisson mean is s,
-# the binomial mean is ns
-_LAWS = {
-    "poisson": (poisson_central_moment, lambda j: -j),
-    "binomial": (binomial_central_moment, lambda j: (-j, -j)),
-}
+# law -> integer table of its central moment mu_j; every variable of mean^-j has exponent -j,
+# as the Poisson mean is s and the binomial mean is ns
+_LAWS = {"poisson": _poisson_table, "binomial": _binomial_table}
+
+_Table = Mapping[tuple[int, ...], int]
+
+
+@lru_cache(maxsize=None, typed=True)  # m = 2.0 or True misses m = 2 or 1, and is refused
+def _series_tables(law: str, m: int) -> tuple[tuple[_Table, int], tuple[_Table, int]]:
+    """:func:`expected_log_series` as ((numerators, denominator), ...) for lower and gap: lower
+    is sum_j +-(L / (j (j-1))) mu_j / mean^j over L = lcm j (j-1), gap mu_{2m+2} / mean^(2m+2)
+    over 2m + 1.  Order m's lower is order m - 1's, rescaled to the new L, plus its terms
+    j = 2m and 2m + 1.  Read-only, as every caller shares them."""
+    _check_order(m)
+    moment = _LAWS[law]
+    below, below_den = {}, 1
+    for k in range(1, m):  # ascending, so that no call recurses past the order below it
+        below, below_den = _series_tables(law, k)[0]
+    new = (2 * m, 2 * m + 1)
+    den = math.lcm(below_den, *(j * (j - 1) for j in new))
+    lower = {e: c * (den // below_den) for e, c in below.items()}
+    for j in new:
+        w = (-1) ** j * (den // (j * (j - 1)))
+        for e, c in moment(j).items():
+            key = tuple(x - j for x in e)
+            lower[key] = lower.get(key, 0) + w * c
+    j = 2 * m + 2
+    gap = {tuple(x - j for x in e): c for e, c in moment(j).items()}
+    lower = {e: c for e, c in lower.items() if c}
+    return (MappingProxyType(lower), den), (MappingProxyType(gap), 2 * m + 1)
 
 
 @lru_cache(maxsize=None, typed=True)  # m = 2.0 or True misses m = 2 or 1, and is refused
@@ -81,14 +110,10 @@ def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
 
     ``"poisson"``: X = N_s with mean s, polynomials in s.  ``"binomial"``:
     X = B_{n-1,s}, with mu_j and the mean ns those of B_{n,s}, in (n, s).
+    Each is summed on integers over one denominator (:func:`_series_tables`) and built once.
     """
-    _check_order(m)
-    moment, inverse_mean_power = _LAWS[law]
-    lower = LaurentPoly()
-    for j in range(2, 2 * m + 2):
-        lower = lower + Fraction((-1) ** j, j * (j - 1)) * moment(j).shifted(inverse_mean_power(j))
-    gap = Fraction(1, 2 * m + 1) * moment(2 * m + 2).shifted(inverse_mean_power(2 * m + 2))
-    return lower, gap
+    lower, gap = _series_tables(law, m)
+    return LaurentPoly._over(*lower), LaurentPoly._over(*gap)
 
 
 @lru_cache(maxsize=None)
@@ -105,12 +130,14 @@ def poisson_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
 
 
-def _integrate_pieces(f: LaurentPoly) -> dict[int, LaurentPoly]:
-    """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1."""
-    pieces: dict[int, dict[int, Fraction]] = {}
-    for (n_exp, s_exp), c in f.terms():
-        pieces.setdefault(-n_exp - 1, {})[s_exp] = c
-    return {k: integrate_to_one(LaurentPoly(t)) for k, t in pieces.items() if k >= 1}
+def _integrate_pieces(num: _Table, den: int) -> dict[int, LaurentPoly]:
+    """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1, f the sum of
+    num[e] n^e_0 s^e_1 / den."""
+    pieces: dict[int, dict[tuple[int], int]] = {}
+    for (n_exp, s_exp), c in num.items():
+        pieces.setdefault(-n_exp - 1, {})[s_exp,] = c
+    # in descending k, the order of the n exponents in f's canonical terms
+    return {k: _to_one(t, den) for k, t in sorted(pieces.items(), reverse=True) if k >= 1}
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +149,8 @@ def binomial_coeffs(m: int) -> CoeffSet:
     expected-log sandwich.  The n^-1 piece, (1 - s)/(2ns), integrates to the
     leading term -(p + log q)/2.
     """
-    lower, gap = expected_log_series("binomial", m)
-    return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
+    lower, gap = _series_tables("binomial", m)
+    return CoeffSet(m=m, b=_integrate_pieces(*lower), a=_integrate_pieces(*gap))
 
 
 def _log_difference(args: range, bits: int) -> tuple[int, int]:
@@ -186,16 +213,18 @@ def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:
 
     With p + q = 1, Girard-Waring gives p^e + q^e = sum_{i <= e/2} (-1)^i
     e/(e-i) C(e-i, i) u^i for e >= 1 and 2 for e = 0; for e < 0 it is that
-    sum at |e| times u^e.  The log term keeps weight 1, as log p + log q = log u.
+    sum at |e| times u^e.  The log term keeps weight 1, as log p + log q = log u.  The
+    weights are integers, so the sum runs on f's integer numerators over its one denominator.
     """
-    d: dict[tuple[int, int], Fraction] = {}
-    for (e, log), c in f.terms():
+    num, den = f._numerators()
+    d: dict[tuple[int, int], int] = {}
+    for (e, log), c in num.items():
         a = abs(e)
         for i in range(a // 2 + 1):
-            w = Fraction((-1) ** i * a * math.comb(a - i, i), a - i) if a else 2 - log
+            w = (-1) ** i * a * math.comb(a - i, i) // (a - i) if a else 2 - log
             key = (i + min(e, 0), log)
             d[key] = d.get(key, 0) + c * w
-    return LaurentPoly._of(d)
+    return LaurentPoly._over(d, den)
 
 
 @lru_cache(maxsize=None)

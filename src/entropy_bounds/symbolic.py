@@ -1,11 +1,14 @@
 """Exact arithmetic kernel.
 
-All coefficient derivations run on `fractions.Fraction` end to end, with one
-expression type: :class:`LaurentPoly`, a sparse polynomial in one or several
-variables with negative exponents allowed.  A binomial coefficient function is
-one over (q, L), L standing for log q with exponent 0 or 1.  Nothing here ever
-rounds; numeric evaluation is a separate step, in Python integers rounded once
-per expression (:func:`evaluate`), at a precision chosen through :class:`PrecisionContext`.
+All coefficient derivations are exact end to end, with one expression type:
+:class:`LaurentPoly`, a sparse polynomial in one or several variables with
+negative exponents allowed and `fractions.Fraction` coefficients.  The
+derivations run on integer numerators over one denominator per polynomial and
+build each LaurentPoly once from them (``LaurentPoly._over``).  A binomial
+coefficient function is one over (q, L), L standing for log q with exponent 0
+or 1.  Nothing here ever rounds; numeric evaluation is a separate step, in
+Python integers rounded once per expression (:func:`evaluate`), at a precision
+chosen through :class:`PrecisionContext`.
 
 The two term-wise integration rules that turn moment polynomials into
 expansion coefficients live here as well: :func:`integrate_tail` for
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import sub
 from typing import Callable, Iterable, Mapping, Union
 
@@ -285,6 +288,16 @@ class LaurentPoly:
         object.__setattr__(poly, "_terms", _canonical(d))
         return poly
 
+    @classmethod
+    def _over(cls, num: Mapping[tuple[int, ...], int], den: int) -> "LaurentPoly":
+        """Build from integer numerators over one positive denominator, one Fraction per term."""
+        return cls._of({e: Fraction(c, den) for e, c in num.items()})
+
+    def _numerators(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """(num, den): the coefficients as integer numerators over the lcm of their denominators."""
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -453,7 +466,7 @@ def integrate_tail(f: LaurentPoly) -> LaurentPoly:
     bad = [e for e, _ in f.terms() if e >= -1]
     if bad:
         raise NonIntegrableTailError(f"exponents {bad} make the tail integral diverge")
-    return LaurentPoly((e + 1, c / (-e - 1)) for e, c in f.terms())
+    return LaurentPoly._of({(e + 1,): c / (-e - 1) for (e,), c in f._terms.items()})
 
 
 def integrate_to_one(f: LaurentPoly) -> LogLaurent:
@@ -462,12 +475,19 @@ def integrate_to_one(f: LaurentPoly) -> LogLaurent:
     Exponent -1 contributes ``-L``; exponent e != -1 contributes
     ``(1 - q**(e+1)) / (e+1)``, split into a constant and a power of q.
     """
-    out: list[tuple[tuple[int, int], Fraction]] = []
-    for e, c in f.terms():
-        if e == -1:
-            out.append(((0, 1), -c))
-        else:
-            out.append(((0, 0), c / (e + 1)))
-            out.append(((e + 1, 0), -c / (e + 1)))
-    return LogLaurent(out)
+    return _to_one(*f._numerators())
 
+
+def _to_one(num: Mapping[tuple[int], int], den: int) -> LogLaurent:
+    """:func:`integrate_to_one` of the sum of num[e] s^e / den, on integer numerators over den
+    times the lcm of the nonzero e + 1, so that each coefficient is one Fraction."""
+    scale = lcm(*(e + 1 for (e,) in num if e != -1))
+    out = {(0, 0): 0}
+    for (e,), c in num.items():
+        if e == -1:
+            out[0, 1] = -c * scale
+        else:
+            c *= scale // (e + 1)
+            out[0, 0] += c
+            out[e + 1, 0] = -c
+    return LogLaurent._over(out, den * scale)

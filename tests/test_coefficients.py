@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -18,7 +19,10 @@ from conftest import child_env
 from entropy_bounds import (
     CoeffSet,
     DEFAULT_CONTEXT,
+    LaurentPoly,
+    LogLaurent,
     PrecisionContext,
+    binomial_central_moment,
     binomial_coeffs,
     c_coeff,
     c_tilde_coeff,
@@ -194,6 +198,7 @@ def test_coefficient_set_matches_fixture(capsys, kind, m):
     ({1: F(1), 2: F(1)}, {2: F(1), 3: F(1), 4: F(1)}, r"b indices must cover 1\.\.3"),
     ({1: F(1), 2: F(1), 3: F(1)}, {1: F(1), 2: F(1), 3: F(1)}, r"a indices must cover 2\.\.4"),
     ({1: F(1), 2: F(1), 3: F(1)}, {2: F(1), 3: F(-1, 7), 4: F(0)}, "must be nonnegative"),
+    ({1: F(1), 2: F(1), 3: F(1)}, {2: -1, 3: F(1), 4: F(0)}, "must be nonnegative"),
 ])
 def test_coefficient_set_rejects_a_malformed_set(b, a, message):
     with pytest.raises(ValueError, match=message):
@@ -394,3 +399,108 @@ class TestSymmetricCoefficients:
         f = loglaurent(1, {0: 1})
         assert _symmetrize_pq(f) == loglaurent(1, {0: 2})
         _check_symmetrized(f, _symmetrize_pq(f))
+
+
+# --- reference: the derivation chain in LaurentPoly arithmetic, one Fraction operation at a
+# time, against which the library's integer-numerator derivation is checked past the fixtures
+
+
+@lru_cache(maxsize=None)
+def reference_poisson_moment(k):
+    """mu_k(s) = s * sum_{j<=k-2} C(k-1, j) mu_j."""
+    if k < 2:
+        return LaurentPoly({0: 1} if k == 0 else {})
+    acc = LaurentPoly()
+    for j in range(k - 1):
+        acc = acc + math.comb(k - 1, j) * reference_poisson_moment(j)
+    return acc.shifted(1)
+
+
+@lru_cache(maxsize=None)
+def reference_binomial_moment(k):
+    """mu_k(n, s) = s(1-s) * [n (k-1) mu_{k-2} + d mu_{k-1} / ds]."""
+    if k < 2:
+        return LaurentPoly({(0, 0): 1} if k == 0 else {})
+    inner = ((k - 1) * reference_binomial_moment(k - 2).shifted((1, 0))
+             + reference_binomial_moment(k - 1).derivative(1))
+    return LaurentPoly({(0, 1): 1, (0, 2): -1}) * inner
+
+
+@lru_cache(maxsize=None)
+def reference_series(law, m):
+    """(lower, gap) of the expected-log sandwich, summed term by term."""
+    moment, power = {"poisson": (reference_poisson_moment, lambda j: -j),
+                     "binomial": (reference_binomial_moment, lambda j: (-j, -j))}[law]
+    lower = LaurentPoly()
+    for j in range(2, 2 * m + 2):
+        lower = lower + F((-1) ** j, j * (j - 1)) * moment(j).shifted(power(j))
+    return lower, F(1, 2 * m + 1) * moment(2 * m + 2).shifted(power(2 * m + 2))
+
+
+def reference_to_one(f):
+    """integral_q^1 f(s) ds over (q, log q): s^-1 gives -log q, s^e gives (1 - q^(e+1))/(e+1)."""
+    out = LaurentPoly()
+    for e, c in f.terms():
+        out = out + LaurentPoly({(0, 1): -c} if e == -1 else
+                                {(0, 0): c / (e + 1), (e + 1, 0): -c / (e + 1)})
+    return out
+
+
+def reference_binomial_sets(m):
+    """(b, a) of binomial_coeffs(m): each n^-(k+1) piece of the sandwich integrated over [q, 1]."""
+    def pieces(f):
+        by_k = {}
+        for (n_exp, s_exp), c in f.terms():
+            by_k.setdefault(-n_exp - 1, {})[s_exp] = c
+        return {k: reference_to_one(LaurentPoly(t)) for k, t in by_k.items() if k >= 1}
+
+    return tuple(pieces(f) for f in reference_series("binomial", m))
+
+
+def reference_symmetrize(f):
+    """f(q, log q) + f(p, log p) over (u, log u) by Girard-Waring, with Fraction weights."""
+    out = LaurentPoly()
+    for (e, log), c in f.terms():
+        a = abs(e)
+        for i in range(a // 2 + 1):
+            w = F((-1) ** i * a * math.comb(a - i, i), a - i) if a else 2 - log
+            out = out + LaurentPoly({(i + min(e, 0), log): c * w})
+    return out
+
+
+def reference_poisson_sets(m):
+    """(b, a) of poisson_coeffs(m): s^e integrates over [x, inf) to x^(e+1) / (-e-1)."""
+    lower, gap = reference_series("poisson", m)
+    return tuple({-e - 1: c / (-e - 1) for e, c in f.terms()}
+                 for f in (LaurentPoly({-1: F(1, 2)}) - lower, gap))
+
+
+def _fractions(values):
+    for v in values:
+        yield from (c for _, c in v.terms()) if isinstance(v, LaurentPoly) else (v,)
+
+
+class TestAgainstTheLaurentPolyReference:
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 22, 30])
+    def test_moment_polynomials(self, k):
+        assert poisson_central_moment(k) == reference_poisson_moment(k)
+        assert binomial_central_moment(k) == reference_binomial_moment(k)
+
+    @pytest.mark.parametrize("law", ["poisson", "binomial"])
+    @pytest.mark.parametrize("m", range(11, 15))
+    def test_expected_log_series(self, law, m):
+        got = coefficients.expected_log_series(law, m)
+        assert got == reference_series(law, m)
+        assert all(type(c) is F for f in got for c in _fractions([f]))
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_coefficient_sets(self, m):
+        b, a = reference_binomial_sets(m)
+        cs, sym, pois = binomial_coeffs(m), _symmetric_coeffs(m), poisson_coeffs(m)
+        assert (cs.b, cs.a) == (b, a)
+        assert all(type(f) is LogLaurent for f in [*cs.b.values(), *cs.a.values()])
+        assert sym.b == {k: reference_symmetrize(f) for k, f in b.items()}
+        assert sym.a == {k: reference_symmetrize(f) for k, f in a.items()}
+        assert (pois.b, pois.a) == reference_poisson_sets(m)
+        for s in (cs, sym, pois):
+            assert all(type(c) is F for c in _fractions([*s.b.values(), *s.a.values()]))

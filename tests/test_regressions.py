@@ -51,6 +51,12 @@ def _miss(name, bound, args, oracle, bits, reason):
           "lower end 5.64e-40 against a truth of 2.50e-41: cancellation at q near 1"),
     _miss("relative-10000-0.1-m5-64", relative_entropy_bounds, (10000, F(1, 10), 5),
           relative_entropy_oracle, 64, "misses by 0.45 ulp: ends are rounded to nearest, not outward"),
+    _miss("relative-1e6-1e-12-m6-256", relative_entropy_bounds, (10**6, F(1, 10**12), 6),
+          relative_entropy_oracle, 256,
+          "misses by 2.83e3 ulps: q = 1 - p is rounded before the head and the series cancel"),
+    _miss("relative-1e6-1e-20-m6-256", relative_entropy_bounds, (10**6, F(1, 10**20), 6),
+          relative_entropy_oracle, 256,
+          "misses by 4.4e20 ulps: q = 1 - p is rounded before the head and the series cancel"),
 ])
 def test_interval_contains_the_1024_bit_oracle(bound, args, oracle, bits):
     rep = bound(*args, PrecisionContext(bits=bits))

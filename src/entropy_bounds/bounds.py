@@ -11,10 +11,9 @@ each end is rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such
 form: it is one fixed-point sum over the binomial tails near the mean, rounded once.
 
 Every order-taking routine also takes m = "auto" (the CLI's ``--m auto``, and
-:func:`best_interval`): the order of AUTO_ORDERS with the least rounded gap, the
-lowest order winning ties.  Each gap is known before its bound, so the six gaps
-are one evaluation and only the orders within a proven rounding slack of the
-least gap, or below zero, are reported; a fixed order is the one candidate.
+:func:`best_interval`): the order of AUTO_ORDERS whose evaluated gap is least, the
+lowest order winning ties.  Each gap is known before its series, so only that
+order's series is evaluated.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
     from_man_exp,
-    fzero,
     mpf_add,
     mpf_div,
-    mpf_le,
     mpf_lt,
     mpf_pos,
     mpf_shift,
@@ -109,92 +106,31 @@ def _check_m(m) -> None:
 
 @lru_cache(maxsize=144)  # six sets (README) at orders 1..6, four precisions
 def _compiled(M, derive, *args) -> tuple:
-    """(series, gap, box) for the exact pair (series, gap) = ``derive(*args)``: each as its form
-    (:func:`symbolic._form`) in the context ``M``, whose precision no code may change, and box =
-    (k, ((lo_i, hi_i), ...)) with 2^k > sum |c| over the series' coefficients, and lo_i and hi_i
-    the least and greatest exponent of its variable x_i."""
+    """(series, gap) for the exact pair ``derive(*args)``, each as its form
+    (:func:`symbolic._form`) in the context ``M``, whose precision no code may change."""
     series, gap = derive(*args)
-    terms = series._terms
-    box = (int(sum(map(abs, terms.values()))).bit_length(),
-           tuple((min(es), max(es)) for es in zip(*terms)))
-    return _form(series, M), _form(gap, M), box
+    return _form(series, M), _form(gap, M)
 
 
-def _top(x) -> int:
-    """An integer t with |x| < 2^t, and 2^(t-1) <= |x| unless x is 0, for the mpf tuple ``x``."""
-    _, _, exp, bc = x
-    return exp + bc
-
-
-def _beyond(boxes, tops: list[int]) -> int:
-    """An integer beta with sum |c x^e| < 2^beta for the series of each box of ``boxes``,
-    at a point whose coordinates x_i have :func:`_top` tops[i] and are nonzero where a lo_i is
-    negative: |x_i|^e is below 2^(e tops[i]) for e > 0, and at most 2^(e (tops[i] - 1)) for
-    e <= 0, a bound convex in e, so over lo_i <= e <= hi_i largest at lo_i or hi_i; and
-    2^k > sum |c|."""
-    beta = 0
-    for k, spans in boxes:
-        for (lo, hi), top in zip(spans, tops):
-            k += max(e * top if e > 0 else e * (top - 1) for e in (lo, hi))
-        beta = max(beta, k)
-    return beta
-
-
-def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends,
-              heads: tuple = ()) -> BoundReport:
+def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends) -> BoundReport:
     """The order-m report of a sandwich, m an order or "auto": ``_compiled(ctx.mp, *key, k)`` is
-    the compiled (series, gap) of order k and the series' box, evaluated at ``point``,
-    and ``ends(s, v)`` the ends (lower, upper) in ``ctx.mp`` for series value s and gap value v,
-    one end formed from the other and v.  ``heads`` are the other terms of the first end, mpfs
-    whose moduli sum to ``head``.
+    the compiled (series, gap) of order k, evaluated at ``point``, and ``ends(s, v)`` the ends
+    (lower, upper) in ``ctx.mp`` for series value s and gap value v, one end formed from the
+    other and v.
 
     One evaluator (:func:`evaluate`) at ``point`` values every form asked for, on the same power
-    ladders.  A fixed m is the one candidate: it is asked for its gap and then its series, and
-    reported with no slack computed, so ``heads`` goes unread.
-
-    For m = "auto" it is the report, of orders AUTO_ORDERS, with the least rounded gap, the lowest
-    order winning ties: what a scan of the six reports returns, bit for bit, including a crossing
-    order's :class:`PrecisionError`.  It is asked for the six gaps, and then for the series of
-    the candidate orders, reported in ascending order: every order whose gap value is negative,
-    and every order k with
-
-        g_k <= max(g_j, 0) + 2^(t + 6 - b),
-
-    b = ``ctx.bits``, g_k the gap value of order k, j the least g's order, and t the greatest of
-    :func:`_top` of ``head`` and of each g_k, and :func:`_beyond` of the orders' boxes.  The
-    slack is 16 ulps at b bits of the bound 3 2^t on every order's ends.
-
-    A left-out order can neither win nor tie.  Proof, with P = b + 64 the precision of
-    ``ctx.mp``, where each operation rounds within 2^-P relative, and rounding at b bits within
-    2^-b: (1) by :func:`evaluate`'s bound, the series value s_k lies within |s_k| 2^-P +
-    2^(2-P) S_k of sum c x^e, of modulus at most S_k = sum |c x^e|, and S_k < 2^t by
-    :func:`_beyond`.  So |s_k| < 2^t (1 + 2^(3-P)), and both ends, A_k and A'_k = A_k -+ g_k
-    rounded, are below 3 (1 + 2^-60) 2^t in modulus.  (2) The rounded ends differ by x_k with
-    |x_k - g_k| <= 2^-b (|A_k| + |A'_k|) + 2^-P |A'_k| < r = 2^(t + 3 - b).  (3) A left-out k has
-    g_k >= 0, so its ends cannot cross: every crossing order is reported, in the scan's order,
-    and raises the scan's error.  If j does not raise, its rounded gap is G_j <= (1 + 2^-b) x_j
-    <= Gamma = (1 + 2^-b)(max(g_j, 0) + r).  A left-out k has g_k above the slack, rounded once
-    at P bits, which exceeds max(g_j, 0)(1 + 2^(3-b)) + 3 r, as 2^t > max(g_j, 0); so x_k >
-    g_k - r > Gamma (1 + 2^(3-b)) / (1 + 2^-b) >= 0, and its rounded gap is G_k >= (1 - 2^-b)
-    x_k > Gamma >= G_j: strictly wider than order j.
+    ladders.  The candidate orders are AUTO_ORDERS for m = "auto", else m alone; each is asked
+    for its gap, and the order whose evaluated gap is least, the lowest winning ties, for its
+    series.  Every order's sandwich is certified by its own theorem, so the choice needs no
+    proof: it may be a few ulps wider than the narrowest rounded interval.
     """
-    M, bits = ctx.mp, ctx.bits
+    M = ctx.mp
     value = evaluate(M, *point)
-    if m != "auto":
-        series, gap, _ = _compiled(M, *key, m)
-        v = value(gap)
-        return _report(*ends(value(series), v), m, method, ctx)
-    sets = [_compiled(M, *key, k) for k in AUTO_ORDERS]
-    gaps = [value(gap) for _, gap, _ in sets]
-    tops = [_top(x._mpf_) for x in point]
-    t = max(_top(sum(map(abs, heads))._mpf_), *(_top(g._mpf_) for g in gaps),
-            _beyond([f[2] for f in sets], tops))
-    least = min(gaps)._mpf_
-    # a negative gap lies below the slack too
-    slack = mpf_add(least if least[0] == 0 else fzero, from_man_exp(1, t + 6 - bits), M.prec)
-    reports = [_report(*ends(value(series), g), k, method, ctx)
-               for k, (series, _, _), g in zip(AUTO_ORDERS, sets, gaps) if mpf_le(g._mpf_, slack)]
-    return min(reports, key=lambda r: r.gap)
+    orders = AUTO_ORDERS if m == "auto" else (m,)
+    gaps = [value(_compiled(M, *key, k)[1]) for k in orders]
+    v = min(gaps)
+    m = orders[gaps.index(v)]
+    return _report(*ends(value(_compiled(M, *key, m)[0]), v), m, method, ctx)
 
 
 def _lower_anchored(head: mpf):
@@ -256,7 +192,7 @@ def entropy_poisson_small(
     lam_m = _point(lam, M, "lam", ">= 0")
     head = lam_m - lam_m * M.log(lam_m) if lam_m else M.zero
     return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx.bits),
-                     (lam_m,), lambda s, v: ((end := head + s) - v, end), (head,))
+                     (lam_m,), lambda s, v: ((end := head + s) - v, end))
 
 
 def entropy_poisson_large(
@@ -269,7 +205,7 @@ def entropy_poisson_large(
     lam_m = _point(lam, M, "lam", "> 0")
     head = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2
     return _sandwich(ctx, "large-lambda", m, (_sandwich_forms, coefficients.poisson_coeffs),
-                     (lam_m,), lambda s, v: ((end := head + s) - v, end), (head,))
+                     (lam_m,), lambda s, v: ((end := head + s) - v, end))
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -371,9 +307,8 @@ def relative_entropy_bounds(
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
     log_q = M.log(q_m)
-    head = -(p_m + log_q) / 2
     return _sandwich(ctx, "relative-entropy", m, (_sandwich_forms, coefficients.binomial_coeffs),
-                     (q_m, log_q, M.mpf(n)), _lower_anchored(head), (head,))
+                     (q_m, log_q, M.mpf(n)), _lower_anchored(-(p_m + log_q) / 2))
 
 
 def entropy_binomial_bounds(
@@ -388,7 +323,7 @@ def entropy_binomial_bounds(
     point, t, key = _relative_entropy_sum(n, p, M)
     head = M.loggamma(n + 1) - n * M.log(n) + n
     return _sandwich(ctx, "binomial-corollary", m, key, point,
-                     lambda s, v: ((end := head - (s - t)) - v, end), (head, t))
+                     lambda s, v: ((end := head - (s - t)) - v, end))
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
@@ -411,9 +346,8 @@ def expected_log_poisson_bounds(
     _check_m(m)
     M = ctx.mp
     s_m = _point(s, M, "s", "> 0")
-    head = M.log(s_m)
     return _sandwich(ctx, "expected-log-poisson", m, (coefficients.expected_log_series, "poisson"),
-                     (s_m,), _lower_anchored(head), (head,))
+                     (s_m,), _lower_anchored(M.log(s_m)))
 
 
 def expected_log_binomial_bounds(
@@ -425,10 +359,9 @@ def expected_log_binomial_bounds(
     _check_n(n)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
-    head = M.log(n * s_m)
     return _sandwich(ctx, "expected-log-binomial", m,
                      (coefficients.expected_log_series, "binomial"), (M.mpf(n), s_m),
-                     _lower_anchored(head), (head,))
+                     _lower_anchored(M.log(n * s_m)))
 
 
 def best_interval(
@@ -436,12 +369,7 @@ def best_interval(
     *args,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> BoundReport:
-    """``bound_fn(*args, m="auto", ctx=ctx)``: of the orders AUTO_ORDERS (1..6), the report with
-    the least rounded gap, the lowest order winning ties.
-
-    The intervals need not be nested in m, so minimal width is the honest aggregate.
-    :func:`_sandwich`, through which every bound reports, evaluates the six gaps first and
-    reports only the orders within a proven rounding slack of the least gap, so it returns what
-    reporting all six and keeping the narrowest would, bit for bit.
-    """
+    """``bound_fn(*args, m="auto", ctx=ctx)``: of the orders AUTO_ORDERS (1..6), the report at
+    the order whose evaluated gap is least, the lowest order winning ties (:func:`_sandwich`).
+    The intervals need not be nested in m, so the least gap is the honest aggregate."""
     return bound_fn(*args, m="auto", ctx=ctx)

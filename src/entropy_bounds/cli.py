@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{target}: {'|'.join(methods)}" for target, (*_, methods) in _TARGETS.items()
         if None not in methods))
     p.add_argument("--m", default=None, help="expansion order (default 2), or 'auto' for the "
-                   f"narrowest of {bounds.AUTO_ORDERS[0]}..{bounds.AUTO_ORDERS[-1]}")
+                   f"order of {bounds.AUTO_ORDERS[0]}..{bounds.AUTO_ORDERS[-1]} with the least gap")
     p.add_argument("--n", type=int, default=None, help="number of trials (binomial targets)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_grid(p)

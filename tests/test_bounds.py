@@ -2,6 +2,7 @@
 gap formulas, limits, and domain handling."""
 
 import ast
+import contextlib
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -500,7 +502,7 @@ class TestBestInterval:
 
 
 def _scan_outcome(fn, args, ctx):
-    """The six-order scan that m="auto" replaces, kept as the reference: the narrowest report of
+    """The six-order scan that m="auto" replaced, kept as a reference: the narrowest report of
     AUTO_ORDERS, the lowest order winning ties, or the first order's error."""
     try:
         return _outcome(min((fn(*args, m=k, ctx=ctx) for k in AUTO_ORDERS), key=lambda r: r.gap))
@@ -508,11 +510,37 @@ def _scan_outcome(fn, args, ctx):
         return type(exc), str(exc)
 
 
-def _auto_outcome(fn, args, ctx):
+def _outcome_at(fn, args, ctx, m):
     try:
-        return _outcome(fn(*args, m="auto", ctx=ctx))
+        return _outcome(fn(*args, m=m, ctx=ctx))
     except PrecisionError as exc:
         return type(exc), str(exc)
+
+
+@contextlib.contextmanager
+def _valued():
+    """The values, in order, of the forms that ``bounds.evaluate``'s evaluators value in the
+    block, read through a spy."""
+    values = []
+
+    def spy(M, *point):
+        value = symbolic.evaluate(M, *point)
+        return lambda form: values.append(value(form)) or values[-1]
+
+    with mock.patch.object(bounds, "evaluate", spy):
+        yield values
+
+
+def _gap_and_outcome(fn, args, k, ctx):
+    """(gap value, outcome) of the order-k call, whose evaluator values its gap first."""
+    with _valued() as values:
+        outcome = _outcome_at(fn, args, ctx, k)
+    return values[0], outcome
+
+
+def _rounded_gap(outcome):
+    """The rounded gap of a report's outcome; an error's outcome stands for itself."""
+    return outcome[2][3] if len(outcome) == 3 else outcome
 
 
 def _outcome(rep):
@@ -552,47 +580,37 @@ def _auto_cases():
 class TestAutoOrder:
     @pytest.mark.parametrize("fn, args, bits", _auto_cases(), ids=lambda x: (
         x.__name__ if callable(x) else ",".join(map(str, x)) if isinstance(x, tuple) else str(x)))
-    def test_same_report_as_the_six_order_scan(self, fn, args, bits):
+    def test_reports_the_order_with_the_least_evaluated_gap(self, fn, args, bits):
         ctx = PrecisionContext(bits)
-        assert _auto_outcome(fn, args, ctx) == _scan_outcome(fn, args, ctx)
+        gaps, outcomes = zip(*(_gap_and_outcome(fn, args, k, ctx) for k in AUTO_ORDERS))
+        auto = _outcome_at(fn, args, ctx, "auto")
+        # the fixed-order outcome at the least evaluated gap, the lowest order winning ties
+        assert auto == outcomes[gaps.index(min(gaps))]
+        # and, on this sweep, no wider once rounded than the six-order scan's narrowest report
+        assert _rounded_gap(auto) == _rounded_gap(_scan_outcome(fn, args, ctx))
 
     def test_edges(self):
         # lam = 0: every gap is 0, so the lowest order wins
         assert entropy_poisson_small(0, m="auto", ctx=PrecisionContext(64)).m == 1
-        # at 64 bits orders 5 and 6 both round to gap 0 and order 4 to one ulp: order 5 wins
+        # at 64 bits orders 5 and 6 both round to gap 0, and order 6's evaluated gap is least
         rep = expected_log_poisson_bounds(10**4, m="auto", ctx=PrecisionContext(64))
-        assert (rep.m, rep.gap) == (5, 0)
-        # the scan's error, naming the first crossing order
+        assert (rep.m, rep.gap) == (6, 0)
+        # the least evaluated gap is order 2's, below zero: its ends cross
         with pytest.raises(PrecisionError, match="the ends of the order-2 relative-entropy bound "
                            "cross at 64 bits"):
             relative_entropy_bounds(1000, F(1, 10**20), m="auto", ctx=PrecisionContext(64))
 
-    def test_box_bounds_the_series(self):
-        # exactly, sum |c x^e| < 2^_beyond([box], tops) for each of the six cached sets, the box
-        # as _compiled derives it, at points with lam = 0 and with negative logs
-        ctx = PrecisionContext(128)
-        poisson = [(F(1, 100),), (F(1),), (F(10**4),)]
-        sets = [
-            ((bounds._sandwich_forms, coefficients.poisson_coeffs), poisson),
-            ((bounds._small_forms, coefficients.c_coeff, 128),
-             [(F(0),), (F(1, 100),), (F(1, 2),), (F(10),)]),
-            ((bounds._sandwich_forms, coefficients.binomial_coeffs),
-             [(F(7, 10), F(-357, 1000), F(1000)), (F(999999, 10**6), F(-1, 10**6), F(3))]),
-            ((bounds._sandwich_forms, coefficients._symmetric_coeffs),
-             [(F(21, 100), F(-156, 100), F(1000)), (F(1, 101), F(-462, 100), F(3))]),
-            ((coefficients.expected_log_series, "poisson"), poisson),
-            ((coefficients.expected_log_series, "binomial"),
-             [(F(1000), F(3, 10)), (F(3), F(1, 100))]),
-        ]
-        for key, points in sets:
-            for m in AUTO_ORDERS:
-                box = bounds._compiled(ctx.mp, *key, m)[2]
-                series = key[0](*key[1:], m)[0]
-                for x in points:
-                    absolute = sum(abs(c) * math.prod(abs(xi) ** e for xi, e in zip(x, es))
-                                   for es, c in series._terms.items())
-                    tops = [bounds._top(to_mpf(xi, ctx.mp)._mpf_) for xi in x]
-                    assert absolute < 2 ** bounds._beyond([box], tops)
+    def test_values_six_gaps_and_one_series(self):
+        # at 64 bits, where several orders' gaps lie close, only the chosen order's series is
+        # valued; at the crossing point too, whose least gap is order 2's and below zero
+        ctx = PrecisionContext(64)
+        for fn, args, m in ((entropy_binomial_bounds, (1000, F(3, 10)), 6),
+                            (relative_entropy_bounds, (1000, F(1, 10**20)), 2)):
+            with _valued() as values, contextlib.suppress(PrecisionError):
+                assert fn(*args, m="auto", ctx=ctx).m == m
+            assert len(values) == len(AUTO_ORDERS) + 1
+            assert min(values[:-1]) == values[m - 1]
+        assert values[1] < 0
 
     def test_wrapped_routine(self):
         # perfbench's tracer hands best_interval wrappers of the routines

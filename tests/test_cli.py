@@ -525,7 +525,8 @@ def test_stdout_is_byte_identical_to_fixture(name):
 
 def test_auto_grid_is_byte_identical(capsys):
     # the 991-point --m auto grid, whose sha256 was captured from the six-order scan that
-    # m="auto" replaced; its m column reads 987 x 6, 3 x 5 and 1 x 4
+    # m="auto" replaced; the least-evaluated-gap rule reproduces that grid byte for byte, and
+    # its m column reads 987 x 6, 3 x 5 and 1 x 4
     code, out = run(capsys, ["bounds", "poisson-entropy", "--grid", "10:1000:1", "--m", "auto"])
     assert code == 0
     orders = [row["m"] for row in rows_of(out)]

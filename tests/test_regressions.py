@@ -17,6 +17,7 @@ import entropy_bounds.cli as cli
 from entropy_bounds import (
     PrecisionContext,
     binomial_entropy_oracle,
+    entropy_poisson_large,
     entropy_poisson_small,
     expected_log_binomial,
     poisson_entropy_oracle,
@@ -51,6 +52,11 @@ def _miss(name, bound, args, oracle, bits, reason):
           "lower end 5.64e-40 against a truth of 2.50e-41: cancellation at q near 1"),
     _miss("relative-10000-0.1-m5-64", relative_entropy_bounds, (10000, F(1, 10), 5),
           relative_entropy_oracle, 64, "misses by 0.45 ulp: ends are rounded to nearest, not outward"),
+    # the same miss at lam = 10^6, m = 30 (0.33 ulp) stays out: its oracle takes about 12 s
+    _miss("poisson-small-1-m200-256", entropy_poisson_small, (1, 200), _poisson_entropy, 256,
+          "misses by 0.30 ulp: the gap rounds to 0 and [v, v] is rounded to nearest"),
+    _miss("poisson-large-1e5-m20-256", entropy_poisson_large, (10**5, 20), _poisson_entropy, 256,
+          "misses by 0.04 ulp: the gap rounds to 0 and [v, v] is rounded to nearest"),
     _miss("relative-1e6-1e-12-m6-256", relative_entropy_bounds, (10**6, F(1, 10**12), 6),
           relative_entropy_oracle, 256,
           "misses by 2.83e3 ulps: q = 1 - p is rounded before the head and the series cancel"),

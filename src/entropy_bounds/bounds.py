@@ -140,11 +140,13 @@ def _lower_anchored(head: mpf):
 
 
 def _over_n(pieces) -> LaurentPoly:
-    """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals,
-    and over (*x, n) for LaurentPolys over x, such as (q, log q).  The exponents and Fractions
-    are canonical already, so the terms go to :meth:`LaurentPoly._of` uncoerced."""
-    return LaurentPoly._of({(*e, -k): c for k, f in pieces.items() for e, c in (
-        f._terms.items() if isinstance(f, LaurentPoly) else [((), f)])})
+    """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals, and
+    over (*x, n) for LaurentPolys over x, such as (q, log q); on numerators over one lcm."""
+    parts = [(k, f._num, f._den) if isinstance(f, LaurentPoly) else
+             (k, {(): f.numerator}, f.denominator) for k, f in pieces.items()]
+    den = math.lcm(*(d for _, _, d in parts))
+    return LaurentPoly._over(
+        {(*e, -k): c * (den // d) for k, num, d in parts for e, c in num.items()}, den)
 
 
 def _sandwich_forms(derive, m: int) -> tuple:
@@ -162,7 +164,7 @@ def _small_forms(c, bits: int, m: int) -> tuple:
     ctx = PrecisionContext(bits)
     *terms, (e, c_next) = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
                            for k in range(2, 2 * m + 2)]
-    return LaurentPoly._of(dict(terms)), LaurentPoly._of({e: -c_next})
+    return LaurentPoly(terms), LaurentPoly({e: -c_next})
 
 
 def _relative_entropy_sum(n: int, p, M) -> tuple:

@@ -5,8 +5,8 @@ term-by-term integrals of one exact sandwich for E[log(X + 1)] per law, built
 from central-moment polynomials (:func:`expected_log_series`); the bounds on
 E[log(X + 1)] evaluate the same sandwich.  The whole chain, from the moment
 recursions through the sandwich, its integrals and the p <-> q symmetrization,
-runs on integer numerators over one denominator per polynomial, and builds
-each :class:`LaurentPoly` it returns once, with one Fraction per coefficient.
+is :class:`LaurentPoly` arithmetic, on integer numerators over one
+denominator per polynomial.
 The small-argument coefficients are forward differences of logarithms of
 integers (:func:`symbolic._logs`), each one alternating sum over its k
 logarithms in exact fixed-point integer arithmetic, at a precision fixed in
@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .moments import _binomial_table, _poisson_table
+from .moments import binomial_central_moment, poisson_central_moment
 from .symbolic import (
     DEFAULT_CONTEXT,
     LaurentPoly,
@@ -36,8 +35,8 @@ from .symbolic import (
     _check_order,
     _logs,
     _round64,
-    _to_one,
     integrate_tail,
+    integrate_to_one,
 )
 
 
@@ -68,36 +67,9 @@ class CoeffSet:
     a_tilde = property(lambda self: self.a)
 
 
-# law -> integer table of its central moment mu_j; every variable of mean^-j has exponent -j,
-# as the Poisson mean is s and the binomial mean is ns
-_LAWS = {"poisson": _poisson_table, "binomial": _binomial_table}
-
-_Table = Mapping[tuple[int, ...], int]
-
-
-@lru_cache(maxsize=None, typed=True)  # m = 2.0 or True misses m = 2 or 1, and is refused
-def _series_tables(law: str, m: int) -> tuple[tuple[_Table, int], tuple[_Table, int]]:
-    """:func:`expected_log_series` as ((numerators, denominator), ...) for lower and gap: lower
-    is sum_j +-(L / (j (j-1))) mu_j / mean^j over L = lcm j (j-1), gap mu_{2m+2} / mean^(2m+2)
-    over 2m + 1.  Order m's lower is order m - 1's, rescaled to the new L, plus its terms
-    j = 2m and 2m + 1.  Read-only, as every caller shares them."""
-    _check_order(m)
-    moment = _LAWS[law]
-    below, below_den = {}, 1
-    for k in range(1, m):  # ascending, so that no call recurses past the order below it
-        below, below_den = _series_tables(law, k)[0]
-    new = (2 * m, 2 * m + 1)
-    den = math.lcm(below_den, *(j * (j - 1) for j in new))
-    lower = {e: c * (den // below_den) for e, c in below.items()}
-    for j in new:
-        w = (-1) ** j * (den // (j * (j - 1)))
-        for e, c in moment(j).items():
-            key = tuple(x - j for x in e)
-            lower[key] = lower.get(key, 0) + w * c
-    j = 2 * m + 2
-    gap = {tuple(x - j for x in e): c for e, c in moment(j).items()}
-    lower = {e: c for e, c in lower.items() if c}
-    return (MappingProxyType(lower), den), (MappingProxyType(gap), 2 * m + 1)
+# law -> j -> mu_j / mean^j, its central moment over its mean: s if Poisson, ns if binomial
+_OVER_MEAN = {"poisson": lambda j: poisson_central_moment(j).shifted(-j),
+              "binomial": lambda j: binomial_central_moment(j).shifted((-j, -j))}
 
 
 @lru_cache(maxsize=None, typed=True)  # m = 2.0 or True misses m = 2 or 1, and is refused
@@ -110,10 +82,17 @@ def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
 
     ``"poisson"``: X = N_s with mean s, polynomials in s.  ``"binomial"``:
     X = B_{n-1,s}, with mu_j and the mean ns those of B_{n,s}, in (n, s).
-    Each is summed on integers over one denominator (:func:`_series_tables`) and built once.
+    Order m's lower is order m - 1's plus its gap over 2m, less the term j = 2m + 1, order 0's
+    lower being 0 and its gap mu_2 / mean^2.
     """
-    lower, gap = _series_tables(law, m)
-    return LaurentPoly._over(*lower), LaurentPoly._over(*gap)
+    _check_order(m)
+    over_mean = _OVER_MEAN[law]
+    for k in range(1, m - 1):  # ascending, so that no call recurses past the order below it
+        expected_log_series(law, k)
+    lower, gap = expected_log_series(law, m - 1) if m > 1 else (LaurentPoly(), over_mean(2))
+    j = 2 * m + 1
+    lower = lower + (Fraction(1, j - 1) * gap - Fraction(1, j * (j - 1)) * over_mean(j))
+    return lower, Fraction(1, j) * over_mean(j + 1)
 
 
 @lru_cache(maxsize=None)
@@ -130,14 +109,13 @@ def poisson_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b={-e: c for e, c in b}, a={-e: c for e, c in a})
 
 
-def _integrate_pieces(num: _Table, den: int) -> dict[int, LaurentPoly]:
-    """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1, f the sum of
-    num[e] n^e_0 s^e_1 / den."""
+def _integrate_pieces(f: LaurentPoly) -> dict[int, LaurentPoly]:
+    """{k: integral_q^1 of the n^-(k+1) piece of f(n, s) ds} for k >= 1."""
     pieces: dict[int, dict[tuple[int], int]] = {}
-    for (n_exp, s_exp), c in num.items():
+    for (n_exp, s_exp), c in f._num.items():
         pieces.setdefault(-n_exp - 1, {})[s_exp,] = c
-    # in descending k, the order of the n exponents in f's canonical terms
-    return {k: _to_one(t, den) for k, t in sorted(pieces.items(), reverse=True) if k >= 1}
+    # in descending k, as f's canonical terms run through ascending n exponents
+    return {k: integrate_to_one(LaurentPoly._over(t, f._den)) for k, t in pieces.items() if k >= 1}
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +127,8 @@ def binomial_coeffs(m: int) -> CoeffSet:
     expected-log sandwich.  The n^-1 piece, (1 - s)/(2ns), integrates to the
     leading term -(p + log q)/2.
     """
-    lower, gap = _series_tables("binomial", m)
-    return CoeffSet(m=m, b=_integrate_pieces(*lower), a=_integrate_pieces(*gap))
+    lower, gap = expected_log_series("binomial", m)
+    return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
 
 
 def _log_difference(args: range, bits: int) -> tuple[int, int]:
@@ -214,17 +192,16 @@ def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:
     With p + q = 1, Girard-Waring gives p^e + q^e = sum_{i <= e/2} (-1)^i
     e/(e-i) C(e-i, i) u^i for e >= 1 and 2 for e = 0; for e < 0 it is that
     sum at |e| times u^e.  The log term keeps weight 1, as log p + log q = log u.  The
-    weights are integers, so the sum runs on f's integer numerators over its one denominator.
+    weights are integers, so the sum runs on f's numerators over its denominator.
     """
-    num, den = f._numerators()
     d: dict[tuple[int, int], int] = {}
-    for (e, log), c in num.items():
+    for (e, log), c in f._num.items():
         a = abs(e)
         for i in range(a // 2 + 1):
             w = (-1) ** i * a * math.comb(a - i, i) // (a - i) if a else 2 - log
             key = (i + min(e, 0), log)
             d[key] = d.get(key, 0) + c * w
-    return LaurentPoly._over(d, den)
+    return LaurentPoly._over(d, f._den)
 
 
 @lru_cache(maxsize=None)

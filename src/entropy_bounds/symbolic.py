@@ -2,13 +2,12 @@
 
 All coefficient derivations are exact end to end, with one expression type:
 :class:`LaurentPoly`, a sparse polynomial in one or several variables with
-negative exponents allowed and `fractions.Fraction` coefficients.  The
-derivations run on integer numerators over one denominator per polynomial and
-build each LaurentPoly once from them (``LaurentPoly._over``).  A binomial
-coefficient function is one over (q, L), L standing for log q with exponent 0
-or 1.  Nothing here ever rounds; numeric evaluation is a separate step, in
-Python integers rounded once per expression (:func:`evaluate`), at a precision
-chosen through :class:`PrecisionContext`.
+negative exponents allowed and rational coefficients, held as integer
+numerators over one denominator, so that its arithmetic runs on integers.  A
+binomial coefficient function is one over (q, L), L standing for log q with
+exponent 0 or 1.  Nothing here ever rounds; numeric evaluation is a separate
+step, in Python integers rounded once per expression (:func:`evaluate`), at a
+precision chosen through :class:`PrecisionContext`.
 
 The two term-wise integration rules that turn moment polynomials into
 expansion coefficients live here as well: :func:`integrate_tail` for
@@ -27,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt, lcm, prod
-from operator import sub
-from typing import Callable, Iterable, Mapping, Union
+from math import gcd, isqrt, lcm, prod
+from operator import add, sub
+from typing import Callable, Collection, Iterable, Mapping, Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -165,16 +164,18 @@ def _round64(bits: int) -> int:
 
 
 def to_mpf(x, M: mpmath.MPContext) -> mpf:
-    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision.  A
-    Fraction, or an int wider than ``M.prec``, is rounded once, to nearest, from its integer
-    quotient to over ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every
-    tie as the rest of the quotient; so no full-width int reaches mpmath, whose conversion
-    strips trailing zeros in time that grows faster than the width."""
-    if isinstance(x, int) and x.bit_length() > M.prec:
-        x = Fraction(x)
-    if not isinstance(x, Fraction):
-        return M.mpf(x)
-    num, den = x.numerator, x.denominator
+    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision; a
+    Fraction, or an int wider than ``M.prec``, through :func:`_quotient`."""
+    if isinstance(x, Fraction) or isinstance(x, int) and x.bit_length() > M.prec:
+        return _quotient(x.numerator, x.denominator, M)
+    return M.mpf(x)
+
+
+def _quotient(num: int, den: int, M: mpmath.MPContext) -> mpf:
+    """num/den, den > 0, rounded once, to nearest, into ``M`` from its integer quotient to over
+    ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every tie as the rest of
+    the quotient; so no full-width int reaches mpmath, whose conversion strips trailing zeros in
+    time that grows faster than the width."""
     shift = M.prec + 2 + den.bit_length() - num.bit_length()
     man, rest = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
     man = man << 1 | bool(rest)
@@ -252,51 +253,49 @@ def _exponent(e: Exponent) -> tuple[int, ...]:
     return tuple(int(x) for x in e) if isinstance(e, tuple) else (int(e),)
 
 
-def _canonical(d: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
-    """Nonzero terms in ascending exponent order, all in the same variables."""
-    if len({len(e) for e in d}) > 1:
+def _agree(a: Collection[tuple[int, ...]], b: Collection[tuple[int, ...]]) -> None:
+    """Raise ``ValueError`` unless the exponents ``a`` and ``b``, each of one length, share it."""
+    if a and b and len(next(iter(a))) != len(next(iter(b))):
         raise ValueError("terms mix different numbers of variables")
-    return {e: c for e, c in sorted(d.items()) if c}
 
 
 class LaurentPoly:
-    """Finite sum of c * x_0**e_0 * ... * x_(k-1)**e_(k-1) with Fraction
-    coefficients and integer exponents of either sign.
+    """Finite sum of c * x_0**e_0 * ... * x_(k-1)**e_(k-1) with rational coefficients and
+    integer exponents of either sign.
 
-    An exponent is an int for a polynomial in one variable and a tuple of
-    ints for several, e.g. (n, s) for the binomial moments; the number of
-    variables follows from the exponents given.  Zero coefficients are never
-    stored, so structural equality is canonical.
+    An exponent is an int for a polynomial in one variable and a tuple of ints for several,
+    e.g. (n, s) for the binomial moments; the number of variables follows from the exponents
+    given.  The coefficients are integer numerators ``_num``, {exponent tuple: int}, over one
+    denominator ``_den``, in canonical form: no zero numerator, exponents ascending, ``_den`` > 0
+    and gcd(den, *num) = 1, so that structural equality is canonical.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(
         self, terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = ()
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
         d: dict[tuple[int, ...], Fraction] = {}
-        for e, c in items:
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms:
             e = _exponent(e)
             d[e] = d.get(e, 0) + as_fraction(c)
-        object.__setattr__(self, "_terms", _canonical(d))
+        if len(set(map(len, d))) > 1:
+            raise ValueError("terms mix different numbers of variables")
+        den = lcm(*(c.denominator for c in d.values()))
+        self._set({e: c.numerator * (den // c.denominator) for e, c in d.items()}, den)
+
+    def _set(self, num: dict[tuple[int, ...], int], den: int) -> "LaurentPoly":
+        """Hold num / den, den > 0, in canonical form, keeping ``num`` if canonical; return self."""
+        if (keys := sorted(num)) != list(num) or 0 in num.values():
+            num = {e: num[e] for e in keys if num[e]}
+        g = gcd(den, *num.values())
+        object.__setattr__(self, "_num", {e: c // g for e, c in num.items()} if g > 1 else num)
+        object.__setattr__(self, "_den", den // g)
+        return self
 
     @classmethod
-    def _of(cls, d: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
-        """Build from exponent tuples and Fractions without re-coercing them."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", _canonical(d))
-        return poly
-
-    @classmethod
-    def _over(cls, num: Mapping[tuple[int, ...], int], den: int) -> "LaurentPoly":
-        """Build from integer numerators over one positive denominator, one Fraction per term."""
-        return cls._of({e: Fraction(c, den) for e, c in num.items()})
-
-    def _numerators(self) -> tuple[dict[tuple[int, ...], int], int]:
-        """(num, den): the coefficients as integer numerators over the lcm of their denominators."""
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+    def _over(cls, num: dict[tuple[int, ...], int], den: int) -> "LaurentPoly":
+        return object.__new__(cls)._set(num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -304,74 +303,87 @@ class LaurentPoly:
     def terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
         """Terms sorted by ascending exponent: an int exponent for one
         variable, a tuple for several."""
-        return tuple((e[0] if len(e) == 1 else e, c) for e, c in self._terms.items())
+        return tuple((e[0] if len(e) == 1 else e, Fraction(c, self._den))
+                     for e, c in self._num.items())
 
     def coeff(self, e: Exponent) -> Fraction:
-        return self._terms.get(_exponent(e), Fraction(0))
+        return Fraction(self._num.get(_exponent(e), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+        return (isinstance(other, LaurentPoly)
+                and (self._den, self._num) == (other._den, other._num))
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash((self._den, *self._num.items()))
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, over the lcm of the two denominators."""
+        _agree(self._num, other._num)
+        den = lcm(self._den, other._den)
+        u, v = den // self._den, sign * (den // other._den)
+        d = {e: c * u for e, c in self._num.items()}
+        for e, c in other._num.items():
+            d[e] = d.get(e, 0) + c * v
+        return LaurentPoly._over(d, den)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly._of(d)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
+        return self._plus(other, 1) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._plus(other, -1) if isinstance(other, LaurentPoly) else NotImplemented
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly._over({e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            d: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2, strict=True))
+            _agree(self._num, other._num)
+            d: dict[tuple[int, ...], int] = {}
+            for e1, c1 in self._num.items():
+                for e2, c2 in other._num.items():
+                    e = tuple(map(add, e1, e2))
                     d[e] = d.get(e, 0) + c1 * c2
-            return LaurentPoly._of(d)
-        s = as_fraction(other)
-        return LaurentPoly._of({e: c * s for e, c in self._terms.items()})
+            return LaurentPoly._over(d, self._den * other._den)
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return LaurentPoly._over({e: c * n for e, c in self._num.items()},
+                                     self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def shifted(self, k: Exponent) -> "LaurentPoly":
         """Multiply by the monomial with exponent ``k``."""
-        return self * LaurentPoly({k: 1})
+        k = _exponent(k)
+        _agree(self._num, (k,))
+        return LaurentPoly._over({tuple(map(add, e, k)): c for e, c in self._num.items()},
+                                 self._den)
 
     def derivative(self, var: int) -> "LaurentPoly":
         """Partial derivative in variable number ``var`` (0 for one variable)."""
-        return LaurentPoly._of(
-            {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var] for e, c in self._terms.items()}
-        )
+        return LaurentPoly._over({e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+                                  for e, c in self._num.items()}, self._den)
 
     def __call__(self, *point):
         """Value at ``point``, one coordinate per variable: exact when every coordinate is
         an int or Fraction, else an mpf (:func:`evaluate`) in the mpmath context of the
         first mpf coordinate (DEFAULT_CONTEXT's if none), at its precision."""
-        if self._terms and len(point) != len(next(iter(self._terms))):
+        if self._num and len(point) != len(next(iter(self._num))):
             raise TypeError(f"expected one coordinate per variable, got {len(point)}")
         if all(isinstance(x, (int, Fraction)) for x in point):
             return sum((c * prod(Fraction(x) ** k for x, k in zip(point, e))
-                        for e, c in self._terms.items()), Fraction(0))
+                        for e, c in self._num.items()), Fraction(0)) / self._den
         M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
         return evaluate(M, *(to_mpf(x, M) for x in point))(_form(self, M))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        parts = [f"{rational_str(c)}*x^{e}" for e, c in self.terms()]
-        return "LaurentPoly(" + " + ".join(parts) + ")"
+        parts = " + ".join(f"{rational_str(c)}*x^{e}" for e, c in self.terms())
+        return f"LaurentPoly({parts or 0})"
 
 
 class LogLaurent(LaurentPoly):
@@ -383,18 +395,18 @@ class LogLaurent(LaurentPoly):
 
     @property
     def laurent(self) -> LaurentPoly:
-        return LaurentPoly._of({e[:1]: c for e, c in self._terms.items() if not e[1]})
+        return LaurentPoly._over({e[:1]: c for e, c in self._num.items() if not e[1]}, self._den)
 
     @property
     def log_coeff(self) -> Fraction:
         return self.coeff((0, 1))
 
 
-def _form(x, M: mpmath.MPContext) -> tuple:
-    """Per term of the exact expression ``x``, its nonzero (variable, exponent) pairs and
-    its coefficient rounded into ``M`` by :func:`to_mpf`, as :func:`_dyadic` (man, exp)."""
-    return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(to_mpf(c, M)))
-                 for e, c in x._terms.items())
+def _form(x: LaurentPoly, M: mpmath.MPContext) -> tuple:
+    """Per term of ``x``, its nonzero (variable, exponent) pairs and its coefficient rounded
+    into ``M`` by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
+    return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(_quotient(c, x._den, M)))
+                 for e, c in x._num.items())
 
 
 def _dyadic(x: mpf) -> tuple[int, int]:
@@ -463,31 +475,27 @@ def integrate_tail(f: LaurentPoly) -> LaurentPoly:
     Term rule: s**(-k) integrates to x**(-(k-1)) / (k-1).  Every exponent of
     ``f`` must be <= -2, otherwise the tail diverges.
     """
-    bad = [e for e, _ in f.terms() if e >= -1]
-    if bad:
+    if bad := [e for (e,) in f._num if e >= -1]:
         raise NonIntegrableTailError(f"exponents {bad} make the tail integral diverge")
-    return LaurentPoly._of({(e + 1,): c / (-e - 1) for (e,), c in f._terms.items()})
+    scale = lcm(*(-e - 1 for (e,) in f._num))
+    return LaurentPoly._over({(e + 1,): c * (scale // (-e - 1)) for (e,), c in f._num.items()},
+                             f._den * scale)
 
 
 def integrate_to_one(f: LaurentPoly) -> LogLaurent:
     """Exact ``integral_q^1 f(s) ds`` as a LaurentPoly over (q, L), L standing for log q.
 
     Exponent -1 contributes ``-L``; exponent e != -1 contributes
-    ``(1 - q**(e+1)) / (e+1)``, split into a constant and a power of q.
+    ``(1 - q**(e+1)) / (e+1)``, split into a constant and a power of q.  The sum runs on
+    f's numerators over its denominator times the lcm of the nonzero e + 1.
     """
-    return _to_one(*f._numerators())
-
-
-def _to_one(num: Mapping[tuple[int], int], den: int) -> LogLaurent:
-    """:func:`integrate_to_one` of the sum of num[e] s^e / den, on integer numerators over den
-    times the lcm of the nonzero e + 1, so that each coefficient is one Fraction."""
-    scale = lcm(*(e + 1 for (e,) in num if e != -1))
+    scale = lcm(*(e + 1 for (e,) in f._num if e != -1))
     out = {(0, 0): 0}
-    for (e,), c in num.items():
+    for (e,), c in f._num.items():
         if e == -1:
             out[0, 1] = -c * scale
         else:
             c *= scale // (e + 1)
             out[0, 0] += c
             out[e + 1, 0] = -c
-    return LogLaurent._over(out, den * scale)
+    return LogLaurent._over(out, f._den * scale)

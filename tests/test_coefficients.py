@@ -1,6 +1,7 @@
 """Coefficient derivation against published tables, closed forms, and
 independent quadrature/finite-difference oracles."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -401,8 +402,9 @@ class TestSymmetricCoefficients:
         _check_symmetrized(f, _symmetrize_pq(f))
 
 
-# --- reference: the derivation chain in LaurentPoly arithmetic, one Fraction operation at a
-# time, against which the library's integer-numerator derivation is checked past the fixtures
+# --- reference: the derivation chain in LaurentPoly's public operations alone, term by term,
+# against which the library's derivation, whose recursions, integrals and symmetrization loop
+# over each polynomial's integer numerators, is checked past the fixtures
 
 
 @lru_cache(maxsize=None)
@@ -504,3 +506,30 @@ class TestAgainstTheLaurentPolyReference:
         assert (pois.b, pois.a) == reference_poisson_sets(m)
         for s in (cs, sym, pois):
             assert all(type(c) is F for c in _fractions([*s.b.values(), *s.a.values()]))
+
+
+def test_derivation_through_order_20_is_pinned():
+    # sha256 over every set, series and moment that orders 1..20 derive, with each term's
+    # exponent and Fraction and each value's type; captured at commit 322c826, when the
+    # coefficient fixtures pinned m <= 10 and the reference above m = 11..14
+    h = hashlib.sha256()
+
+    def put(name, v):
+        body = v.terms() if isinstance(v, LaurentPoly) else v
+        h.update(f"{name} {type(v).__name__} {body!r}\n".encode())
+
+    for m in range(1, 21):
+        for derive in (poisson_coeffs, binomial_coeffs, _symmetric_coeffs):
+            cs = derive(m)
+            for part, d in (("b", cs.b), ("a", cs.a)):
+                for k in sorted(d):
+                    put(f"{derive.__name__}({m}).{part}[{k}]", d[k])
+        for law in ("poisson", "binomial"):
+            for part, f in zip(("lower", "gap"), coefficients.expected_log_series(law, m)):
+                put(f"{law} series({m}).{part}", f)
+    for k in range(43):
+        put(f"poisson mu_{k}", poisson_central_moment(k))
+        put(f"binomial mu_{k}", binomial_central_moment(k))
+    for i, c in enumerate(stirling_m1_constants(), 1):
+        put(f"C{i}", c)
+    assert h.hexdigest() == "c6e20f47b39f41acc733a4ac9a3f79dfa1e6fd574c2abcf6ab24fc48431702ea"

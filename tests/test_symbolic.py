@@ -86,7 +86,7 @@ class TestLaurentPoly:
 
     def test_immutable(self):
         f = LaurentPoly({1: 1})
-        for name in ("_terms", "other"):
+        for name in ("_num", "_den", "other"):
             with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
                 setattr(f, name, {})
         assert f == LaurentPoly({1: 1})
@@ -133,6 +133,17 @@ class TestLaurentPoly:
         assert (p - p).is_zero
         assert 3 * p == LaurentPoly({0: 3, 1: 3}) == p * 3
         assert -p == LaurentPoly({0: -1, 1: -1})
+        # only a LaurentPoly adds to one, and only a LaurentPoly or an exact scalar multiplies one
+        for other in (1, F(1, 2), 0.5, "1/2"):
+            with pytest.raises(TypeError):
+                p + other
+            with pytest.raises(TypeError):
+                p - other
+            with pytest.raises(TypeError):
+                other + p
+        for other in (0.5, "1/2", mpf(2)):
+            with pytest.raises(TypeError):
+                p * other
 
     def test_mul(self):
         f = LaurentPoly({-1: 2, 1: 1})
@@ -186,6 +197,8 @@ class TestLaurentPoly:
         assert (f + g)(*point) == f(*point) + g(*point)
         assert (f - g)(*point) == f(*point) - g(*point)
         assert (f * g)(*point) == f(*point) * g(*point)
+        # sums over different denominators reduce to one canonical form
+        assert (f + g) - g == f and hash((f + g) - g) == hash(f)
         for var in (0, 1):
             by_hand = {
                 tuple(e - (i == var) for i, e in enumerate(exps)): c * exps[var]

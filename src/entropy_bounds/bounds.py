@@ -43,11 +43,11 @@ from mpmath.libmp import (
 from . import coefficients
 from .symbolic import (
     DEFAULT_CONTEXT,
+    DomainError,
     LaurentPoly,
     PrecisionContext,
     PrecisionError,
-    _check_n,
-    _check_order,
+    _check_positive,
     _dyadic,
     _form,
     _log_factorial_reader,
@@ -99,9 +99,9 @@ def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundRe
 
 
 def _check_m(m) -> None:
-    """:func:`symbolic._check_order`, letting m = "auto" through."""
+    """Raise ``ValueError`` unless the order m is a positive int or "auto"."""
     if m != "auto":
-        _check_order(m)
+        _check_positive(m, "order m")
 
 
 @lru_cache(maxsize=144)  # six sets (README) at orders 1..6, four precisions
@@ -139,21 +139,18 @@ def _lower_anchored(head: mpf):
     return lambda s, v: ((end := head + s), end + v)
 
 
-def _over_n(pieces) -> LaurentPoly:
-    """sum_k f_k n^-k for the coefficients of ``pieces``, {k: f_k}: over (n) for rationals, and
-    over (*x, n) for LaurentPolys over x, such as (q, log q); on numerators over one lcm."""
-    parts = [(k, f._num, f._den) if isinstance(f, LaurentPoly) else
-             (k, {(): f.numerator}, f.denominator) for k, f in pieces.items()]
-    den = math.lcm(*(d for _, _, d in parts))
-    return LaurentPoly._over(
-        {(*e, -k): c * (den // d) for k, num, d in parts for e, c in num.items()}, den)
-
-
 def _sandwich_forms(derive, m: int) -> tuple:
-    """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k (:func:`_over_n`) of the set
-    ``derive(m)``, ``derive`` being part of the cache key; n is lam for the Poisson law."""
-    cs = derive(m)
-    return _over_n(cs.b), _over_n(cs.a)
+    """The series sum_k b(m, k) n^-k and gap sum_k a(m, k) n^-k of the set ``derive(m)``, over
+    (n) for rationals and over (*x, n) for LaurentPolys over x, such as (q, log q), on numerators
+    over one lcm; ``derive`` is part of the cache key, and n is lam for the Poisson law."""
+    cs, forms = derive(m), []
+    for pieces in cs.b, cs.a:
+        parts = [(k, f._num, f._den) if isinstance(f, LaurentPoly) else
+                 (k, {(): f.numerator}, f.denominator) for k, f in pieces.items()]
+        den = math.lcm(*(d for _, _, d in parts))
+        forms.append(LaurentPoly._over(
+            {(*e, -k): c * (den // d) for k, num, d in parts for e, c in num.items()}, den))
+    return tuple(forms)
 
 
 def _small_forms(c, bits: int, m: int) -> tuple:
@@ -173,7 +170,7 @@ def _relative_entropy_sum(n: int, p, M) -> tuple:
     lies in [l, l + g] with l = s - t, t = (1 + log u)/2, and s and g the series and gap of
     ``_compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
     sum_i a~_sym(k, i; u) n^-i."""
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     p_m = _point(p, M, "p", "in (0,1)")
     u = p_m * (1 - p_m)
     log_u = M.log(u)
@@ -269,7 +266,7 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     formed at bits + 73 + bl(n) + max(0, -mag p) bits with q exact, is within 2^-(bits+66)
     D.  Their sum, within 2^-(bits+64) D, is one exact quotient, rounded once.
     """
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if not p_m:
@@ -304,7 +301,7 @@ def relative_entropy_bounds(
     """Large-n sandwich: D(n, p) in [l, l + r~] with
     l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
     _check_m(m)
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
     q_m = 1 - p_m
@@ -358,7 +355,7 @@ def expected_log_binomial_bounds(
     """Sandwich for E[log(B_{n-1,s} + 1)], same shape with mu_k(n, s) and
     powers of ns.  Subtract log(ns) to bound the ratio form."""
     _check_m(m)
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
     return _sandwich(ctx, "expected-log-binomial", m,

@@ -308,19 +308,20 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entropy-bounds",
+        allow_abbrev=False,
         description="Exact expansion coefficients and certified entropy bounds "
                     "for the Poisson and binomial laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="export exact coefficient tables as JSON")
+    p = sub.add_parser("coeffs", allow_abbrev=False, help="export exact coefficient tables as JSON")
     p.add_argument("kind", choices=["poisson", "binomial", "small-lambda"])
     p.add_argument("--m", type=int, default=None, help="expansion order")
     p.add_argument("--kmax", type=int, default=None, help="largest k for small-lambda c(k)")
     _add_common(p)
     p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("bounds", help="evaluate sandwich bounds over a grid")
+    p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate sandwich bounds over a grid")
     p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--method", default=None, help="; ".join(
         f"{target}: {'|'.join(methods)}" for target, (*_, methods) in _TARGETS.items()
@@ -333,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="cross-check bounds against brute-force oracles")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="cross-check bounds against brute-force oracles")
     p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--method", default=None, help="as for the bounds command")
     p.add_argument("--m-list", default=None, help="comma-separated orders (default 1,2,3,4,5)")
@@ -342,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("figure", help="CSV columns of the large-lambda poisson-entropy sandwich")
+    p = sub.add_parser("figure", allow_abbrev=False,
+                       help="CSV columns of the large-lambda poisson-entropy sandwich")
     p.add_argument("fig", choices=["gaps", "bounds"])
     p.add_argument("--m-list", default=None, help="comma-separated orders (default 1,2,3)")
     _add_grid(p)

@@ -32,7 +32,7 @@ from .symbolic import (
     LaurentPoly,
     PrecisionContext,
     _check_index,
-    _check_order,
+    _check_positive,
     _logs,
     _round64,
     integrate_tail,
@@ -85,7 +85,7 @@ def expected_log_series(law: str, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     Order m's lower is order m - 1's plus its gap over 2m, less the term j = 2m + 1, order 0's
     lower being 0 and its gap mu_2 / mean^2.
     """
-    _check_order(m)
+    _check_positive(m, "order m")
     over_mean = _OVER_MEAN[law]
     for k in range(1, m - 1):  # ascending, so that no call recurses past the order below it
         expected_log_series(law, k)

@@ -51,7 +51,7 @@ from .symbolic import (
     DomainError,
     PrecisionContext,
     _check_index,
-    _check_n,
+    _check_positive,
     _log_factorial_reader,
     _mp_context,
     _point,
@@ -293,7 +293,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """H(B_{n,p}) = -sum_k P(k) log P(k) (0 log 0 = 0), summed as
     n h(p) - E[log C(n, K)], h the binary entropy in nats."""
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0 or p_m == 1:
@@ -317,7 +317,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     higher where c exceeds 32.  The head n(p + q log q), with q exact,
     cancels under log2(4/p) bits and is formed that many bits higher still.
     """
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
     if p_m == 0:
@@ -345,7 +345,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     differ, so they cancel under c = bl(2n bl(n)) + 1 - mag q bits, and the difference is
     formed c - 32 bits higher where c exceeds 32 of the working precision's guard bits.
     """
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     M = ctx.mp
     s_m = _point(s, M, "s", "in (0,1)")
     lost = (2 * n * n.bit_length()).bit_length() + 1 - M.mag(M.fsub(1, s_m, exact=True))
@@ -359,7 +359,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 def moment_oracle_binomial(k: int, n: int, s) -> Fraction:
     """E[(B_{n,s} - ns)^k] as an exact rational finite sum."""
     _check_index(k, "moment order", 0)
-    _check_n(n)
+    _check_positive(n, "n", DomainError)
     s = as_fraction(s)
     if not 0 < s < 1:
         raise DomainError(f"s must be in (0,1), got {s}")

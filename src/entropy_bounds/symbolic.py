@@ -22,13 +22,14 @@ exponent beside their integers.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
 from operator import add, sub
-from typing import Callable, Collection, Iterable, Mapping, Union
+from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -57,16 +58,10 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of the expression."""
 
 
-def _check_n(n: int) -> None:
-    """Raise :class:`DomainError` unless ``n`` is a positive int, bool refused."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-
-
-def _check_order(m: int) -> None:
-    """Raise ``ValueError`` unless the expansion order ``m`` is a positive int, bool refused."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be a positive integer, got {m!r}")
+def _check_positive(x: int, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``x``, n or the order m, is a positive int, bool refused."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise error(f"{name} must be a positive integer, got {x!r}")
 
 
 def _check_index(k: int, name: str, least: int | None = None) -> None:
@@ -249,8 +244,12 @@ def _logs(args, prec: int, ladder: bool) -> tuple[list[int], int]:
 
 
 def _exponent(e: Exponent) -> tuple[int, ...]:
-    """Canonical exponent key: an int names a one-variable exponent."""
-    return tuple(int(x) for x in e) if isinstance(e, tuple) else (int(e),)
+    """Canonical exponent key: an int names a one-variable exponent.  Each component must be an
+    int, bool refused (:func:`_check_index`)."""
+    e = e if isinstance(e, tuple) else (e,)
+    for k in e:
+        _check_index(k, "exponent")
+    return e
 
 
 def _agree(a: Collection[tuple[int, ...]], b: Collection[tuple[int, ...]]) -> None:

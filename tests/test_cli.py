@@ -365,6 +365,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "gaps", "--points", "10", "--m", "3"],
+        ["bounds", "poisson-entropy", "--point", "1"],
+        ["bounds", "poisson-entropy", "--points", "1", "--form", "json"],
+        ["bounds", "poisson-entropy", "--points", "1", "--bit", "64"],
+        ["verify", "poisson-entropy", "--points", "3", "--m", "3"],
+    ])
+    def test_abbreviated_flag_exits_2(self, capsys, argv):
+        # a flag is read only as spelled in full, never as the prefix of one the command reads
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bounds_help_names_every_method(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, so no name is split at a hyphen
         with pytest.raises(SystemExit):

@@ -1,9 +1,10 @@
 """Every bound and oracle refuses a point outside its domain with one
 message form, ``<name> must be <domain>, got <value>``, pinned here byte for
 byte at the points just past each domain edge; and an n or an order m that is
-no positive int, bool included, with the messages of ``symbolic._check_n`` and
-``symbolic._check_order``; and a moment order or coefficient index k that is no
-int, bool included (``symbolic._check_index``), or lies outside its range."""
+no positive int, bool included, with the message of ``symbolic._check_positive``
+(a ``DomainError`` for n, a ``ValueError`` for m); and a moment order or
+coefficient index k that is no int, bool included (``symbolic._check_index``),
+or lies outside its range."""
 
 from fractions import Fraction as F
 

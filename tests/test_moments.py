@@ -16,6 +16,7 @@ from entropy_bounds import (
     moment_oracle_poisson,
     poisson_central_moment,
 )
+from entropy_bounds.coefficients import expected_log_series
 from entropy_bounds.oracle import _outward, _poisson_law
 from entropy_bounds.symbolic import _log_factorial_reader, _mp_context, to_mpf
 
@@ -131,6 +132,27 @@ class TestBinomialMoments:
             moment_oracle_binomial(2, 0, F(1, 2))
         with pytest.raises(DomainError):
             moment_oracle_binomial(2, 5, F(3, 2))
+
+
+def poisson_limit(f: LaurentPoly) -> LaurentPoly:
+    """The limit of f(n, s/n) as n -> oo, for f over (n, s): a term n^a s^b becomes s^b n^(a-b),
+    so the terms with a = b survive, and none may have a > b."""
+    assert all(a <= b for (a, b), _ in f.terms()), f
+    return LaurentPoly({b: c for (a, b), c in f.terms() if a == b})
+
+
+class TestPoissonLimit:
+    """B_{n,s/n} -> Poisson(s) as n -> oo, exactly in the polynomials: each Poisson quantity is
+    the n -> oo limit of its binomial one at s/n."""
+
+    @pytest.mark.parametrize("k", range(43))
+    def test_central_moments(self, k):
+        assert poisson_limit(binomial_central_moment(k)) == poisson_central_moment(k)
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_expected_log_series(self, m):
+        lower, gap = expected_log_series("binomial", m)
+        assert (poisson_limit(lower), poisson_limit(gap)) == expected_log_series("poisson", m)
 
 
 class TestSizeBiasIdentity:

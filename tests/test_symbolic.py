@@ -189,6 +189,17 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             LaurentPoly({(1, 1): 1})(2)
 
+    @pytest.mark.parametrize("make, bad", [
+        (lambda: LaurentPoly({1.5: 1}), "1.5"),
+        (lambda: LaurentPoly({"2": 1}), "'2'"),
+        (lambda: LaurentPoly({1: 3}).coeff(1.9), "1.9"),
+        (lambda: LaurentPoly({1: 3}).shifted(0.7), "0.7"),
+    ], ids=["init-float", "init-str", "coeff", "shifted"])
+    def test_exponent_must_be_an_integer(self, make, bad):
+        # no exponent is truncated or parsed into an int
+        with pytest.raises(ValueError, match=f"^exponent must be an integer, got {bad}$"):
+            make()
+
     @given(two_variable_terms, two_variable_terms, nonzero_rationals, nonzero_rationals)
     def test_two_variable_algebra_matches_evaluation(self, f_terms, g_terms, n, s):
         f, g = LaurentPoly(f_terms), LaurentPoly(g_terms)

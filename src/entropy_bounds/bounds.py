@@ -36,6 +36,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_shift,
     mpf_sub,
+    round_ceiling,
     round_nearest,
     to_rational,
 )
@@ -208,10 +209,11 @@ def entropy_poisson_large(
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Classical upper bound H(lam) <= log(2 pi e (lam + 1/12)) / 2."""
+    """Classical upper bound H(lam) <= log(2 pi e (lam + 1/12)) / 2, rounded up at ``ctx.bits``."""
     M = ctx.mp
     lam_m = _point(lam, M, "lam", ">= 0")
-    return ctx.round(M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2)
+    upper = M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2
+    return mp.make_mpf(mpf_pos(upper._mpf_, ctx.bits, round_ceiling))
 
 
 def _binomial_window(n: int, a: int, b: int, E: int, P: int) -> tuple[int, list[int]]:

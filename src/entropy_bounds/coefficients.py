@@ -11,7 +11,7 @@ The small-argument coefficients are forward differences of logarithms of
 integers (:func:`symbolic._logs`), each one alternating sum over its k
 logarithms in exact fixed-point integer arithmetic, at a precision fixed in
 advance by an error bound for its one order (see :func:`_log_difference`),
-and rounded once when it is read.
+and rounded once, to nearest.
 Published tables exist only in the tests, as golden data.
 """
 
@@ -114,7 +114,6 @@ def _integrate_pieces(f: LaurentPoly) -> dict[int, LaurentPoly]:
     pieces: dict[int, dict[tuple[int], int]] = {}
     for (n_exp, s_exp), c in f._num.items():
         pieces.setdefault(-n_exp - 1, {})[s_exp,] = c
-    # in descending k, as f's canonical terms run through ascending n exponents
     return {k: integrate_to_one(LaurentPoly._over(t, f._den)) for k, t in pieces.items() if k >= 1}
 
 
@@ -131,10 +130,10 @@ def binomial_coeffs(m: int) -> CoeffSet:
     return CoeffSet(m=m, b=_integrate_pieces(lower), a=_integrate_pieces(gap))
 
 
-def _log_difference(args: range, bits: int) -> tuple[int, int]:
+def _log_difference(args: range, bits: int) -> mpf:
     """The forward difference Delta^r log(a_j) at j = 0, r = K-1, for a run a_0..a_r of K >= 2
-    consecutive positive integers, ascending or descending, as (diff, exp): Delta^r log is
-    diff 2^exp, within 2^-(bits+64) of its value, relative.
+    consecutive positive integers, ascending or descending, rounded once to nearest at ``bits``
+    from diff 2^exp, an integer within 2^-(bits+64) of its value, relative.
 
     Each log a is an integer at F = -exp fractional bits, F a multiple of 64 so that runs,
     precisions and the oracles share ladders (:func:`symbolic._logs`): T[a] - T[a-1] from the
@@ -160,7 +159,7 @@ def _log_difference(args: range, bits: int) -> tuple[int, int]:
     for j, log in enumerate(logs):
         diff = binom * log - diff
         binom = binom * (r - j) // (j + 1)
-    return diff, exp
+    return mp.make_mpf(from_man_exp(diff, exp, bits, round_nearest))
 
 
 @lru_cache(maxsize=None, typed=True)  # k = 2.0 or True misses k = 2 or 1, and is refused
@@ -171,8 +170,7 @@ def c_coeff(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Its sign is (-1)^k.
     """
     _check_index(k, "k", 2)
-    diff, exp = _log_difference(range(1, k + 1), ctx.bits)
-    return mp.make_mpf(from_man_exp(diff, exp, ctx.bits, round_nearest))
+    return _log_difference(range(1, k + 1), ctx.bits)
 
 
 def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -182,8 +180,7 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     _check_index(n, "n")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    diff, exp = _log_difference(range(n, n - k, -1), ctx.bits)
-    return mp.make_mpf(from_man_exp(diff, exp, ctx.bits, round_nearest))
+    return _log_difference(range(n, n - k, -1), ctx.bits)
 
 
 def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:

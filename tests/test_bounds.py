@@ -164,6 +164,16 @@ class TestCoverThomas:
         value, _ = poisson_entropy_oracle(lam)
         assert entropy_poisson_ct(lam) >= value
 
+    def test_rounded_up_where_its_excess_is_below_half_an_ulp(self):
+        # the excess over H(lam), about 1/(8 lam), falls below half an ulp past lam ~ 2^(bits - 4);
+        # rounded to nearest, 153 / 122 / 64 of these 345 points fell below H's lower end
+        wide = PrecisionContext(1024)
+        lams = [c * 10**e for e in range(5, 120) for c in (1, 3, 7)]
+        lower = {lam: entropy_poisson_large(lam, 3, wide).lower for lam in lams}
+        for bits in (64, 128, 256):
+            ctx = PrecisionContext(bits)
+            assert [lam for lam in lams if entropy_poisson_ct(lam, ctx) < lower[lam]] == [], bits
+
     def test_domain(self):
         with pytest.raises(DomainError):
             entropy_poisson_ct(-2)

@@ -74,6 +74,17 @@ class TestPoissonEntropyOracle:
                 assert 0 <= receipt.rel_err_bound <= ctx.mp.ldexp(1, -bits)
                 assert receipt.terms_used > 0
 
+    def test_relative_error_bound_is_rounded_up(self):
+        # rel_err_bound is at least tail_bound / value as exact rationals; rounded to nearest,
+        # 102 / 98 of these 199 receipts fell below it
+        exact = lambda x: F(*to_rational(x._mpf_))
+        for bits in (64, 256):
+            ctx = PrecisionContext(bits)
+            for k in range(1, 200):
+                value, receipt = poisson_entropy_oracle(F(k, 7), ctx)
+                assert exact(receipt.rel_err_bound) >= exact(receipt.tail_bound) / exact(value), (
+                    bits, k)
+
     def test_bit_identical_to_fixture(self):
         # (mantissa, exponent) of every value, captured once from a known-good
         # build: eleven lam from 1e-6 to 3000 at 64, 128, 256 and 320 bits

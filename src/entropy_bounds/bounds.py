@@ -2,13 +2,14 @@
 
 Every routine returns a :class:`BoundReport` whose ends are guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic.  Each sandwich is a closed-form head, a series with exact dyadic
-coefficients and a gap; a routine checks its inputs, forms its head (logarithms,
-log Gamma) in mpmath arithmetic in ``ctx.mp``, and hands its ``ends`` and the key
-of its compiled forms to :func:`_sandwich`, which all share.  Its series and gap
-are summed in integers, rounded once, by :func:`symbolic.evaluate`'s evaluator at the point, and
-each end is rounded to nearest at ``ctx.bits``.  The exact D(n, p) is no such
-form: it is one fixed-point sum over the binomial tails near the mean, rounded once.
+analytic.  Each sandwich is a closed-form head, a series with exact dyadic coefficients
+and a gap; a routine checks its inputs, forms its point and head as raw libmp values at
+P = ``ctx.mp.prec``, each step the libmp call that mpmath's own operator makes, and hands
+its ``ends`` and the key of its compiled forms to :func:`_sandwich`, which all share.  Its
+series and gap are summed in integers, rounded once, by :func:`symbolic.evaluate`'s
+evaluator at the point, and :func:`_report` rounds each end to nearest at ``ctx.bits`` into
+the report's four mpfs, the first the call makes.  The exact D(n, p) is no such form: it
+is one fixed-point sum over the binomial tails near the mean, rounded once.
 
 Every order-taking routine also takes m = "auto" (the CLI's ``--m auto``, and
 :func:`best_interval`): the order of AUTO_ORDERS whose evaluated gap is least, the
@@ -28,16 +29,26 @@ from typing import Callable
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fone,
     from_int,
     from_man_exp,
+    fzero,
     mpf_add,
     mpf_div,
+    mpf_e,
+    mpf_le,
+    mpf_log,
+    mpf_loggamma,
     mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
     mpf_pos,
     mpf_shift,
     mpf_sub,
     round_ceiling,
-    round_nearest,
+    round_nearest as rn,
     to_rational,
 )
 
@@ -53,9 +64,9 @@ from .symbolic import (
     _form,
     _log_factorial_reader,
     _logs,
-    _mp_context,
     _point,
     _round64,
+    as_fraction,
     evaluate,
 )
 
@@ -76,24 +87,29 @@ class BoundReport:
     method: str
 
     def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
+        if not mpf_le(self.lower._mpf_, self.upper._mpf_):
             raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
 
     def contains(self, x) -> bool:
+        """lower <= x <= upper: an int, Fraction or string read exactly (:func:`as_fraction`)
+        against the ends' exact dyadic values, an mpf or float as mpf comparison reads it."""
+        if isinstance(x, (int, Fraction, str)):
+            lo, hi = (Fraction(*to_rational(end._mpf_)) for end in (self.lower, self.upper))
+            return lo <= as_fraction(x) <= hi
         return self.lower <= x <= self.upper
 
 
-def _report(lower, upper, m: int, method: str, ctx: PrecisionContext) -> BoundReport:
-    """Each end, and the gap and midpoint of the rounded ends, rounded once at ``ctx.bits``."""
+def _report(lower: tuple, upper: tuple, m: int, method: str, ctx: PrecisionContext) -> BoundReport:
+    """Each raw end, and the gap and midpoint of the rounded ends, rounded once at ``ctx.bits``."""
     bits = ctx.bits
-    lo, hi = mpf_pos(lower._mpf_, bits, round_nearest), mpf_pos(upper._mpf_, bits, round_nearest)
+    lo, hi = mpf_pos(lower, bits, rn), mpf_pos(upper, bits, rn)
     if mpf_lt(hi, lo):
         raise PrecisionError(f"the ends of the order-{m} {method} bound cross at {bits} bits")
     return BoundReport(
         lower=mp.make_mpf(lo),
         upper=mp.make_mpf(hi),
-        midpoint=mp.make_mpf(mpf_shift(mpf_add(lo, hi, bits, round_nearest), -1)),
-        gap=mp.make_mpf(mpf_sub(hi, lo, bits, round_nearest)),
+        midpoint=mp.make_mpf(mpf_shift(mpf_add(lo, hi, bits, rn), -1)),
+        gap=mp.make_mpf(mpf_sub(hi, lo, bits, rn)),
         m=m,
         method=method,
     )
@@ -116,8 +132,8 @@ def _compiled(M, derive, *args) -> tuple:
 def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends) -> BoundReport:
     """The order-m report of a sandwich, m an order or "auto": ``_compiled(ctx.mp, *key, k)`` is
     the compiled (series, gap) of order k, evaluated at ``point``, and ``ends(s, v)`` the ends
-    (lower, upper) in ``ctx.mp`` for series value s and gap value v, one end formed from the
-    other and v.
+    (lower, upper) for series value s and gap value v, one end formed from the other and v, all
+    raw libmp values at P = ``ctx.mp.prec``.
 
     One evaluator (:func:`evaluate`) at ``point`` values every form asked for, on the same power
     ladders.  The candidate orders are AUTO_ORDERS for m = "auto", else m alone; each is asked
@@ -125,19 +141,22 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     series.  Every order's sandwich is certified by its own theorem, so the choice needs no
     proof: it may be a few ulps wider than the narrowest rounded interval.
     """
-    M = ctx.mp
-    value = evaluate(M, *point)
-    orders = AUTO_ORDERS if m == "auto" else (m,)
-    gaps = [value(_compiled(M, *key, k)[1]) for k in orders]
-    v = min(gaps)
-    m = orders[gaps.index(v)]
+    M, best = ctx.mp, None
+    value = evaluate(M.prec, *point)
+    for k in AUTO_ORDERS if m == "auto" else (m,):
+        gap = value(_compiled(M, *key, k)[1])
+        if best is None or mpf_lt(gap, best[1]):
+            best = k, gap
+    m, v = best
     return _report(*ends(value(_compiled(M, *key, m)[0]), v), m, method, ctx)
 
 
-def _lower_anchored(head: mpf):
-    """``ends`` for :func:`_sandwich` of a sandwich whose lower end is head + s, and upper end
-    that plus the gap."""
-    return lambda s, v: ((end := head + s), end + v)
+def _anchored(head: tuple, P: int, lower: bool):
+    """``ends`` for :func:`_sandwich` of a sandwich one of whose ends is head + s, the lower end
+    if ``lower``, and the other that end plus the gap, or less it, all at ``P`` bits."""
+    if lower:
+        return lambda s, v: ((end := mpf_add(head, s, P, rn)), mpf_add(end, v, P, rn))
+    return lambda s, v: (mpf_sub(end := mpf_add(head, s, P, rn), v, P, rn), end)
 
 
 def _sandwich_forms(derive, m: int) -> tuple:
@@ -172,10 +191,11 @@ def _relative_entropy_sum(n: int, p, M) -> tuple:
     ``_compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
     sum_i a~_sym(k, i; u) n^-i."""
     _check_positive(n, "n", DomainError)
+    P = M.prec
     p_m = _point(p, M, "p", "in (0,1)")
-    u = p_m * (1 - p_m)
-    log_u = M.log(u)
-    return ((u, log_u, M.mpf(n)), (1 + log_u) / 2,
+    u = mpf_mul(p_m, mpf_sub(fone, p_m, P, rn), P, rn)
+    log_u = mpf_log(u, P, rn)
+    return ((u, log_u, from_int(n, P, rn)), mpf_shift(mpf_add(log_u, fone, P, rn), -1),
             (_sandwich_forms, coefficients._symmetric_coeffs))
 
 
@@ -188,11 +208,12 @@ def entropy_poisson_small(
     the sum at 2m.  The two differ by O(lam^(2m+1)).
     """
     _check_m(m)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     lam_m = _point(lam, M, "lam", ">= 0")
-    head = lam_m - lam_m * M.log(lam_m) if lam_m else M.zero
+    head = lam_m if lam_m == fzero else mpf_sub(
+        lam_m, mpf_mul(lam_m, mpf_log(lam_m, P, rn), P, rn), P, rn)
     return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx.bits),
-                     (lam_m,), lambda s, v: ((end := head + s) - v, end))
+                     (lam_m,), _anchored(head, P, lower=False))
 
 
 def entropy_poisson_large(
@@ -201,19 +222,21 @@ def entropy_poisson_large(
     """Large-mean sandwich: H(lam) in [u - r_m(lam), u] with
     u = log(2 pi lam)/2 + 1/2 + sum_k b(m,k)/lam^k."""
     _check_m(m)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     lam_m = _point(lam, M, "lam", "> 0")
-    head = M.log(2 * M.pi * lam_m) / 2 + M.mpf(1) / 2
+    two_pi_lam = mpf_mul(mpf_shift(mpf_pi(P, rn), 1), lam_m, P, rn)  # 2 pi exact, as 2 * M.pi
+    head = mpf_add(mpf_shift(mpf_log(two_pi_lam, P, rn), -1), mpf_shift(fone, -1), P, rn)
     return _sandwich(ctx, "large-lambda", m, (_sandwich_forms, coefficients.poisson_coeffs),
-                     (lam_m,), lambda s, v: ((end := head + s) - v, end))
+                     (lam_m,), _anchored(head, P, lower=False))
 
 
 def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Classical upper bound H(lam) <= log(2 pi e (lam + 1/12)) / 2, rounded up at ``ctx.bits``."""
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     lam_m = _point(lam, M, "lam", ">= 0")
-    upper = M.log(2 * M.pi * M.e * (lam_m + M.mpf(1) / 12)) / 2
-    return mp.make_mpf(mpf_pos(upper._mpf_, ctx.bits, round_ceiling))
+    x = mpf_mul(mpf_mul(mpf_shift(mpf_pi(P, rn), 1), mpf_e(P, rn), P, rn),
+                mpf_add(lam_m, mpf_div(fone, from_int(12), P, rn), P, rn), P, rn)
+    return mp.make_mpf(mpf_pos(mpf_shift(mpf_log(x, P, rn), -1), ctx.bits, round_ceiling))
 
 
 def _binomial_window(n: int, a: int, b: int, E: int, P: int) -> tuple[int, list[int]]:
@@ -271,10 +294,10 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     _check_positive(n, "n", DomainError)
     M = ctx.mp
     p_m = _point(p, M, "p", "in [0,1]")
-    if not p_m:
-        return ctx.round(p_m)
-    _, a, exp, _ = p_m._mpf_
-    E, bl, lost = -exp, n.bit_length(), -min(0, M.mag(p_m))
+    if p_m == fzero:
+        return mp.make_mpf(p_m)
+    _, a, exp, bc = p_m
+    E, bl, lost = -exp, n.bit_length(), -min(0, exp + bc)
     b = (1 << E) - a  # p = a / 2^E and q = b / 2^E exactly
     lo, w = _binomial_window(n, a, b, E, ctx.bits + 74 + 3 * bl + 2 * lost)
     hi, j0 = lo + len(w) - 1, max(lo, 1)
@@ -288,13 +311,14 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         log_fact = _log_factorial_reader(prec)[0]
         fold = log_fact(n - 1) - log_fact(n - lo) - (lo - 1) * log_n
         total += fold * sigma
-    H = _mp_context(_round64(ctx.bits + 73 + bl + lost))
-    q = H.fsub(1, p_m, exact=True)
-    h_man, h_exp = _dyadic(n * H.fadd(p_m, q * H.log(q) if q else 0))
+    H = _round64(ctx.bits + 73 + bl + lost)
+    q = mpf_sub(fone, p_m)
+    q_log_q = q if q == fzero else mpf_mul(q, mpf_log(q, H, rn), H, rn)
+    h_man, h_exp = _dyadic(mpf_mul_int(mpf_add(p_m, q_log_q, H, rn), n, H, rn))
     # D = head + total 2^exp / sigma, as one quotient over 2^base
     base = min(h_exp, exp)
     num = (h_man * sigma << h_exp - base) + (total << exp - base)
-    return mp.make_mpf(mpf_div(from_man_exp(num, base), from_int(sigma), ctx.bits, round_nearest))
+    return mp.make_mpf(mpf_div(from_man_exp(num, base), from_int(sigma), ctx.bits, rn))
 
 
 def relative_entropy_bounds(
@@ -304,12 +328,13 @@ def relative_entropy_bounds(
     l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
     _check_m(m)
     _check_positive(n, "n", DomainError)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     p_m = _point(p, M, "p", "in (0,1)")
-    q_m = 1 - p_m
-    log_q = M.log(q_m)
+    q_m = mpf_sub(fone, p_m, P, rn)
+    log_q = mpf_log(q_m, P, rn)
+    head = mpf_shift(mpf_neg(mpf_add(p_m, log_q, P, rn)), -1)
     return _sandwich(ctx, "relative-entropy", m, (_sandwich_forms, coefficients.binomial_coeffs),
-                     (q_m, log_q, M.mpf(n)), _lower_anchored(-(p_m + log_q) / 2))
+                     (q_m, log_q, from_int(n, P, rn)), _anchored(head, P, lower=True))
 
 
 def entropy_binomial_bounds(
@@ -320,22 +345,26 @@ def entropy_binomial_bounds(
     by its order-m interval in u = pq.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
     _check_m(m)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     point, t, key = _relative_entropy_sum(n, p, M)
-    head = M.loggamma(n + 1) - n * M.log(n) + n
-    return _sandwich(ctx, "binomial-corollary", m, key, point,
-                     lambda s, v: ((end := head - (s - t)) - v, end))
+    head = mpf_sub(mpf_loggamma(from_int(n + 1), P, rn),
+                   mpf_mul_int(mpf_log(from_int(n), P, rn), n, P, rn), P, rn)
+    head = mpf_add(head, from_int(n), P, rn)
+    return _sandwich(ctx, "binomial-corollary", m, key, point, lambda s, v: (
+        mpf_sub(end := mpf_sub(head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), end))
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
     """Order-1 binomial entropy sandwich: the order-1 corollary with log n! - n log n + n
     replaced by Stirling's log(2 pi n)/2 + [1/(12n) - 1/(360n^3), 1/(12n)].  In closed form,
     log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n] (:func:`stirling_m1_constants`)."""
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     point, t, key = _relative_entropy_sum(n, p, M)
-    head = M.log(2 * M.pi * n) / 2 + M.mpf(1) / (12 * n)
-    return _sandwich(ctx, "binomial-stirling", 1, key, point, lambda s, v: (
-        (end := head - (s - t)) - v - M.mpf(1) / (360 * n**3), end))
+    log_2_pi_n = mpf_log(mpf_mul_int(mpf_shift(mpf_pi(P, rn), 1), n, P, rn), P, rn)
+    head = mpf_add(mpf_shift(log_2_pi_n, -1), mpf_div(fone, from_int(12 * n), P, rn), P, rn)
+    c3 = mpf_div(fone, from_int(360 * n**3), P, rn)
+    return _sandwich(ctx, "binomial-stirling", 1, key, point, lambda s, v: (mpf_sub(mpf_sub(
+        end := mpf_sub(head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), c3, P, rn), end))
 
 
 def expected_log_poisson_bounds(
@@ -345,10 +374,10 @@ def expected_log_poisson_bounds(
     lower = log s + sum_{k=2}^{2m+1} (-1)^k mu_k(s) / (k (k-1) s^k),
     gap = mu_{2m+2}(s) / ((2m+1) s^(2m+2))."""
     _check_m(m)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     s_m = _point(s, M, "s", "> 0")
     return _sandwich(ctx, "expected-log-poisson", m, (coefficients.expected_log_series, "poisson"),
-                     (s_m,), _lower_anchored(M.log(s_m)))
+                     (s_m,), _anchored(mpf_log(s_m, P, rn), P, lower=True))
 
 
 def expected_log_binomial_bounds(
@@ -358,11 +387,11 @@ def expected_log_binomial_bounds(
     powers of ns.  Subtract log(ns) to bound the ratio form."""
     _check_m(m)
     _check_positive(n, "n", DomainError)
-    M = ctx.mp
+    M, P = ctx.mp, ctx.mp.prec
     s_m = _point(s, M, "s", "in (0,1)")
     return _sandwich(ctx, "expected-log-binomial", m,
-                     (coefficients.expected_log_series, "binomial"), (M.mpf(n), s_m),
-                     _lower_anchored(M.log(n * s_m)))
+                     (coefficients.expected_log_series, "binomial"), (from_int(n, P, rn), s_m),
+                     _anchored(mpf_log(mpf_mul_int(s_m, n, P, rn), P, rn), P, lower=True))
 
 
 def best_interval(

@@ -183,19 +183,23 @@ def c_tilde_coeff(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mp
     return _log_difference(range(n, n - k, -1), ctx.bits)
 
 
-def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:
+def _symmetrize_pq(f: LaurentPoly, rows: dict[int, list[int]] | None = None) -> LaurentPoly:
     """f(q, log q) + f(p, log p) rewritten exactly over (u, log u), u = pq, for any f.
 
     With p + q = 1, Girard-Waring gives p^e + q^e = sum_{i <= e/2} (-1)^i
     e/(e-i) C(e-i, i) u^i for e >= 1 and 2 for e = 0; for e < 0 it is that
     sum at |e| times u^e.  The log term keeps weight 1, as log p + log q = log u.  The
-    weights are integers, so the sum runs on f's numerators over its denominator.
+    weights are integers, so the sum runs on f's numerators over its denominator.  ``rows``
+    holds the row of weights of each |e| >= 1, formed on first use: a caller passes one dict
+    to every f of a set, whose exponents repeat.
     """
     d: dict[tuple[int, int], int] = {}
+    rows = {} if rows is None else rows
     for (e, log), c in f._num.items():
         a = abs(e)
-        for i in range(a // 2 + 1):
-            w = (-1) ** i * a * math.comb(a - i, i) // (a - i) if a else 2 - log
+        if a and a not in rows:
+            rows[a] = [(-1) ** i * a * math.comb(a - i, i) // (a - i) for i in range(a // 2 + 1)]
+        for i, w in enumerate(rows[a] if a else [2 - log]):
             key = (i + min(e, 0), log)
             d[key] = d.get(key, 0) + c * w
     return LaurentPoly._over(d, f._den)
@@ -205,8 +209,8 @@ def _symmetrize_pq(f: LaurentPoly) -> LaurentPoly:
 def _symmetric_coeffs(m: int) -> CoeffSet:
     """:func:`binomial_coeffs` (m) with each b~ and a~ symmetrized in p <-> q
     (:func:`_symmetrize_pq`): the coefficients of D(n, p) + D(n, q) over (u, log u), u = pq."""
-    cs = binomial_coeffs(m)
-    return CoeffSet(m, *({k: _symmetrize_pq(f) for k, f in d.items()} for d in (cs.b, cs.a)))
+    cs, rows = binomial_coeffs(m), {}
+    return CoeffSet(m, *({k: _symmetrize_pq(f, rows) for k, f in d.items()} for d in (cs.b, cs.a)))
 
 
 @lru_cache(maxsize=None)

@@ -252,7 +252,7 @@ def poisson_entropy_oracle(
     and H is formed there and rounded once.
     """
     M = ctx.mp
-    lam_m = _point(lam, M, "lam", ">= 0")
+    lam_m = M.make_mpf(_point(lam, M, "lam", ">= 0"))
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
     W = PrecisionContext(M.prec).mp
@@ -269,7 +269,7 @@ def expected_log_poisson(s, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """E[log(N_s + 1)] by certified series, log(j + 1) read from the
     log-factorial table."""
     M = ctx.mp
-    s_m = _point(s, M, "s", "> 0")
+    s_m = M.make_mpf(_point(s, M, "s", "> 0"))
     log_fact, exp = _log_factorial_reader(M.prec)
     law = _poisson_law(s_m, M.prec, log_fact, exp)
     return ctx.round(_outward(law, lambda j: (log_fact(j + 1) - log_fact(j), exp), M)[0])
@@ -281,7 +281,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     Touchard's E[N_s^i] = sum_j S(i, j) s^j, S the Stirling numbers of the second kind, so
     the sum is independent of the moment polynomials."""
     _check_index(k, "moment order", 0)
-    s = Fraction(*to_rational(_point(s, ctx.mp, "s", "> 0")._mpf_))
+    s = Fraction(*to_rational(_point(s, ctx.mp, "s", "> 0")))
     raw, row = [], [1]  # row[j] = S(i, j) as the i-th raw moment is summed
     for _ in range(k + 1):
         raw.append(sum(c * s**j for j, c in enumerate(row)))
@@ -295,7 +295,7 @@ def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     n h(p) - E[log C(n, K)], h the binary entropy in nats."""
     _check_positive(n, "n", DomainError)
     M = ctx.mp
-    p_m = _point(p, M, "p", "in [0,1]")
+    p_m = M.make_mpf(_point(p, M, "p", "in [0,1]"))
     if p_m == 0 or p_m == 1:
         return mpf(0)
     log_fact, exp = _log_factorial_reader(M.prec)
@@ -319,7 +319,7 @@ def relative_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     """
     _check_positive(n, "n", DomainError)
     M = ctx.mp
-    p_m = _point(p, M, "p", "in [0,1]")
+    p_m = M.make_mpf(_point(p, M, "p", "in [0,1]"))
     if p_m == 0:
         return mpf(0)
     if p_m == 1:
@@ -347,7 +347,7 @@ def expected_log_binomial(n: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     """
     _check_positive(n, "n", DomainError)
     M = ctx.mp
-    s_m = _point(s, M, "s", "in (0,1)")
+    s_m = M.make_mpf(_point(s, M, "s", "in (0,1)"))
     lost = (2 * n * n.bit_length()).bit_length() + 1 - M.mag(M.fsub(1, s_m, exact=True))
     W = M if lost <= 32 else _mp_context(_round64(M.prec + lost - 32))
     log_fact, exp = _log_factorial_reader(W.prec)

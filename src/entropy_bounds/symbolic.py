@@ -34,9 +34,12 @@ from typing import Union
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    fone,
     from_int,
+    fzero,
     mpf_log,
     mpf_loggamma,
+    mpf_lt,
     mpf_pos,
     normalize,
     round_nearest,
@@ -72,21 +75,21 @@ def _check_index(k: int, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}, got {k}")
 
 
-# the words a domain's message prints -> its test; NaN passes none, and _point refuses inf
+# the words a domain's message prints -> its test of a finite raw value (sign, man, exp, bc)
 _DOMAINS = {
-    ">= 0": lambda x: x >= 0,
-    "> 0": lambda x: x > 0,
-    "in [0,1]": lambda x: 0 <= x <= 1,
-    "in (0,1)": lambda x: 0 < x < 1,
+    ">= 0": lambda x: not x[0],
+    "> 0": lambda x: not x[0] and x[1],
+    "in [0,1]": lambda x: not x[0] and not mpf_lt(fone, x),
+    "in (0,1)": lambda x: not x[0] and x[1] and mpf_lt(x, fone),
 }
 
 
-def _point(x, M: mpmath.MPContext, name: str, domain: str) -> mpf:
-    """Convert ``x`` into context ``M``; raise :class:`DomainError` unless it
-    is finite and lies in ``domain``, a key of :data:`_DOMAINS`."""
-    x_m = to_mpf(x, M)
-    if not (_DOMAINS[domain](x_m) and M.isfinite(x_m)):
-        raise DomainError(f"{name} must be {domain}, got {x_m}")
+def _point(x, M: mpmath.MPContext, name: str, domain: str) -> tuple:
+    """``x`` as a raw libmp value at ``M.prec`` (:func:`_raw`); raise :class:`DomainError`
+    unless it is finite and lies in ``domain``, a key of :data:`_DOMAINS`."""
+    x_m = _raw(x, M)
+    if not ((x_m[1] or x_m == fzero) and _DOMAINS[domain](x_m)):
+        raise DomainError(f"{name} must be {domain}, got {M.make_mpf(x_m)}")
     return x_m
 
 
@@ -159,22 +162,27 @@ def _round64(bits: int) -> int:
 
 
 def to_mpf(x, M: mpmath.MPContext) -> mpf:
-    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` at its precision; a
-    Fraction, or an int wider than ``M.prec``, through :func:`_quotient`."""
+    """Convert int/float/str/Fraction/mpf to an mpf of context ``M`` (:func:`_raw`)."""
+    return M.make_mpf(_raw(x, M))
+
+
+def _raw(x, M: mpmath.MPContext) -> tuple:
+    """int/float/str/Fraction/mpf ``x`` as a raw libmp value at ``M.prec``, rounded to nearest: a
+    Fraction, or an int wider than ``M.prec``, by :func:`_quotient`, else as ``M.mpf`` reads it."""
     if isinstance(x, Fraction) or isinstance(x, int) and x.bit_length() > M.prec:
         return _quotient(x.numerator, x.denominator, M)
-    return M.mpf(x)
+    return from_int(x) if isinstance(x, int) else M.mpf(x)._mpf_
 
 
-def _quotient(num: int, den: int, M: mpmath.MPContext) -> mpf:
-    """num/den, den > 0, rounded once, to nearest, into ``M`` from its integer quotient to over
-    ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every tie as the rest of
-    the quotient; so no full-width int reaches mpmath, whose conversion strips trailing zeros in
-    time that grows faster than the width."""
+def _quotient(num: int, den: int, M: mpmath.MPContext) -> tuple:
+    """num/den, den > 0, rounded once, to nearest, to a raw value at ``M.prec`` from its integer
+    quotient to over ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every
+    tie as the rest of the quotient; so no full-width int reaches mpmath, whose conversion strips
+    trailing zeros in time that grows faster than the width."""
     shift = M.prec + 2 + den.bit_length() - num.bit_length()
     man, rest = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
     man = man << 1 | bool(rest)
-    return M.make_mpf(normalize(num < 0, man, -shift - 1, man.bit_length(), M.prec, round_nearest))
+    return normalize(num < 0, man, -shift - 1, man.bit_length(), M.prec, round_nearest)
 
 
 @lru_cache(maxsize=128)
@@ -378,7 +386,7 @@ class LaurentPoly:
                         for e, c in self._num.items()), Fraction(0)) / self._den
         M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
-        return evaluate(M, *(to_mpf(x, M) for x in point))(_form(self, M))
+        return M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(_form(self, M)))
 
     def __repr__(self) -> str:
         parts = " + ".join(f"{rational_str(c)}*x^{e}" for e, c in self.terms())
@@ -408,39 +416,38 @@ def _form(x: LaurentPoly, M: mpmath.MPContext) -> tuple:
                  for e, c in sorted(x._num.items()))
 
 
-def _dyadic(x: mpf) -> tuple[int, int]:
-    """The finite mpf ``x`` as (man, exp), its exact value man * 2^exp."""
-    sign, man, exp, _ = x._mpf_
+def _dyadic(x: tuple) -> tuple[int, int]:
+    """The finite raw libmp value ``x`` as (man, exp), its exact value man * 2^exp."""
+    sign, man, exp, _ = x
     if not man and exp:
-        raise ValueError(f"not a finite number: {x}")
+        raise ValueError(f"not a finite number: {mp.make_mpf(x)}")
     return -man if sign else man, exp
 
 
-def _climb(powers: dict, point, key: tuple[int, int], wide: int) -> tuple[int, int]:
-    """Extend the ladder of coordinate i in ``powers`` from its top rung to key = (i, k), and
-    return x_i^k as (man, exp): x^1 is exact, x^-1 is one integer division, and each further
-    power is the one before it times x^1 or x^-1, truncated to ``wide`` bits."""
-    i, k = key
+def _climb(ladder: dict[int, tuple[int, int]], x: tuple, k: int, wide: int) -> tuple[int, int]:
+    """Extend ``ladder``, {j: x^j as (man, exp)} for the raw value x, from its top rung to k, and
+    return x^k: x^1 is exact, x^-1 is one integer division, and each further power is the one
+    before it times x^1 or x^-1, truncated to ``wide`` bits."""
     step = 1 if k > 0 else -1
-    if (i, step) not in powers:
-        man, exp = _dyadic(point[i])
+    if step not in ladder:
+        man, exp = _dyadic(x)
         shift = wide + man.bit_length()
-        powers[i, step] = (man, exp) if step > 0 else ((1 << shift) // man, -shift - exp)
+        ladder[step] = (man, exp) if step > 0 else ((1 << shift) // man, -shift - exp)
     top = k
-    while (i, top) not in powers:  # the rungs run unbroken from x^step, so this finds the top
+    while top not in ladder:  # the rungs run unbroken from x^step, so this finds the top
         top -= step
-    (u_man, u_exp), (man, exp) = powers[i, step], powers[i, top]
+    (u_man, u_exp), (man, exp) = ladder[step], ladder[top]
     for j in range(top + step, k + step, step):
         man, exp = man * u_man, exp + u_exp
         drop = max(man.bit_length() - wide, 0)
-        man, exp = powers[i, j] = man >> drop, exp + drop
+        man, exp = ladder[j] = man >> drop, exp + drop
     return man, exp
 
 
-def evaluate(M: mpmath.MPContext, *point) -> Callable[[tuple], mpf]:
-    """The evaluator at ``point``, one mpf of ``M`` per coordinate: a function that returns the
-    value of each form it is given, on power ladders shared by every form it is asked for.  With
-    P = ``M.prec``, each coordinate's powers come from one ladder (:func:`_climb`) at wide = P +
+def evaluate(prec: int, *point) -> Callable[[tuple], tuple]:
+    """The evaluator at ``point``, one raw libmp value per coordinate: a function that returns the
+    raw value at P = ``prec`` bits of each form it is given, on power ladders shared by every form
+    it is asked for.  Each coordinate's powers come from one ladder (:func:`_climb`) at wide = P +
     40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a truncation of
     at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any |k| < 2^64, whatever order
     the rungs are asked for in.  Each term is an exact integer product truncated to one shared
@@ -450,20 +457,21 @@ def evaluate(M: mpmath.MPContext, *point) -> Callable[[tuple], mpf]:
     coefficients.  For K <= 255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c'
     is within |c| 2^-P of c, so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.
     Exact terms with no bit below the shared exponent that cancel give exact zero."""
-    prec, make = M.prec, M.make_mpf
-    wide, powers = prec + 40, {}
+    wide, ladders = prec + 40, [{} for _ in point]
 
-    def value(form: tuple) -> mpf:
-        terms = []
+    def value(form: tuple) -> tuple:
+        terms, top = [], None
         for keys, man, exp in form:
-            for key in keys:
-                p_man, p_exp = powers.get(key) or _climb(powers, point, key, wide)
+            for i, k in keys:
+                p_man, p_exp = ladders[i].get(k) or _climb(ladders[i], point[i], k, wide)
                 man, exp = man * p_man, exp + p_exp
             terms.append((man, exp))
-        base = max((e + m.bit_length() for m, e in terms if m), default=0) - prec - 64
+            if man and (top is None or exp + man.bit_length() > top):
+                top = exp + man.bit_length()
+        base = (0 if top is None else top) - prec - 64
         total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)
         sign, total = (1, -total) if total < 0 else (0, total)
-        return make(normalize(sign, total, base, total.bit_length(), prec, round_nearest))
+        return normalize(sign, total, base, total.bit_length(), prec, round_nearest)
 
     return value
 

@@ -4,6 +4,7 @@ gap formulas, limits, and domain handling."""
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -17,7 +18,7 @@ from unittest import mock
 import mpmath
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import fone, from_man_exp, to_rational
 
 import entropy_bounds
 from conftest import child_env
@@ -147,7 +148,7 @@ class TestLargeMeanPoisson:
         # the exact gap 1 + 2^-256 + 2^-400 lies above the tie between 1 and 1 + 2^-255,
         # so rounding it first at 320 bits and then at 256 gives 1
         lower = mp.make_mpf(from_man_exp(-(2**144 + 1), -400))
-        rep = _report(lower, mpf(1), 1, "large-lambda", PrecisionContext(256))
+        rep = _report(lower._mpf_, fone, 1, "large-lambda", PrecisionContext(256))
         assert rep.lower == lower
         assert rep.gap._mpf_ == from_man_exp(2**255 + 1, -255)
 
@@ -533,9 +534,9 @@ def _valued():
     block, read through a spy."""
     values = []
 
-    def spy(M, *point):
-        value = symbolic.evaluate(M, *point)
-        return lambda form: values.append(value(form)) or values[-1]
+    def spy(prec, *point):
+        value = symbolic.evaluate(prec, *point)
+        return lambda form: values.append(mp.make_mpf(value(form))) or values[-1]._mpf_
 
     with mock.patch.object(bounds, "evaluate", spy):
         yield values
@@ -654,6 +655,20 @@ def test_report_is_one_flat_record_closed_at_both_ends():
         assert rep.contains(rep.lower) and rep.contains(rep.upper)
 
 
+def test_contains_reads_an_exact_point_exactly():
+    # an int, a Fraction or a string is compared with the ends as exact dyadic rationals
+    rep = entropy_poisson_large(10, 3)
+    lower, upper = (F(*to_rational(x._mpf_)) for x in (rep.lower, rep.upper))
+    assert not rep.contains(F(4)) and not rep.contains(4) and not rep.contains("5/2")
+    assert rep.contains(lower) and rep.contains(upper) and rep.contains((lower + upper) / 2)
+    assert rep.contains(f"{lower.numerator}/{lower.denominator}")
+    assert not rep.contains(lower - F(1, 10**100)) and not rep.contains(upper + F(1, 10**100))
+    assert entropy_poisson_small(0, m=2).contains(0) and entropy_poisson_small(0).contains("0")
+    # an mpf or a float compares as an mpf does
+    assert rep.contains(rep.midpoint) and rep.contains(float(rep.midpoint)) == (
+        rep.lower <= float(rep.midpoint) <= rep.upper)
+
+
 def test_every_public_name_resolves():
     # perfbench's tracer wraps exactly these names
     names = entropy_bounds.__all__
@@ -671,19 +686,133 @@ class TestBoundValuesPinned:
         # where the routine takes an order, lambda and s in {1/100, 7/2, 10,
         # 10^4}, n in {10, 100, 2*10^4} by p in {1/100, 3/10, 1/2, 99/100}, at
         # 64, 128 and 256 bits; entropy_poisson_ct is an upper bound only
-        cases = json.loads((ROOT / "tests" / "fixtures" / "bound_values.json").read_text())
-        assert len(cases["cases"]) == 1056
-        for case in cases["cases"]:
-            fn = getattr(entropy_bounds, case["routine"])
-            args = [F(a) if isinstance(a, str) else a for a in case["args"]]
-            ctx = PrecisionContext(case["bits"])
-            if case["m"] is None:
-                got = fn(*args, ctx=ctx)
-            elif case["m"] == "auto":
-                got = best_interval(fn, *args, ctx=ctx)
-            else:
-                got = fn(*args, m=case["m"], ctx=ctx)
-            if case["lower"] is None:
-                assert list(got._mpf_) == case["upper"], case
-            else:
-                assert [list(got.lower._mpf_), list(got.upper._mpf_)] == [case["lower"], case["upper"]], case
+        cases = _pinned_cases()
+        assert len(cases) == 1056
+        for case in cases:
+            assert _pinned_call(case) == [case["lower"], case["upper"]], case
+
+    def test_warm_path_does_no_mpf_arithmetic(self):
+        # each routine's heads, ends and checks run on raw libmp values from its point to its
+        # report: with every mpf operator refusing, a warm call, at a fixed order and under
+        # "auto", still gives its pinned ends
+        cases = [case for case in _pinned_cases() if case["bits"] == 256 and case["m"] in (
+            3, "auto", None) and case["args"] in (["7/2"], [100, "3/10"])]
+        assert len({case["routine"] for case in cases}) == 8 and len(cases) == 14
+        for case in cases:
+            _pinned_call(case)  # warm: its coefficient sets derived and forms compiled
+
+        def refuse(*args):
+            raise AssertionError("mpf arithmetic on the warm bounds path")
+
+        with contextlib.ExitStack() as stack:
+            for name in _MPF_OPERATORS:
+                stack.enter_context(mock.patch.object(mpmath.ctx_mp_python._mpf, name, refuse))
+            with pytest.raises(AssertionError, match="mpf arithmetic"):
+                mpf(1) + 1
+            got = [_pinned_call(case) for case in cases]
+        assert got == [[case["lower"], case["upper"]] for case in cases]
+
+
+# every arithmetic and comparison operator of mpmath's mpf
+_MPF_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__mod__", "__rmod__",
+                  "__neg__", "__pos__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__",
+                  "__eq__", "__ne__")
+
+
+def _pinned_cases() -> list:
+    return json.loads((ROOT / "tests" / "fixtures" / "bound_values.json").read_text())["cases"]
+
+
+def _pinned_call(case) -> list:
+    """[lower, upper] of a case of bound_values.json as raw lists, lower None for
+    entropy_poisson_ct's bare upper bound."""
+    fn = getattr(entropy_bounds, case["routine"])
+    args = [F(a) if isinstance(a, str) else a for a in case["args"]]
+    ctx = PrecisionContext(case["bits"])
+    if case["m"] is None:
+        got = fn(*args, ctx=ctx)
+    elif case["m"] == "auto":
+        got = best_interval(fn, *args, ctx=ctx)
+    else:
+        got = fn(*args, m=case["m"], ctx=ctx)
+    if isinstance(got, mpf):
+        return [None, list(got._mpf_)]
+    return [list(got.lower._mpf_), list(got.upper._mpf_)]
+
+
+# _sweep_digest(3200), taken before the bounds' heads and ends moved onto raw libmp values
+SWEEP_SHA256 = "7340b3d1be1c42bf17262c6881aad2b8063fa5c157d0fb654bc7bebb32b488e6"
+
+
+def _sweep_value(rng: random.Random, lo: int, hi: int):
+    """A value 10^e, e uniform in [lo, hi), with four significant digits, drawn as a Fraction,
+    a float or a decimal string."""
+    text = f"{rng.randrange(1000, 10000)}e{rng.randrange(lo, hi) - 3}"
+    return rng.choice((F, float, str))(text)
+
+
+# points outside every routine's domain, whose error message prints them
+_SWEEP_OUTSIDE = (F(-1, 3), float("nan"), float("inf"), "-0.25", F(3, 2))
+
+
+def _sweep_p(rng: random.Random):
+    """p from 10^-39, where the relative-entropy ends cross, to 1 - 10^-29, 1/2 exactly, or
+    rarely 0, 1 or a point of _SWEEP_OUTSIDE."""
+    if rng.random() < 0.03:
+        return rng.choice((0, 1, *_SWEEP_OUTSIDE))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _sweep_value(rng, -39, 0)
+    if kind == 1:
+        return 1 - F(_sweep_value(rng, -29, 0))
+    return F(1, 2) if kind == 2 else rng.choice((F, float, str))(f"0.{rng.randrange(1, 10**6):06d}")
+
+
+def _sweep_calls(count: int) -> list:
+    """``count`` seeded calls (routine, args, kwargs) of the eight bound routines: lam and s at 0,
+    outside the domain, and from 10^-39 to 10^39, p from :func:`_sweep_p`, n from 1 to 10^9,
+    m = 1..12 and "auto", at 64 to 320 bits, the points drawn as Fractions, floats and decimal
+    strings.  The calls run one precision after another, so that the compiled forms of one
+    precision stay cached."""
+    rng, calls = random.Random(2042), []
+    routines = (entropy_poisson_small, entropy_poisson_large, entropy_poisson_ct,
+                relative_entropy_bounds, entropy_binomial_bounds, entropy_binomial_stirling_m1,
+                expected_log_poisson_bounds, expected_log_binomial_bounds)
+    for i in range(count):
+        fn = routines[i % len(routines)]
+        ctx = PrecisionContext(rng.choice((64, 128, 192, 256, 320)))
+        m = rng.choice((*range(1, 13), "auto"))
+        if fn in (entropy_poisson_small, entropy_poisson_large, entropy_poisson_ct,
+                  expected_log_poisson_bounds):
+            u = rng.random()
+            args = (0 if u < 0.04 else rng.choice(_SWEEP_OUTSIDE) if u < 0.06
+                    else _sweep_value(rng, -39, 40),)
+        else:
+            args = (int(10 ** rng.uniform(0, 9)), _sweep_p(rng))
+        orderless = fn in (entropy_poisson_ct, entropy_binomial_stirling_m1)
+        calls.append((fn, args, {"ctx": ctx} if orderless else {"m": m, "ctx": ctx}))
+    return sorted(calls, key=lambda call: call[2]["ctx"].bits)
+
+
+def _sweep_digest(count: int) -> str:
+    """sha256 over each call's raw lower, upper, midpoint, gap and m, the raw value of a bare
+    mpf, or the type and message of the exception raised."""
+    digest = hashlib.sha256()
+    for fn, args, kwargs in _sweep_calls(count):
+        try:
+            out = fn(*args, **kwargs)
+        except (ValueError, ArithmeticError) as exc:
+            record = f"{type(exc).__name__}: {exc}"
+        else:
+            values = ((out,) if isinstance(out, mpf)
+                      else (out.lower, out.upper, out.midpoint, out.gap))
+            record = repr([[int(c) for c in x._mpf_] for x in values] + [getattr(out, "m", None)])
+        digest.update(record.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_seeded_sweep_is_bit_identical():
+    # 3,200 seeded calls across the routines' ranges, pinned from a known-good build: any change
+    # to a head, an end, a domain check or the order chosen under "auto" moves the digest
+    assert _sweep_digest(3200) == SWEEP_SHA256

@@ -436,9 +436,9 @@ class TestExpectedLogOracles:
             pm = mpf(p)
             reader = _log_factorial_reader(mp.prec)
             lhs = n * pm * _outward(_binomial_law(n - 1, pm, mp.prec, *reader),
-                                    lambda k: _dyadic(mpmath.log(k + 2)), mp)[0]
+                                    lambda k: _dyadic(mpmath.log(k + 2)._mpf_), mp)[0]
             rhs = _outward(_binomial_law(n, pm, mp.prec, *reader),
-                           lambda k: _dyadic(k * mpmath.log(k + 1)), mp)[0]
+                           lambda k: _dyadic((k * mpmath.log(k + 1))._mpf_), mp)[0]
             assert abs(lhs - rhs) < mpf("1e-25") * max(1, abs(rhs))
 
 

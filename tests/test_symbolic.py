@@ -28,6 +28,7 @@ from entropy_bounds.symbolic import (
     _climb,
     _dyadic,
     _form,
+    _raw,
     _log_factorials,
     _mp_context,
     evaluate,
@@ -292,7 +293,7 @@ class TestEvaluate:
         M = PrecisionContext(bits).mp
         terms, point = data.draw(ladder_forms_and_points(M.prec))
         form = _form(LaurentPoly(terms), M)
-        got = evaluate(M, *(to_mpf(x, M) for x in point))(form)
+        got = M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(form))
         compiled = [F(man) * F(2) ** exp * prod(point[i] ** k for i, k in keys)
                     for keys, man, exp in form]
         v = exact_value(got)
@@ -301,7 +302,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("x", ["+inf", "-inf", "nan"])
     def test_dyadic_refuses_a_non_finite_number(self, x):
         with pytest.raises(ValueError, match="not a finite number"):
-            _dyadic(mpf(x))
+            _dyadic(mpf(x)._mpf_)
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2019)
@@ -317,7 +318,8 @@ class TestEvaluate:
         forms = data.draw(st.permutations(
             [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M))) for pair in pairs]))
         wide = M.prec + 40
-        for form, got in zip(forms, map(evaluate(M, to_mpf(x, M)), forms), strict=True):
+        for form, got in zip(forms, map(evaluate(M.prec, _raw(x, M)), forms), strict=True):
+            got = M.make_mpf(got)
             ks = [sum(k for _, k in keys) for keys, _, _ in form]
             compiled = [F(man) * F(2) ** exp * x**k for k, (_, man, exp) in zip(ks, form)]
             rel = F(3 * max(map(abs, ks)), 2) * F(2) ** (1 - wide) + F(1, 2 ** (M.prec + 32))
@@ -335,13 +337,13 @@ class TestEvaluate:
                 return dict.__contains__(self, key)
 
         M = PrecisionContext(64).mp
-        point, wide = (M.mpf(-3) / 7,), M.prec + 40
-        powers = Counting()
+        x, wide = (M.mpf(-3) / 7)._mpf_, M.prec + 40
+        ladder = Counting()
         for k in [*range(1, 401), *range(-1, -401, -1)]:
-            _climb(powers, point, (0, k), wide)
-        assert len(powers) == 800 and Counting.lookups <= 4 * 800
+            _climb(ladder, x, k, wide)
+        assert len(ladder) == 800 and Counting.lookups <= 4 * 800
         for k in (400, -400):
-            assert _climb({}, point, (0, k), wide) == powers[0, k]
+            assert _climb({}, x, k, wide) == ladder[k]
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2010)

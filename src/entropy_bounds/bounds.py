@@ -64,6 +64,7 @@ from .symbolic import (
     _form,
     _log_factorial_reader,
     _logs,
+    _mp_context,
     _point,
     _round64,
     as_fraction,
@@ -121,16 +122,18 @@ def _check_m(m) -> None:
         _check_positive(m, "order m")
 
 
-@lru_cache(maxsize=144)  # six sets (README) at orders 1..6, four precisions
-def _compiled(M, derive, *args) -> tuple:
+# sized for tabulating and cross-checking: six sets (README) at orders 1..6 at 64, 128 and 256
+# bits are 108 entries; more orders or precisions than that compile again (ROADMAP item 17)
+@lru_cache(maxsize=144)
+def _compiled(P: int, derive, *args) -> tuple:
     """(series, gap) for the exact pair ``derive(*args)``, each as its form
-    (:func:`symbolic._form`) in the context ``M``, whose precision no code may change."""
+    (:func:`symbolic._form`) at ``P`` bits, keyed by P so that it outlives P's mpmath context."""
     series, gap = derive(*args)
-    return _form(series, M), _form(gap, M)
+    return _form(series, _mp_context(P)), _form(gap, _mp_context(P))
 
 
 def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends) -> BoundReport:
-    """The order-m report of a sandwich, m an order or "auto": ``_compiled(ctx.mp, *key, k)`` is
+    """The order-m report of a sandwich, m an order or "auto": ``_compiled(P, *key, k)`` is
     the compiled (series, gap) of order k, evaluated at ``point``, and ``ends(s, v)`` the ends
     (lower, upper) for series value s and gap value v, one end formed from the other and v, all
     raw libmp values at P = ``ctx.mp.prec``.
@@ -141,14 +144,14 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     series.  Every order's sandwich is certified by its own theorem, so the choice needs no
     proof: it may be a few ulps wider than the narrowest rounded interval.
     """
-    M, best = ctx.mp, None
-    value = evaluate(M.prec, *point)
+    P, best = ctx.mp.prec, None
+    value = evaluate(P, *point)
     for k in AUTO_ORDERS if m == "auto" else (m,):
-        gap = value(_compiled(M, *key, k)[1])
+        gap = value(_compiled(P, *key, k)[1])
         if best is None or mpf_lt(gap, best[1]):
             best = k, gap
     m, v = best
-    return _report(*ends(value(_compiled(M, *key, m)[0]), v), m, method, ctx)
+    return _report(*ends(value(_compiled(P, *key, m)[0]), v), m, method, ctx)
 
 
 def _anchored(head: tuple, P: int, lower: bool):

@@ -53,23 +53,6 @@ def _fmt(x, bits: int) -> str:
     return mpmath.nstr(x, _digits(bits))
 
 
-def _context(args) -> PrecisionContext:
-    try:
-        return PrecisionContext(bits=args.bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_points(spec: str) -> list[Fraction]:
-    try:
-        points = [Fraction(tok) for tok in spec.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad points list {spec!r}") from exc
-    if not points:
-        raise UsageError("empty points list")
-    return points
-
-
 def _parse_grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -88,9 +71,14 @@ def _grid_points(args, default: str) -> list[Fraction]:
         raise UsageError("give either --grid or --points, not both")
     if args.grid is not None:
         return _parse_grid(args.grid)
-    if args.points is not None:
-        return _parse_points(args.points)
-    return _parse_points(default)
+    spec = default if args.points is None else args.points
+    try:
+        points = [Fraction(tok) for tok in spec.split(",") if tok.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad points list {spec!r}") from exc
+    if not points:
+        raise UsageError("empty points list")
+    return points
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,8 +107,8 @@ def _exact_json(value):
     return rational_str(value)
 
 
-def _cmd_coeffs(args) -> int:
-    ctx, kind = _context(args), args.kind
+def _cmd_coeffs(args, ctx: PrecisionContext) -> int:
+    kind = args.kind
     unread = "m" if kind == "small-lambda" else "kmax"
     if getattr(args, unread) is not None:
         raise UsageError(f"--{unread} is not read by kind {kind}")
@@ -219,8 +207,7 @@ def _evaluate(name: str, point, m, ctx: PrecisionContext):
     return fn(*point, ctx) if m is None else fn(*point, m, ctx)
 
 
-def _cmd_bounds(args) -> int:
-    ctx = _context(args)
+def _cmd_bounds(args, ctx: PrecisionContext) -> int:
     bits = ctx.bits
     columns, points, _, method, bound, (m,) = _target(args, ctx, "2")
     header = [*columns, "m", "method", "lower", "upper", "midpoint", "gap", "error"]
@@ -251,8 +238,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    ctx = _context(args)
+def _cmd_verify(args, ctx: PrecisionContext) -> int:
     bits = ctx.bits
     columns, points, oracle_fn, method, bound, orders = _target(args, ctx, "1,2,3,4,5")
     header = [*columns, "m", "method", "oracle", "lower", "upper", "contained", "margin"]
@@ -278,8 +264,7 @@ def _cmd_verify(args) -> int:
 # --- figure ---------------------------------------------------------------
 
 
-def _cmd_figure(args) -> int:
-    ctx = _context(args)
+def _cmd_figure(args, ctx: PrecisionContext) -> int:
     columns, points, _, _, bound, m_list = _target(args, ctx, "1,2,3")
     ends = ("gap",) if args.fig == "gaps" else ("lower", "upper")
     header = [*columns] + [f"{end}_m{m}" for m in m_list for end in ends]
@@ -358,7 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        try:
+            ctx = PrecisionContext(bits=args.bits)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        return args.handler(args, ctx)
     except (UsageError, DomainError, PrecisionError) as exc:
         print(f"entropy-bounds: error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 """CLI behaviour: exports, grids, verification exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import inspect
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -547,3 +549,114 @@ def test_auto_grid_is_byte_identical(capsys):
     assert {m: orders.count(m) for m in set(orders)} == {"6": 987, "5": 3, "4": 1}
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7a2a956daed4e1e43fe8d622522fbc7df6008a0fd387b3d4505221329d6f6c71")
+
+
+# --- seeded sweep -----------------------------------------------------------
+
+# point pools: lam <= 0, p = 0 and p = 1 give domain-error rows, and p = 1e-20 ends that cross
+# at 64 bits; verify takes the first seven lambdas only, as its oracle walks about sqrt(lam) terms
+_SWEEP_POINTS = {
+    "poisson-entropy": ("1/10", "1/2", "1", "3", "7/2", "10", "-1", "0", "20", "100", "1e3",
+                        "1e30", "1e-30"),
+    "binomial-entropy": ("1/20", "0.3", "1/2", "0.95", "1e-20", "0", "1"),
+}
+_SWEEP_POINTS["relative-entropy"] = _SWEEP_POINTS["binomial-entropy"]
+_SWEEP_GRIDS = {"poisson-entropy": ("1:5:1", "10:12:1/2", "1/10:1/2:1/5"),
+                "binomial-entropy": ("1/10:9/10:1/5", "0.25:0.75:0.25")}
+_SWEEP_GRIDS["relative-entropy"] = _SWEEP_GRIDS["binomial-entropy"]
+# one appended to about one argv in seven: argparse's own refusals first, then the handlers'
+_SWEEP_FAULTS = (
+    ["--bits", "x"], ["--bit", "64"], ["--m-lis", "2"], ["--bits", "10"], ["--bits", "63"],
+    ["--points", "a,b"], ["--points", ""], ["--points", "1/0"], ["--points", ","],
+    ["--grid", "a:b:c"], ["--grid", "1:2"], ["--grid", "5:1:1"], ["--grid", "1:2:0"],
+    ["--grid", ""], ["--grid", "1:2:1"],
+)
+# TestUsageErrors' kinds of refusal, reached whatever the seed draws
+_SWEEP_FIXED = [
+    ["bounds", "poisson-entropy", "--points", "1", "--bits", "10"],
+    ["verify", "poisson-entropy", "--points", "0", "--bits", "64"],
+    ["bounds", "poisson-entropy", "--points", "1", "--n", "5"],
+    ["bounds", "binomial-entropy", "--n", "10", "--points", "0.5", "--method", "stirling-m1",
+     "--m", "3"],
+    ["verify", "relative-entropy", "--n", "1000", "--points", "1e-20", "--m-list", "2",
+     "--bits", "64"],
+    ["bounds", "relative-entropy", "--n", "1000", "--points", "1e-20", "--m", "2", "--bits", "64"],
+]
+
+
+def _sweep_argv(rng) -> list:
+    """One seeded argv: mostly a valid command, with a domain edge, a refused flag or a bad
+    value at a rate that reaches every usage error of each subcommand.  A value that may start
+    with '-' is joined to its flag by '=', as argparse's reading of "-1,3" after a flag differs
+    between Python versions."""
+    command = rng.choice(["coeffs", "bounds", "bounds", "verify", "figure"])
+    bits = rng.choice([[], ["--bits", "64"], ["--bits", "64"], ["--bits", "128"]])
+    if command == "coeffs":
+        kind = rng.choice(["poisson", "binomial", "small-lambda"])
+        flags = (["--kmax", str(rng.randint(2, 12))] if kind == "small-lambda"
+                 else ["--m", str(rng.randint(1, 6))])
+        if rng.random() < 0.2:  # an order below one, the other kind's flag, or none
+            flags = rng.choice([[f"--m={rng.randint(-1, 0)}"], ["--kmax", "1"],
+                                ["--m", "2", "--kmax", "3"], [], ["--m", "x"]])
+        return ["coeffs", rng.choice([kind] * 9 + ["bogus"]), *flags, *bits]
+    target = "poisson-entropy" if command == "figure" else rng.choice(list(cli._TARGETS))
+    argv = [command, rng.choice(["gaps", "bounds"]) if command == "figure" else target]
+    methods = [m for m in cli._TARGETS[target][3] if m is not None]
+    method = "large-lambda" if command == "figure" else rng.choice(methods or [None])
+    if method is not None and command != "figure" and (rng.random() < 0.5 or method != methods[0]):
+        argv += ["--method", method if rng.random() < 0.95 else "bogus"]
+    takes_order = cli._TARGETS[target][3][method][1]
+    if target != "poisson-entropy":
+        if rng.random() < 0.95:
+            argv += ["--n", rng.choice(["10", "30", "100"] if command == "verify"
+                                       else ["10", "200", "1000", "0"])]
+    elif command != "figure" and rng.random() < 0.03:
+        argv += ["--n", "5"]
+    pool = _SWEEP_POINTS[target]
+    if command == "verify" and target == "poisson-entropy":
+        pool = pool[:7]
+    if rng.random() < 0.7:
+        argv.append("--points=" + ",".join(rng.sample(pool, rng.randint(1, 3))))
+    elif rng.random() < 0.7:
+        argv += ["--grid", rng.choice(_SWEEP_GRIDS[target])]
+    if takes_order or rng.random() < 0.1:
+        if command == "bounds" and rng.random() < 0.85:
+            argv += ["--m", rng.choice(["1", "2", "3", "4", "5", "6", "auto", "auto"])]
+        elif command != "bounds" and rng.random() < 0.7:
+            argv += ["--m-list", rng.choice(["1,2", "1,2,3", "3", "2,4,6", "1,,2"])]
+        elif rng.random() < 0.3:
+            flag = "--m" if command == "bounds" else "--m-list"
+            argv.append(f"{flag}={rng.choice(['0', 'abc', '', '1,2', 'auto', '-1'])}")
+    if command == "bounds" and rng.random() < 0.3:
+        argv += ["--format", rng.choice(["json", "csv"])]
+    if rng.random() < 0.15:
+        argv += rng.choice(_SWEEP_FAULTS)
+    return argv + bits
+
+
+def test_seeded_sweep_is_byte_identical():
+    # 406 argv through main in process, pinned from a known-good build: each call's argv, exit
+    # code, stdout and stderr, but for argparse's own refusals only the argv and exit code, as
+    # their usage text follows the terminal width and the Python version
+    rng = random.Random(43)
+    digest, errors, codes = hashlib.sha256(), "", set()
+    for argv in _SWEEP_FIXED + [_sweep_argv(rng) for _ in range(400)]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code, record = exc.code, (argv, exc.code)
+            else:
+                record = (argv, code, out.getvalue(), err.getvalue())
+                errors += err.getvalue()
+        codes.add((argv[0], code, len(record)))
+        digest.update(repr(record).encode())
+    assert {(command, 0, 4) for command in ("coeffs", "bounds", "verify", "figure")} <= codes
+    assert 1 not in {code for _, code, _ in codes}, "a sandwich missed its oracle"
+    for message in ("bits must be >= 64", "bad points list", "bad grid spec", "grid requires",
+                    "give either --grid or --points", "--n is not read by target",
+                    "--m is not read by method", "--m-list is not read by method", "cross at"):
+        assert message in errors, message
+    assert digest.hexdigest() == (
+        "dcad3df3953fa86b14d4a236fc1e8ffef095f6978270c4c890c0eeaf66a7b05d")

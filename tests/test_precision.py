@@ -211,6 +211,18 @@ def test_compiled_cache_stays_bounded():
         assert _every_set(bits) == warm[bits], bits
 
 
+def test_compiled_forms_outlive_their_context():
+    # the forms are keyed by the precision, so a set stays warm when the mpmath context it was
+    # compiled in is evicted from _mp_context's cache and made again
+    bounds._compiled.cache_clear()
+    want = entropy_poisson_large(F(7, 2), 3, PrecisionContext(256))
+    for bits in range(1000, 1313, 8):  # 40 other precisions evict the 256-bit context
+        PrecisionContext(bits).mp
+    assert entropy_poisson_large(F(7, 2), 3, PrecisionContext(256)) == want
+    info = bounds._compiled.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def test_one_off_polynomials_leave_the_compiled_forms_alone():
     bounds._compiled.cache_clear()
     warm = _every_set(128)

@@ -187,21 +187,6 @@ def _small_forms(c, bits: int, m: int) -> tuple:
     return LaurentPoly(terms), LaurentPoly({e: -c_next})
 
 
-def _relative_entropy_sum(n: int, p, M) -> tuple:
-    """(point, t, key) for D(n, p) + D(n, q) at u = pq, once n and p are checked: the order-k
-    sandwiches at p and at q summed (:func:`coefficients._symmetric_coeffs`).  D(n, p) + D(n, q)
-    lies in [l, l + g] with l = s - t, t = (1 + log u)/2, and s and g the series and gap of
-    ``_compiled(M, *key, k)`` at ``point`` = (u, log u, n): sum_i b~_sym(k, i; u) n^-i and
-    sum_i a~_sym(k, i; u) n^-i."""
-    _check_positive(n, "n", DomainError)
-    P = M.prec
-    p_m = _point(p, M, "p", "in (0,1)")
-    u = mpf_mul(p_m, mpf_sub(fone, p_m, P, rn), P, rn)
-    log_u = mpf_log(u, P, rn)
-    return ((u, log_u, from_int(n, P, rn)), mpf_shift(mpf_add(log_u, fone, P, rn), -1),
-            (_sandwich_forms, coefficients._symmetric_coeffs))
-
-
 def entropy_poisson_small(
     lam, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
@@ -340,6 +325,21 @@ def relative_entropy_bounds(
                      (q_m, log_q, from_int(n, P, rn)), _anchored(head, P, lower=True))
 
 
+def _binomial_entropy(n: int, p, m, ctx, method: str, head: tuple, extra: tuple) -> BoundReport:
+    """H(B_{n,p}) = L - D(n, p) - D(n, q), L = log n! - n log n + n, in [head - (s - t) - v - extra,
+    head - (s - t)] for L in [head - extra, head] and n checked: D(n, p) + D(n, q) is in
+    [s - t, s - t + v], u = pq, t = (1 + log u)/2, s and v the order-m series and gap at (u, log u,
+    n) of the sandwiches at p and at q summed (:func:`coefficients._symmetric_coeffs`)."""
+    M, P = ctx.mp, ctx.mp.prec
+    p_m = _point(p, M, "p", "in (0,1)")
+    u = mpf_mul(p_m, mpf_sub(fone, p_m, P, rn), P, rn)
+    log_u = mpf_log(u, P, rn)
+    t = mpf_shift(mpf_add(log_u, fone, P, rn), -1)
+    return _sandwich(ctx, method, m, (_sandwich_forms, coefficients._symmetric_coeffs),
+                     (u, log_u, from_int(n, P, rn)), lambda s, v: (mpf_sub(mpf_sub(end := mpf_sub(
+                         head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), extra, P, rn), end))
+
+
 def entropy_binomial_bounds(
     n: int, p, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
@@ -348,26 +348,24 @@ def entropy_binomial_bounds(
     by its order-m interval in u = pq.  log n! is log Gamma(n + 1) at the working
     precision, so its cost does not grow with n."""
     _check_m(m)
-    M, P = ctx.mp, ctx.mp.prec
-    point, t, key = _relative_entropy_sum(n, p, M)
+    _check_positive(n, "n", DomainError)
+    P = ctx.mp.prec
     head = mpf_sub(mpf_loggamma(from_int(n + 1), P, rn),
                    mpf_mul_int(mpf_log(from_int(n), P, rn), n, P, rn), P, rn)
     head = mpf_add(head, from_int(n), P, rn)
-    return _sandwich(ctx, "binomial-corollary", m, key, point, lambda s, v: (
-        mpf_sub(end := mpf_sub(head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), end))
+    return _binomial_entropy(n, p, m, ctx, "binomial-corollary", head, fzero)
 
 
 def entropy_binomial_stirling_m1(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BoundReport:
     """Order-1 binomial entropy sandwich: the order-1 corollary with log n! - n log n + n
     replaced by Stirling's log(2 pi n)/2 + [1/(12n) - 1/(360n^3), 1/(12n)].  In closed form,
     log(2 pi n p q)/2 + 1/2 + [C1/n + C2/n^2 + C3/n^3, C4/n] (:func:`stirling_m1_constants`)."""
-    M, P = ctx.mp, ctx.mp.prec
-    point, t, key = _relative_entropy_sum(n, p, M)
+    _check_positive(n, "n", DomainError)
+    P = ctx.mp.prec
     log_2_pi_n = mpf_log(mpf_mul_int(mpf_shift(mpf_pi(P, rn), 1), n, P, rn), P, rn)
     head = mpf_add(mpf_shift(log_2_pi_n, -1), mpf_div(fone, from_int(12 * n), P, rn), P, rn)
-    c3 = mpf_div(fone, from_int(360 * n**3), P, rn)
-    return _sandwich(ctx, "binomial-stirling", 1, key, point, lambda s, v: (mpf_sub(mpf_sub(
-        end := mpf_sub(head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), c3, P, rn), end))
+    return _binomial_entropy(n, p, 1, ctx, "binomial-stirling", head,
+                             mpf_div(fone, from_int(360 * n**3), P, rn))
 
 
 def expected_log_poisson_bounds(

@@ -1,5 +1,8 @@
 """Central-moment polynomials against their published values and oracles."""
 
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +22,8 @@ from entropy_bounds import (
 from entropy_bounds.coefficients import expected_log_series
 from entropy_bounds.oracle import _outward, _poisson_law
 from entropy_bounds.symbolic import _log_factorial_reader, _mp_context, to_mpf
+
+from conftest import child_env
 
 S_SAMPLES = (F(1, 2), F(2), F(7, 3))
 
@@ -176,3 +181,25 @@ def test_moment_caches_are_consistent():
     # memoized objects are reused and immutable
     assert poisson_central_moment(6) is poisson_central_moment(6)
     assert binomial_central_moment(6) is binomial_central_moment(6)
+
+
+def _digest(mu: LaurentPoly) -> str:
+    return hashlib.sha256(repr((sorted(mu._num.items()), mu._den)).encode()).hexdigest()
+
+
+def test_cold_deep_moments_need_no_deep_recursion():
+    # a fresh interpreter, so nothing is warm, with a recursion limit below the order asked
+    # for: each moment fills the orders below it in ascending order, as a recursion once per
+    # order would raise RecursionError here
+    code = (
+        "import hashlib, sys\n"
+        "from entropy_bounds import binomial_central_moment, poisson_central_moment\n"
+        "sys.setrecursionlimit(120)\n"
+        "for mu in (poisson_central_moment(150), binomial_central_moment(150)):\n"
+        "    print(hashlib.sha256(repr((sorted(mu._num.items()), mu._den)).encode()).hexdigest())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [_digest(poisson_central_moment(150)),
+                                   _digest(binomial_central_moment(150))]

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 from fractions import Fraction as F
+from itertools import islice, product
 
 import mpmath
 import pytest
@@ -209,6 +210,27 @@ def test_compiled_cache_stays_bounded():
     for bits in precisions:
         bounds._compiled.cache_clear()
         assert _every_set(bits) == warm[bits], bits
+
+
+# the six order-taking routines, each with one point, as (routine, arguments before m)
+_ORDER_TAKING = ((entropy_poisson_small, F(3, 10)), (entropy_poisson_large, F(7, 2)),
+                 (relative_entropy_bounds, 300, F(3, 10)), (entropy_binomial_bounds, 300, F(3, 10)),
+                 (expected_log_poisson_bounds, F(7, 2)), (expected_log_binomial_bounds, 50, F(1, 5)))
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 17: _compiled holds one entry per "
+                   "set and precision, so a sweep of more sets and precisions than its 144 entries "
+                   "evicts each entry before its next use and compiles every set again")
+def test_repeated_order_sweep_compiles_nothing():
+    # the fewest calls that overfill the cache: orders ascending, each at 64..320 bits in every
+    # routine, one compiled set per call, stopping one set past the cache's size
+    bounds._compiled.cache_clear()
+    sweep = list(islice(product(range(1, 7), (64, 128, 192, 256, 320), _ORDER_TAKING),
+                        bounds._compiled.cache_info().maxsize + 1))
+    first = [fn(*args, m, PrecisionContext(bits)) for m, bits, (fn, *args) in sweep]
+    compiled = bounds._compiled.cache_info().misses
+    assert [fn(*args, m, PrecisionContext(bits)) for m, bits, (fn, *args) in sweep] == first
+    assert bounds._compiled.cache_info().misses == compiled
 
 
 def test_compiled_forms_outlive_their_context():

@@ -3,6 +3,9 @@
 Exact rational derivation of all asymptotic-expansion coefficients, interval
 evaluation of every published sandwich bound, and independent high-precision
 oracles to validate them.
+
+The oracles' names (:mod:`entropy_bounds.oracle`) are read from that module, which is imported
+on the first use of one of them, so that a process that never checks a bound never loads it.
 """
 
 from .symbolic import (
@@ -39,16 +42,6 @@ from .bounds import (
     expected_log_poisson_bounds,
     relative_entropy_bounds,
     relative_entropy_exact,
-)
-from .oracle import (
-    TruncationReceipt,
-    binomial_entropy_oracle,
-    expected_log_binomial,
-    expected_log_poisson,
-    moment_oracle_binomial,
-    moment_oracle_poisson,
-    poisson_entropy_oracle,
-    relative_entropy_oracle,
 )
 
 __version__ = "0.1.0"
@@ -93,3 +86,23 @@ __all__ = [
     "relative_entropy_oracle",
     "stirling_m1_constants",
 ]
+
+# the names read from the oracle module, imported on first use (PEP 562)
+_ORACLE_NAMES = frozenset({
+    "TruncationReceipt", "binomial_entropy_oracle", "expected_log_binomial",
+    "expected_log_poisson", "moment_oracle_binomial", "moment_oracle_poisson",
+    "poisson_entropy_oracle", "relative_entropy_oracle",
+})
+
+
+def __getattr__(name: str):
+    # looked up in the module at each use, never held here, so a wrapper put on the module runs
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

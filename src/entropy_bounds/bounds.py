@@ -20,7 +20,6 @@ order's series is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -66,6 +65,7 @@ from .symbolic import (
     _logs,
     _mp_context,
     _point,
+    _record,
     _round64,
     as_fraction,
     evaluate,
@@ -76,20 +76,16 @@ from .symbolic import (
 AUTO_ORDERS = range(1, 7)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_record("BoundReport", "lower upper midpoint gap m method")):
     """A certified sandwich at order m, lower <= quantity <= upper, with its width and midpoint."""
 
-    lower: mpf
-    upper: mpf
-    midpoint: mpf
-    gap: mpf
-    m: int
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not mpf_le(self.lower._mpf_, self.upper._mpf_):
-            raise ValueError(f"empty interval: [{self.lower}, {self.upper}]")
+    def __new__(cls, lower: mpf, upper: mpf, midpoint: mpf, gap: mpf, m: int,
+                method: str) -> BoundReport:
+        if not mpf_le(lower._mpf_, upper._mpf_):
+            raise ValueError(f"empty interval: [{lower}, {upper}]")
+        return tuple.__new__(cls, (lower, upper, midpoint, gap, m, method))
 
     def contains(self, x) -> bool:
         """lower <= x <= upper: an int, Fraction or string read exactly (:func:`as_fraction`)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import mpmath
 
-from . import bounds, coefficients, oracle
+from . import bounds, coefficients
 from .symbolic import (
     DEFAULT_CONTEXT,
     DomainError,
@@ -132,6 +132,14 @@ def _cmd_coeffs(args, ctx: PrecisionContext) -> int:
 
 # --- bounds and verify ------------------------------------------------------
 
+
+def _oracle():
+    """The oracle module, imported by the first oracle call: only ``verify`` loads it."""
+    from . import oracle
+
+    return oracle
+
+
 # target -> (point columns, default points, oracle, {method: (bound, takes an
 # order m)}).  The last column is the grid, the others are flags; the first
 # method is the default, and relative-entropy has one bound and no --method.
@@ -140,18 +148,18 @@ def _cmd_coeffs(args, ctx: PrecisionContext) -> int:
 # so that a wrapper put on the module (as perfbench's tracer does) is what runs.
 _TARGETS = {
     "poisson-entropy": (("lambda",), "0.1,0.5,1,2,5,10,20,50,100",
-                        lambda lam, ctx: oracle.poisson_entropy_oracle(lam, ctx)[0], {
+                        lambda lam, ctx: _oracle().poisson_entropy_oracle(lam, ctx)[0], {
         "large-lambda": ("entropy_poisson_large", True),
         "small-lambda": ("entropy_poisson_small", True),
         "cover-thomas": ("entropy_poisson_ct", False),
     }),
     "binomial-entropy": (("n", "p"), "0.05,0.2,0.5,0.8,0.95",
-                         lambda n, p, ctx: oracle.binomial_entropy_oracle(n, p, ctx), {
+                         lambda n, p, ctx: _oracle().binomial_entropy_oracle(n, p, ctx), {
         "corollary": ("entropy_binomial_bounds", True),
         "stirling-m1": ("entropy_binomial_stirling_m1", False),
     }),
     "relative-entropy": (("n", "p"), "0.05,0.2,0.5,0.8,0.95",
-                         lambda n, p, ctx: oracle.relative_entropy_oracle(n, p, ctx), {
+                         lambda n, p, ctx: _oracle().relative_entropy_oracle(n, p, ctx), {
         None: ("relative_entropy_bounds", True),
     }),
 }

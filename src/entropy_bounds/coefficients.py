@@ -18,7 +18,6 @@ Published tables exist only in the tests, as golden data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -34,14 +33,14 @@ from .symbolic import (
     _check_index,
     _check_positive,
     _logs,
+    _record,
     _round64,
     integrate_tail,
     integrate_to_one,
 )
 
 
-@dataclass(frozen=True)
-class CoeffSet:
+class CoeffSet(_record("CoeffSet", "m b a")):
     """Large-argument coefficients of order m of one law.
 
     ``b[k]`` (k = 1..2m-1) are the expansion terms, ``a[k]`` (k = m..2m) the
@@ -50,17 +49,17 @@ class CoeffSet:
     central moment, so every rational a(m, k) is nonnegative.
     """
 
-    m: int
-    b: Mapping[int, Fraction | LaurentPoly]
-    a: Mapping[int, Fraction | LaurentPoly]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if set(self.b) != set(range(1, 2 * self.m)):
-            raise ValueError(f"b indices must cover 1..{2 * self.m - 1}, got {sorted(self.b)}")
-        if set(self.a) != set(range(self.m, 2 * self.m + 1)):
-            raise ValueError(f"a indices must cover {self.m}..{2 * self.m}, got {sorted(self.a)}")
-        if any(not isinstance(v, LaurentPoly) and v < 0 for v in self.a.values()):
+    def __new__(cls, m: int, b: Mapping[int, Fraction | LaurentPoly],
+                a: Mapping[int, Fraction | LaurentPoly]) -> CoeffSet:
+        if set(b) != set(range(1, 2 * m)):
+            raise ValueError(f"b indices must cover 1..{2 * m - 1}, got {sorted(b)}")
+        if set(a) != set(range(m, 2 * m + 1)):
+            raise ValueError(f"a indices must cover {m}..{2 * m}, got {sorted(a)}")
+        if any(not isinstance(v, LaurentPoly) and v < 0 for v in a.values()):
             raise ValueError("gap coefficients a(m, k) must be nonnegative")
+        return tuple.__new__(cls, (m, b, a))
 
     # the benchmark harness (perfbench) reads a binomial set's b~ and a~ by these names
     b_tilde = property(lambda self: self.b)

@@ -28,7 +28,6 @@ through Touchard's raw moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -65,8 +64,7 @@ _GUARD = 32
 _Dyadic = tuple[int, int]  # (man, exp): the exact value man * 2^exp
 
 
-@dataclass(frozen=True)
-class TruncationReceipt:
+class TruncationReceipt(NamedTuple):
     """Evidence that a truncated series met the working precision.
 
     ``terms_used`` counts the summed terms: the mode and both sides of it.

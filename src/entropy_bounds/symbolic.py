@@ -22,8 +22,8 @@ exponent beside their integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -125,8 +125,15 @@ def _mp_context(prec: int) -> mpmath.MPContext:
     return M
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+def _record(name: str, fields: str) -> type:
+    """The named tuple type ``name`` of ``fields``, for a subclass that checks its fields in
+    ``__new__``: its ``_make``, and so ``_replace``, build through that ``__new__``."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class PrecisionContext(_record("PrecisionContext", "bits")):
     """Working mantissa precision in bits, the one precision setting.
 
     Results are rounded to ``bits``, and an oracle reports a truncated series
@@ -135,13 +142,14 @@ class PrecisionContext:
     precision is read or set.
     """
 
-    bits: int = 256
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, int):
-            raise TypeError(f"bits must be an integer, got {self.bits!r}")
-        if self.bits < 64:
-            raise ValueError(f"bits must be >= 64, got {self.bits}")
+    def __new__(cls, bits: int = 256) -> PrecisionContext:
+        if not isinstance(bits, int):
+            raise TypeError(f"bits must be an integer, got {bits!r}")
+        if bits < 64:
+            raise ValueError(f"bits must be >= 64, got {bits}")
+        return tuple.__new__(cls, (bits,))
 
     @property
     def mp(self) -> mpmath.MPContext:

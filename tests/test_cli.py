@@ -293,7 +293,7 @@ class TestUsageErrors:
         def oracle_must_not_run(*args):
             raise AssertionError("the oracle ran before the method was refused")
 
-        monkeypatch.setattr(cli.oracle, "poisson_entropy_oracle", oracle_must_not_run)
+        monkeypatch.setattr("entropy_bounds.oracle.poisson_entropy_oracle", oracle_must_not_run)
         argv = ["verify", "poisson-entropy", "--method", "cover-thomas", "--points", "3"]
         assert cli.main(argv + ["--bits", "64"]) == 2
         captured = capsys.readouterr()

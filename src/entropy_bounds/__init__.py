@@ -6,6 +6,7 @@ oracles to validate them.
 
 The oracles' names (:mod:`entropy_bounds.oracle`) are read from that module, which is imported
 on the first use of one of them, so that a process that never checks a bound never loads it.
+The CLI reads the oracles through this package, and the bounds through :mod:`.bounds`.
 """
 
 from .symbolic import (
@@ -87,12 +88,8 @@ __all__ = [
     "stirling_m1_constants",
 ]
 
-# the names read from the oracle module, imported on first use (PEP 562)
-_ORACLE_NAMES = frozenset({
-    "TruncationReceipt", "binomial_entropy_oracle", "expected_log_binomial",
-    "expected_log_poisson", "moment_oracle_binomial", "moment_oracle_poisson",
-    "poisson_entropy_oracle", "relative_entropy_oracle",
-})
+# the names of __all__ not bound above: the oracle module's, imported on first use (PEP 562)
+_ORACLE_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name: str):

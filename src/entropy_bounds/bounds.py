@@ -63,7 +63,6 @@ from .symbolic import (
     _form,
     _log_factorial_reader,
     _logs,
-    _mp_context,
     _point,
     _record,
     _round64,
@@ -125,7 +124,7 @@ def _compiled(P: int, derive, *args) -> tuple:
     """(series, gap) for the exact pair ``derive(*args)``, each as its form
     (:func:`symbolic._form`) at ``P`` bits, keyed by P so that it outlives P's mpmath context."""
     series, gap = derive(*args)
-    return _form(series, _mp_context(P)), _form(gap, _mp_context(P))
+    return _form(series, P), _form(gap, P)
 
 
 def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends) -> BoundReport:
@@ -172,12 +171,11 @@ def _sandwich_forms(derive, m: int) -> tuple:
     return tuple(forms)
 
 
-def _small_forms(c, bits: int, m: int) -> tuple:
+def _small_forms(c, ctx: PrecisionContext, m: int) -> tuple:
     """Over (lam), the series sum_{k=2}^{2m} c(k)/k! lam^k and the gap, minus its next term; each
-    c(k) = ``c(k, bits)`` enters exactly, and ``c`` is part of the cache key.  The gap is one
+    c(k) = ``c(k, ctx)`` enters exactly, and ``c`` is part of the cache key.  The gap is one
     term, which :func:`evaluate` sums exactly before rounding to nearest, so its value is minus
     the next term's, bit for bit."""
-    ctx = PrecisionContext(bits)
     *terms, (e, c_next) = [((k,), Fraction(*to_rational(c(k, ctx)._mpf_)) / math.factorial(k))
                            for k in range(2, 2 * m + 2)]
     return LaurentPoly(terms), LaurentPoly({e: -c_next})
@@ -196,7 +194,7 @@ def entropy_poisson_small(
     lam_m = _point(lam, M, "lam", ">= 0")
     head = lam_m if lam_m == fzero else mpf_sub(
         lam_m, mpf_mul(lam_m, mpf_log(lam_m, P, rn), P, rn), P, rn)
-    return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx.bits),
+    return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx),
                      (lam_m,), _anchored(head, P, lower=False))
 
 

@@ -54,9 +54,9 @@ from .symbolic import (
     _log_factorial_reader,
     _mp_context,
     _point,
+    _quotient,
     _round64,
     as_fraction,
-    to_mpf,
 )
 
 # the pmf walk carries this many bits past the working precision
@@ -253,7 +253,7 @@ def poisson_entropy_oracle(
     lam_m = M.make_mpf(_point(lam, M, "lam", ">= 0"))
     if lam_m == 0:
         return mpf(0), TruncationReceipt(0, mpf(0), mpf(0))
-    W = PrecisionContext(M.prec).mp
+    W = _mp_context(M.prec + 64)
     log_fact, exp = _log_factorial_reader(W.prec)
     law = _poisson_law(lam_m, W.prec, log_fact, exp)
     series, terms, tail, mass = _outward(law, lambda j: (log_fact(j), exp), W)
@@ -285,7 +285,7 @@ def moment_oracle_poisson(k: int, s, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
         raw.append(sum(c * s**j for j, c in enumerate(row)))
         row = [j * a + b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
     value = sum(math.comb(k, i) * (-s) ** (k - i) * m for i, m in enumerate(raw))
-    return ctx.round(to_mpf(value, _mp_context(ctx.bits)))
+    return mp.make_mpf(_quotient(value.numerator, value.denominator, ctx.bits))
 
 
 def binomial_entropy_oracle(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

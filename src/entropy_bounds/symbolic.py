@@ -178,19 +178,19 @@ def _raw(x, M: mpmath.MPContext) -> tuple:
     """int/float/str/Fraction/mpf ``x`` as a raw libmp value at ``M.prec``, rounded to nearest: a
     Fraction, or an int wider than ``M.prec``, by :func:`_quotient`, else as ``M.mpf`` reads it."""
     if isinstance(x, Fraction) or isinstance(x, int) and x.bit_length() > M.prec:
-        return _quotient(x.numerator, x.denominator, M)
+        return _quotient(x.numerator, x.denominator, M.prec)
     return from_int(x) if isinstance(x, int) else M.mpf(x)._mpf_
 
 
-def _quotient(num: int, den: int, M: mpmath.MPContext) -> tuple:
-    """num/den, den > 0, rounded once, to nearest, to a raw value at ``M.prec`` from its integer
-    quotient to over ``M.prec`` + 1 bits and a sticky bit, which lies on the same side of every
-    tie as the rest of the quotient; so no full-width int reaches mpmath, whose conversion strips
+def _quotient(num: int, den: int, prec: int) -> tuple:
+    """num/den, den > 0, rounded once, to nearest, to a raw value at ``prec`` bits from its integer
+    quotient to over ``prec`` + 1 bits and a sticky bit, which lies on the same side of every tie
+    as the rest of the quotient; so no full-width int reaches mpmath, whose conversion strips
     trailing zeros in time that grows faster than the width."""
-    shift = M.prec + 2 + den.bit_length() - num.bit_length()
+    shift = prec + 2 + den.bit_length() - num.bit_length()
     man, rest = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
     man = man << 1 | bool(rest)
-    return normalize(num < 0, man, -shift - 1, man.bit_length(), M.prec, round_nearest)
+    return normalize(num < 0, man, -shift - 1, man.bit_length(), prec, round_nearest)
 
 
 @lru_cache(maxsize=128)
@@ -394,7 +394,7 @@ class LaurentPoly:
                         for e, c in self._num.items()), Fraction(0)) / self._den
         M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
-        return M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(_form(self, M)))
+        return M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(_form(self, M.prec)))
 
     def __repr__(self) -> str:
         parts = " + ".join(f"{rational_str(c)}*x^{e}" for e, c in self.terms())
@@ -417,10 +417,11 @@ class LogLaurent(LaurentPoly):
         return self.coeff((0, 1))
 
 
-def _form(x: LaurentPoly, M: mpmath.MPContext) -> tuple:
+def _form(x: LaurentPoly, prec: int) -> tuple:
     """Per term of ``x`` by ascending exponent, its nonzero (variable, exponent) pairs and its
-    coefficient rounded into ``M`` by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
-    return tuple((tuple((i, k) for i, k in enumerate(e) if k), *_dyadic(_quotient(c, x._den, M)))
+    coefficient rounded to ``prec`` bits by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
+    return tuple((tuple((i, k) for i, k in enumerate(e) if k),
+                  *_dyadic(_quotient(c, x._den, prec)))
                  for e, c in sorted(x._num.items()))
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+import entropy_bounds
 import entropy_bounds.cli as cli
 from conftest import child_env
 from entropy_bounds import (
@@ -299,6 +300,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("entropy-bounds: error:")
+
+    def test_verify_calls_the_package_oracle_name(self, capsys, monkeypatch):
+        # the CLI reads the oracle through the package.  setitem, not setattr: setattr's undo
+        # would bind the original in the package, where a later patch of the oracle module
+        # would no longer reach the CLI
+        calls = []
+
+        def fake(lam, ctx):
+            calls.append((lam, ctx.bits))
+            return mpf(-1), None
+
+        monkeypatch.setitem(vars(entropy_bounds), "poisson_entropy_oracle", fake)
+        argv = ["verify", "poisson-entropy", "--points", "3", "--m-list", "1", "--bits", "64"]
+        code, out = run(capsys, argv)
+        assert (code, calls) == (1, [(F(3), 64)])
+        assert rows_of(out)[0]["contained"] == "false"
 
     @pytest.mark.parametrize("argv", [
         ["coeffs", "poisson", "--m", "0"],

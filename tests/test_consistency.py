@@ -76,15 +76,25 @@ def _small_large(rng):
         entropy_poisson_large(lam, k, ctx))
 
 
-def _relative_exact(rng):
-    # exact D is within half an ulp plus 2^-62 ulp, so one ulp either side encloses it
-    n, p, m, bits = int(_log_uniform(rng, 0, 3.5)), _p(rng), rng.choice(ORDERS), rng.choice(BITS)
-    ctx = PrecisionContext(bits)
-    value = relative_entropy_exact(n, p, ctx)
-    man, exp = value.man_exp
-    ulp = F(2) ** (exp + man.bit_length() - bits)
-    return (n, p, m, bits), _ends(relative_entropy_bounds(n, p, m, ctx)), (
-        _exact(value) - ulp, _exact(value) + ulp)
+def _tiny_p(rng: random.Random) -> F:
+    """A p in (0, 1), log-uniform down to about 2^-400, never dyadic: 2^20 - 1 is odd."""
+    return F(rng.randint(1, 2**20 - 2), 2**20 - 1) * F(1, 2 ** rng.randint(0, 380))
+
+
+def _relative_exact(n_top, draw_p, bits_from):
+    """Exact D against the sandwich, n log-uniform to 10^n_top, p drawn by ``draw_p`` and the
+    precision from ``bits_from``; exact D is within half an ulp plus 2^-62 ulp, so one ulp
+    either side encloses it."""
+    def pair(rng):
+        n, p, m = int(_log_uniform(rng, 0, n_top)), draw_p(rng), rng.choice(ORDERS)
+        bits = rng.choice(bits_from)
+        ctx = PrecisionContext(bits)
+        value = relative_entropy_exact(n, p, ctx)
+        man, exp = value.man_exp
+        ulp = F(2) ** (exp + man.bit_length() - bits)
+        return (n, p, m, bits), _ends(relative_entropy_bounds(n, p, m, ctx)), (
+            _exact(value) - ulp, _exact(value) + ulp)
+    return pair
 
 
 def _orders(bound, point):
@@ -122,9 +132,16 @@ _relative_orders = _orders(relative_entropy_bounds,
         raises=AssertionError, reason="ROADMAP items 26 and 13: at small p the sandwich's head "
         "and series cancel, and its ends are rounded to nearest, so two orders' ends are "
         "disjoint or cross")),
-    pytest.param(_relative_exact, 60, id="relative-exact-bounds", marks=pytest.mark.xfail(
-        raises=AssertionError, reason="ROADMAP item 26: at small p the sandwich's head and series "
-        "cancel about 2 log2(1/p) bits, so its ends exclude exact D or cross")),
+    pytest.param(_relative_exact(3.5, _p, BITS), 60, id="relative-exact-bounds",
+                 marks=pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 26: at "
+                 "small p the sandwich's head and series cancel about 2 log2(1/p) bits, so its "
+                 "ends exclude exact D or cross")),
+    # item 26's acceptance range: n to 10^6, p to about 2^-400, 64-320 bits
+    pytest.param(_relative_exact(6, _tiny_p, (64, 128, 192, 256, 320)), 60,
+                 id="relative-exact-tiny-p", marks=pytest.mark.xfail(
+                     raises=AssertionError, reason="ROADMAP item 26: down to p = 2^-400 the "
+                     "sandwich's head and series cancel up to about 800 bits, so its ends "
+                     "exclude exact D or cross")),
 ])
 def test_two_certified_answers_intersect(pair, count):
     rng = random.Random(27)

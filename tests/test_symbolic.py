@@ -292,7 +292,7 @@ class TestEvaluate:
         # against the coefficients as compiled, the bound leaves 2^-(P+30) of the terms
         M = PrecisionContext(bits).mp
         terms, point = data.draw(ladder_forms_and_points(M.prec))
-        form = _form(LaurentPoly(terms), M)
+        form = _form(LaurentPoly(terms), M.prec)
         got = M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(form))
         compiled = [F(man) * F(2) ** exp * prod(point[i] ** k for i, k in keys)
                     for keys, man, exp in form]
@@ -316,7 +316,7 @@ class TestEvaluate:
         terms, (x,) = data.draw(ladder_forms_and_points(M.prec, coords=(1, 1), reach=400))
         pairs = list(zip(*[iter(terms.items())] * 2))
         forms = data.draw(st.permutations(
-            [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M))) for pair in pairs]))
+            [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M.prec))) for pair in pairs]))
         wide = M.prec + 40
         for form, got in zip(forms, map(evaluate(M.prec, _raw(x, M)), forms), strict=True):
             got = M.make_mpf(got)

@@ -2,14 +2,14 @@
 
 Every routine returns a :class:`BoundReport` whose ends are guaranteed by
 the corresponding theorem to contain the target quantity; the guarantees are
-analytic.  Each sandwich is a closed-form head, a series with exact dyadic coefficients
-and a gap; a routine checks its inputs, forms its point and head as raw libmp values at
-P = ``ctx.mp.prec``, each step the libmp call that mpmath's own operator makes, and hands
-its ``ends`` and the key of its compiled forms to :func:`_sandwich`, which all share.  Its
-series and gap are summed in integers, rounded once, by :func:`symbolic.evaluate`'s
-evaluator at the point, and :func:`_report` rounds each end to nearest at ``ctx.bits`` into
-the report's four mpfs, the first the call makes.  The exact D(n, p) is no such form: it
-is one fixed-point sum over the binomial tails near the mean, rounded once.
+analytic.  Each sandwich is a closed-form head, a series with exact rational coefficients and
+a gap; a routine checks its inputs, forms its point and head as raw libmp values at P bits
+(``ctx.mp.prec``, or more for relative entropy at small p), each step the libmp call that
+mpmath's own operator makes, and hands P, its ``ends`` and the key of its exact compiled forms
+to :func:`_sandwich`, which all share.  Its series and gap are summed in integers, rounded
+once, by :func:`symbolic.evaluate`'s evaluator at the point, and :func:`_report` rounds each
+end to nearest at ``ctx.bits`` into the report's four mpfs, the first the call makes.  The
+exact D(n, p) is no such form: it is one fixed-point sum over the binomial tails, rounded once.
 
 Every order-taking routine also takes m = "auto" (the CLI's ``--m auto``, and
 :func:`best_interval`): the order of AUTO_ORDERS whose evaluated gap is least, the
@@ -117,21 +117,20 @@ def _check_m(m) -> None:
         _check_positive(m, "order m")
 
 
-# sized for tabulating and cross-checking: six sets (README) at orders 1..6 at 64, 128 and 256
-# bits are 108 entries; more orders or precisions than that compile again (ROADMAP item 17)
+# six sets (README) at orders 1..6 are 30 entries, and 6 per precision for the small-mean set,
+# whose key holds its context: 144 hold orders 1..24 of all six, or 1..6 at 19 precisions
 @lru_cache(maxsize=144)
-def _compiled(P: int, derive, *args) -> tuple:
-    """(series, gap) for the exact pair ``derive(*args)``, each as its form
-    (:func:`symbolic._form`) at ``P`` bits, keyed by P so that it outlives P's mpmath context."""
+def _compiled(derive, *args) -> tuple:
+    """The exact forms (:func:`symbolic._form`) of the pair (series, gap) ``derive(*args)``."""
     series, gap = derive(*args)
-    return _form(series, P), _form(gap, P)
+    return _form(series), _form(gap)
 
 
-def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, ends) -> BoundReport:
-    """The order-m report of a sandwich, m an order or "auto": ``_compiled(P, *key, k)`` is
-    the compiled (series, gap) of order k, evaluated at ``point``, and ``ends(s, v)`` the ends
+def _sandwich(ctx: PrecisionContext, P: int, method: str, m, key, point, ends) -> BoundReport:
+    """The order-m report of a sandwich, m an order or "auto": ``_compiled(*key, k)`` is the
+    compiled (series, gap) of order k, evaluated at ``point``, and ``ends(s, v)`` the ends
     (lower, upper) for series value s and gap value v, one end formed from the other and v, all
-    raw libmp values at P = ``ctx.mp.prec``.
+    raw libmp values at the caller's P bits, ``ctx.mp.prec`` or more.
 
     One evaluator (:func:`evaluate`) at ``point`` values every form asked for, on the same power
     ladders.  The candidate orders are AUTO_ORDERS for m = "auto", else m alone; each is asked
@@ -139,14 +138,13 @@ def _sandwich(ctx: PrecisionContext, method: str, m, key: tuple, point: tuple, e
     series.  Every order's sandwich is certified by its own theorem, so the choice needs no
     proof: it may be a few ulps wider than the narrowest rounded interval.
     """
-    P, best = ctx.mp.prec, None
-    value = evaluate(P, *point)
+    value, best = evaluate(P, *point), None
     for k in AUTO_ORDERS if m == "auto" else (m,):
-        gap = value(_compiled(P, *key, k)[1])
+        gap = value(_compiled(*key, k)[1])
         if best is None or mpf_lt(gap, best[1]):
             best = k, gap
     m, v = best
-    return _report(*ends(value(_compiled(P, *key, m)[0]), v), m, method, ctx)
+    return _report(*ends(value(_compiled(*key, m)[0]), v), m, method, ctx)
 
 
 def _anchored(head: tuple, P: int, lower: bool):
@@ -194,7 +192,7 @@ def entropy_poisson_small(
     lam_m = _point(lam, M, "lam", ">= 0")
     head = lam_m if lam_m == fzero else mpf_sub(
         lam_m, mpf_mul(lam_m, mpf_log(lam_m, P, rn), P, rn), P, rn)
-    return _sandwich(ctx, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx),
+    return _sandwich(ctx, P, "small-lambda", m, (_small_forms, coefficients.c_coeff, ctx),
                      (lam_m,), _anchored(head, P, lower=False))
 
 
@@ -208,7 +206,7 @@ def entropy_poisson_large(
     lam_m = _point(lam, M, "lam", "> 0")
     two_pi_lam = mpf_mul(mpf_shift(mpf_pi(P, rn), 1), lam_m, P, rn)  # 2 pi exact, as 2 * M.pi
     head = mpf_add(mpf_shift(mpf_log(two_pi_lam, P, rn), -1), mpf_shift(fone, -1), P, rn)
-    return _sandwich(ctx, "large-lambda", m, (_sandwich_forms, coefficients.poisson_coeffs),
+    return _sandwich(ctx, P, "large-lambda", m, (_sandwich_forms, coefficients.poisson_coeffs),
                      (lam_m,), _anchored(head, P, lower=False))
 
 
@@ -306,16 +304,18 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 def relative_entropy_bounds(
     n: int, p, m: int | str = 1, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
-    """Large-n sandwich: D(n, p) in [l, l + r~] with
-    l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k."""
+    """Large-n sandwich: D(n, p) in [l, l + r~] with l = -(p + log q)/2 + sum_k b~(m,k;p)/n^k.
+    D is about p^2/4 against series terms of about 1, so the sum loses 2 (-mag p) bits; it is
+    formed at P = ``ctx.mp.prec`` + those beyond 32 of the guard bits, rounded up to 64."""
     _check_m(m)
     _check_positive(n, "n", DomainError)
-    M, P = ctx.mp, ctx.mp.prec
+    M = ctx.mp
     p_m = _point(p, M, "p", "in (0,1)")
+    P = M.prec + _round64(max(0, -2 * (p_m[2] + p_m[3]) - 32))  # mag p = exp + bc
     q_m = mpf_sub(fone, p_m, P, rn)
     log_q = mpf_log(q_m, P, rn)
     head = mpf_shift(mpf_neg(mpf_add(p_m, log_q, P, rn)), -1)
-    return _sandwich(ctx, "relative-entropy", m, (_sandwich_forms, coefficients.binomial_coeffs),
+    return _sandwich(ctx, P, "relative-entropy", m, (_sandwich_forms, coefficients.binomial_coeffs),
                      (q_m, log_q, from_int(n, P, rn)), _anchored(head, P, lower=True))
 
 
@@ -329,7 +329,7 @@ def _binomial_entropy(n: int, p, m, ctx, method: str, head: tuple, extra: tuple)
     u = mpf_mul(p_m, mpf_sub(fone, p_m, P, rn), P, rn)
     log_u = mpf_log(u, P, rn)
     t = mpf_shift(mpf_add(log_u, fone, P, rn), -1)
-    return _sandwich(ctx, method, m, (_sandwich_forms, coefficients._symmetric_coeffs),
+    return _sandwich(ctx, P, method, m, (_sandwich_forms, coefficients._symmetric_coeffs),
                      (u, log_u, from_int(n, P, rn)), lambda s, v: (mpf_sub(mpf_sub(end := mpf_sub(
                          head, mpf_sub(s, t, P, rn), P, rn), v, P, rn), extra, P, rn), end))
 
@@ -371,8 +371,9 @@ def expected_log_poisson_bounds(
     _check_m(m)
     M, P = ctx.mp, ctx.mp.prec
     s_m = _point(s, M, "s", "> 0")
-    return _sandwich(ctx, "expected-log-poisson", m, (coefficients.expected_log_series, "poisson"),
-                     (s_m,), _anchored(mpf_log(s_m, P, rn), P, lower=True))
+    return _sandwich(ctx, P, "expected-log-poisson", m,
+                     (coefficients.expected_log_series, "poisson"), (s_m,),
+                     _anchored(mpf_log(s_m, P, rn), P, lower=True))
 
 
 def expected_log_binomial_bounds(
@@ -384,7 +385,7 @@ def expected_log_binomial_bounds(
     _check_positive(n, "n", DomainError)
     M, P = ctx.mp, ctx.mp.prec
     s_m = _point(s, M, "s", "in (0,1)")
-    return _sandwich(ctx, "expected-log-binomial", m,
+    return _sandwich(ctx, P, "expected-log-binomial", m,
                      (coefficients.expected_log_series, "binomial"), (from_int(n, P, rn), s_m),
                      _anchored(mpf_log(mpf_mul_int(s_m, n, P, rn), P, rn), P, lower=True))
 

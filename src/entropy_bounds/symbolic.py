@@ -182,15 +182,15 @@ def _raw(x, M: mpmath.MPContext) -> tuple:
     return from_int(x) if isinstance(x, int) else M.mpf(x)._mpf_
 
 
-def _quotient(num: int, den: int, prec: int) -> tuple:
-    """num/den, den > 0, rounded once, to nearest, to a raw value at ``prec`` bits from its integer
-    quotient to over ``prec`` + 1 bits and a sticky bit, which lies on the same side of every tie
-    as the rest of the quotient; so no full-width int reaches mpmath, whose conversion strips
-    trailing zeros in time that grows faster than the width."""
+def _quotient(num: int, den: int, prec: int, exp: int = 0) -> tuple:
+    """num/den 2^``exp``, den > 0, rounded once, to nearest, to a raw value at ``prec`` bits from
+    its integer quotient to over ``prec`` + 1 bits and a sticky bit, which lies on the same side
+    of every tie as the rest of the quotient; so no full-width int reaches mpmath, whose
+    conversion strips trailing zeros in time that grows faster than the width."""
     shift = prec + 2 + den.bit_length() - num.bit_length()
     man, rest = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
     man = man << 1 | bool(rest)
-    return normalize(num < 0, man, -shift - 1, man.bit_length(), prec, round_nearest)
+    return normalize(num < 0, man, exp - shift - 1, man.bit_length(), prec, round_nearest)
 
 
 @lru_cache(maxsize=128)
@@ -394,7 +394,7 @@ class LaurentPoly:
                         for e, c in self._num.items()), Fraction(0)) / self._den
         M = next((x.context for x in point if hasattr(x, "context")), DEFAULT_CONTEXT.mp)
         # uncached, so that one-off polynomials do not evict the bounds' compiled forms
-        return M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(_form(self, M.prec)))
+        return M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(_form(self)))
 
     def __repr__(self) -> str:
         parts = " + ".join(f"{rational_str(c)}*x^{e}" for e, c in self.terms())
@@ -417,12 +417,11 @@ class LogLaurent(LaurentPoly):
         return self.coeff((0, 1))
 
 
-def _form(x: LaurentPoly, prec: int) -> tuple:
-    """Per term of ``x`` by ascending exponent, its nonzero (variable, exponent) pairs and its
-    coefficient rounded to ``prec`` bits by :func:`_quotient`, as :func:`_dyadic` (man, exp)."""
-    return tuple((tuple((i, k) for i, k in enumerate(e) if k),
-                  *_dyadic(_quotient(c, x._den, prec)))
-                 for e, c in sorted(x._num.items()))
+def _form(x: LaurentPoly) -> tuple:
+    """(den, terms): ``x``'s one denominator and, per term by ascending exponent, its nonzero
+    (variable, exponent) pairs and its exact integer numerator."""
+    return x._den, tuple((tuple((i, k) for i, k in enumerate(e) if k), c)
+                         for e, c in sorted(x._num.items()))
 
 
 def _dyadic(x: tuple) -> tuple[int, int]:
@@ -455,22 +454,23 @@ def _climb(ladder: dict[int, tuple[int, int]], x: tuple, k: int, wide: int) -> t
 
 def evaluate(prec: int, *point) -> Callable[[tuple], tuple]:
     """The evaluator at ``point``, one raw libmp value per coordinate: a function that returns the
-    raw value at P = ``prec`` bits of each form it is given, on power ladders shared by every form
-    it is asked for.  Each coordinate's powers come from one ladder (:func:`_climb`) at wide = P +
-    40 bits: x^-1 lies within 2^-wide of its value, relative, and each rung adds a truncation of
-    at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any |k| < 2^64, whatever order
-    the rungs are asked for in.  Each term is an exact integer product truncated to one shared
-    exponent P + 64 bits below the largest term, and their exact sum is rounded once to P bits.
-    So for up to 2^30 terms, K being the largest sum of |k| in one term, v lies within |v| 2^-P
-    + (1.5K 2^(1-wide) + 2^-(P+32)) sum |c' x^e| of the exact sum of c' x^e, c' the form's
-    coefficients.  For K <= 255 that is |v| 2^-P + 2^-(P+30) sum |c' x^e|, and as compiled c'
-    is within |c| 2^-P of c, so v is within |v| 2^-P + 2^(2-P) sum |c x^e| of the exact value.
-    Exact terms with no bit below the shared exponent that cancel give exact zero."""
+    raw value at P = ``prec`` bits of each form (:func:`_form`) it is given, on power ladders
+    shared by every form it is asked for.  Each coordinate's powers come from one ladder
+    (:func:`_climb`) at wide = P + 40 bits: x^-1 lies within 2^-wide of its value, relative, and
+    each rung adds a truncation of at most 2^(1-wide), so x^k lies within 1.5|k| 2^(1-wide) for any
+    |k| < 2^64, whatever order the rungs are asked for in.  Each term is its exact numerator times
+    its powers, truncated to one shared exponent P + 64 bits below the largest term, and their
+    exact sum over the form's denominator is rounded once to P bits (:func:`_quotient`).  So for
+    up to 2^30 terms, K being the largest sum of |k| in one term, v lies within |v| 2^-P + (1.5K
+    2^(1-wide) + 2^-(P+32)) sum |c x^e| of the exact value, c the form's exact coefficients; for K
+    <= 255 that is |v| 2^-P + 2^-(P+30) sum |c x^e|.  Exact terms with no bit below the shared
+    exponent that cancel give exact zero."""
     wide, ladders = prec + 40, [{} for _ in point]
 
     def value(form: tuple) -> tuple:
-        terms, top = [], None
-        for keys, man, exp in form:
+        den, terms, top = form[0], [], None
+        for keys, man in form[1]:
+            exp = 0
             for i, k in keys:
                 p_man, p_exp = ladders[i].get(k) or _climb(ladders[i], point[i], k, wide)
                 man, exp = man * p_man, exp + p_exp
@@ -479,8 +479,7 @@ def evaluate(prec: int, *point) -> Callable[[tuple], tuple]:
                 top = exp + man.bit_length()
         base = (0 if top is None else top) - prec - 64
         total = sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms)
-        sign, total = (1, -total) if total < 0 else (0, total)
-        return normalize(sign, total, base, total.bit_length(), prec, round_nearest)
+        return _quotient(total, den, prec, base)
 
     return value
 

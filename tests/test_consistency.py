@@ -128,20 +128,13 @@ _relative_orders = _orders(relative_entropy_bounds,
     pytest.param(_corollary_orders, 60, id="corollary-orders"),
     pytest.param(_expected_log_poisson_orders, 60, id="expected-log-poisson-orders"),
     pytest.param(_expected_log_binomial_orders, 60, id="expected-log-binomial-orders"),
-    pytest.param(_relative_orders, 60, id="relative-entropy-orders", marks=pytest.mark.xfail(
-        raises=AssertionError, reason="ROADMAP items 26 and 13: at small p the sandwich's head "
-        "and series cancel, and its ends are rounded to nearest, so two orders' ends are "
-        "disjoint or cross")),
-    pytest.param(_relative_exact(3.5, _p, BITS), 60, id="relative-exact-bounds",
-                 marks=pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 26: at "
-                 "small p the sandwich's head and series cancel about 2 log2(1/p) bits, so its "
-                 "ends exclude exact D or cross")),
-    # item 26's acceptance range: n to 10^6, p to about 2^-400, 64-320 bits
+    # at small p the sandwich's head and series cancel about 2 log2(1/p) bits, up to about 800
+    # at p = 2^-400
+    pytest.param(_relative_orders, 60, id="relative-entropy-orders"),
+    pytest.param(_relative_exact(3.5, _p, BITS), 60, id="relative-exact-bounds"),
+    # n to 10^6, p to about 2^-400, 64-320 bits
     pytest.param(_relative_exact(6, _tiny_p, (64, 128, 192, 256, 320)), 60,
-                 id="relative-exact-tiny-p", marks=pytest.mark.xfail(
-                     raises=AssertionError, reason="ROADMAP item 26: down to p = 2^-400 the "
-                     "sandwich's head and series cancel up to about 800 bits, so its ends "
-                     "exclude exact D or cross")),
+                 id="relative-exact-tiny-p"),
 ])
 def test_two_certified_answers_intersect(pair, count):
     rng = random.Random(27)

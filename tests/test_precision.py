@@ -189,15 +189,17 @@ def test_two_threads_share_the_compiled_forms():
 
 
 def _every_set(bits: int) -> list:
-    """One bound from each of the 25 compiled sandwiches of orders 1..6: a series
-    form and a gap form each, but for the order-1 Stirling one's lower and upper."""
+    """One bound from each of the 31 compiled sandwiches of orders 1..6: a series
+    form and a gap form each, but for the order-1 Stirling one's lower and upper.  The six
+    small-mean sets are keyed by their context, so they are compiled again at each precision."""
     ctx = PrecisionContext(bits=bits)
     reports = [entropy_binomial_stirling_m1(50, F(1, 5), ctx)]
     for m in range(1, 7):
         reports += [relative_entropy_bounds(300, F(3, 10), m, ctx),
                     entropy_poisson_large(F(7, 2), m, ctx),
                     expected_log_poisson_bounds(F(7, 2), m, ctx),
-                    expected_log_binomial_bounds(50, F(1, 5), m, ctx)]
+                    expected_log_binomial_bounds(50, F(1, 5), m, ctx),
+                    entropy_poisson_small(F(3, 10), m, ctx)]
     return reports
 
 
@@ -206,7 +208,8 @@ def test_compiled_cache_stays_bounded():
     warm = {bits: _every_set(bits) for bits in precisions}
     info = bounds._compiled.cache_info()
     assert info.maxsize is not None
-    assert info.currsize == info.maxsize  # 40 x 25 sandwiches overfill it, and it holds at its bound
+    # 25 sets serve every precision, and 40 x 6 small-mean sets overfill it; it holds at its bound
+    assert info.currsize == info.maxsize
     for bits in precisions:
         bounds._compiled.cache_clear()
         assert _every_set(bits) == warm[bits], bits
@@ -218,12 +221,10 @@ _ORDER_TAKING = ((entropy_poisson_small, F(3, 10)), (entropy_poisson_large, F(7,
                  (expected_log_poisson_bounds, F(7, 2)), (expected_log_binomial_bounds, 50, F(1, 5)))
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 17: _compiled holds one entry per "
-                   "set and precision, so a sweep of more sets and precisions than its 144 entries "
-                   "evicts each entry before its next use and compiles every set again")
 def test_repeated_order_sweep_compiles_nothing():
-    # the fewest calls that overfill the cache: orders ascending, each at 64..320 bits in every
-    # routine, one compiled set per call, stopping one set past the cache's size
+    # the fewest calls that would overfill a cache keyed by precision: orders ascending, each at
+    # 64..320 bits in every routine, stopping one call past the cache's size; as the forms serve
+    # every precision but the small-mean ones, the sweep holds 50 sets and the repeat compiles none
     bounds._compiled.cache_clear()
     sweep = list(islice(product(range(1, 7), (64, 128, 192, 256, 320), _ORDER_TAKING),
                         bounds._compiled.cache_info().maxsize + 1))
@@ -234,8 +235,8 @@ def test_repeated_order_sweep_compiles_nothing():
 
 
 def test_compiled_forms_outlive_their_context():
-    # the forms are keyed by the precision, so a set stays warm when the mpmath context it was
-    # compiled in is evicted from _mp_context's cache and made again
+    # the forms carry no precision, so a set stays warm when the mpmath context it was first
+    # used in is evicted from _mp_context's cache and made again
     bounds._compiled.cache_clear()
     want = entropy_poisson_large(F(7, 2), 3, PrecisionContext(256))
     for bits in range(1000, 1313, 8):  # 40 other precisions evict the 256-bit context

@@ -252,9 +252,8 @@ def forms_and_points(draw, exponent_pairs=False):
 def ladder_forms_and_points(draw, prec, coords=(1, 3), reach=40):
     """(terms, point) for a ``prec``-bit context: ``coords`` (least, most) signed coordinates
     with mantissas of up to ``prec`` bits, from 2^-300 to 2^300, and terms in pairs
-    c x^e - c x^e2 with exponents in [-reach, reach].  The second coefficient of each pair
-    rounds when it is compiled, so the pairs nearly cancel and the powers' errors are not
-    hidden under |v| 2^-prec."""
+    c x^e - c x^e2 with exponents in [-reach, reach].  The pairs cancel exactly, so the powers'
+    errors are not hidden under |v| 2^-prec."""
     k = draw(st.integers(*coords))
     point = []
     for _ in range(k):
@@ -283,19 +282,19 @@ class TestEvaluate:
         exact = poly(*point)
         mass = sum(abs(c * prod(x**e for x, e in zip(point, exps))) for exps, c in terms.items())
         v = exact_value(got)
-        assert abs(v - exact) <= abs(v) / 2**bits + mass * 4 / 2**bits
+        assert abs(v - exact) <= abs(v) / 2**bits + mass / 2 ** (bits + 30)
 
     @pytest.mark.parametrize("bits", [64, 128, 320])
     @seed(2017)
     @given(st.data())
     def test_ladder_within_the_stated_error_bound(self, bits, data):
-        # against the coefficients as compiled, the bound leaves 2^-(P+30) of the terms
+        # against the exact coefficients c/den, the bound leaves 2^-(P+30) of the terms
         M = PrecisionContext(bits).mp
         terms, point = data.draw(ladder_forms_and_points(M.prec))
-        form = _form(LaurentPoly(terms), M.prec)
+        form = _form(LaurentPoly(terms))
         got = M.make_mpf(evaluate(M.prec, *(_raw(x, M) for x in point))(form))
-        compiled = [F(man) * F(2) ** exp * prod(point[i] ** k for i, k in keys)
-                    for keys, man, exp in form]
+        den, form_terms = form
+        compiled = [F(c, den) * prod(point[i] ** k for i, k in keys) for keys, c in form_terms]
         v = exact_value(got)
         assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + sum(map(abs, compiled)) / 2 ** (M.prec + 30)
 
@@ -316,12 +315,14 @@ class TestEvaluate:
         terms, (x,) = data.draw(ladder_forms_and_points(M.prec, coords=(1, 1), reach=400))
         pairs = list(zip(*[iter(terms.items())] * 2))
         forms = data.draw(st.permutations(
-            [data.draw(st.permutations(_form(LaurentPoly(dict(pair)), M.prec))) for pair in pairs]))
+            [(den, data.draw(st.permutations(form_terms)))
+             for den, form_terms in (_form(LaurentPoly(dict(pair))) for pair in pairs)]))
         wide = M.prec + 40
-        for form, got in zip(forms, map(evaluate(M.prec, _raw(x, M)), forms), strict=True):
+        for (den, form_terms), got in zip(forms, map(evaluate(M.prec, _raw(x, M)), forms),
+                                          strict=True):
             got = M.make_mpf(got)
-            ks = [sum(k for _, k in keys) for keys, _, _ in form]
-            compiled = [F(man) * F(2) ** exp * x**k for k, (_, man, exp) in zip(ks, form)]
+            ks = [sum(k for _, k in keys) for keys, _ in form_terms]
+            compiled = [F(c, den) * x**k for k, (_, c) in zip(ks, form_terms)]
             rel = F(3 * max(map(abs, ks)), 2) * F(2) ** (1 - wide) + F(1, 2 ** (M.prec + 32))
             v = exact_value(got)
             assert abs(v - sum(compiled)) <= abs(v) / 2**M.prec + rel * sum(map(abs, compiled))

@@ -220,25 +220,34 @@ def entropy_poisson_ct(lam, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def _binomial_window(n: int, a: int, b: int, E: int, P: int) -> tuple[int, list[int]]:
-    """(lo, w) for B(n, p), p = a/2^E and q = b/2^E exactly: w[k - lo] for k = lo..hi is the
-    floor of 2^P pmf(k)/pmf(mode), walked outward from the mode by the exact pmf ratio.
+    """(lo, w) for B(n, p), p = a/2^E and q = b/2^E exactly: w[k - lo] for k = lo..hi lies within
+    |k - mode| + 2^-7 units below 2^P pmf(k)/pmf(mode), walked outward from the mode.
 
-    Each floor loses under one unit, and the ratio is at most 1 outward, so weight k is
-    within |k - mode| units below its value.  The ratio keeps falling, so the weights from k
-    on, in either direction, are at most (w_k + |k - mode|) / (1 - ratio at k); a side ends
-    before the first k where that is at most n units, or at the end of the support.
+    Outward from k the pmf ratio, at most 1, is (rn/rd)(num/den): rn/rd is b/a down and a/b up,
+    and the small integers num and den, k and n - k + 1 down and n - k and k + 1 up, each move
+    by one per step.  A step is w (c num) // (g den) >> F, one floor, which loses under one
+    unit.  For a short p (E <= 64), or a side with no step, c/g = rn/rd exactly and F = 0.  For
+    a wide one, g = 1 and c = floor(rn 2^F/rd), one wide product per step in place of a wide
+    division: with F = P + 8 + bl(n) + bl(rd) - bl(rn), bl the bit length, and F > 0 as a side
+    with a step has rn/rd <= n, c/2^F lies below rn/rd by under 2^-(P+7+bl(n)) of it, so as w
+    <= 2^P a step loses under 2^-(7+bl(n)) units more, under 2^-7 over the at most n steps.
+
+    The ratio keeps falling, so the weights from k on, in either direction, are at most (w_k +
+    |k - mode| + 1)/(1 - ratio at k); a side ends before the first k where that is at most n
+    units, or at the end of the support.  As 1 - ratio <= 1, that needs w_k + |k - mode| + 1 <=
+    n, which is tested before the ratio is formed at full width.
     """
-    mode = min(n, (n + 1) * a >> E)
-    sides = []
-    for d, end, ratio in ((-1, 0, lambda k: (k * b, (n - k + 1) * a)),
-                          (1, n, lambda k: ((n - k) * a, (k + 1) * b))):
-        k, w, side = mode, 1 << P, []
-        num, den = ratio(k)  # pmf(k + d) / pmf(k)
-        while k != end:
-            k, w = k + d, w * num // den
-            if k != end:
-                num, den = ratio(k)
-                if (w + abs(k - mode)) * den <= n * (den - num):
+    mode, sides = min(n, (n + 1) * a >> E), []
+    for rn, rd, num in ((b, a, mode), (a, b, n - mode)):  # down, then up
+        F = P + 8 + n.bit_length() + rd.bit_length() - rn.bit_length() if num and E > 64 else 0
+        c, g = ((rn << F) // rd, 1) if F else (rn, rd)
+        w, side, den = 1 << P, [], n + 1 - num
+        for s in range(1, num + 1):  # the step to k, s = |k - mode|
+            w = w * (c * num) // (g * den) >> F
+            num, den = num - 1, den + 1
+            if num:  # k is not the end of the support
+                top = w + s + 1
+                if top <= n and top * rd * den <= n * (rd * den - rn * num):
                     break
             side.append(w)
         sides.append(side)
@@ -261,10 +270,11 @@ def relative_entropy_exact(n: int, p, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
     S is empty at n = 1.  The weights of B (:func:`_binomial_window`) are integers at P =
     bits + 74 + 3 bl(n) + 2 max(0, -mag p) bits, bl the bit length, and T_j is their sum
-    beyond j over their sum s >= 2^P, each sum within e <= n(n+1)/2 + 2n <= 2n^2 units for
-    n >= 2; so T_j is within 2e/s <= 2^(2-P) n^2, and S within 2^(3-P) n^3 < 2^-(bits+66)
-    p^2/6 <= 2^-(bits+66) D.  Below the window T_j = 1, and that run is one log-factorial
-    difference (:func:`symbolic._log_factorial_reader`).  Each log is a fixed-point integer at
+    beyond j over their sum s >= 2^P, each sum within e <= n(n+1)/2 + (n+1)/128 + 2n <= 2n^2
+    units for n >= 2, the weights' losses and the two tails left out; so T_j is within 2e/s
+    <= 2^(2-P) n^2, and S within 2^(3-P) n^3 < 2^-(bits+66) p^2/6 <= 2^-(bits+66) D.  Below
+    the window T_j = 1, and that run is one log-factorial difference
+    (:func:`symbolic._log_factorial_reader`).  Each log is a fixed-point integer at
     F = 64 + a multiple of 64 >= bits + 70 + 2 bl(n) + bl(bl(n)) fractional bits (the ladder
     below the cap, else one ``mpf_log`` each: :func:`symbolic._logs`), so log(1 - j/n) is
     within 4 bl(n) units and S within 2^(4-F) bl(n) 4n^2 D <= 2^-(bits+66) D.  The head,

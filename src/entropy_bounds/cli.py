@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -98,6 +97,12 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
+def _json_text(payload) -> str:
+    import json  # imported by the two commands that write JSON, not by every command
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # --- coeffs ---------------------------------------------------------------
 
 
@@ -128,7 +133,7 @@ def _cmd_coeffs(args, ctx: PrecisionContext) -> int:
         payload = {"kind": kind, "m": args.m, **{
             key: {str(k): _exact_json(v) for k, v in sorted(values.items())}
             for key, values in (("a", cs.a), ("b", cs.b))}}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -236,7 +241,7 @@ def _cmd_bounds(args, ctx: PrecisionContext) -> int:
         raise UsageError("every grid point failed")
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
     return 0

@@ -337,6 +337,47 @@ class TestRelativeEntropyExact:
             truth = n + mpmath.loggamma(n + 1) - n * mpmath.log(n)
         assert self.ulps_off(relative_entropy_exact(n, 1, PrecisionContext(256)), truth, 256) <= 0.5
 
+    @pytest.mark.parametrize("P", [64, 400])
+    @pytest.mark.parametrize("n", [1, 2, 160])
+    @pytest.mark.parametrize("p", [F(1), F(1, 2), F(1, 4), F(37, 100), F(3, 7) / 2**360,
+                                   1 - F(1, 2**100)],
+                             ids=["1", "1/2", "1/4", "37/100", "3/7*2^-360", "1-2^-100"])
+    def test_binomial_window_against_the_exact_pmf(self, p, n, P):
+        # p at 256 bits as exact D sees it, a/2^E, short (E <= 64) or wide; at p = 1, b = 0, so
+        # neither side's ratio may divide by b.  Each weight lies within |k - mode| + 2^-7 units
+        # below 2^P pmf(k)/pmf(mode), and each side leaves out at most n units
+        man, exp = to_mpf(p, PrecisionContext(256).mp).man_exp
+        a, E = man, -exp
+        b = 2**E - a
+        lo, w = bounds._binomial_window(n, a, b, E, P)
+        # pmf(k) 2^(nE), and its weight's value 2^P pmf(k)/pmf(mode), compared in integers
+        pmf = [math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)]
+        mode = min(n, (n + 1) * a >> E)  # floor((n + 1) p), a most likely k
+        top = pmf[mode]
+        assert top == max(pmf)
+        assert lo <= mode < lo + len(w) <= n + 1 and w[mode - lo] == 2**P
+        for k, weight in enumerate(w, lo):
+            assert 0 <= 128 * ((pmf[k] << P) - weight * top) < (128 * abs(k - mode) + 1) * top, k
+        assert sum(pmf[:lo]) << P <= n * top and sum(pmf[lo + len(w):]) << P <= n * top
+
+    def test_seeded_sweep_is_bit_identical(self):
+        # 2,000 seeded calls, pinned before the binomial window's step changed: n log-uniform in
+        # 1..3000, p log-uniform in (2^-401, 1/2), its mirror 1 - p, and 1/2, 1/4 and 1, each at
+        # 64 to 320 bits; sha256 over each value's (mantissa, exponent)
+        rng, digest = random.Random(4810), hashlib.sha256()
+        for _ in range(2000):
+            n, bits = round(3000 ** rng.random()), rng.choice((64, 128, 192, 256, 320))
+            kind = rng.randrange(8)
+            if kind < 3:
+                p = (F(1, 2), F(1, 4), F(1))[kind]
+            else:
+                p = F(rng.randrange(10**6, 2 * 10**6), 10**6 << rng.randrange(1, 401))
+                p = 1 - p if kind == 3 else p
+            value = relative_entropy_exact(n, p, PrecisionContext(bits))
+            digest.update(repr(value.man_exp).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "878c4d0fba52c1e4b4fffb5cff1d997e4a91b77e25c48ab43d32efb843999012")
+
 
 class TestRelativeEntropyBounds:
     def test_contains_oracle(self):

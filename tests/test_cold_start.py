@@ -1,8 +1,9 @@
 """A fresh process imports only what it runs.
 
-``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and the oracle module is
-read only by ``verify``; a CLI command that needs none of them must not pay for them.  The
-package resolves the oracles' names on first use (PEP 562).
+``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, the oracle module is
+read only by ``verify``, and ``json`` only by ``coeffs`` and ``bounds --format json``; a CLI command
+that needs none of them must not pay for them.  The package resolves the oracles' names on first
+use (PEP 562).
 """
 
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import entropy_bounds
 from conftest import child_env
 
-WATCHED = ("dataclasses", "inspect", "entropy_bounds.oracle")
+WATCHED = ("dataclasses", "inspect", "json", "entropy_bounds.oracle")
 
 
 def _watched_after(code: str, *argv: str) -> set[str]:
@@ -29,10 +30,11 @@ def _watched_after(code: str, *argv: str) -> set[str]:
     ((), set()),  # the import alone
     (("bounds", "poisson-entropy", "--points", "10", "--m", "3"), set()),
     (("bounds", "relative-entropy", "--n", "100", "--points", "0.3", "--m", "auto"), set()),
-    (("coeffs", "binomial", "--m", "2"), set()),
-    (("coeffs", "small-lambda", "--kmax", "5"), set()),
+    (("coeffs", "binomial", "--m", "2"), {"json"}),
+    (("coeffs", "small-lambda", "--kmax", "5"), {"json"}),
     (("figure", "gaps", "--points", "10", "--m-list", "1,2"), set()),
     (("verify", "poisson-entropy", "--points", "10", "--m-list", "1"), {"entropy_bounds.oracle"}),
+    (("bounds", "poisson-entropy", "--points", "10", "--m", "3", "--format", "json"), {"json"}),
 ], ids=lambda x: " ".join(x) or "import" if isinstance(x, tuple) else None)
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     run = "assert entropy_bounds.cli.main([*sys.argv[1:], '--out', os.devnull]) == 0"
